@@ -5,17 +5,13 @@ chains, greedily re-weighted spanning trees) plus gap-scored dynamic trees.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocks import Block, chain_block, tree_block
-from .model import unary_costs, pairwise_costs
-
-try:
-    from numba import njit
-except ImportError:          # pragma: no cover - numba is a declared dependency
-    njit = None
+from .model import edge_chunks, node_costs, node_minima
 
 
 @dataclass(frozen=True)
@@ -81,47 +77,22 @@ def all_edges_cover(model):
         "all_edges", [chain_block(model, e) for e in model.edges])
 
 
-if njit is not None:
-    @njit(cache=True)
-    def _bfs_dist_count(indptr, indices, src, n):
-        dist = np.full(n, -1, dtype=np.int64)
-        count = np.zeros(n, dtype=np.int64)
-        queue = np.empty(n, dtype=np.int64)
-        dist[src] = 0
-        count[src] = 1
-        queue[0] = src
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-                if dist[v] == du + 1:
-                    c = count[v] + count[u]
-                    count[v] = c if c < 2 else 2   # only ==1 matters
-        return dist, count
-else:                          # pragma: no cover
-    def _bfs_dist_count(indptr, indices, src, n):
-        from collections import deque
-        dist = np.full(n, -1, dtype=np.int64)
-        count = np.zeros(n, dtype=np.int64)
-        dist[src] = 0
-        count[src] = 1
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    count[v] = min(count[v] + count[u], 2)
-        return dist, count
+def _bfs_dist_count(indptr, indices, src, n):
+    """BFS distances from ``src`` and shortest-path counts capped at 2."""
+    dist = np.full(n, -1, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    dist[src] = 0
+    count[src] = 1
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                count[v] = min(count[v] + count[u], 2)   # only ==1 matters
+    return dist, count
 
 
 def _csr(n, src, dst):
@@ -257,13 +228,13 @@ def compute_static_trees(model):
 
 def gap_scores(model, phi, y):
     """Local primal-dual gaps: per-node and per-edge excess of y over the minima."""
-    node_gap = np.array([
-        unary_costs(model, phi, u)[y[u]] - unary_costs(model, phi, u).min()
-        for u in range(model.n_nodes)])
-    edge_gap = np.array([
-        pairwise_costs(model, phi, u, v)[y[u], y[v]]
-        - pairwise_costs(model, phi, u, v).min()
-        for (u, v) in model.edges])
+    costs = node_costs(model, phi)
+    node_gap = costs[model.label_offsets[:-1] + y] - node_minima(model, costs)
+    edge_gap = np.zeros(model.n_edges)
+    ends = np.array(model.edges, dtype=np.int64).reshape(-1, 2)
+    for ids, t in edge_chunks(model, phi):
+        at_y = t[np.arange(len(ids)), y[ends[ids, 0]], y[ends[ids, 1]]]
+        edge_gap[ids] = at_y - t.min(axis=(1, 2))
     return node_gap, edge_gap
 
 

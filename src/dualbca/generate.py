@@ -49,7 +49,7 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         lab = [labels] * n
         unary = [rng.uniform(0.0, 5.0, labels) for _ in range(n)]
-        pairwise = [rng.uniform(0.0, 1.0, (labels, labels)) for _ in edges]
+        pairwise = rng.uniform(0.0, 1.0, (len(edges), labels, labels))
         return GraphicalModel(lab, edges, unary, pairwise)
 
     n = height * width
@@ -68,7 +68,9 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
         grid_shape = None          # long-range edges break the grid structure
     lab = [labels] * n
     unary = [rng.uniform(0.0, 5.0, labels) for _ in range(n)]
-    pairwise = [_truncated_linear(rng, labels, labels) for _ in edges]
+    pairwise = np.empty((len(edges), labels, labels))
+    for table in pairwise:
+        table[...] = _truncated_linear(rng, labels, labels)
     return GraphicalModel(lab, edges, unary, pairwise, grid_shape=grid_shape)
 
 

@@ -5,8 +5,21 @@ pairwise costs theta_uv(y_u, y_v).  A reparametrization phi assigns one real
 vector per directed edge incidence (u,v); it shifts costs between nodes and
 edges without changing any labeling's energy.  All solver state lives in phi:
 reparametrized costs are always computed on the fly from (theta, phi).
+
+Layout.  The model fixes where everything lives, once:
+
+* the unary tables are views into one flat buffer, node after node;
+* the pairwise tables are views into one ``(m, L_a, L_b)`` block per shape;
+* phi is one flat buffer in which node u owns deg(u)*L_u values, one row of
+  L_u per neighbour in ``adjacency[u]`` order (a directed-incidence CSR).
+
+Whole-model evaluation works on these buffers with numpy reductions, and the
+node-star updates in :mod:`dualbca.updates` work on a node's rows at once.
 """
 from __future__ import annotations
+
+from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +30,55 @@ FEAS_TOL = 1e-9
 # poisons the min/sum arithmetic of message passing.
 COST_CAP = 1e12
 
+# Whole-model evaluation visits the pairwise tables this many edges at a
+# time, which bounds its temporaries to a few tables' worth of memory.
+_EDGE_CHUNK = 256
+
+
+class StarPart(NamedTuple):
+    """Edges of one node's star that share orientation and label count.
+
+    For node u, ``first`` tells whether u is the canonical first endpoint of
+    these edges; their reparametrized tables then have shape (L_u, L_v),
+    otherwise (L_v, L_u).
+    """
+
+    first: bool
+    rows: object            # positions in adjacency[u] = rows of u's phi
+                            # block, a slice when they are consecutive
+    block: np.ndarray       # pairwise shape block holding the edges' tables
+    pos: np.ndarray         # positions of the edges in ``block``
+    back: np.ndarray        # (m, L_v) indices of phi_{v,u} in the phi buffer
+
+    def take(self, sel):
+        """The part restricted to the edges selected by ``sel``."""
+        rows = self.rows
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop)
+        return StarPart(self.first, _as_slice(rows[sel]), self.block,
+                        self.pos[sel], self.back[sel])
+
+
+def _as_slice(ks):
+    """``ks`` as a slice when it is a run of consecutive integers.
+
+    Basic indexing by a slice is a view and several times cheaper than
+    indexing by an array.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if len(ks) and ks[-1] - ks[0] == len(ks) - 1 and np.all(np.diff(ks) == 1):
+        return slice(int(ks[0]), int(ks[-1]) + 1)
+    return ks
+
+
+class _ShapeGroup(NamedTuple):
+    block: np.ndarray       # (m, L_a, L_b) pairwise tables
+    edges: np.ndarray       # edge ids, ascending
+    a: np.ndarray           # canonical endpoints of the edges
+    b: np.ndarray
+    off_ab: np.ndarray      # start of phi_{a,b} in the phi buffer
+    off_ba: np.ndarray      # start of phi_{b,a}
+
 
 class GraphicalModel:
     """Immutable graph with unary and pairwise cost tables.
@@ -25,11 +87,14 @@ class GraphicalModel:
     unordered pairs stored canonically as ``(u, v)`` with ``u < v``.  All
     costs must be finite and non-negative (shift your input if needed; the
     non-negativity is what keeps the constrained dual well defined).
+
+    ``pairwise`` is a sequence of tables in edge order; an ``(|E|, L, L')``
+    array of same-shaped tables becomes the model's table block as it is.
     """
 
     def __init__(self, labels, edges, unary, pairwise, grid_shape=None):
         self.labels = tuple(int(k) for k in labels)
-        self.n_nodes = len(self.labels)
+        self.n_nodes = n = len(self.labels)
         if any(k <= 0 for k in self.labels):
             raise ValueError("every node needs at least one label")
 
@@ -38,7 +103,7 @@ class GraphicalModel:
             u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has an endpoint out of range")
             canon.append((u, v) if u < v else (v, u))
         if len(set(canon)) != len(canon):
@@ -46,53 +111,143 @@ class GraphicalModel:
         self.edges = tuple(canon)
         self.n_edges = len(self.edges)
 
-        if len(unary) != self.n_nodes or len(pairwise) != self.n_edges:
+        if len(unary) != n or len(pairwise) != self.n_edges:
             raise ValueError("cost table count does not match nodes/edges")
-        self.unary = tuple(np.ascontiguousarray(t, dtype=np.float64) for t in unary)
-        self.pairwise = tuple(np.ascontiguousarray(t, dtype=np.float64) for t in pairwise)
-        for u, t in enumerate(self.unary):
+        unary = [np.asarray(t, dtype=np.float64) for t in unary]
+        if not isinstance(pairwise, np.ndarray):
+            pairwise = [np.asarray(t, dtype=np.float64) for t in pairwise]
+        for u, t in enumerate(unary):
             if t.shape != (self.labels[u],):
                 raise ValueError(f"unary table of node {u} has shape {t.shape}")
         for e, (u, v) in enumerate(self.edges):
-            if self.pairwise[e].shape != (self.labels[u], self.labels[v]):
+            if pairwise[e].shape != (self.labels[u], self.labels[v]):
                 raise ValueError(f"pairwise table of edge ({u},{v}) has shape "
-                                 f"{self.pairwise[e].shape}")
-        for t in self.unary + self.pairwise:
+                                 f"{pairwise[e].shape}")
+
+        lab = np.array(self.labels, dtype=np.int64)
+        self.label_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lab, out=self.label_offsets[1:])
+        flat = np.concatenate(unary) if unary else np.zeros(0)
+        self._unary_flat = flat
+        self.unary = tuple(np.split(flat, self.label_offsets[1:-1])) if n else ()
+
+        shapes = {}
+        for e, (u, v) in enumerate(self.edges):
+            shapes.setdefault((self.labels[u], self.labels[v]), []).append(e)
+        if isinstance(pairwise, np.ndarray) and len(shapes) == 1:
+            # Same-shaped tables given as one (|E|, L_a, L_b) array are
+            # used as the block, without a copy.
+            blocks = [(np.ascontiguousarray(pairwise, dtype=np.float64),
+                       range(self.n_edges))]
+        else:
+            blocks = [(np.stack([pairwise[e] for e in ids]), ids)
+                      for ids in shapes.values()]
+        placed = [None] * self.n_edges       # edge -> (block, position)
+        for block, ids in blocks:
+            for i, e in enumerate(ids):
+                placed[e] = (block, i)
+        self.pairwise = tuple(block[i] for block, i in placed)
+        for t in (flat, *(block for block, _ in blocks)):
             if not np.all(np.isfinite(t)):
                 raise ValueError("costs must be finite (use COST_CAP for forbidden pairs)")
             if np.any(t < 0):
                 raise ValueError("costs must be non-negative (pre-shift your input)")
 
-        self._edge_id = {}
-        adj = [[] for _ in range(self.n_nodes)]
-        for e, (u, v) in enumerate(self.edges):
-            self._edge_id[(u, v)] = e
-            self._edge_id[(v, u)] = e
+        adj = [[] for _ in range(n)]
+        for (u, v) in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+
+        # phi layout: node u owns deg(u) rows of L_u values.
+        deg = np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        phi_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg * lab, out=phi_off[1:])
+        self.phi_size = int(phi_off[-1])
+        self._phi_off = phi_off.tolist()
+        # (u, v) -> (edge id, start of phi_{u,v}, start of phi_{v,u}).
+        self._incidence = {}
+        for e, (u, v) in enumerate(self.edges):
+            o_uv = self._phi_off[u] + bisect_left(self.adjacency[u], v) * self.labels[u]
+            o_vu = self._phi_off[v] + bisect_left(self.adjacency[v], u) * self.labels[v]
+            self._incidence[u, v] = (e, o_uv, o_vu)
+            self._incidence[v, u] = (e, o_vu, o_uv)
+
+        # Label slot (index into the flat unary buffer) of every unary
+        # value and then of every phi value, so that one bincount over
+        # (theta, -phi) computes all of theta^phi.
+        self._cost_slot = np.empty(flat.size + self.phi_size, dtype=np.int64)
+        self._cost_slot[:flat.size] = np.arange(flat.size)
+        slot = self._cost_slot[flat.size:]
+        owner = np.repeat(np.arange(n), deg * lab)
+        slot[:] = np.arange(self.phi_size)
+        slot -= phi_off[owner]
+        slot %= lab[owner]
+        slot += self.label_offsets[owner]
+
+        self._label_groups = []
+        for k in sorted(set(self.labels)):
+            nodes = np.flatnonzero(lab == k)
+            self._label_groups.append(
+                (nodes, self.label_offsets[nodes][:, None] + np.arange(k)))
+
+        self._shape_groups = []
+        for block, ids in blocks:
+            a = np.array([self.edges[e][0] for e in ids], dtype=np.int64)
+            b = np.array([self.edges[e][1] for e in ids], dtype=np.int64)
+            self._shape_groups.append(_ShapeGroup(
+                block, np.array(ids, dtype=np.int64), a, b,
+                np.array([self._incidence[self.edges[e]][1] for e in ids],
+                         dtype=np.int64),
+                np.array([self._incidence[self.edges[e]][2] for e in ids],
+                         dtype=np.int64)))
+
+        self._stars = tuple(self._build_star(u, placed) for u in range(n))
 
         # Optional (height, width) hint set by the grid generators; lets
         # solvers pick row/column chain covers.
         self.grid_shape = tuple(grid_shape) if grid_shape is not None else None
 
+    def _build_star(self, u, placed):
+        groups = {}
+        for k, v in enumerate(self.adjacency[u]):
+            groups.setdefault((u < v, self.labels[v]), []).append(k)
+        parts = []
+        for (first, k_v), ks in groups.items():
+            nbrs = [self.adjacency[u][k] for k in ks]
+            inc = [self._incidence[u, v] for v in nbrs]
+            back = np.array([o_vu for _, _, o_vu in inc], dtype=np.int64)
+            parts.append(StarPart(
+                first, _as_slice(ks), placed[inc[0][0]][0],
+                np.array([placed[e][1] for e, _, _ in inc], dtype=np.int64),
+                back[:, None] + np.arange(k_v)))
+        return tuple(parts)
+
     def neighbors(self, u):
         return self.adjacency[u]
 
-    def has_edge(self, u, v):
-        return (u, v) in self._edge_id
+    def star(self, u):
+        """Node u's star as :class:`StarPart` groups, covering every neighbour."""
+        return self._stars[u]
 
-    def edge_id(self, u, v):
+    def has_edge(self, u, v):
+        return (u, v) in self._incidence
+
+    def incidence(self, u, v):
+        """(edge id, start of phi_{u,v}, start of phi_{v,u}) in the phi buffer."""
         try:
-            return self._edge_id[(u, v)]
+            return self._incidence[u, v]
         except KeyError:
             raise ValueError(f"({u},{v}) is not an edge of the model") from None
+
+    def edge_id(self, u, v):
+        return self.incidence(u, v)[0]
 
     def pairwise_table(self, u, v):
         """Pairwise cost table oriented as (labels of u, labels of v)."""
         e = self.edge_id(u, v)
         t = self.pairwise[e]
-        return t if self.edges[e][0] == u else t.T
+        return t if u < v else t.T
 
     def state_count(self):
         n = 1.0
@@ -102,58 +257,75 @@ class GraphicalModel:
 
 
 class Reparametrization:
-    """Dual vector phi: one value per (directed incidence, label) triple.
+    """Dual vector phi: one value per (directed incidence, label) pair.
 
-    ``phi[u, v]`` is the vector ``phi_{u,v}`` over the labels of ``u``,
-    defined for every edge ``uv`` of the model.  Arrays are mutable and owned
-    by exactly one solver run at a time.
+    ``phi[u, v]`` is a writable view of the vector ``phi_{u,v}`` over the
+    labels of ``u``, defined for every edge ``uv`` of the model.  All values
+    live in the flat buffer ``values`` laid out by the model; a
+    reparametrization is owned by exactly one solver run at a time.
     """
+
+    __slots__ = ("model", "values")
 
     def __init__(self, model: GraphicalModel):
         self.model = model
-        self._vals = {}
-        for (u, v) in model.edges:
-            self._vals[(u, v)] = np.zeros(model.labels[u])
-            self._vals[(v, u)] = np.zeros(model.labels[v])
+        self.values = np.zeros(model.phi_size)
 
     def __getitem__(self, uv):
-        return self._vals[uv]
+        _, start, _ = self.model._incidence[uv]
+        return self.values[start:start + self.model.labels[uv[0]]]
 
     def __setitem__(self, uv, value):
-        tgt = self._vals[uv]
-        tgt[:] = value
+        self[uv][...] = value
+
+    def rows(self, u):
+        """View of node u's phi rows, shape (deg(u), L_u), in adjacency order."""
+        off = self.model._phi_off
+        return self.values[off[u]:off[u + 1]].reshape(-1, self.model.labels[u])
 
     def copy(self):
         out = Reparametrization.__new__(Reparametrization)
         out.model = self.model
-        out._vals = {k: v.copy() for k, v in self._vals.items()}
+        out.values = self.values.copy()
         return out
 
     def is_zero(self):
-        return all(np.all(v == 0) for v in self._vals.values())
+        return not self.values.any()
 
 
 def unary_costs(model, phi, u):
-    """Reparametrized unary vector theta^phi_u = theta_u - sum_v phi_{u,v}."""
-    out = model.unary[u].copy()
-    if phi is not None:
-        for v in model.neighbors(u):
-            out -= phi[u, v]
-    return out
+    """Reparametrized unary vector theta^phi_u = theta_u - sum_v phi_{u,v}.
+
+    One reduction over theta_u stacked on u's phi rows: the neighbours are
+    subtracted one at a time in adjacency order, the same rounding as
+    :func:`node_costs`.
+    """
+    if phi is None:
+        return model.unary[u].copy()
+    return np.subtract.reduce(
+        np.concatenate((model.unary[u][None], phi.rows(u))), axis=0)
 
 
 def pairwise_costs(model, phi, u, v):
     """Reparametrized pairwise table theta^phi_uv oriented as (Y_u, Y_v).
 
-    Always evaluated in canonical edge orientation so the two query
-    directions are transposes of each other bit-exactly.
+    Always evaluated in canonical edge orientation, as
+    (theta_ab + phi_{a,b}) + phi_{b,a}, so the two query directions are
+    transposes of each other bit-exactly.
     """
-    a, b = model.edges[model.edge_id(u, v)]
-    out = model.pairwise_table(a, b).copy()
-    if phi is not None:
-        out += phi[a, b][:, None]
-        out += phi[b, a][None, :]
-    return out if a == u else out.T
+    e, o_uv, o_vu = model.incidence(u, v)
+    t = model.pairwise[e]
+    if phi is None:
+        return t.copy() if u < v else t.T.copy()
+    p_uv = phi.values[o_uv:o_uv + model.labels[u]]
+    p_vu = phi.values[o_vu:o_vu + model.labels[v]]
+    if u < v:
+        out = t + p_uv[:, None]
+        out += p_vu
+        return out
+    out = t + p_vu[:, None]
+    out += p_uv
+    return out.T
 
 
 def reparametrized_unary(model, phi, u, s):
@@ -175,50 +347,105 @@ def check_labeling(model, y):
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (model.n_nodes,):
         raise ValueError("labeling must assign one label per node")
-    for u, s in enumerate(y):
-        if not (0 <= s < model.labels[u]):
-            raise ValueError(f"label {s} out of range for node {u}")
+    bad = np.flatnonzero((y < 0) | (y >= np.diff(model.label_offsets)))
+    if bad.size:
+        u = int(bad[0])
+        raise ValueError(f"label {y[u]} out of range for node {u}")
     return y
+
+
+def node_costs(model, phi):
+    """theta^phi of every node, concatenated in node order.
+
+    Entry ``label_offsets[u] + s`` is theta^phi_u(s).  bincount adds its
+    weights in input order, so each entry is theta_u(s) minus the incident
+    phi one at a time in adjacency order, bit for bit as in
+    :func:`unary_costs`.  With ``phi=None`` this is the model's own unary
+    buffer: read it, do not write it.
+    """
+    if phi is None:
+        return model._unary_flat
+    return np.bincount(model._cost_slot,
+                       weights=np.concatenate((model._unary_flat, -phi.values)),
+                       minlength=model._unary_flat.size)
+
+
+def node_minima(model, costs):
+    """Per-node minima of a :func:`node_costs` vector."""
+    if model.n_nodes == 0:
+        return np.zeros(0)
+    return np.minimum.reduceat(costs, model.label_offsets[:-1])
+
+
+def edge_chunks(model, phi):
+    """Yield (edge ids, theta^phi tables) in canonical orientation.
+
+    Tables come as ``(m, L_a, L_b)`` stacks of at most ``_EDGE_CHUNK`` edges
+    of one shape.  With ``phi=None`` they are views of the model's tables:
+    read them, do not write them.
+    """
+    vals = None if phi is None else phi.values
+    for g in model._shape_groups:
+        k_a, k_b = g.block.shape[1:]
+        for s in range(0, len(g.edges), _EDGE_CHUNK):
+            c = slice(s, s + _EDGE_CHUNK)
+            t = g.block[c]
+            if vals is not None:
+                t = t + vals[g.off_ab[c, None] + np.arange(k_a)][:, :, None]
+                t += vals[g.off_ba[c, None] + np.arange(k_b)][:, None, :]
+            yield g.edges[c], t
+
+
+def _sum_in_order(*terms):
+    """Left-to-right float sum: the rounding of a Python loop over the terms."""
+    values = np.concatenate(terms)
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def energy(model, y, phi=None):
     """Energy of labeling ``y`` under theta (phi=None) or theta^phi.
 
-    The two agree for every y: the phi contributions telescope out.
+    The two agree for every y: the phi contributions telescope out.  Node
+    terms are added in node order, then edge terms in edge order.
     """
     y = check_labeling(model, y)
-    total = 0.0
-    for u in range(model.n_nodes):
-        total += unary_costs(model, phi, u)[y[u]]
-    for (u, v) in model.edges:
-        total += pairwise_costs(model, phi, u, v)[y[u], y[v]]
-    return float(total)
+    node_terms = node_costs(model, phi)[model.label_offsets[:-1] + y]
+    edge_terms = np.zeros(model.n_edges)
+    for g in model._shape_groups:
+        y_a, y_b = y[g.a], y[g.b]
+        vals = g.block[np.arange(len(g.edges)), y_a, y_b]
+        if phi is not None:
+            vals = vals + phi.values[g.off_ab + y_a]
+            vals += phi.values[g.off_ba + y_b]
+        edge_terms[g.edges] = vals
+    return _sum_in_order(node_terms, edge_terms)
 
 
 def dual_value(model, phi):
-    """Lower bound D(phi): sum of node-wise and edge-wise minima of theta^phi."""
-    total = 0.0
-    for u in range(model.n_nodes):
-        total += unary_costs(model, phi, u).min()
-    for (u, v) in model.edges:
-        total += pairwise_costs(model, phi, u, v).min()
-    return float(total)
+    """Lower bound D(phi): sum of node-wise and edge-wise minima of theta^phi.
+
+    Minima are added in node order, then in edge order.
+    """
+    edge_min = np.zeros(model.n_edges)
+    for ids, t in edge_chunks(model, phi):
+        edge_min[ids] = t.min(axis=(1, 2))
+    return _sum_in_order(node_minima(model, node_costs(model, phi)), edge_min)
 
 
 def check_feasible(model, phi, tol=FEAS_TOL):
     """True iff every reparametrized cost is >= -tol (constrained dual)."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    for u in range(model.n_nodes):
-        if unary_costs(model, phi, u).min() < -tol:
-            return False
-    for (u, v) in model.edges:
-        if pairwise_costs(model, phi, u, v).min() < -tol:
-            return False
-    return True
+    costs = node_costs(model, phi)
+    if costs.size and costs.min() < -tol:
+        return False
+    return all(t.min() >= -tol for _, t in edge_chunks(model, phi))
 
 
 def primal_round(model, phi):
     """Independent per-node rounding: y_u = argmin theta^phi_u, lowest index wins."""
-    return np.array([int(np.argmin(unary_costs(model, phi, u)))
-                     for u in range(model.n_nodes)], dtype=np.int64)
+    costs = node_costs(model, phi)
+    y = np.zeros(model.n_nodes, dtype=np.int64)
+    for nodes, slots in model._label_groups:
+        y[nodes] = costs[slots].argmin(axis=1)
+    return y

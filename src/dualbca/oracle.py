@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import pairwise_costs, unary_costs
-
 ENUMERATION_GUARD = 10_000_000
 
 
@@ -19,6 +17,29 @@ class StateSpaceTooLarge(ValueError):
 
 class MinorantHypothesisError(ValueError):
     """The block is not in a state where the minorant check applies."""
+
+
+def unary_costs(model, phi, u):
+    """theta^phi_u = theta_u - sum over neighbours v of phi_{u,v}."""
+    out = model.unary[u].copy()
+    if phi is not None:
+        for v in model.neighbors(u):
+            out -= phi[u, v]
+    return out
+
+
+def pairwise_costs(model, phi, u, v):
+    """theta^phi_uv(s, t) = theta_uv(s, t) + phi_{u,v}(s) + phi_{v,u}(t)."""
+    if (u, v) in model.edges:
+        out = model.pairwise[model.edges.index((u, v))].copy()
+    elif (v, u) in model.edges:
+        out = model.pairwise[model.edges.index((v, u))].T.copy()
+    else:
+        raise ValueError(f"({u},{v}) is not an edge of the model")
+    if phi is not None:
+        out += phi[u, v][:, None]
+        out += phi[v, u][None, :]
+    return out
 
 
 def energy_table(model, phi=None, nodes=None, edges=None):

@@ -26,7 +26,7 @@ from . import covers
 from .model import (Reparametrization, dual_value, energy, primal_round,
                     unary_costs)
 from .updates import MessageCounter, node_aggregate, node_distribute, \
-    push_min_into, weights_for, WeightScheme
+    star_costs, weights_for, WeightScheme
 
 METHODS = ("msd", "cmp", "trws", "mplp", "mplppp", "dmm", "tbca", "tbcapp",
            "spam")
@@ -111,28 +111,49 @@ def _chain_cover(model, config):
     return covers.BlockSchedule(schedule.origin, blocks)
 
 
-def _trws_sweep(model, phi, order, counter):
+def _trws_plan(model, order):
+    """Per-node steps of one directed TRWS sweep along ``order``.
+
+    Each step is (node, weight, star parts toward the nodes later in the
+    order); nodes with no later neighbour are left out.
+    """
+    pos = np.empty(model.n_nodes, dtype=np.int64)
+    pos[order] = np.arange(model.n_nodes)
+    plan = []
+    for u in order:
+        nbrs = np.asarray(model.neighbors(u), dtype=np.int64)
+        parts = []
+        for part in model.star(u):
+            later = pos[nbrs[part.rows]] > pos[u]
+            if later.all():
+                parts.append(part)
+            elif later.any():
+                parts.append(part.take(later))
+        if parts:
+            n_out = sum(len(p.pos) for p in parts)
+            n_in = len(model.neighbors(u)) - n_out
+            plan.append((u, 1.0 / max(n_in, n_out), tuple(parts)))
+    return plan
+
+
+def _trws_sweep(model, phi, plan, counter):
     """One directed TRWS sweep: |E| messages, one per edge in sweep direction.
 
     At each node the current excess is already fully aggregated (earlier
     neighbors were pushed this sweep, later neighbors by the previous
     opposite sweep), so one distribution plus one min-marginal push per
     outgoing edge realizes the aggregate/distribute node update at a single
-    message per edge.
+    message per edge.  A node's pushes touch disjoint phi rows, so each
+    star part is pushed in one batch.
     """
-    pos = [0] * model.n_nodes
-    for i, u in enumerate(order):
-        pos[u] = i
-    for u in order:
-        later = [v for v in model.neighbors(u) if pos[v] > pos[u]]
-        if not later:
-            continue
-        n_in = len(model.neighbors(u)) - len(later)
-        w = 1.0 / max(n_in, len(later))
-        excess = unary_costs(model, phi, u)
-        for v in later:
-            phi[u, v] += w * excess
-            push_min_into(model, phi, u, v, counter)
+    vals = phi.values
+    for u, w, parts in plan:
+        rows = phi.rows(u)
+        excess = w * unary_costs(model, phi, u)
+        for part in parts:
+            rows[part.rows] += excess
+            vals[part.back] -= star_costs(phi, rows, part).min(axis=1)
+            counter.add(len(part.pos))
 
 
 class _Run:
@@ -155,6 +176,9 @@ class _Run:
                 self.schedule = covers.compute_static_trees(model)
         if m in ("msd", "cmp"):
             self.scheme = WeightScheme(m)
+        if m == "trws":
+            self.sweeps = (_trws_plan(model, self.order),
+                           _trws_plan(model, self.order[::-1]))
 
     def do_pass(self):
         model, phi, counter = self.model, self.phi, self.counter
@@ -165,8 +189,8 @@ class _Run:
                 node_distribute(model, phi, u,
                                 weights_for(self.scheme, model, u))
         elif m == "trws":
-            _trws_sweep(model, phi, self.order, counter)
-            _trws_sweep(model, phi, self.order[::-1], counter)
+            for plan in self.sweeps:
+                _trws_sweep(model, phi, plan, counter)
         elif m == "mplp":
             from .updates import mplp_update
             for (u, v) in model.edges:
@@ -203,8 +227,8 @@ def run(model, config):
     """
     if model.n_nodes == 0:
         raise ValueError("model has no nodes")
-    state = _Run(model, config)
     t0 = time.perf_counter()
+    state = _Run(model, config)
 
     def record(k):
         y = primal_round(model, state.phi)

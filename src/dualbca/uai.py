@@ -31,22 +31,39 @@ class ModelFormatError(ValueError):
 
 
 class _Tokens:
-    def __init__(self, text):
-        self.items = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for tok in line.split():
-                self.items.append((tok, lineno))
-        self.pos = 0
+    """Whitespace-separated tokens of a text, read one line at a time.
+
+    Only the current line is held in memory; line numbers count lines as
+    ``str.splitlines`` does.
+    """
+
+    def __init__(self, lines):
+        self._lines = enumerate(
+            (line for chunk in lines for line in chunk.splitlines()), start=1)
+        self._line_tokens = []
+        self._i = 0
+        self._line = 0
         self.last_line = 1
 
+    def _fill(self):
+        """Advance to the next line holding a token; False at end of text."""
+        while self._i >= len(self._line_tokens):
+            try:
+                self._line, text = next(self._lines)
+            except StopIteration:
+                return False
+            self._line_tokens = text.split()
+            self._i = 0
+        return True
+
     def next(self, what):
-        if self.pos >= len(self.items):
+        if not self._fill():
             raise ModelFormatError(f"unexpected end of file, expected {what}",
                                    self.last_line)
-        tok, line = self.items[self.pos]
-        self.pos += 1
-        self.last_line = line
-        return tok, line
+        tok = self._line_tokens[self._i]
+        self._i += 1
+        self.last_line = self._line
+        return tok, self._line
 
     def next_int(self, what):
         tok, line = self.next(what)
@@ -63,7 +80,7 @@ class _Tokens:
             raise ModelFormatError(f"expected {what}, got {tok!r}", line) from None
 
     def exhausted(self):
-        return self.pos >= len(self.items)
+        return not self._fill()
 
 
 def parse_uai(path, probabilities=False):
@@ -73,7 +90,10 @@ def parse_uai(path, probabilities=False):
     zero-shifts; add it back to compare duals against unshifted inputs.
     """
     with open(path) as f:
-        toks = _Tokens(f.read())
+        return _parse(_Tokens(f), probabilities)
+
+
+def _parse(toks, probabilities):
     kind, line = toks.next("network type")
     if kind.upper() != "MARKOV":
         raise ModelFormatError(f"expected MARKOV network, got {kind!r}", line)

@@ -61,9 +61,9 @@ def weights_for(scheme: WeightScheme, model, u):
     """Per-neighbor distribution weights w_{u,v} for node u."""
     nb = model.neighbors(u)
     if scheme.kind == "msd":
-        return {v: 1.0 / len(nb) for v in nb}
+        return dict.fromkeys(nb, 1.0 / max(len(nb), 1))
     if scheme.kind == "cmp":
-        return {v: 1.0 / (len(nb) + 1) for v in nb}
+        return dict.fromkeys(nb, 1.0 / (len(nb) + 1))
     pos = scheme.positions(model.n_nodes)
     later = [v for v in nb if pos[v] > pos[u]]
     if scheme.kind == "dp":
@@ -72,6 +72,23 @@ def weights_for(scheme: WeightScheme, model, u):
     n_out = len(later)
     denom = max(n_in, n_out)
     return {v: (1.0 / denom if pos[v] > pos[u] and denom else 0.0) for v in nb}
+
+
+def star_costs(phi, rows, part):
+    """theta^phi of a star part's edges, oriented (m, Y_u, Y_v).
+
+    ``rows`` is the centre node's phi block (see ``Reparametrization.rows``).
+    Evaluated in canonical orientation with the operand order of
+    :func:`pairwise_costs`, so each table equals it bit for bit.
+    """
+    mine, theirs = rows[part.rows], phi.values[part.back]
+    if part.first:
+        t = part.block[part.pos] + mine[:, :, None]
+        t += theirs[:, None, :]
+        return t
+    t = part.block[part.pos] + theirs[:, :, None]
+    t += mine[:, None, :]
+    return t.transpose(0, 2, 1)
 
 
 def message(model, phi, u, v, counter=None):
@@ -83,17 +100,23 @@ def message(model, phi, u, v, counter=None):
 
 def push_min_into(model, phi, u, v, counter=None):
     """Subtract the u->v min-marginal from phi_{v,u}, moving it into node v."""
-    phi[v, u] -= message(model, phi, u, v, counter)
+    p_vu = phi[v, u]
+    p_vu -= message(model, phi, u, v, counter)
 
 
 def node_aggregate(model, phi, u, counter=None):
     """Pull each incident edge's row minima into node u (one message per edge).
 
     Afterwards min_l theta^phi_uv(s, l) = 0 for every neighbor v and label s,
-    which is the block optimum of the node-adjacent block of u.
+    which is the block optimum of the node-adjacent block of u.  The star is
+    updated in one batch: each message v -> u reads and writes only
+    phi_{u,v}, so the messages do not interact.
     """
-    for v in model.neighbors(u):
-        phi[u, v] -= message(model, phi, v, u, counter)
+    rows = phi.rows(u)
+    for part in model.star(u):
+        rows[part.rows] -= star_costs(phi, rows, part).min(axis=2)
+    if counter is not None:
+        counter.add(len(rows))
 
 
 def node_distribute(model, phi, u, weights, counter=None):
@@ -102,17 +125,19 @@ def node_distribute(model, phi, u, weights, counter=None):
     ``weights`` maps neighbor -> w_{u,v} with w >= 0 and sum <= 1; the
     unallocated fraction stays at u.  Costs no messages.
     """
-    total = 0.0
-    for v, w in weights.items():
-        if w < -0.0 or v not in model.neighbors(u):
-            raise ValueError("weights must be non-negative and keyed by neighbors")
-        total += w
+    nbrs = np.fromiter(weights.keys(), dtype=np.int64, count=len(weights))
+    w = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+    adj = np.asarray(model.neighbors(u), dtype=np.int64)
+    k = np.searchsorted(adj, nbrs)
+    if np.any(w < 0) or np.any(k >= len(adj)) or \
+            np.any(adj[np.minimum(k, len(adj) - 1)] != nbrs):
+        raise ValueError("weights must be non-negative and keyed by neighbors")
+    total = w.sum()
     if total > 1.0 + 1e-12:
         raise ValueError(f"distribution weights sum to {total} > 1")
     excess = unary_costs(model, phi, u)
-    for v, w in weights.items():
-        if w != 0.0:
-            phi[u, v] += w * excess
+    rows = phi.rows(u)
+    rows[k] += w[:, None] * excess
 
 
 def mplp_update(model, phi, u, v, counter=None):
@@ -122,10 +147,11 @@ def mplp_update(model, phi, u, v, counter=None):
     ordering attains the exact 2-node block optimum.
     """
     model.edge_id(u, v)
-    phi[u, v] += unary_costs(model, phi, u)
-    phi[v, u] += unary_costs(model, phi, v)
-    phi[u, v] -= 0.5 * pairwise_costs(model, phi, u, v).min(axis=1)
-    phi[v, u] -= 0.5 * pairwise_costs(model, phi, u, v).min(axis=0)
+    p_uv, p_vu = phi[u, v], phi[v, u]
+    p_uv += unary_costs(model, phi, u)
+    p_vu += unary_costs(model, phi, v)
+    p_uv -= 0.5 * pairwise_costs(model, phi, u, v).min(axis=1)
+    p_vu -= 0.5 * pairwise_costs(model, phi, u, v).min(axis=0)
     if counter is not None:
         counter.add(2)
 
@@ -139,11 +165,12 @@ def handshake_update(model, phi, u, v, counter=None):
     conditions (zero row and column minima) on the edge.
     """
     model.edge_id(u, v)
-    phi[u, v] += unary_costs(model, phi, u)
-    phi[v, u] += unary_costs(model, phi, v)
-    phi[u, v] -= 0.5 * pairwise_costs(model, phi, u, v).min(axis=1)
-    phi[v, u] -= pairwise_costs(model, phi, u, v).min(axis=0)
-    phi[u, v] -= pairwise_costs(model, phi, u, v).min(axis=1)
+    p_uv, p_vu = phi[u, v], phi[v, u]
+    p_uv += unary_costs(model, phi, u)
+    p_vu += unary_costs(model, phi, v)
+    p_uv -= 0.5 * pairwise_costs(model, phi, u, v).min(axis=1)
+    p_vu -= pairwise_costs(model, phi, u, v).min(axis=0)
+    p_uv -= pairwise_costs(model, phi, u, v).min(axis=1)
     if counter is not None:
         counter.add(3)
 
@@ -155,7 +182,8 @@ def dp_update(model, phi, u, v, counter=None):
     into v.  One message.
     """
     model.edge_id(u, v)
-    phi[u, v] += unary_costs(model, phi, u)
+    p_uv = phi[u, v]
+    p_uv += unary_costs(model, phi, u)
     push_min_into(model, phi, u, v, counter)
 
 
@@ -168,5 +196,6 @@ def rdp_update(model, phi, u, v, r, counter=None):
         raise ValueError(f"r={r} outside [0, 1]")
     model.edge_id(u, v)
     if r != 0.0:
-        phi[u, v] += r * unary_costs(model, phi, u)
+        p_uv = phi[u, v]
+        p_uv += r * unary_costs(model, phi, u)
     push_min_into(model, phi, u, v, counter)

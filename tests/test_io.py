@@ -81,6 +81,18 @@ class TestParseUai:
         with pytest.raises(ModelFormatError):
             parse_uai(p)
 
+    def test_truncated_file_reports_last_token_line(self, tmp_path):
+        # The table on line 7 is cut after one entry (line 8); blank lines
+        # follow.  The error points at the last token read.
+        p = write(tmp_path, "MARKOV\n1\n2\n1\n1 0\n\n2\n3\n\n\n")
+        with pytest.raises(ModelFormatError, match="end of file") as exc:
+            parse_uai(p)
+        assert exc.value.line == 8
+        p = write(tmp_path, "MARKOV\n2\n\n")
+        with pytest.raises(ModelFormatError, match="cardinality") as exc:
+            parse_uai(p)
+        assert exc.value.line == 2
+
     def test_trailing_content_rejected(self, tmp_path):
         p = write(tmp_path, "MARKOV\n1\n2\n1\n1 0\n\n2\n3 5\n7\n")
         with pytest.raises(ModelFormatError, match="trailing"):

@@ -1,0 +1,181 @@
+"""The flat phi layout and the batched kernels against per-node and
+per-edge loops written here from the definitions.
+
+Models mix label counts, include isolated nodes and COST_CAP entries.
+The contract is agreement within 1e-9 relative to each value's size, not
+bit identity, even where the vectorized code happens to round as the
+loops do.
+"""
+import numpy as np
+import pytest
+
+from dualbca.covers import gap_scores
+from dualbca.generate import random_phi
+from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
+                           check_feasible, dual_value, energy, primal_round)
+from dualbca.solve import SolverConfig, run
+from dualbca.updates import (MessageCounter, message, node_aggregate,
+                             node_distribute, push_min_into)
+
+TOL = 1e-9
+
+
+def close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.all(np.abs(a - b) <= TOL * np.maximum(1.0, np.abs(b)))
+
+
+def hostile_model(rng, n_nodes=8):
+    """Mixed label counts 1..4, the last two nodes isolated, 20% of the
+    unary and pairwise entries at COST_CAP."""
+    labels = [int(k) for k in rng.integers(1, 5, n_nodes)]
+    edges = [(u, v) for u in range(n_nodes - 2) for v in range(u + 1, n_nodes - 2)
+             if rng.random() < 0.6]
+
+    def table(shape):
+        t = rng.uniform(0.0, 2.0, shape)
+        t[rng.random(shape) < 0.2] = COST_CAP
+        return t
+
+    return GraphicalModel(labels, edges, [table(k) for k in labels],
+                          [table((labels[u], labels[v])) for u, v in edges])
+
+
+def ref_unary(model, phi, u):
+    out = model.unary[u].copy()
+    for v in model.neighbors(u):
+        out -= phi[u, v]
+    return out
+
+
+def ref_pairwise(model, phi, e):
+    u, v = model.edges[e]
+    return model.pairwise[e] + phi[u, v][:, None] + phi[v, u][None, :]
+
+
+def cases(seed, count=25):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        model = hostile_model(rng, n_nodes=int(rng.integers(3, 10)))
+        yield rng, model, random_phi(rng, model, scale=2.0)
+
+
+def test_layout_views():
+    rng, model, phi = next(cases(0))
+    for (u, v) in model.edges:
+        assert np.shares_memory(phi[u, v], phi.values)
+        assert model.pairwise_table(u, v).shape == (model.labels[u],
+                                                    model.labels[v])
+    assert phi.values.size == sum(
+        len(model.neighbors(u)) * model.labels[u] for u in range(model.n_nodes))
+    copy = phi.copy()
+    copy.values[:] = 0.0
+    assert copy.is_zero() and not phi.is_zero()
+
+
+def test_table_array_is_the_block():
+    rng = np.random.default_rng(6)
+    edges = [(0, 1), (1, 2), (0, 2)]
+    tables = rng.uniform(0.0, 1.0, (3, 2, 2))
+    unary = [np.zeros(2)] * 3
+    adopted = GraphicalModel([2] * 3, edges, unary, tables)
+    copied = GraphicalModel([2] * 3, edges, unary, list(tables))
+    for e in range(3):
+        assert np.shares_memory(adopted.pairwise[e], tables)
+        assert not np.shares_memory(copied.pairwise[e], tables)
+        assert np.array_equal(adopted.pairwise[e], copied.pairwise[e])
+
+
+def test_whole_model_functions_match_loops():
+    for rng, model, phi in cases(1):
+        units = [ref_unary(model, phi, u) for u in range(model.n_nodes)]
+        pairs = [ref_pairwise(model, phi, e) for e in range(model.n_edges)]
+        dual = sum(t.min() for t in units) + sum(t.min() for t in pairs)
+        assert close(dual_value(model, phi), dual)
+
+        y = np.array([int(rng.integers(k)) for k in model.labels])
+        e_y = sum(t[y[u]] for u, t in enumerate(units)) + \
+            sum(t[y[u], y[v]] for (u, v), t in zip(model.edges, pairs))
+        assert close(energy(model, y, phi), e_y)
+        assert close(energy(model, y), energy(model, y, phi))
+
+        assert primal_round(model, phi).tolist() == \
+            [int(np.argmin(t)) for t in units]
+
+        lowest = min(min(t.min() for t in units),
+                     min((t.min() for t in pairs), default=np.inf))
+        for tol in (0.0, 0.5 * abs(lowest), 2.0 * abs(lowest)):
+            assert check_feasible(model, phi, tol) == (lowest >= -tol)
+
+        node_gap, edge_gap = gap_scores(model, phi, y)
+        assert close(node_gap, [t[y[u]] - t.min() for u, t in enumerate(units)])
+        assert close(edge_gap, [t[y[u], y[v]] - t.min()
+                                for (u, v), t in zip(model.edges, pairs)])
+
+
+def test_node_aggregate_matches_per_edge_sequence():
+    for rng, model, phi in cases(2):
+        for u in range(model.n_nodes):
+            batched, looped = phi.copy(), phi.copy()
+            c_batched, c_looped = MessageCounter(), MessageCounter()
+            node_aggregate(model, batched, u, c_batched)
+            for v in model.neighbors(u):
+                looped[u, v] -= message(model, looped, v, u, c_looped)
+            assert close(batched.values, looped.values)
+            assert c_batched.total == c_looped.total == len(model.neighbors(u))
+
+
+def test_node_distribute_matches_per_edge_sequence():
+    for rng, model, phi in cases(3):
+        for u in range(model.n_nodes):
+            nb = model.neighbors(u)
+            picked = [v for v in nb if rng.random() < 0.7]
+            w = rng.dirichlet(np.ones(len(picked) + 1))[:len(picked)]
+            weights = dict(zip(picked[::-1], w))      # any key order
+            batched, looped = phi.copy(), phi.copy()
+            counter = MessageCounter()
+            node_distribute(model, batched, u, weights, counter)
+            excess = ref_unary(model, looped, u)
+            for v, w_v in weights.items():
+                looped[u, v] += w_v * excess
+            assert close(batched.values, looped.values)
+            assert counter.total == 0
+
+
+def test_node_distribute_rejects_non_neighbours():
+    rng, model, phi = next(cases(4))
+    isolated = model.n_nodes - 1
+    with pytest.raises(ValueError):
+        node_distribute(model, phi, isolated, {0: 0.5})
+    node_distribute(model, phi, isolated, {})
+
+
+def ref_trws_pass(model, phi, order, counter):
+    """Two directed sweeps with one push per edge toward later nodes."""
+    for sweep in (order, order[::-1]):
+        pos = {u: i for i, u in enumerate(sweep)}
+        for u in sweep:
+            later = [v for v in model.neighbors(u) if pos[v] > pos[u]]
+            if not later:
+                continue
+            w = 1.0 / max(len(model.neighbors(u)) - len(later), len(later))
+            excess = ref_unary(model, phi, u)
+            for v in later:
+                phi[u, v] += w * excess
+                push_min_into(model, phi, u, v, counter)
+
+
+def test_trws_batched_sweeps_match_per_edge_sequence():
+    rng = np.random.default_rng(5)
+    for i in range(15):
+        model = hostile_model(rng, n_nodes=int(rng.integers(3, 10)))
+        order = None if i % 3 == 0 else \
+            [int(u) for u in rng.permutation(model.n_nodes)]
+        phi, _, trace = run(model, SolverConfig(method="trws", max_passes=3,
+                                                node_order=order))
+        ref, counter = Reparametrization(model), MessageCounter()
+        for _ in range(3):
+            ref_trws_pass(model, ref, order or list(range(model.n_nodes)),
+                          counter)
+        assert close(phi.values, ref.values)
+        assert trace[-1].messages == counter.total

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from dualbca import covers
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            dual_value, energy)
 from dualbca.generate import (generate_instance, random_model,
@@ -151,6 +154,22 @@ class TestMessageBudgets:
         _, _, trace = run(m, SolverConfig(method="mplppp", max_passes=10**9,
                                           max_seconds=0.2))
         assert trace[-1].wall_seconds < 5.0
+
+    def test_clock_includes_cover_build(self, monkeypatch):
+        # The cover is built before pass 0; its time counts towards
+        # wall_seconds and max_seconds.
+        build = covers.compute_ssp_cover
+
+        def slow_build(model, seed=0):
+            time.sleep(0.05)
+            return build(model, seed)
+
+        monkeypatch.setattr(covers, "compute_ssp_cover", slow_build)
+        m = generate_instance("sparse_grid", height=4, width=4, seed=0)
+        _, _, trace = run(m, SolverConfig(method="spam", max_passes=10,
+                                          max_seconds=1e-6))
+        assert len(trace) == 1
+        assert trace[0].wall_seconds >= 0.05
 
 
 class TestDeterminism:
