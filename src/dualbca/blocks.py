@@ -4,12 +4,17 @@ A block is a connected acyclic subgraph of the model.  All updates here
 reach the block optimum of the dual restricted to the block; the
 hierarchical-minorant and "++" variants additionally leave every block edge
 with zero row and column minima (the maximal-minorant certificate).
+
+Each update is written once, as an emitter that appends its elementary edge
+operations to a :class:`~dualbca.updates.Program`; the block update functions
+run a program of one block, and the solvers compile all blocks of a pass into
+one program.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .updates import dp_update, rdp_update, handshake_update, push_min_into
+from .updates import run_program
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def tbca_chain(model, phi, block, counter=None):
     2(n-1) messages on an n-node chain.
     """
     _require_chain(block)
-    _tbca_sweeps(model, phi, list(block.nodes), plus=False, counter=counter)
+    run_program(model, phi, counter, emit_tbca, block, False)
 
 
 def tbca_pp_chain(model, phi, block, counter=None):
@@ -101,18 +106,7 @@ def tbca_pp_chain(model, phi, block, counter=None):
     out as well, so every chain edge ends with zero row and column minima.
     """
     _require_chain(block)
-    _tbca_sweeps(model, phi, list(block.nodes), plus=True, counter=counter)
-
-
-def _tbca_sweeps(model, phi, nodes, plus, counter):
-    n = len(nodes)
-    for a, b in zip(nodes, nodes[1:]):
-        dp_update(model, phi, a, b, counter)
-    for i in range(n, 1, -1):          # chain positions n..2, 1-based
-        u, v = nodes[i - 1], nodes[i - 2]
-        rdp_update(model, phi, u, v, (n - i) / n, counter)
-        if plus:
-            push_min_into(model, phi, v, u, counter)
+    run_program(model, phi, counter, emit_tbca, block, True)
 
 
 def tbca_tree(model, phi, block, counter=None, plus=False):
@@ -122,6 +116,26 @@ def tbca_tree(model, phi, block, counter=None, plus=False):
     post-order; the reverse sweep redistributes with r = (j-1)/n at the j-th
     backward step, matching the chain schedule when the tree is a path.
     """
+    run_program(model, phi, counter, _emit_tbca_tree, block, plus)
+
+
+def emit_tbca(prog, block, plus=False):
+    """Append the (plus-)TBCA update of a chain or tree block to ``prog``."""
+    if block.kind == "tree":
+        _emit_tbca_tree(prog, block, plus)
+        return
+    nodes = block.nodes
+    n = len(nodes)
+    for a, b in zip(nodes, nodes[1:]):
+        prog.rdp(a, b)
+    for i in range(n, 1, -1):          # chain positions n..2, 1-based
+        u, v = nodes[i - 1], nodes[i - 2]
+        prog.rdp(u, v, (n - i) / n)
+        if plus:
+            prog.push(v, u)
+
+
+def _emit_tbca_tree(prog, block, plus):
     adj = _block_adjacency(block)
     nodes = block.nodes
     n = len(nodes)
@@ -138,11 +152,11 @@ def tbca_tree(model, phi, block, counter=None, plus=False):
                 stack.append((w, u))
     order.reverse()                    # children before parents
     for c, p in order:
-        dp_update(model, phi, c, p, counter)
+        prog.rdp(c, p)
     for j, (c, p) in enumerate(reversed(order), start=1):
-        rdp_update(model, phi, p, c, (j - 1) / n, counter)
+        prog.rdp(p, c, (j - 1) / n)
         if plus:
-            push_min_into(model, phi, c, p, counter)
+            prog.push(c, p)
 
 
 def hm_chain(model, phi, block, counter=None):
@@ -152,31 +166,34 @@ def hm_chain(model, phi, block, counter=None):
     mid edge, and the two halves are processed recursively.  Pushes already
     performed at an enclosing level are not repeated.
     """
+    run_program(model, phi, counter, emit_hm_chain, block)
+
+
+def emit_hm_chain(prog, block):
+    """Append the hierarchical minorant update of a chain block to ``prog``."""
     _require_chain(block)
-    _hm_chain(model, phi, list(block.nodes), True, True, counter)
+    _emit_hm_chain(prog, list(block.nodes), True, True)
 
 
-def _hm_chain(model, phi, nodes, left_fresh, right_fresh, counter):
+def _emit_hm_chain(prog, nodes, left_fresh, right_fresh):
     n = len(nodes)
     if n <= 1:
         return
     if n == 2:
-        handshake_update(model, phi, nodes[0], nodes[1], counter)
+        prog.handshake(nodes[0], nodes[1])
         return
     i_l = n // 2                       # 1-based mid-points (i_l, i_l + 1)
     if left_fresh:
         for i in range(i_l):           # push start .. through the mid edge
-            dp_update(model, phi, nodes[i], nodes[i + 1], counter)
+            prog.rdp(nodes[i], nodes[i + 1])
     if right_fresh:
         for i in range(n - 1, i_l, -1):  # push end .. down to the mid edge
-            dp_update(model, phi, nodes[i], nodes[i - 1], counter)
-    handshake_update(model, phi, nodes[i_l - 1], nodes[i_l], counter)
+            prog.rdp(nodes[i], nodes[i - 1])
+    prog.handshake(nodes[i_l - 1], nodes[i_l])
     # Left half keeps its leftward history, right half its rightward one;
     # only the ends refreshed by the handshake need new pushes.
-    _hm_chain(model, phi, nodes[:i_l], left_fresh=False, right_fresh=True,
-              counter=counter)
-    _hm_chain(model, phi, nodes[i_l:], left_fresh=True, right_fresh=False,
-              counter=counter)
+    _emit_hm_chain(prog, nodes[:i_l], left_fresh=False, right_fresh=True)
+    _emit_hm_chain(prog, nodes[i_l:], left_fresh=True, right_fresh=False)
 
 
 def tree_centroid(adj, nodes):
@@ -217,21 +234,18 @@ def hm_tree(model, phi, block, counter=None):
     the central edge, DP-pushes every branch toward it, handshakes it, and
     recurses into the two sides.
     """
-    if block.kind == "edge":
-        handshake_update(model, phi, block.nodes[0], block.nodes[1], counter)
-        return
     if block.kind == "chain":
         block = tree_block(model, block.edges)
-    adj = _block_adjacency(block)
-    _hm_tree(model, phi, adj, list(block.nodes), counter)
+    run_program(model, phi, counter, _emit_hm_tree, _block_adjacency(block),
+               list(block.nodes))
 
 
-def _hm_tree(model, phi, adj, nodes, counter):
+def _emit_hm_tree(prog, adj, nodes):
     n = len(nodes)
     if n <= 1:
         return
     if n == 2:
-        handshake_update(model, phi, nodes[0], nodes[1], counter)
+        prog.handshake(nodes[0], nodes[1])
         return
     c = tree_centroid(adj, nodes)
     size, _ = _subtree_sizes_from(adj, c)
@@ -250,12 +264,12 @@ def _hm_tree(model, phi, adj, nodes, counter):
                     seen.add(w)
                     stack.append((w, u))
         for u, p in reversed(order):
-            dp_update(model, phi, u, p, counter)
-    handshake_update(model, phi, c, d, counter)
+            prog.rdp(u, p)
+    prog.handshake(c, d)
     side_c = _component_nodes(adj, c, without=d)
     side_d = _component_nodes(adj, d, without=c)
-    _hm_tree(model, phi, _restrict(adj, side_c), sorted(side_c), counter)
-    _hm_tree(model, phi, _restrict(adj, side_d), sorted(side_d), counter)
+    _emit_hm_tree(prog, _restrict(adj, side_c), sorted(side_c))
+    _emit_hm_tree(prog, _restrict(adj, side_d), sorted(side_d))
 
 
 def _component_nodes(adj, start, without):

@@ -66,14 +66,13 @@ def _load_instance(args, seed):
 
 
 def _build_config(args, method):
-    node_order = None
-    if args.order == "random":
-        node_order = None  # resolved per instance, see _resolve_order
+    """The run configuration; a random node order is drawn per instance by
+    :func:`_resolve_order`."""
     return SolverConfig(method=method, max_passes=args.max_passes,
                         max_messages=args.max_messages,
                         max_seconds=args.max_seconds, tol=args.tol,
                         seed=args.seed, cover=args.cover,
-                        tree_mode=args.tree_mode, node_order=node_order)
+                        tree_mode=args.tree_mode)
 
 
 def _resolve_order(config, args, model):
@@ -97,8 +96,9 @@ def write_trace(path, trace, n_edges, mean_edges=None):
                         repr(r.wall_seconds)])
 
 
-def _summary(name, method, model, trace, shift):
+def _summary(name, method, model, trace, shift, mean_edges=None):
     last = trace[-1]
+    mean = float(model.n_edges if mean_edges is None else mean_edges)
     return {
         "instance": name,
         "method": method,
@@ -106,7 +106,8 @@ def _summary(name, method, model, trace, shift):
         "primal": last.primal_energy + shift,
         "gap": last.primal_energy - last.dual,
         "messages": last.messages,
-        "normalized_messages": float(last.messages),
+        "normalized_messages": normalize_messages(last.messages,
+                                                  model.n_edges, mean),
         "wall_seconds": last.wall_seconds,
         "passes": last.pass_index,
     }
@@ -136,7 +137,7 @@ def _bench_job(job):
     rows = [(name, method, r.pass_index, r.messages,
              normalize_messages(r.messages, model.n_edges, mean_edges),
              r.dual, r.primal_energy) for r in trace]
-    return _summary(name, method, model, trace, shift), rows
+    return _summary(name, method, model, trace, shift, mean_edges), rows
 
 
 def cmd_bench(args):

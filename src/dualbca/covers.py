@@ -5,7 +5,6 @@ chains, greedily re-weighted spanning trees) plus gap-scored dynamic trees.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,21 +76,37 @@ def all_edges_cover(model):
         "all_edges", [chain_block(model, e) for e in model.edges])
 
 
-def _bfs_dist_count(indptr, indices, src, n):
-    """BFS distances from ``src`` and shortest-path counts capped at 2."""
+def _bfs_dist_count(indptr, indices, src, n, alive=None):
+    """BFS distances from ``src`` (-1 when unreached) and shortest-path
+    counts capped at 2 (only ==1 matters).
+
+    Level-synchronous: each level gathers all CSR entries of its frontier at
+    once and sums the path counts reaching each new node with one bincount.
+    With ``alive`` (one flag per CSR entry) dead entries are skipped.
+    """
     dist = np.full(n, -1, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
     dist[src] = 0
     count[src] = 1
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-            if dist[v] == dist[u] + 1:
-                count[v] = min(count[v] + count[u], 2)   # only ==1 matters
+    frontier = np.array([src], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        starts = indptr[frontier]
+        lens = indptr[frontier + 1] - starts
+        ends = np.cumsum(lens)
+        entry = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
+        paths = np.repeat(count[frontier], lens)
+        if alive is not None:
+            keep = alive[entry]
+            entry, paths = entry[keep], paths[keep]
+        nbr = indices[entry]
+        new = dist[nbr] < 0
+        nbr, paths = nbr[new], paths[new]
+        dist[nbr] = level
+        frontier = np.flatnonzero(dist == level)
+        count[frontier] = np.minimum(
+            np.bincount(nbr, weights=paths)[frontier], 2)
     return dist, count
 
 
@@ -128,9 +143,13 @@ def compute_ssp_cover(model, seed=0):
     rng = np.random.default_rng(seed)
     e_u = np.array([u for u, _ in model.edges], dtype=np.int64)
     e_v = np.array([v for _, v in model.edges], dtype=np.int64)
-    full_src = np.concatenate([e_u, e_v])
-    full_dst = np.concatenate([e_v, e_u])
-    full_indptr, full_indices = _csr(n, full_src, full_dst)
+    edge_ids = np.arange(model.n_edges)
+    # One CSR of the full graph; the residual graph is its entries whose
+    # edge is still alive, in the same order.
+    indptr, indices = _csr(n, np.concatenate([e_u, e_v]),
+                           np.concatenate([e_v, e_u]))
+    entry_edge = np.concatenate([edge_ids, edge_ids])[
+        np.argsort(np.concatenate([e_u, e_v]), kind="stable")]
 
     alive = np.ones(model.n_edges, dtype=bool)
     degree = np.zeros(n, dtype=np.int64)
@@ -138,13 +157,11 @@ def compute_ssp_cover(model, seed=0):
     np.add.at(degree, e_v, 1)
     chains = []
     while alive.any():
-        src_arr = np.concatenate([e_u[alive], e_v[alive]])
-        dst_arr = np.concatenate([e_v[alive], e_u[alive]])
-        indptr, indices = _csr(n, src_arr, dst_arr)
+        live = alive[entry_edge]
         candidates = np.flatnonzero(degree > 0)
         start = int(rng.choice(candidates))
-        dist, count = _bfs_dist_count(indptr, indices, start, n)
-        dist_full, _ = _bfs_dist_count(full_indptr, full_indices, start, n)
+        dist, count = _bfs_dist_count(indptr, indices, start, n, live)
+        dist_full, _ = _bfs_dist_count(indptr, indices, start, n)
         strict = (dist >= 1) & (count == 1) & (dist == dist_full)
         ends = np.flatnonzero(strict)
         end = int(ends[np.argmax(dist[ends])])  # argmax returns lowest index on ties
@@ -152,8 +169,9 @@ def compute_ssp_cover(model, seed=0):
         path = [end]
         node = end
         while node != start:
-            for w in indices[indptr[node]:indptr[node + 1]]:
-                if dist[w] == dist[node] - 1 and count[w] == 1:
+            for k in range(indptr[node], indptr[node + 1]):
+                w = indices[k]
+                if live[k] and dist[w] == dist[node] - 1 and count[w] == 1:
                     node = int(w)
                     break
             path.append(node)

@@ -165,6 +165,8 @@ class GraphicalModel:
         np.cumsum(deg * lab, out=phi_off[1:])
         self.phi_size = int(phi_off[-1])
         self._phi_off = phi_off.tolist()
+        self._phi_start = phi_off[:-1]
+        self._degree = deg
         # (u, v) -> (edge id, start of phi_{u,v}, start of phi_{v,u}).
         self._incidence = {}
         for e, (u, v) in enumerate(self.edges):
@@ -192,15 +194,21 @@ class GraphicalModel:
                 (nodes, self.label_offsets[nodes][:, None] + np.arange(k)))
 
         self._shape_groups = []
-        for block, ids in blocks:
+        # Edge -> (index of its shape group, position in the block).
+        self._edge_block = np.empty(self.n_edges, dtype=np.int64)
+        self._edge_pos = np.empty(self.n_edges, dtype=np.int64)
+        for g, (block, ids) in enumerate(blocks):
             a = np.array([self.edges[e][0] for e in ids], dtype=np.int64)
             b = np.array([self.edges[e][1] for e in ids], dtype=np.int64)
-            self._shape_groups.append(_ShapeGroup(
-                block, np.array(ids, dtype=np.int64), a, b,
-                np.array([self._incidence[self.edges[e]][1] for e in ids],
-                         dtype=np.int64),
-                np.array([self._incidence[self.edges[e]][2] for e in ids],
-                         dtype=np.int64)))
+            off_ab = np.array([self._incidence[self.edges[e]][1] for e in ids],
+                              dtype=np.int64)
+            off_ba = np.array([self._incidence[self.edges[e]][2] for e in ids],
+                              dtype=np.int64)
+            ids = np.array(ids, dtype=np.int64)
+            self._edge_block[ids] = g
+            self._edge_pos[ids] = np.arange(len(ids))
+            self._shape_groups.append(_ShapeGroup(block, ids, a, b, off_ab,
+                                                  off_ba))
 
         self._stars = tuple(self._build_star(u, placed) for u in range(n))
 
@@ -263,13 +271,19 @@ class Reparametrization:
     labels of ``u``, defined for every edge ``uv`` of the model.  All values
     live in the flat buffer ``values`` laid out by the model; a
     reparametrization is owned by exactly one solver run at a time.
+
+    ``values`` is the tail of ``buffer``, which starts with a copy of the
+    model's unary buffer, so that the edge kernels of
+    :class:`dualbca.updates.Program` gather theta and phi with one index.
     """
 
-    __slots__ = ("model", "values")
+    __slots__ = ("model", "buffer", "values")
 
     def __init__(self, model: GraphicalModel):
         self.model = model
-        self.values = np.zeros(model.phi_size)
+        self.buffer = np.concatenate((model._unary_flat,
+                                      np.zeros(model.phi_size)))
+        self.values = self.buffer[model._unary_flat.size:]
 
     def __getitem__(self, uv):
         _, start, _ = self.model._incidence[uv]
@@ -286,7 +300,8 @@ class Reparametrization:
     def copy(self):
         out = Reparametrization.__new__(Reparametrization)
         out.model = self.model
-        out.values = self.values.copy()
+        out.buffer = self.buffer.copy()
+        out.values = out.buffer[self.model._unary_flat.size:]
         return out
 
     def is_zero(self):

@@ -25,8 +25,8 @@ from . import blocks as blk
 from . import covers
 from .model import (Reparametrization, dual_value, energy, primal_round,
                     unary_costs)
-from .updates import MessageCounter, node_aggregate, node_distribute, \
-    star_costs, weights_for, WeightScheme
+from .updates import MessageCounter, Program, node_aggregate, \
+    node_distribute, star_costs, weights_for, WeightScheme
 
 METHODS = ("msd", "cmp", "trws", "mplp", "mplppp", "dmm", "tbca", "tbcapp",
            "spam")
@@ -179,6 +179,35 @@ class _Run:
         if m == "trws":
             self.sweeps = (_trws_plan(model, self.order),
                            _trws_plan(model, self.order[::-1]))
+        self._program = None
+
+    def program(self):
+        """The edge program of the next pass of an edge or block method.
+
+        A static schedule is compiled at its first pass and reused; dynamic
+        trees are recomputed from the current phi every pass.
+        """
+        if self._program is not None:
+            return self._program
+        model, m = self.model, self.config.method
+        prog = Program(model)
+        if m in ("mplp", "mplppp"):
+            add = prog.mplp if m == "mplp" else prog.handshake
+            for (u, v) in model.edges:
+                add(u, v)
+        elif m in ("dmm", "spam"):
+            for chain in self.schedule.blocks:
+                blk.emit_hm_chain(prog, chain)
+        elif self.schedule is not None:
+            for b in self.schedule.blocks:
+                blk.emit_tbca(prog, b, plus=(m == "tbcapp"))
+        elif model.n_edges > 0:
+            y = primal_round(model, self.phi)
+            for tree in covers.compute_dynamic_forest(model, self.phi, y):
+                blk.emit_tbca(prog, tree, plus=(m == "tbcapp"))
+            return prog
+        self._program = prog
+        return prog
 
     def do_pass(self):
         model, phi, counter = self.model, self.phi, self.counter
@@ -191,31 +220,8 @@ class _Run:
         elif m == "trws":
             for plan in self.sweeps:
                 _trws_sweep(model, phi, plan, counter)
-        elif m == "mplp":
-            from .updates import mplp_update
-            for (u, v) in model.edges:
-                mplp_update(model, phi, u, v, counter)
-        elif m == "mplppp":
-            from .updates import handshake_update
-            for (u, v) in model.edges:
-                handshake_update(model, phi, u, v, counter)
-        elif m in ("dmm", "spam"):
-            for chain in self.schedule.blocks:
-                blk.hm_chain(model, phi, chain, counter)
-        elif m in ("tbca", "tbcapp"):
-            plus = (m == "tbcapp")
-            if self.schedule is not None:
-                for b in self.schedule.blocks:
-                    if b.kind == "tree":
-                        blk.tbca_tree(model, phi, b, counter, plus=plus)
-                    elif plus:
-                        blk.tbca_pp_chain(model, phi, b, counter)
-                    else:
-                        blk.tbca_chain(model, phi, b, counter)
-            elif model.n_edges > 0:
-                y = primal_round(model, phi)
-                for tree in covers.compute_dynamic_forest(model, phi, y):
-                    blk.tbca_tree(model, phi, tree, counter, plus=plus)
+        else:
+            self.program().run(phi, counter)
 
 
 def run(model, config):

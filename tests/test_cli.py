@@ -136,3 +136,22 @@ def test_console_script_installed(tmp_path):
                          capture_output=True, text=True)
     assert res.returncode == 0
     assert "solve" in res.stdout and "bench" in res.stdout
+
+
+def test_bench_job_normalizes_summary_messages(tmp_path):
+    from dualbca.cli import _bench_job
+    from dualbca.solve import SolverConfig
+    small = generate_instance("sparse_grid", height=3, width=3, seed=1)
+    large = generate_instance("sparse_grid", height=4, width=6, seed=2)
+    mean = (small.n_edges + large.n_edges) / 2
+    for i, model in enumerate((small, large)):
+        path = tmp_path / f"{i}.csv"
+        summary, rows = _bench_job((model, f"m{i}", 0.0, "trws",
+                                    SolverConfig("trws", max_passes=3),
+                                    str(path), mean))
+        want = summary["messages"] * mean / model.n_edges
+        assert summary["normalized_messages"] == pytest.approx(want)
+        assert summary["normalized_messages"] != summary["messages"]
+        assert rows[-1][4] == summary["normalized_messages"]
+        _, trace_rows = read_trace(path)
+        assert float(trace_rows[-1][2]) == summary["normalized_messages"]

@@ -252,3 +252,41 @@ def test_schedule_coverage_field():
     cover = compute_mmc_cover(m)
     assert isinstance(cover, BlockSchedule)
     assert cover.coverage == frozenset(m.edges)
+
+
+def test_level_bfs_matches_oracle_on_random_graphs():
+    from dualbca.covers import _bfs_dist_count
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = int(rng.integers(2, 14))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.uniform(0.1, 0.5)]
+        # Every third graph leaves its edges between the halves out.
+        if trial % 3 == 0:
+            edges = [(u, v) for u, v in edges if (u < n // 2) == (v < n // 2)]
+        # Half the time, mask some edges out as the SSP cover does.
+        dead = {e for e in edges if trial % 2 and rng.random() < 0.3}
+        live = [e for e in edges if e not in dead]
+        adj = {u: [] for u in range(n)}
+        for u, v in live:
+            adj[u].append(v)
+            adj[v].append(u)
+        src = np.array([u for u, _ in edges] + [v for _, v in edges], dtype=np.int64)
+        dst = np.array([v for _, v in edges] + [u for u, _ in edges], dtype=np.int64)
+        indptr, indices = _csr(n, src, dst)
+        alive = np.array([(min(a, b), max(a, b)) not in dead
+                          for a, b in zip(src, dst)])[np.argsort(src, kind="stable")]
+        # Reference distances by repeated relaxation.
+        far = n + 1
+        ref = np.full((n, n), far)
+        np.fill_diagonal(ref, 0)
+        for u, v in live:
+            ref[u, v] = ref[v, u] = 1
+        for k in range(n):
+            ref = np.minimum(ref, ref[:, k, None] + ref[None, k, :])
+        for s in range(n):
+            dist, count = _bfs_dist_count(indptr, indices, s, n,
+                                          alive if dead else None)
+            assert dist.tolist() == [d if d < far else -1 for d in ref[s]]
+            assert count.tolist() == [min(count_shortest_paths(adj, s, t), 2)
+                                      for t in range(n)]

@@ -1,0 +1,269 @@
+"""Edge programs run as waves against the operations run one at a time.
+
+Models mix label counts 1..4, include isolated nodes and put COST_CAP in
+20% of the table cells.  The references are written here from the
+textbook definitions of the edge updates, one operation at a time, with
+theta^phi recomputed from theta and phi for every read.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from dualbca.generate import random_phi
+from dualbca.model import COST_CAP, GraphicalModel, Reparametrization
+from dualbca.solve import SolverConfig, _Run
+from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, MessageCounter,
+                             Program, dp_update, handshake_update, message,
+                             mplp_update, push_min_into, rdp_update)
+
+TOL = 1e-9
+MESSAGES = {RDP: 1, PUSH: 1, HANDSHAKE: 3, MPLP: 2}
+
+
+def hostile_model(rng, n_nodes):
+    """Mixed label counts, the last two nodes isolated, COST_CAP cells."""
+    labels = [int(k) for k in rng.integers(1, 5, n_nodes)]
+    edges = [(u, v) for u in range(n_nodes - 2) for v in range(u + 1, n_nodes - 2)
+             if rng.random() < 0.5]
+
+    def table(shape):
+        t = rng.uniform(0.0, 2.0, shape)
+        t[rng.random(shape) < 0.2] = COST_CAP
+        return t
+
+    return GraphicalModel(labels, edges, [table(k) for k in labels],
+                          [table((labels[u], labels[v])) for u, v in edges])
+
+
+def hostile_grid(rng, h, w):
+    """A grid (long chains, many waves) with the same hostile tables."""
+    labels = [int(k) for k in rng.integers(1, 5, h * w)]
+    edges = [(r * w + c, r * w + c + 1) for r in range(h) for c in range(w - 1)]
+    edges += [(r * w + c, (r + 1) * w + c) for r in range(h - 1) for c in range(w)]
+
+    def table(shape):
+        t = rng.uniform(0.0, 2.0, shape)
+        t[rng.random(shape) < 0.2] = COST_CAP
+        return t
+
+    return GraphicalModel(labels, edges, [table(k) for k in labels],
+                          [table((labels[u], labels[v])) for u, v in edges],
+                          grid_shape=(h, w))
+
+
+def models(seed):
+    rng = np.random.default_rng(seed)
+    out = [hostile_model(rng, int(rng.integers(4, 11))) for _ in range(6)]
+    out.append(hostile_grid(rng, 4, 5))
+    return out
+
+
+# -- the textbook updates, one operation at a time ---------------------------
+
+def ref_unary(model, phi, u):
+    out = model.unary[u].copy()
+    for v in model.neighbors(u):
+        out -= phi[u, v]
+    return out
+
+
+def ref_pairwise(model, phi, u, v):
+    """theta^phi_uv oriented (Y_u, Y_v), summed as (theta_ab + phi_ab) +
+    phi_ba for a < b.  The order matters: next to a COST_CAP cell one ulp
+    is about 1e-4, which later cancellations can leave exposed."""
+    a, b = min(u, v), max(u, v)
+    t = model.pairwise_table(a, b) + phi[a, b][:, None] + phi[b, a][None, :]
+    return t if u == a else t.T
+
+
+def ref_op(model, phi, kind, u, v, r):
+    p_uv, p_vu = phi[u, v], phi[v, u]
+    if kind == RDP:
+        p_uv += r * ref_unary(model, phi, u)
+        p_vu -= ref_pairwise(model, phi, u, v).min(axis=0)
+    elif kind == PUSH:
+        p_vu -= ref_pairwise(model, phi, u, v).min(axis=0)
+    else:
+        x_u, x_v = ref_unary(model, phi, u), ref_unary(model, phi, v)
+        p_uv += x_u
+        p_vu += x_v
+        p_uv -= 0.5 * ref_pairwise(model, phi, u, v).min(axis=1)
+        if kind == MPLP:
+            p_vu -= 0.5 * ref_pairwise(model, phi, u, v).min(axis=0)
+        else:
+            p_vu -= ref_pairwise(model, phi, u, v).min(axis=0)
+            p_uv -= ref_pairwise(model, phi, u, v).min(axis=1)
+    return MESSAGES[kind]
+
+
+def close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.all(np.abs(a - b) <= TOL * np.maximum(1.0, np.abs(b)))
+
+
+# -- conflicts -----------------------------------------------------------------
+
+def conflict(a, b):
+    """The conflict rule: a shared edge, or one reads theta^phi_x while
+    the other writes a row of x (every op writes rows of both ends)."""
+    ka, ua, va, _ = a
+    kb, ub, vb, _ = b
+    if {ua, va} == {ub, vb}:
+        return True
+    reads = {RDP: lambda u, v: {u}, PUSH: lambda u, v: set(),
+             HANDSHAKE: lambda u, v: {u, v}, MPLP: lambda u, v: {u, v}}
+    return bool(reads[ka](ua, va) & {ub, vb} or reads[kb](ub, vb) & {ua, va})
+
+
+def solver_programs(model, method, tree_mode, passes=2):
+    """The programs a solver runs, pass by pass."""
+    state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
+    for _ in range(passes):
+        yield state.program()
+        state.do_pass()
+
+
+CASES = [("mplp", "static"), ("mplppp", "static"), ("dmm", "static"),
+         ("spam", "static"), ("tbca", "static"), ("tbcapp", "static"),
+         ("tbca", "dynamic"), ("tbcapp", "dynamic")]
+
+
+@pytest.mark.parametrize("method,tree_mode", CASES)
+def test_no_wave_holds_conflicting_ops(method, tree_mode):
+    for model in models(1):
+        for prog in solver_programs(model, method, tree_mode):
+            ops, waves = prog.ops, prog.waves()
+            assert len(waves) == len(ops)
+            by_wave = {}
+            for op, w in zip(ops, waves):
+                by_wave.setdefault(w, []).append(op)
+            for wave in by_wave.values():
+                for a, b in itertools.combinations(wave, 2):
+                    assert not conflict(a, b), (a, b)
+            # Each op sits right after the latest earlier op it conflicts
+            # with: the earliest wave the rule allows.
+            for i, (op, w) in enumerate(zip(ops, waves)):
+                before = [waves[j] for j in range(i) if conflict(ops[j], op)]
+                assert w == (max(before) + 1 if before else 0)
+
+
+@pytest.mark.parametrize("method,tree_mode", CASES)
+def test_waves_match_sequential_reference(method, tree_mode):
+    for seed, model in enumerate(models(2)):
+        state = _Run(model, SolverConfig(method, tree_mode=tree_mode,
+                                         seed=seed))
+        ref = Reparametrization(model)
+        ref_messages = 0
+        for _ in range(3):
+            for kind, u, v, r in state.program().ops:
+                ref_messages += ref_op(model, ref, kind, u, v, r)
+            state.do_pass()
+            assert close(state.phi.values, ref.values)
+            assert state.counter.total == ref_messages
+
+
+def test_program_from_random_phi_and_reuse():
+    # A compiled program runs again on another phi; blocks of several
+    # methods share one program, in order.
+    from dualbca import blocks as blk
+    from dualbca.covers import compute_mmc_cover, compute_static_trees
+    rng = np.random.default_rng(3)
+    for model in models(3):
+        if model.n_edges == 0:
+            continue
+        prog = Program(model)
+        for b in compute_mmc_cover(model).blocks:
+            blk.emit_hm_chain(prog, b)
+            blk.emit_tbca(prog, b, plus=True)
+        for b in compute_static_trees(model).blocks:
+            blk.emit_tbca(prog, b)
+        for u, v in model.edges:
+            prog.mplp(v, u)
+        for _ in range(2):
+            phi = random_phi(rng, model, scale=2.0)
+            ref = phi.copy()
+            counter = MessageCounter()
+            prog.run(phi, counter)
+            n = sum(ref_op(model, ref, *op) for op in prog.ops)
+            assert close(phi.values, ref.values)
+            assert counter.total == n
+
+
+def test_program_rejects_bad_ops():
+    model = models(4)[0]
+    prog = Program(model)
+    with pytest.raises(ValueError):
+        prog.rdp(model.n_nodes - 1, model.n_nodes - 2)   # isolated nodes
+    u, v = model.edges[0]
+    with pytest.raises(ValueError):
+        prog.rdp(u, v, 1.5)
+    prog.rdp(u, v, 0.0)                 # nothing of theta^phi_u moves
+    assert prog.ops == [(PUSH, u, v, 0.0)]
+    empty = Program(model)
+    phi = Reparametrization(model)
+    counter = MessageCounter()
+    empty.run(phi, counter)
+    assert phi.is_zero() and counter.total == 0 and empty.waves() == []
+
+
+# -- one-op adapters -------------------------------------------------------------
+
+def adapter_cases(seed):
+    rng = np.random.default_rng(seed)
+    for model in models(seed):
+        for u, v in model.edges:
+            for a, b in ((u, v), (v, u)):
+                yield rng, model, random_phi(rng, model, scale=2.0), a, b
+
+
+def test_message_is_the_min_marginal():
+    for _, model, phi, u, v in adapter_cases(5):
+        counter = MessageCounter()
+        got = message(model, phi, u, v, counter)
+        want = np.array([min(model.pairwise_table(u, v)[s, t] + phi[u, v][s]
+                             + phi[v, u][t] for s in range(model.labels[u]))
+                         for t in range(model.labels[v])])
+        assert close(got, want) and counter.total == 1
+
+
+@pytest.mark.parametrize("name", ["dp", "rdp", "push", "handshake", "mplp"])
+def test_adapters_match_textbook(name):
+    for rng, model, phi, u, v in adapter_cases(6):
+        ref = phi.copy()
+        counter = MessageCounter()
+        r = float(rng.uniform(0.0, 1.0))
+        if name == "dp":
+            dp_update(model, phi, u, v, counter)
+            # Empty theta^phi_u into the edge, then its min-marginal into v.
+            ref[u, v] += ref_unary(model, ref, u)
+            ref[v, u] -= ref_pairwise(model, ref, u, v).min(axis=0)
+            n = 1
+        elif name == "rdp":
+            rdp_update(model, phi, u, v, r, counter)
+            ref[u, v] += r * ref_unary(model, ref, u)
+            ref[v, u] -= ref_pairwise(model, ref, u, v).min(axis=0)
+            n = 1
+        elif name == "push":
+            push_min_into(model, phi, u, v, counter)
+            ref[v, u] -= ref_pairwise(model, ref, u, v).min(axis=0)
+            n = 1
+        elif name == "handshake":
+            handshake_update(model, phi, u, v, counter)
+            x_u, x_v = ref_unary(model, ref, u), ref_unary(model, ref, v)
+            ref[u, v] += x_u
+            ref[v, u] += x_v
+            ref[u, v] -= 0.5 * ref_pairwise(model, ref, u, v).min(axis=1)
+            ref[v, u] -= ref_pairwise(model, ref, u, v).min(axis=0)
+            ref[u, v] -= ref_pairwise(model, ref, u, v).min(axis=1)
+            n = 3
+        else:
+            mplp_update(model, phi, u, v, counter)
+            x_u, x_v = ref_unary(model, ref, u), ref_unary(model, ref, v)
+            ref[u, v] += x_u
+            ref[v, u] += x_v
+            ref[u, v] -= 0.5 * ref_pairwise(model, ref, u, v).min(axis=1)
+            ref[v, u] -= 0.5 * ref_pairwise(model, ref, u, v).min(axis=0)
+            n = 2
+        assert close(phi.values, ref.values)
+        assert counter.total == n
