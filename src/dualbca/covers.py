@@ -156,12 +156,16 @@ def compute_ssp_cover(model, seed=0):
     np.add.at(degree, e_u, 1)
     np.add.at(degree, e_v, 1)
     chains = []
+    full = {}               # start -> distances in the full graph (int32)
     while alive.any():
         live = alive[entry_edge]
         candidates = np.flatnonzero(degree > 0)
         start = int(rng.choice(candidates))
         dist, count = _bfs_dist_count(indptr, indices, start, n, live)
-        dist_full, _ = _bfs_dist_count(indptr, indices, start, n)
+        if start not in full:
+            full[start] = _bfs_dist_count(
+                indptr, indices, start, n)[0].astype(np.int32)
+        dist_full = full[start]
         strict = (dist >= 1) & (count == 1) & (dist == dist_full)
         ends = np.flatnonzero(strict)
         end = int(ends[np.argmax(dist[ends])])  # argmax returns lowest index on ties

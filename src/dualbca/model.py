@@ -11,14 +11,14 @@ Layout.  The model fixes where everything lives, once:
 * the unary tables are views into one flat buffer, node after node;
 * the pairwise tables are views into one ``(m, L_a, L_b)`` block per shape;
 * phi is one flat buffer in which node u owns deg(u)*L_u values, one row of
-  L_u per neighbour in ``adjacency[u]`` order (a directed-incidence CSR).
+  L_u per neighbour in ``adjacency[u]`` order (a directed-incidence CSR,
+  whose neighbours, edges and phi starts are also kept as flat arrays).
 
 Whole-model evaluation works on these buffers with numpy reductions, and the
-node-star updates in :mod:`dualbca.updates` work on a node's rows at once.
+programs of :mod:`dualbca.updates` gather and scatter them in batches.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -33,42 +33,6 @@ COST_CAP = 1e12
 # Whole-model evaluation visits the pairwise tables this many edges at a
 # time, which bounds its temporaries to a few tables' worth of memory.
 _EDGE_CHUNK = 256
-
-
-class StarPart(NamedTuple):
-    """Edges of one node's star that share orientation and label count.
-
-    For node u, ``first`` tells whether u is the canonical first endpoint of
-    these edges; their reparametrized tables then have shape (L_u, L_v),
-    otherwise (L_v, L_u).
-    """
-
-    first: bool
-    rows: object            # positions in adjacency[u] = rows of u's phi
-                            # block, a slice when they are consecutive
-    block: np.ndarray       # pairwise shape block holding the edges' tables
-    pos: np.ndarray         # positions of the edges in ``block``
-    back: np.ndarray        # (m, L_v) indices of phi_{v,u} in the phi buffer
-
-    def take(self, sel):
-        """The part restricted to the edges selected by ``sel``."""
-        rows = self.rows
-        if isinstance(rows, slice):
-            rows = np.arange(rows.start, rows.stop)
-        return StarPart(self.first, _as_slice(rows[sel]), self.block,
-                        self.pos[sel], self.back[sel])
-
-
-def _as_slice(ks):
-    """``ks`` as a slice when it is a run of consecutive integers.
-
-    Basic indexing by a slice is a view and several times cheaper than
-    indexing by an array.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    if len(ks) and ks[-1] - ks[0] == len(ks) - 1 and np.all(np.diff(ks) == 1):
-        return slice(int(ks[0]), int(ks[-1]) + 1)
-    return ks
 
 
 class _ShapeGroup(NamedTuple):
@@ -153,27 +117,41 @@ class GraphicalModel:
             if np.any(t < 0):
                 raise ValueError("costs must be non-negative (pre-shift your input)")
 
-        adj = [[] for _ in range(n)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        # Directed incidences in CSR order: node by node, neighbours
+        # ascending.  Incidence i of edge e is (a, b) for i = e, (b, a) for
+        # i = e + |E|; ``at[i]`` is its CSR entry.
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        dst = np.concatenate((ends[:, 1], ends[:, 0]))
+        csr = np.lexsort((dst, src))
+        at = np.empty_like(csr)
+        at[csr] = np.arange(csr.size)
+        deg = np.bincount(src, minlength=n)
+        src = src[csr]
+        self._inc_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=self._inc_ptr[1:])
+        self._inc_nbr = dst[csr]
+        self._inc_edge = csr % max(self.n_edges, 1)
+        nbr = self._inc_nbr.tolist()
+        ptr = self._inc_ptr.tolist()
+        self.adjacency = tuple(tuple(nbr[ptr[u]:ptr[u + 1]]) for u in range(n))
 
         # phi layout: node u owns deg(u) rows of L_u values.
-        deg = np.array([len(a) for a in self.adjacency], dtype=np.int64)
         phi_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg * lab, out=phi_off[1:])
         self.phi_size = int(phi_off[-1])
         self._phi_off = phi_off.tolist()
         self._phi_start = phi_off[:-1]
         self._degree = deg
+        # Start of phi_{u,v}, then of phi_{v,u}, per CSR entry (u, v).
+        self._inc_phi = phi_off[src] + (np.arange(src.size)
+                                        - self._inc_ptr[src]) * lab[src]
+        self._inc_back = self._inc_phi[at[(csr + self.n_edges) % max(src.size, 1)]]
         # (u, v) -> (edge id, start of phi_{u,v}, start of phi_{v,u}).
-        self._incidence = {}
-        for e, (u, v) in enumerate(self.edges):
-            o_uv = self._phi_off[u] + bisect_left(self.adjacency[u], v) * self.labels[u]
-            o_vu = self._phi_off[v] + bisect_left(self.adjacency[v], u) * self.labels[v]
-            self._incidence[u, v] = (e, o_uv, o_vu)
-            self._incidence[v, u] = (e, o_vu, o_uv)
+        self._incidence = dict(zip(
+            zip(src.tolist(), nbr),
+            zip(self._inc_edge.tolist(), self._inc_phi.tolist(),
+                self._inc_back.tolist())))
 
         # Label slot (index into the flat unary buffer) of every unary
         # value and then of every phi value, so that one bincount over
@@ -198,45 +176,21 @@ class GraphicalModel:
         self._edge_block = np.empty(self.n_edges, dtype=np.int64)
         self._edge_pos = np.empty(self.n_edges, dtype=np.int64)
         for g, (block, ids) in enumerate(blocks):
-            a = np.array([self.edges[e][0] for e in ids], dtype=np.int64)
-            b = np.array([self.edges[e][1] for e in ids], dtype=np.int64)
-            off_ab = np.array([self._incidence[self.edges[e]][1] for e in ids],
-                              dtype=np.int64)
-            off_ba = np.array([self._incidence[self.edges[e]][2] for e in ids],
-                              dtype=np.int64)
             ids = np.array(ids, dtype=np.int64)
+            a, b = ends[ids, 0], ends[ids, 1]
+            off_ab = self._inc_phi[at[ids]]
+            off_ba = self._inc_back[at[ids]]
             self._edge_block[ids] = g
             self._edge_pos[ids] = np.arange(len(ids))
             self._shape_groups.append(_ShapeGroup(block, ids, a, b, off_ab,
                                                   off_ba))
 
-        self._stars = tuple(self._build_star(u, placed) for u in range(n))
-
         # Optional (height, width) hint set by the grid generators; lets
         # solvers pick row/column chain covers.
         self.grid_shape = tuple(grid_shape) if grid_shape is not None else None
 
-    def _build_star(self, u, placed):
-        groups = {}
-        for k, v in enumerate(self.adjacency[u]):
-            groups.setdefault((u < v, self.labels[v]), []).append(k)
-        parts = []
-        for (first, k_v), ks in groups.items():
-            nbrs = [self.adjacency[u][k] for k in ks]
-            inc = [self._incidence[u, v] for v in nbrs]
-            back = np.array([o_vu for _, _, o_vu in inc], dtype=np.int64)
-            parts.append(StarPart(
-                first, _as_slice(ks), placed[inc[0][0]][0],
-                np.array([placed[e][1] for e, _, _ in inc], dtype=np.int64),
-                back[:, None] + np.arange(k_v)))
-        return tuple(parts)
-
     def neighbors(self, u):
         return self.adjacency[u]
-
-    def star(self, u):
-        """Node u's star as :class:`StarPart` groups, covering every neighbour."""
-        return self._stars[u]
 
     def has_edge(self, u, v):
         return (u, v) in self._incidence
@@ -273,7 +227,7 @@ class Reparametrization:
     reparametrization is owned by exactly one solver run at a time.
 
     ``values`` is the tail of ``buffer``, which starts with a copy of the
-    model's unary buffer, so that the edge kernels of
+    model's unary buffer, so that the kernels of
     :class:`dualbca.updates.Program` gather theta and phi with one index.
     """
 

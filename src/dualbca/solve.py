@@ -13,6 +13,13 @@ tbca        tree-BCA on static or dynamic spanning trees
 tbcapp      tbca plus the maximality correction
 spam        hierarchical minorant on strictly-shortest-path chains
 ==========  =====================================================
+
+Every pass is an :class:`dualbca.updates.Program`, compiled at the run's
+first pass (each pass, for dynamic trees).  The node methods write node
+operations: ``msd`` and ``cmp`` one star update per node, ``trws`` one
+TRW-S step per node and sweep.  Node operations at adjacent nodes conflict
+and at non-adjacent nodes do not, so on a row-major grid a sweep runs as one
+batched wave per anti-diagonal.
 """
 from __future__ import annotations
 
@@ -23,10 +30,8 @@ import numpy as np
 
 from . import blocks as blk
 from . import covers
-from .model import (Reparametrization, dual_value, energy, primal_round,
-                    unary_costs)
-from .updates import MessageCounter, Program, node_aggregate, \
-    node_distribute, star_costs, weights_for, WeightScheme
+from .model import Reparametrization, dual_value, energy, primal_round
+from .updates import MessageCounter, Program
 
 METHODS = ("msd", "cmp", "trws", "mplp", "mplppp", "dmm", "tbca", "tbcapp",
            "spam")
@@ -111,49 +116,26 @@ def _chain_cover(model, config):
     return covers.BlockSchedule(schedule.origin, blocks)
 
 
-def _trws_plan(model, order):
-    """Per-node steps of one directed TRWS sweep along ``order``.
+def _emit_trws(prog, model, order):
+    """One TRW-S pass: a sweep along ``order``, then one along its reverse.
 
-    Each step is (node, weight, star parts toward the nodes later in the
-    order); nodes with no later neighbour are left out.
+    Each node with a later neighbour takes one step, with weight
+    1 / max(n_in, n_out) over its earlier and later neighbours.  At each
+    node the current excess is already fully aggregated (earlier neighbours
+    were pushed this sweep, later ones by the previous opposite sweep), so
+    one distribution plus one min-marginal push per later edge realizes the
+    aggregate/distribute node update at a single message per edge.
     """
-    pos = np.empty(model.n_nodes, dtype=np.int64)
-    pos[order] = np.arange(model.n_nodes)
-    plan = []
-    for u in order:
-        nbrs = np.asarray(model.neighbors(u), dtype=np.int64)
-        parts = []
-        for part in model.star(u):
-            later = pos[nbrs[part.rows]] > pos[u]
-            if later.all():
-                parts.append(part)
-            elif later.any():
-                parts.append(part.take(later))
-        if parts:
-            n_out = sum(len(p.pos) for p in parts)
-            n_in = len(model.neighbors(u)) - n_out
-            plan.append((u, 1.0 / max(n_in, n_out), tuple(parts)))
-    return plan
-
-
-def _trws_sweep(model, phi, plan, counter):
-    """One directed TRWS sweep: |E| messages, one per edge in sweep direction.
-
-    At each node the current excess is already fully aggregated (earlier
-    neighbors were pushed this sweep, later neighbors by the previous
-    opposite sweep), so one distribution plus one min-marginal push per
-    outgoing edge realizes the aggregate/distribute node update at a single
-    message per edge.  A node's pushes touch disjoint phi rows, so each
-    star part is pushed in one batch.
-    """
-    vals = phi.values
-    for u, w, parts in plan:
-        rows = phi.rows(u)
-        excess = w * unary_costs(model, phi, u)
-        for part in parts:
-            rows[part.rows] += excess
-            vals[part.back] -= star_costs(phi, rows, part).min(axis=1)
-            counter.add(len(part.pos))
+    pos = [0] * model.n_nodes
+    for sweep in (order, order[::-1]):
+        for i, u in enumerate(sweep):
+            pos[u] = i
+        for u in sweep:
+            nbrs = model.neighbors(u)
+            later = [v for v in nbrs if pos[v] > pos[u]]
+            if later:
+                prog.trws(u, later,
+                          1.0 / max(len(nbrs) - len(later), len(later)))
 
 
 class _Run:
@@ -174,15 +156,10 @@ class _Run:
                 self.schedule = _chain_cover(model, config)
             elif config.tree_mode == "static":
                 self.schedule = covers.compute_static_trees(model)
-        if m in ("msd", "cmp"):
-            self.scheme = WeightScheme(m)
-        if m == "trws":
-            self.sweeps = (_trws_plan(model, self.order),
-                           _trws_plan(model, self.order[::-1]))
         self._program = None
 
     def program(self):
-        """The edge program of the next pass of an edge or block method.
+        """The program of the next pass.
 
         A static schedule is compiled at its first pass and reused; dynamic
         trees are recomputed from the current phi every pass.
@@ -191,7 +168,14 @@ class _Run:
             return self._program
         model, m = self.model, self.config.method
         prog = Program(model)
-        if m in ("mplp", "mplppp"):
+        if m in ("msd", "cmp"):
+            for u in range(model.n_nodes):
+                deg = len(model.neighbors(u))
+                if deg:
+                    prog.star(u, 1.0 / deg if m == "msd" else 1.0 / (deg + 1))
+        elif m == "trws":
+            _emit_trws(prog, model, self.order)
+        elif m in ("mplp", "mplppp"):
             add = prog.mplp if m == "mplp" else prog.handshake
             for (u, v) in model.edges:
                 add(u, v)
@@ -210,18 +194,7 @@ class _Run:
         return prog
 
     def do_pass(self):
-        model, phi, counter = self.model, self.phi, self.counter
-        m = self.config.method
-        if m in ("msd", "cmp"):
-            for u in range(model.n_nodes):
-                node_aggregate(model, phi, u, counter)
-                node_distribute(model, phi, u,
-                                weights_for(self.scheme, model, u))
-        elif m == "trws":
-            for plan in self.sweeps:
-                _trws_sweep(model, phi, plan, counter)
-        else:
-            self.program().run(phi, counter)
+        self.program().run(self.phi, self.counter)
 
 
 def run(model, config):

@@ -1,9 +1,9 @@
-"""Edge programs run as waves against the operations run one at a time.
+"""Programs run as waves against the operations run one at a time.
 
 Models mix label counts 1..4, include isolated nodes and put COST_CAP in
 20% of the table cells.  The references are written here from the
-textbook definitions of the edge updates, one operation at a time, with
-theta^phi recomputed from theta and phi for every read.
+textbook definitions of the edge and node updates, one operation at a
+time, with theta^phi recomputed from theta and phi for every read.
 """
 import itertools
 
@@ -12,10 +12,11 @@ import pytest
 
 from dualbca.generate import random_phi
 from dualbca.model import COST_CAP, GraphicalModel, Reparametrization
-from dualbca.solve import SolverConfig, _Run
-from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, MessageCounter,
-                             Program, dp_update, handshake_update, message,
-                             mplp_update, push_min_into, rdp_update)
+from dualbca.solve import SolverConfig, _Run, run
+from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
+                             MessageCounter, Program, dp_update,
+                             handshake_update, message, mplp_update,
+                             push_min_into, rdp_update)
 
 TOL = 1e-9
 MESSAGES = {RDP: 1, PUSH: 1, HANDSHAKE: 3, MPLP: 2}
@@ -267,3 +268,206 @@ def test_adapters_match_textbook(name):
             n = 2
         assert close(phi.values, ref.values)
         assert counter.total == n
+
+
+# -- node operations -------------------------------------------------------------
+
+def ref_node_op(model, phi, kind, u, targets, r):
+    """The TRW-S step or the star update at u, one edge at a time."""
+    if kind == STAR:
+        for v in targets:
+            phi[u, v] -= ref_pairwise(model, phi, u, v).min(axis=1)
+    excess = r * ref_unary(model, phi, u)
+    for v in targets:
+        phi[u, v] += excess
+        if kind == TRWS:
+            phi[v, u] -= ref_pairwise(model, phi, u, v).min(axis=0)
+    return len(targets)
+
+
+def ref_any_op(model, phi, kind, u, v, r):
+    if kind in (TRWS, STAR):
+        return ref_node_op(model, phi, kind, u, v, r)
+    return ref_op(model, phi, kind, u, v, r)
+
+
+def ref_trws_pass(model, phi, order):
+    """Two directed sweeps; at each node one excess, then one push per
+    later neighbour (the model is ``ref_trws_pass`` in test_layout.py)."""
+    messages = 0
+    for sweep in (order, order[::-1]):
+        pos = {u: i for i, u in enumerate(sweep)}
+        for u in sweep:
+            nb = model.neighbors(u)
+            later = [v for v in nb if pos[v] > pos[u]]
+            if later:
+                w = 1.0 / max(len(nb) - len(later), len(later))
+                messages += ref_node_op(model, phi, TRWS, u, later, w)
+    return messages
+
+
+def ref_star_pass(model, phi, method):
+    """msd / cmp: aggregate then distribute at every node in index order."""
+    messages = 0
+    for u in range(model.n_nodes):
+        nb = model.neighbors(u)
+        if nb:
+            w = 1.0 / len(nb) if method == "msd" else 1.0 / (len(nb) + 1)
+            messages += ref_node_op(model, phi, STAR, u, nb, w)
+    return messages
+
+
+def footprint(model, op):
+    """(edges touched, nodes whose theta^phi is read, nodes a row of which
+    is written) of an operation, as the levelling rule counts them."""
+    kind, u, v, _ = op
+    if kind in (TRWS, STAR):
+        edges = {frozenset((u, x)) for x in model.neighbors(u)}
+        return edges, {u}, {u} | (set(v) if kind == TRWS else set())
+    reads = {RDP: {u}, PUSH: set()}.get(kind, {u, v})
+    return {frozenset((u, v))}, reads, {u, v}
+
+
+def conflict_any(model, a, b):
+    ea, ra, wa = footprint(model, a)
+    eb, rb, wb = footprint(model, b)
+    return bool(ea & eb or ra & wb or rb & wa)
+
+
+def node_orders(model):
+    rng = np.random.default_rng(model.n_nodes)
+    return [None, [int(u) for u in rng.permutation(model.n_nodes)],
+            list(range(model.n_nodes))[::-1]]
+
+
+NODE_CASES = [(m, k) for m in ("trws", "msd", "cmp") for k in range(3)]
+
+
+@pytest.mark.parametrize("method,k", NODE_CASES)
+def test_node_waves_hold_no_adjacent_ops(method, k):
+    for model in models(1):
+        order = node_orders(model)[k]
+        state = _Run(model, SolverConfig(method, node_order=order))
+        prog = state.program()
+        ops, waves = prog.ops, prog.waves()
+        assert len(waves) == len(ops)
+        for (a, wa), (b, wb) in itertools.combinations(zip(ops, waves), 2):
+            if wa == wb:
+                assert a[1] != b[1] and not model.has_edge(a[1], b[1])
+        for i, (op, w) in enumerate(zip(ops, waves)):
+            before = [waves[j] for j in range(i)
+                      if conflict_any(model, ops[j], op)]
+            assert w == (max(before) + 1 if before else 0)
+
+
+def test_grid_waves_are_anti_diagonals():
+    h, w = 5, 7
+    model = hostile_grid(np.random.default_rng(8), h, w)
+    star = _Run(model, SolverConfig("msd")).program()
+    assert [u for _, u, _, _ in star.ops] == list(range(h * w))
+    assert star.waves() == [u // w + u % w for u in range(h * w)]
+    assert max(star.waves()) + 1 == h + w - 1
+    # A TRW-S sweep visits the same anti-diagonals, but the last node has
+    # no later neighbour and takes no step: h + w - 2 waves per sweep.
+    trws = _Run(model, SolverConfig("trws")).program()
+    nodes = [u for _, u, _, _ in trws.ops]
+    assert nodes == list(range(h * w - 1)) + list(range(h * w - 1, 0, -1))
+    forward = [u // w + u % w for u in range(h * w - 1)]
+    backward = [2 * (h + w - 2) - 1 - (u // w + u % w - 1)
+                for u in range(h * w - 1, 0, -1)]
+    assert trws.waves() == forward + backward
+    assert max(trws.waves()) + 1 == 2 * (h + w - 2)
+
+
+@pytest.mark.parametrize("method,k", NODE_CASES)
+def test_node_waves_match_sequential_reference(method, k):
+    for seed, model in enumerate(models(2)):
+        order = node_orders(model)[k]
+        state = _Run(model, SolverConfig(method, node_order=order, seed=seed))
+        ref = Reparametrization(model)
+        ref_messages = 0
+        for _ in range(3):
+            if method == "trws":
+                ref_messages += ref_trws_pass(
+                    model, ref, order or list(range(model.n_nodes)))
+            else:
+                ref_messages += ref_star_pass(model, ref, method)
+            state.do_pass()
+            assert close(state.phi.values, ref.values)
+            assert state.counter.total == ref_messages
+
+
+def test_mixed_program_reruns_on_random_phi():
+    rng = np.random.default_rng(9)
+    for model in models(9):
+        if model.n_edges == 0:
+            continue
+        prog = Program(model)
+        nodes = [u for u in range(model.n_nodes) if model.neighbors(u)]
+        for u in nodes:
+            nb = model.neighbors(u)
+            prog.star(u, 1.0 / (len(nb) + 1))
+            later = [v for v in nb if rng.random() < 0.6] or [nb[0]]
+            prog.trws(u, later, 1.0 / max(len(nb) - len(later), len(later)))
+        for u, v in model.edges:
+            prog.rdp(v, u, 0.5)
+            prog.handshake(u, v)
+        for u in nodes[::-1]:
+            prog.trws(u, model.neighbors(u)[::-1], 0.5 / len(model.neighbors(u)))
+            prog.push(model.neighbors(u)[0], u)
+        ops = prog.ops
+        waves = prog.waves()
+        for i, (op, w) in enumerate(zip(ops, waves)):
+            before = [waves[j] for j in range(i)
+                      if conflict_any(model, ops[j], op)]
+            assert w == (max(before) + 1 if before else 0)
+        for _ in range(2):
+            phi = random_phi(rng, model, scale=2.0)
+            ref = phi.copy()
+            counter = MessageCounter()
+            prog.run(phi, counter)
+            n = sum(ref_any_op(model, ref, *op) for op in ops)
+            assert close(phi.values, ref.values)
+            assert counter.total == n
+
+
+def test_node_ops_reject_bad_targets_and_weights():
+    model = models(4)[0]
+    prog = Program(model)
+    isolated = model.n_nodes - 1
+    u = model.edges[0][0]
+    nb = model.neighbors(u)
+    non_neighbour = next(x for x in range(model.n_nodes)
+                         if x != u and x not in nb)
+    with pytest.raises(ValueError):
+        prog.star(isolated, 0.5)
+    with pytest.raises(ValueError):
+        prog.trws(u, [], 0.5)
+    with pytest.raises(ValueError):
+        prog.trws(u, [non_neighbour], 0.5)
+    with pytest.raises(ValueError):
+        prog.trws(u, [nb[0], nb[0]], 0.5)
+    with pytest.raises(ValueError):
+        prog.trws(u, nb, 1.0 / len(nb) + 1e-6)
+    with pytest.raises(ValueError):
+        prog.star(u, -0.1)
+    with pytest.raises(ValueError):
+        prog.star(-1, 0.1)
+    assert prog.ops == []
+    prog.star(u, 1.0 / len(nb))
+    prog.trws(u, nb[:1], 1.0)
+    assert prog.ops == [(STAR, u, nb, 1.0 / len(nb)), (TRWS, u, nb[:1], 1.0)]
+
+
+@pytest.mark.parametrize("method", ["msd", "cmp", "trws", "mplp", "mplppp",
+                                    "dmm", "tbca", "tbcapp", "spam"])
+def test_zero_pass_runs_compile_no_program(method, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a zero-pass run compiled a program")
+    monkeypatch.setattr(Program, "_compile", refuse)
+    monkeypatch.setattr(Program, "__init__", refuse)
+    model = hostile_grid(np.random.default_rng(10), 3, 4)
+    for tree_mode in ("static", "dynamic"):
+        phi, _, trace = run(model, SolverConfig(method, max_passes=0,
+                                                tree_mode=tree_mode))
+        assert phi.is_zero() and len(trace) == 1
