@@ -1,14 +1,17 @@
-"""Composite block updates over chains and trees.
+"""Composite block updates over trees, with the chain as the path case.
 
-A block is a connected acyclic subgraph of the model.  All updates here
-reach the block optimum of the dual restricted to the block; the
+A block is a connected acyclic subgraph of the model: a chain (nodes in
+chain order) or a tree (nodes in ascending order).  All updates here reach
+the block optimum of the dual restricted to the block; the
 hierarchical-minorant and "++" variants additionally leave every block edge
 with zero row and column minima (the maximal-minorant certificate).
 
-Each update is written once, as an emitter that appends its elementary edge
-operations to a :class:`~dualbca.updates.Program`; the block update functions
-run a program of one block, and the solvers compile all blocks of a pass into
-one program.
+Each update is written once, as a tree emitter that appends its elementary
+edge operations to a :class:`~dualbca.updates.Program`.  A chain runs
+through it as a path-shaped tree: every choice between nodes or edges goes
+by position in ``block.nodes``, so a chain is walked in chain order.  The
+block update functions run a program of one block, and the solvers compile
+all blocks of a pass into one program.
 """
 from __future__ import annotations
 
@@ -58,21 +61,27 @@ def tree_block(model, edges):
     nodes = sorted({u for e in edges for u in e})
     if len(edges) != len(nodes) - 1:
         raise ValueError("tree block has a cycle or is disconnected")
-    # Connectivity check by union-find.
     parent = {u: u for u in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise ValueError("tree block has a cycle")
-        parent[ra] = rb
+    if not all(union(parent, a, b) for a, b in edges):
+        raise ValueError("tree block has a cycle")
     return Block("tree", nodes, edges)
+
+
+def find(parent, x):
+    """Root of x in the union-find forest ``parent`` (a list or a dict)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union(parent, a, b):
+    """Join the sets of a and b; False when they already were one set."""
+    ra, rb = find(parent, a), find(parent, b)
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
 
 
 def _require_chain(block):
@@ -81,11 +90,28 @@ def _require_chain(block):
 
 
 def _block_adjacency(block):
-    adj = {u: [] for u in block.nodes}
+    """Neighbour positions of every position in ``block.nodes``, ascending."""
+    at = {u: i for i, u in enumerate(block.nodes)}
+    adj = [[] for _ in block.nodes]
     for a, b in block.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+        adj[at[a]].append(at[b])
+        adj[at[b]].append(at[a])
+    for nbrs in adj:
+        nbrs.sort()
     return adj
+
+
+def _walk(adj, root, reverse=False):
+    """(node, parent) pairs of the tree ``adj`` in depth-first pre-order from
+    ``root``, whose parent is -1; children in adjacency order, or reversed."""
+    order, stack = [], [(root, -1)]
+    while stack:
+        u, p = stack.pop()
+        order.append((u, p))
+        for w in (adj[u] if reverse else reversed(adj[u])):
+            if w != p:
+                stack.append((w, u))
+    return order
 
 
 def tbca_chain(model, phi, block, counter=None):
@@ -110,180 +136,84 @@ def tbca_pp_chain(model, phi, block, counter=None):
 
 
 def tbca_tree(model, phi, block, counter=None, plus=False):
-    """Tree analog of the chain TBCA update.
-
-    Costs are collected at the root (the highest-index node) along a DFS
-    post-order; the reverse sweep redistributes with r = (j-1)/n at the j-th
-    backward step, matching the chain schedule when the tree is a path.
-    """
-    run_program(model, phi, counter, _emit_tbca_tree, block, plus)
+    """Tree-BCA update on a tree (or chain) block; see :func:`emit_tbca`."""
+    run_program(model, phi, counter, emit_tbca, block, plus)
 
 
 def emit_tbca(prog, block, plus=False):
-    """Append the (plus-)TBCA update of a chain or tree block to ``prog``."""
-    if block.kind == "tree":
-        _emit_tbca_tree(prog, block, plus)
-        return
+    """Append the (plus-)TBCA update of ``block`` to ``prog``.
+
+    Costs are collected at the root ``block.nodes[-1]`` (a chain's end, a
+    tree's highest index) along a depth-first post-order; the reverse sweep
+    redistributes with r = (j-1)/n at the j-th backward step, which on a
+    chain is r = (n - i)/n at node i.
+    """
     nodes = block.nodes
     n = len(nodes)
-    for a, b in zip(nodes, nodes[1:]):
-        prog.rdp(a, b)
-    for i in range(n, 1, -1):          # chain positions n..2, 1-based
-        u, v = nodes[i - 1], nodes[i - 2]
-        prog.rdp(u, v, (n - i) / n)
-        if plus:
-            prog.push(v, u)
-
-
-def _emit_tbca_tree(prog, block, plus):
-    adj = _block_adjacency(block)
-    nodes = block.nodes
-    n = len(nodes)
-    root = max(nodes)
-    # Iterative DFS post-order of edges (child -> parent).
-    order, stack, seen = [], [(root, -1)], {root}
-    while stack:
-        u, p = stack.pop()
-        if p >= 0:
-            order.append((u, p))
-        for w in sorted(adj[u], reverse=True):
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, u))
-    order.reverse()                    # children before parents
-    for c, p in order:
+    order = [(nodes[c], nodes[p])
+             for c, p in _walk(_block_adjacency(block), n - 1)[1:]]
+    for c, p in reversed(order):       # children before parents
         prog.rdp(c, p)
-    for j, (c, p) in enumerate(reversed(order), start=1):
+    for j, (c, p) in enumerate(order, start=1):
         prog.rdp(p, c, (j - 1) / n)
         if plus:
             prog.push(c, p)
 
 
 def hm_chain(model, phi, block, counter=None):
-    """Hierarchical minorant update on a chain.
-
-    DP pushes costs from both ends to the mid edge, a handshake resolves the
-    mid edge, and the two halves are processed recursively.  Pushes already
-    performed at an enclosing level are not repeated.
-    """
-    run_program(model, phi, counter, emit_hm_chain, block)
-
-
-def emit_hm_chain(prog, block):
-    """Append the hierarchical minorant update of a chain block to ``prog``."""
+    """Hierarchical minorant update on a chain; see :func:`emit_hm`."""
     _require_chain(block)
-    _emit_hm_chain(prog, list(block.nodes), True, True)
-
-
-def _emit_hm_chain(prog, nodes, left_fresh, right_fresh):
-    n = len(nodes)
-    if n <= 1:
-        return
-    if n == 2:
-        prog.handshake(nodes[0], nodes[1])
-        return
-    i_l = n // 2                       # 1-based mid-points (i_l, i_l + 1)
-    if left_fresh:
-        for i in range(i_l):           # push start .. through the mid edge
-            prog.rdp(nodes[i], nodes[i + 1])
-    if right_fresh:
-        for i in range(n - 1, i_l, -1):  # push end .. down to the mid edge
-            prog.rdp(nodes[i], nodes[i - 1])
-    prog.handshake(nodes[i_l - 1], nodes[i_l])
-    # Left half keeps its leftward history, right half its rightward one;
-    # only the ends refreshed by the handshake need new pushes.
-    _emit_hm_chain(prog, nodes[:i_l], left_fresh=False, right_fresh=True)
-    _emit_hm_chain(prog, nodes[i_l:], left_fresh=True, right_fresh=False)
-
-
-def tree_centroid(adj, nodes):
-    """Node whose removal leaves subtrees of size <= floor(n/2); lowest index wins."""
-    n = len(nodes)
-    size, parent = _subtree_sizes_from(adj, nodes[0])
-    best = None
-    for u in nodes:
-        components = [n - size[u]]
-        components += [size[w] for w in adj[u] if parent[w] == u]
-        if max(components) <= n // 2 and (best is None or u < best):
-            best = u
-    return best
-
-
-def _subtree_sizes_from(adj, root):
-    """Map child -> subtree size for the tree rooted at ``root``."""
-    size, order = {}, []
-    stack, seen = [(root, -1)], {root}
-    parent = {root: -1}
-    while stack:
-        u, p = stack.pop()
-        order.append(u)
-        parent[u] = p
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, u))
-    for u in reversed(order):
-        size[u] = 1 + sum(size[w] for w in adj[u] if parent.get(w) == u)
-    return size, parent
+    run_program(model, phi, counter, emit_hm, block)
 
 
 def hm_tree(model, phi, block, counter=None):
-    """Hierarchical minorant on a tree.
+    """Hierarchical minorant update on a tree (or chain) block."""
+    run_program(model, phi, counter, emit_hm, block)
 
-    Picks the centroid and the neighbor splitting the tree most evenly as
-    the central edge, DP-pushes every branch toward it, handshakes it, and
-    recurses into the two sides.
+
+def emit_hm(prog, block):
+    """Append the hierarchical minorant update of ``block`` to ``prog``.
+
+    DP pushes every cost toward the mid edge, a handshake resolves it, and
+    the two sides are processed in turn, the lower-position side first.
+    Pushes already performed at an enclosing level are not repeated.
     """
-    if block.kind == "chain":
-        block = tree_block(model, block.edges)
-    run_program(model, phi, counter, _emit_hm_tree, _block_adjacency(block),
-               list(block.nodes))
-
-
-def _emit_hm_tree(prog, adj, nodes):
-    n = len(nodes)
-    if n <= 1:
-        return
-    if n == 2:
-        prog.handshake(nodes[0], nodes[1])
-        return
-    c = tree_centroid(adj, nodes)
-    size, _ = _subtree_sizes_from(adj, c)
-    # Neighbor whose side is closest to half the tree; ties by lowest index.
-    d = min(adj[c], key=lambda w: (max(size[w], n - size[w]), w))
-    # DP from the leaves toward the central edge endpoints, per side.
-    for side_root, banned in ((c, d), (d, c)):
-        order = []
-        stack, seen = [(side_root, -1)], {side_root, banned}
-        while stack:
-            u, p = stack.pop()
-            if p >= 0:
-                order.append((u, p))
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, u))
-        for u, p in reversed(order):
-            prog.rdp(u, p)
-    prog.handshake(c, d)
-    side_c = _component_nodes(adj, c, without=d)
-    side_d = _component_nodes(adj, d, without=c)
-    _emit_hm_tree(prog, _restrict(adj, side_c), sorted(side_c))
-    _emit_hm_tree(prog, _restrict(adj, side_d), sorted(side_d))
-
-
-def _component_nodes(adj, start, without):
-    seen = {start, without}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    seen.discard(without)
-    return seen
-
-
-def _restrict(adj, keep):
-    return {u: [w for w in adj[u] if w in keep] for u in keep}
+    nodes, adj = block.nodes, _block_adjacency(block)
+    # Sub-blocks still to do, as (root, top): below the top, root is the
+    # endpoint the enclosing handshake changed, and every edge of the
+    # sub-block already holds a DP message toward it.  Each handshake drops
+    # its edge from adj, which splits the sub-block in two.
+    todo = [(0, True)]
+    while todo:
+        root, top = todo.pop()
+        if not adj[root]:
+            continue
+        order = _walk(adj, root)
+        n = len(order)
+        if n == 2:
+            prog.handshake(nodes[min(order[1])], nodes[max(order[1])])
+            continue
+        size = {u: 1 for u, _ in order}
+        for u, p in order[:0:-1]:
+            size[p] += size[u]
+        # The mid edge splits the sub-block most evenly; ties by position.
+        _, a, b = min((max(size[u], n - size[u]), min(u, p), max(u, p))
+                      for u, p in order[1:])
+        if top:
+            # Push every edge toward b, children in position order.
+            for u, w in reversed(_walk(adj, b, reverse=True)[1:]):
+                prog.rdp(nodes[u], nodes[w])
+        else:
+            # Only the edges between root and b point away from b; every
+            # other message toward root also points toward b and is valid.
+            parent = dict(order)
+            path = [b]
+            while path[-1] != root:
+                path.append(parent[path[-1]])
+            path.reverse()
+            for u, w in zip(path, path[1:]):
+                prog.rdp(nodes[u], nodes[w])
+        prog.handshake(nodes[a], nodes[b])
+        adj[a].remove(b)
+        adj[b].remove(a)
+        todo += [(b, False), (a, False)]

@@ -9,13 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Block, chain_block, tree_block
+from .blocks import chain_block, find, tree_block, union
 from .model import edge_chunks, node_costs, node_minima
 
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    origin: str              # mmc | ssp | static_trees | dynamic_trees | all_edges | rows_columns
+    origin: str              # mmc | ssp | static_trees | dynamic_trees | rows_columns
     blocks: tuple
     coverage: frozenset = field(default=None)
 
@@ -71,11 +71,6 @@ def rows_columns_cover(model):
     return BlockSchedule("rows_columns", chains)
 
 
-def all_edges_cover(model):
-    return BlockSchedule(
-        "all_edges", [chain_block(model, e) for e in model.edges])
-
-
 def _bfs_dist_count(indptr, indices, src, n, alive=None):
     """BFS distances from ``src`` (-1 when unreached) and shortest-path
     counts capped at 2 (only ==1 matters).
@@ -119,11 +114,6 @@ def _csr(n, src, dst):
     np.add.at(indptr, src + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, dst.astype(np.int64)
-
-
-def count_shortest_paths_arrays(indptr, indices, n, src, dst):
-    dist, count = _bfs_dist_count(indptr, indices, src, n)
-    return int(count[dst]) if dist[dst] >= 0 else 0
 
 
 def compute_ssp_cover(model, seed=0):
@@ -189,45 +179,17 @@ def compute_ssp_cover(model, seed=0):
     return BlockSchedule("ssp", chains)
 
 
-def _kruskal(n, edges, keys):
-    """Spanning forest minimizing the per-edge sort keys; returns edge indices."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    picked = []
-    for e in sorted(range(len(edges)), key=lambda e: keys[e]):
-        u, v = edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            picked.append(e)
-    return picked
-
-
-def _forest_blocks(model, edge_ids):
-    """Split a Kruskal forest into one tree block per connected component."""
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_ids:
-        u, v = model.edges[e]
-        parent[find(u)] = find(v)
-    groups = {}
-    for e in edge_ids:
-        groups.setdefault(find(model.edges[e][0]), []).append(e)
-    return [tree_block(model, [model.edges[e] for e in grp])
-            for _, grp in sorted(groups.items())]
+def _spanning_forest(model, keys):
+    """Kruskal spanning forest minimizing the per-edge sort keys, as one tree
+    block per connected component, ordered by the component's root."""
+    parent = list(range(model.n_nodes))
+    picked = [model.edges[e]
+              for e in sorted(range(model.n_edges), key=keys.__getitem__)
+              if union(parent, *model.edges[e])]
+    trees = {}
+    for u, v in picked:
+        trees.setdefault(find(parent, u), []).append((u, v))
+    return [tree_block(model, edges) for _, edges in sorted(trees.items())]
 
 
 def compute_static_trees(model):
@@ -240,11 +202,12 @@ def compute_static_trees(model):
     times_used = [0] * model.n_edges
     trees = []
     while min(times_used) == 0:
-        picked = _kruskal(model.n_nodes, model.edges,
-                          [(times_used[e], e) for e in range(model.n_edges)])
-        for e in picked:
-            times_used[e] += 1
-        trees.extend(_forest_blocks(model, picked))
+        forest = _spanning_forest(
+            model, [(times_used[e], e) for e in range(model.n_edges)])
+        for tree in forest:
+            for u, v in tree.edges:
+                times_used[model.edge_id(u, v)] += 1
+        trees.extend(forest)
     return BlockSchedule("static_trees", trees)
 
 
@@ -268,21 +231,5 @@ def compute_dynamic_forest(model, phi, y):
     node_gap, edge_gap = gap_scores(model, phi, y)
     weight = [edge_gap[e] + node_gap[u] + node_gap[v]
               for e, (u, v) in enumerate(model.edges)]
-    picked = _kruskal(model.n_nodes, model.edges,
-                      [(-weight[e], e) for e in range(model.n_edges)])
-    return _forest_blocks(model, picked)
-
-
-def compute_dynamic_tree(model, phi, y):
-    """Maximum-gap spanning tree of a connected model graph."""
-    forest = compute_dynamic_forest(model, phi, y)
-    if len(forest) != 1:
-        raise ValueError("model graph is disconnected, use compute_dynamic_forest")
-    return forest[0]
-
-
-def tree_gap_score(model, phi, y, tree: Block):
-    """Total gap of a spanning tree under the dynamic-tree edge weights."""
-    node_gap, edge_gap = gap_scores(model, phi, y)
-    return float(sum(edge_gap[model.edge_id(u, v)] + node_gap[u] + node_gap[v]
-                     for (u, v) in tree.edges))
+    return _spanning_forest(model, [(-weight[e], e)
+                                    for e in range(model.n_edges)])

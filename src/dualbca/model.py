@@ -211,12 +211,6 @@ class GraphicalModel:
         t = self.pairwise[e]
         return t if u < v else t.T
 
-    def state_count(self):
-        n = 1.0
-        for k in self.labels:
-            n *= k
-        return n
-
 
 class Reparametrization:
     """Dual vector phi: one value per (directed incidence, label) pair.
@@ -295,21 +289,6 @@ def pairwise_costs(model, phi, u, v):
     out = t + p_vu[:, None]
     out += p_uv
     return out.T
-
-
-def reparametrized_unary(model, phi, u, s):
-    if not (0 <= u < model.n_nodes):
-        raise ValueError(f"node {u} out of range")
-    if not (0 <= s < model.labels[u]):
-        raise ValueError(f"label {s} out of range for node {u}")
-    return float(unary_costs(model, phi, u)[s])
-
-
-def reparametrized_pairwise(model, phi, u, v, s, t):
-    model.edge_id(u, v)
-    if not (0 <= s < model.labels[u] and 0 <= t < model.labels[v]):
-        raise ValueError(f"labels ({s},{t}) out of range for edge ({u},{v})")
-    return float(pairwise_costs(model, phi, u, v)[s, t])
 
 
 def check_labeling(model, y):

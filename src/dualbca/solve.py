@@ -181,7 +181,7 @@ class _Run:
                 add(u, v)
         elif m in ("dmm", "spam"):
             for chain in self.schedule.blocks:
-                blk.emit_hm_chain(prog, chain)
+                blk.emit_hm(prog, chain)
         elif self.schedule is not None:
             for b in self.schedule.blocks:
                 blk.emit_tbca(prog, b, plus=(m == "tbcapp"))

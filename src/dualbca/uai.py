@@ -65,12 +65,16 @@ class _Tokens:
         self.last_line = self._line
         return tok, self._line
 
-    def next_int(self, what):
+    def next_int(self, what, least=None):
+        """The next token as an integer, rejected when below ``least``."""
         tok, line = self.next(what)
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
             raise ModelFormatError(f"expected {what}, got {tok!r}", line) from None
+        if least is not None and value < least:
+            raise ModelFormatError(f"{what} {value} is below {least}", line)
+        return value
 
     def next_float(self, what):
         tok, line = self.next(what)
@@ -97,9 +101,9 @@ def _parse(toks, probabilities):
     kind, line = toks.next("network type")
     if kind.upper() != "MARKOV":
         raise ModelFormatError(f"expected MARKOV network, got {kind!r}", line)
-    n_vars = toks.next_int("variable count")
-    labels = [toks.next_int("cardinality") for _ in range(n_vars)]
-    n_factors = toks.next_int("factor count")
+    n_vars = toks.next_int("variable count", 0)
+    labels = [toks.next_int("cardinality", 1) for _ in range(n_vars)]
+    n_factors = toks.next_int("factor count", 0)
     scopes = []
     for _ in range(n_factors):
         size = toks.next_int("scope size")

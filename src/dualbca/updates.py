@@ -10,7 +10,6 @@ Pass a :class:`MessageCounter` to have updates charge messages to it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,52 +27,6 @@ class MessageCounter:
 
     def add(self, k=1):
         self.total += k
-
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """Distribution weights for node-adjacent updates.
-
-    kind: one of "msd", "cmp", "dp", "trws".  The anisotropic kinds ("dp",
-    "trws") additionally need a total node order (a permutation of node
-    indices); "later than u" is judged by position in that order.
-    """
-
-    kind: str
-    order: tuple = None
-
-    def __post_init__(self):
-        if self.kind not in ("msd", "cmp", "dp", "trws"):
-            raise ValueError(f"unknown weight scheme {self.kind!r}")
-        if self.order is not None:
-            object.__setattr__(self, "order", tuple(self.order))
-
-    def positions(self, n_nodes):
-        if self.order is None:
-            raise ValueError(f"{self.kind} weights need a node order")
-        if sorted(self.order) != list(range(n_nodes)):
-            raise ValueError("order must be a permutation of the node indices")
-        pos = [0] * n_nodes
-        for i, u in enumerate(self.order):
-            pos[u] = i
-        return pos
-
-
-def weights_for(scheme: WeightScheme, model, u):
-    """Per-neighbor distribution weights w_{u,v} for node u."""
-    nb = model.neighbors(u)
-    if scheme.kind == "msd":
-        return dict.fromkeys(nb, 1.0 / max(len(nb), 1))
-    if scheme.kind == "cmp":
-        return dict.fromkeys(nb, 1.0 / (len(nb) + 1))
-    pos = scheme.positions(model.n_nodes)
-    later = [v for v in nb if pos[v] > pos[u]]
-    if scheme.kind == "dp":
-        return {v: (1.0 if pos[v] > pos[u] else 0.0) for v in nb}
-    n_in = len(nb) - len(later)
-    n_out = len(later)
-    denom = max(n_in, n_out)
-    return {v: (1.0 / denom if pos[v] > pos[u] and denom else 0.0) for v in nb}
 
 
 def node_aggregate(model, phi, u, counter=None):

@@ -10,8 +10,8 @@ from . import blocks as blk
 from .blocks import chain_block, tree_block
 from .covers import compute_mmc_cover, compute_ssp_cover
 from .generate import random_model, random_phi, random_tree_model
-from .model import (Reparametrization, check_feasible, dual_value,
-                    unary_costs)
+from .model import (GraphicalModel, Reparametrization, check_feasible,
+                    dual_value, unary_costs)
 from .oracle import (brute_force_min, chain_min, check_maximal_minorant,
                      check_minorant, energy_table)
 from .solve import METHODS, SolverConfig, run
@@ -135,19 +135,31 @@ def check_covers(seed, trials=15):
 def check_message_counts(seed):
     rng = np.random.default_rng(seed)
     for n in (2, 3, 5, 8):
-        model = random_tree_model(rng, n_nodes=n)
-        path = _tree_as_path(model)
-        if path is None:
-            model = random_tree_model(rng, n_nodes=n)  # try another draw
-            path = _tree_as_path(model)
-        if path is None:
-            continue
-        phi = Reparametrization(model)
-        counter = MessageCounter()
-        blk.tbca_chain(model, phi, chain_block(model, path), counter)
-        if counter.total != 2 * (n - 1):
-            return False
+        edges = [(j, j + 1) for j in range(n - 1)]
+        labels = [int(k) for k in rng.integers(1, 4, n)]
+        model = GraphicalModel(
+            labels, edges, [rng.uniform(0, 2, k) for k in labels],
+            [rng.uniform(0, 2, (labels[a], labels[b])) for a, b in edges])
+        block = chain_block(model, range(n))
+        for update, expected in ((blk.tbca_chain, 2 * (n - 1)),
+                                 (blk.hm_chain, _hm_count(n))):
+            counter = MessageCounter()
+            update(model, Reparametrization(model), block, counter)
+            if counter.total != expected:
+                return False
     return True
+
+
+def _hm_count(n, left_fresh=True, right_fresh=True):
+    """Messages of the hierarchical minorant on an n-node chain: pushes to
+    the mid edge from the fresh ends, a 3-message handshake, both halves."""
+    if n <= 1:
+        return 0
+    if n == 2:
+        return 3
+    mid = n // 2
+    return ((mid if left_fresh else 0) + (n - 1 - mid if right_fresh else 0)
+            + 3 + _hm_count(mid, False, True) + _hm_count(n - mid, True, False))
 
 
 def check_viterbi_agreement(seed, trials=20):

@@ -1,20 +1,22 @@
+import sys
+
 import numpy as np
 import pytest
 
-from dualbca.blocks import (Block, chain_block, hm_chain, hm_tree,
-                            tbca_chain, tbca_pp_chain, tbca_tree,
-                            tree_block, tree_centroid)
-from dualbca.model import (Reparametrization, check_feasible, dual_value,
-                           pairwise_costs, unary_costs)
+from dualbca.blocks import (Block, chain_block, emit_hm, emit_tbca, hm_chain,
+                            hm_tree, tbca_chain, tbca_pp_chain, tbca_tree,
+                            tree_block)
+from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
+                           dual_value, unary_costs)
 from dualbca.generate import random_tree_model
 from dualbca.oracle import (block_dual, brute_force_min, chain_min,
                             check_maximal_minorant, check_minorant)
-from dualbca.updates import MessageCounter, handshake_update
+from dualbca.updates import (HANDSHAKE, PUSH, RDP, MessageCounter, Program,
+                             handshake_update)
 
 
 def chain_model(rng, n, labels=3):
     """Path 0-1-...-(n-1) with random costs."""
-    from dualbca.model import GraphicalModel
     edges = [(i, i + 1) for i in range(n - 1)]
     unary = [rng.uniform(0, 2, labels) for _ in range(n)]
     pairwise = [rng.uniform(0, 2, (labels, labels)) for _ in edges]
@@ -47,14 +49,12 @@ class TestBlockConstruction:
             chain_block(m, [0, 1, 0])
 
     def test_tree_block_cycle_rejected(self):
-        from dualbca.model import GraphicalModel
         m = GraphicalModel([2] * 3, [(0, 1), (1, 2), (0, 2)],
                            [np.zeros(2)] * 3, [np.zeros((2, 2))] * 3)
         with pytest.raises(ValueError):
             tree_block(m, m.edges)
 
     def test_tree_block_disconnected_rejected(self):
-        from dualbca.model import GraphicalModel
         m = GraphicalModel([2] * 4, [(0, 1), (2, 3)],
                            [np.zeros(2)] * 4, [np.zeros((2, 2))] * 2)
         with pytest.raises(ValueError):
@@ -78,7 +78,6 @@ class TestTbcaChain:
             assert check_feasible(m, phi)
 
     def test_all_zero_costs_noop(self):
-        from dualbca.model import GraphicalModel
         m = GraphicalModel([2] * 3, [(0, 1), (1, 2)], [np.zeros(2)] * 3,
                            [np.zeros((2, 2))] * 2)
         phi = Reparametrization(m)
@@ -199,14 +198,82 @@ class TestHmChain:
             assert counter.total == self.expected_messages(n)
 
 
+def program_ops(model, emit, block, *args):
+    prog = Program(model)
+    emit(prog, block, *args)
+    return prog.ops
+
+
+def ref_hm_chain(nodes, left_fresh=True, right_fresh=True):
+    """The chain recursion of the hierarchical minorant, op by op: DP pushes
+    from both ends to the mid edge (only from the ends an enclosing
+    handshake changed), a handshake on the mid edge, then the two halves."""
+    n = len(nodes)
+    if n <= 1:
+        return []
+    if n == 2:
+        return [(HANDSHAKE, nodes[0], nodes[1], 0.0)]
+    mid = n // 2
+    ops = []
+    if left_fresh:
+        ops += [(RDP, nodes[i], nodes[i + 1], 1.0) for i in range(mid)]
+    if right_fresh:
+        ops += [(RDP, nodes[i], nodes[i - 1], 1.0)
+                for i in range(n - 1, mid, -1)]
+    ops.append((HANDSHAKE, nodes[mid - 1], nodes[mid], 0.0))
+    return (ops + ref_hm_chain(nodes[:mid], False, True)
+            + ref_hm_chain(nodes[mid:], True, False))
+
+
+def ref_tbca_chain(nodes, plus):
+    """The chain TBCA schedule, op by op: DP forward to the end, then rDP
+    back with r = (n - i)/n at chain position i (a push at r = 0)."""
+    n = len(nodes)
+    ops = [(RDP, a, b, 1.0) for a, b in zip(nodes, nodes[1:])]
+    for i in range(n, 1, -1):
+        u, v, r = nodes[i - 1], nodes[i - 2], (n - i) / n
+        ops.append((RDP, u, v, r) if r else (PUSH, u, v, 0.0))
+        if plus:
+            ops.append((PUSH, v, u, 0.0))
+    return ops
+
+
+def test_chain_programs_match_reference_on_shuffled_chains():
+    # The SSP and MMC covers hand over chains whose node ids are in no
+    # particular order, with mixed label counts.
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        nodes = [int(u) for u in rng.permutation(n)]
+        labels = [int(k) for k in rng.integers(1, 4, n)]
+        edges = [tuple(sorted(e)) for e in zip(nodes, nodes[1:])]
+        m = GraphicalModel(labels, edges, [np.zeros(k) for k in labels],
+                           [np.zeros((labels[a], labels[b])) for a, b in edges])
+        b = chain_block(m, nodes)
+        assert program_ops(m, emit_hm, b) == ref_hm_chain(nodes)
+        for plus in (False, True):
+            assert program_ops(m, emit_tbca, b, plus) == \
+                ref_tbca_chain(nodes, plus)
+
+
 class TestTreeCentroid:
+    # The first handshake of the hierarchical minorant is on the edge that
+    # splits the tree most evenly, next to its centroid.
+    @staticmethod
+    def first_handshake(model, edges):
+        ops = program_ops(model, emit_hm, tree_block(model, edges))
+        return next((u, v) for kind, u, v, _ in ops if kind == HANDSHAKE)
+
     def test_path(self):
-        adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-        assert tree_centroid(adj, [0, 1, 2, 3]) == 1
+        rng = np.random.default_rng(20)
+        m = chain_model(rng, 4)
+        assert self.first_handshake(m, m.edges) == (1, 2)
 
     def test_star(self):
-        adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
-        assert tree_centroid(adj, [0, 1, 2, 3]) == 0
+        edges = [(0, 1), (0, 2), (0, 3)]
+        m = GraphicalModel([2] * 4, edges, [np.zeros(2)] * 4,
+                           [np.zeros((2, 2))] * 3)
+        assert self.first_handshake(m, edges) == (0, 1)
 
 
 class TestHmTree:
@@ -219,7 +286,6 @@ class TestHmTree:
         assert phi_a[0, 1] == pytest.approx(phi_b[0, 1])
 
     def test_star_reaches_tree_optimum(self):
-        from dualbca.model import GraphicalModel
         rng = np.random.default_rng(12)
         for _ in range(20):
             edges = [(0, 1), (0, 2), (0, 3)]
@@ -234,13 +300,10 @@ class TestHmTree:
     def test_path_matches_hm_chain_dual(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            n = int(rng.integers(3, 8))
+            n = int(rng.integers(2, 30))
             m = chain_model(rng, n)
-            phi_a, phi_b = Reparametrization(m), Reparametrization(m)
-            hm_chain(m, phi_a, chain_block(m, list(range(n))))
-            hm_tree(m, phi_b, tree_block(m, m.edges))
-            assert dual_value(m, phi_a) == pytest.approx(dual_value(m, phi_b),
-                                                         abs=1e-9)
+            assert program_ops(m, emit_hm, tree_block(m, m.edges)) == \
+                program_ops(m, emit_hm, chain_block(m, list(range(n))))
 
     def test_random_trees_optimal_and_maximal(self):
         rng = np.random.default_rng(14)
@@ -254,6 +317,17 @@ class TestHmTree:
             assert check_minorant(m, b, phi)
             assert check_maximal_minorant(m, b, phi)
             assert check_feasible(m, phi)
+
+
+    def test_star_deeper_than_recursion_limit(self):
+        # Every edge of a star splits it 1 : n-1, so the update takes n-2
+        # levels: n-1 pushes and a handshake at the top, then one push and
+        # one handshake per level, a bare handshake at the last.
+        n = sys.getrecursionlimit() + 100
+        edges = [(0, v) for v in range(1, n)]
+        m = GraphicalModel([2] * n, edges, [np.zeros(2)] * n,
+                           [np.zeros((2, 2))] * (n - 1))
+        assert len(program_ops(m, emit_hm, tree_block(m, edges))) == 3 * n - 5
 
 
 class TestTbcaTree:
@@ -280,13 +354,13 @@ class TestTbcaTree:
     def test_matches_chain_schedule_on_paths(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            n = 5
+            n = int(rng.integers(2, 30))
             m = chain_model(rng, n)
-            phi_a, phi_b = Reparametrization(m), Reparametrization(m)
-            tbca_chain(m, phi_a, chain_block(m, list(range(n))))
-            tbca_tree(m, phi_b, tree_block(m, m.edges))
-            assert dual_value(m, phi_a) == pytest.approx(dual_value(m, phi_b),
-                                                         abs=1e-9)
+            for plus in (False, True):
+                assert program_ops(m, emit_tbca, tree_block(m, m.edges),
+                                   plus) == \
+                    program_ops(m, emit_tbca, chain_block(m, list(range(n))),
+                                plus)
 
 
 def test_block_updates_never_decrease_dual_midstream():

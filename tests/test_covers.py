@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from dualbca.blocks import tree_block
-from dualbca.covers import (BlockSchedule, all_edges_cover,
-                            compute_dynamic_forest, compute_dynamic_tree,
+from dualbca.covers import (BlockSchedule, compute_dynamic_forest,
                             compute_mmc_cover, compute_ssp_cover,
-                            compute_static_trees, rows_columns_cover,
-                            tree_gap_score, _csr,
-                            count_shortest_paths_arrays)
+                            compute_static_trees, gap_scores,
+                            rows_columns_cover, _csr, _spanning_forest)
 from dualbca.model import GraphicalModel, Reparametrization, primal_round
 from dualbca.generate import generate_instance, random_model
 from dualbca.oracle import count_shortest_paths
@@ -153,11 +150,23 @@ class TestStaticTrees:
 
 
 class TestDynamicTree:
+    @staticmethod
+    def dynamic_tree(m, phi, y):
+        [tree] = compute_dynamic_forest(m, phi, y)
+        return tree
+
+    @staticmethod
+    def gap_score(m, phi, y, tree):
+        """Total gap of a tree under the dynamic-tree edge weights."""
+        node_gap, edge_gap = gap_scores(m, phi, y)
+        return float(sum(edge_gap[m.edge_id(u, v)] + node_gap[u] + node_gap[v]
+                         for u, v in tree.edges))
+
     def test_zero_gap_returns_some_spanning_tree(self):
         m = complete_model(4)  # all-zero costs: every gap is 0
         phi = Reparametrization(m)
         y = primal_round(m, phi)
-        tree = compute_dynamic_tree(m, phi, y)
+        tree = self.dynamic_tree(m, phi, y)
         assert len(tree.edges) == 3
 
     def test_contains_max_gap_edge(self):
@@ -168,7 +177,7 @@ class TestDynamicTree:
                            [np.zeros((2, 2))] * len(edges))
         phi = Reparametrization(m)
         y = np.array([0, 0, 0, 1])
-        tree = compute_dynamic_tree(m, phi, y)
+        tree = self.dynamic_tree(m, phi, y)
         assert any(3 in e for e in tree.edges)
 
     def test_dominates_random_trees(self):
@@ -176,24 +185,17 @@ class TestDynamicTree:
         m = random_model(rng, n_nodes=6, edge_prob=0.9, scale=3.0)
         phi = Reparametrization(m)
         y = primal_round(m, phi)
-        best = compute_dynamic_tree(m, phi, y)
-        best_score = tree_gap_score(m, phi, y, best)
+        best_score = self.gap_score(m, phi, y, self.dynamic_tree(m, phi, y))
         for _ in range(100):
-            perm = rng.permutation(m.n_edges)
-            from dualbca.covers import _kruskal
-            keys = {int(e): i for i, e in enumerate(perm)}
-            picked = _kruskal(m.n_nodes, m.edges,
-                              [keys[e] for e in range(m.n_edges)])
-            rand_tree = tree_block(m, [m.edges[e] for e in picked])
-            assert best_score >= tree_gap_score(m, phi, y, rand_tree) - 1e-9
+            [rand_tree] = _spanning_forest(m, rng.permutation(m.n_edges))
+            assert best_score >= self.gap_score(m, phi, y, rand_tree) - 1e-9
 
     def test_disconnected_rejected(self):
+        # No spanning tree: the dynamic forest has one tree per component.
         m = graph_model(4, [(0, 1), (2, 3)])
         phi = Reparametrization(m)
-        with pytest.raises(ValueError):
-            compute_dynamic_tree(m, phi, primal_round(m, phi))
         forest = compute_dynamic_forest(m, phi, primal_round(m, phi))
-        assert len(forest) == 2
+        assert [b.edges for b in forest] == [((0, 1),), ((2, 3),)]
 
 
 class TestShortestPathCounting:
@@ -217,34 +219,6 @@ class TestShortestPathCounting:
     def test_disconnected_zero(self):
         adj = {0: [], 1: []}
         assert count_shortest_paths(adj, 0, 1) == 0
-
-    def test_array_backend_agrees(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            m = random_model(rng, n_nodes=9, edge_prob=0.35)
-            adj = {u: list(m.neighbors(u)) for u in range(m.n_nodes)}
-            src_arr = np.array([u for u, _ in m.edges]
-                               + [v for _, v in m.edges], dtype=np.int64)
-            dst_arr = np.array([v for _, v in m.edges]
-                               + [u for u, _ in m.edges], dtype=np.int64)
-            if m.n_edges == 0:
-                continue
-            indptr, indices = _csr(m.n_nodes, src_arr, dst_arr)
-            for s in range(m.n_nodes):
-                for t in range(m.n_nodes):
-                    if s == t:
-                        continue
-                    got = count_shortest_paths_arrays(indptr, indices,
-                                                      m.n_nodes, s, t)
-                    want = count_shortest_paths(adj, s, t)
-                    assert got == min(want, 2)  # array count saturates at 2
-
-
-def test_all_edges_cover():
-    m = complete_model(4)
-    cover = all_edges_cover(m)
-    assert len(cover.blocks) == 6
-    assert_partition(m, cover)
 
 
 def test_schedule_coverage_field():

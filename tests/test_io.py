@@ -93,6 +93,19 @@ class TestParseUai:
             parse_uai(p)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text, line, what", [
+        ("MARKOV 1 0 1 1 0 0", 1, "cardinality 0"),
+        ("MARKOV\n2\n2 -3\n0\n", 3, "cardinality -3"),
+        ("MARKOV\n-1\n0\n", 2, "variable count -1"),
+        ("MARKOV\n1\n2\n-1\n", 4, "factor count -1"),
+    ], ids=["zero-cardinality", "negative-cardinality",
+            "negative-variable-count", "negative-factor-count"])
+    def test_hostile_counts_rejected(self, tmp_path, text, line, what):
+        p = write(tmp_path, text)
+        with pytest.raises(ModelFormatError, match=what) as exc:
+            parse_uai(p)
+        assert exc.value.line == line
+
     def test_trailing_content_rejected(self, tmp_path):
         p = write(tmp_path, "MARKOV\n1\n2\n1\n1 0\n\n2\n3 5\n7\n")
         with pytest.raises(ModelFormatError, match="trailing"):

@@ -3,7 +3,6 @@ import pytest
 
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            dual_value, energy, pairwise_costs, primal_round,
-                           reparametrized_pairwise, reparametrized_unary,
                            unary_costs)
 from dualbca.generate import random_model, random_phi
 from dualbca.oracle import brute_force_min
@@ -62,8 +61,7 @@ class TestReparametrizedCosts:
     def test_zero_phi_is_identity(self):
         m = GraphicalModel([2], [], [np.array([3.0, 5.0])], [])
         phi = Reparametrization(m)
-        assert reparametrized_unary(m, phi, 0, 0) == 3.0
-        assert reparametrized_unary(m, phi, 0, 1) == 5.0
+        assert unary_costs(m, phi, 0).tolist() == [3.0, 5.0]
 
     def test_single_edge_unary(self):
         m = GraphicalModel([2, 2], [(0, 1)],
@@ -71,8 +69,7 @@ class TestReparametrizedCosts:
                            [np.zeros((2, 2))])
         phi = Reparametrization(m)
         phi[0, 1] += np.array([1.0, 1.0])
-        assert reparametrized_unary(m, phi, 0, 0) == 0.0
-        assert reparametrized_unary(m, phi, 0, 1) == 1.0
+        assert unary_costs(m, phi, 0).tolist() == [0.0, 1.0]
 
     def test_two_neighbor_unary(self):
         m = GraphicalModel([2, 2, 2], [(0, 1), (0, 2)],
@@ -88,23 +85,21 @@ class TestReparametrizedCosts:
         phi = Reparametrization(m)
         phi[0, 1][0] = 1.0
         phi[1, 0][0] = -2.0
-        assert reparametrized_pairwise(m, phi, 0, 1, 0, 0) == -1.0
+        assert pairwise_costs(m, phi, 0, 1)[0, 0] == -1.0
 
     def test_pairwise_orientation_symmetry(self):
         rng = np.random.default_rng(0)
         m = random_model(rng, n_nodes=4)
         phi = random_phi(rng, m)
         for (u, v) in m.edges:
-            for s in range(m.labels[u]):
-                for t in range(m.labels[v]):
-                    assert reparametrized_pairwise(m, phi, u, v, s, t) == \
-                        reparametrized_pairwise(m, phi, v, u, t, s)
+            assert np.array_equal(pairwise_costs(m, phi, u, v),
+                                  pairwise_costs(m, phi, v, u).T)
 
     def test_out_of_range_label_rejected(self):
         m = two_node_model()
         phi = Reparametrization(m)
         with pytest.raises((ValueError, IndexError)):
-            reparametrized_unary(m, phi, 0, 5)
+            unary_costs(m, phi, 0)[5]
 
 
 class TestEnergy:

@@ -6,9 +6,10 @@ from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            unary_costs)
 from dualbca.generate import random_model
 from dualbca.oracle import brute_force_min
-from dualbca.updates import (MessageCounter, WeightScheme, dp_update,
-                             handshake_update, mplp_update, node_aggregate,
-                             node_distribute, rdp_update, weights_for)
+from dualbca.solve import SolverConfig, _Run
+from dualbca.updates import (MessageCounter, dp_update, handshake_update,
+                             mplp_update, node_aggregate, node_distribute,
+                             rdp_update)
 
 
 def edge_model(t_u, t_v, t_uv):
@@ -103,24 +104,26 @@ class TestNodeDistribute:
 
 
 class TestWeightsFor:
+    # The distribution weights the node methods write into their programs.
     def star_model(self):
         # node 0 with neighbors 1..4
         edges = [(0, v) for v in range(1, 5)]
         return GraphicalModel([2] * 5, edges, [np.zeros(2)] * 5,
                               [np.zeros((2, 2))] * 4)
 
+    @staticmethod
+    def node_steps(model, method, u):
+        """(targets, weight) of every node operation at u, in pass order."""
+        prog = _Run(model, SolverConfig(method, max_passes=1)).program()
+        return [(v, r) for _, x, v, r in prog.ops if x == u]
+
     def test_msd(self):
-        w = weights_for(WeightScheme("msd"), self.star_model(), 0)
-        assert all(w[v] == 0.25 for v in range(1, 5))
+        assert self.node_steps(self.star_model(), "msd", 0) == \
+            [((1, 2, 3, 4), 0.25)]
 
     def test_cmp(self):
-        w = weights_for(WeightScheme("cmp"), self.star_model(), 0)
-        assert all(w[v] == 0.2 for v in range(1, 5))
-
-    def test_dp(self):
-        m = self.star_model()
-        w = weights_for(WeightScheme("dp", order=tuple(range(5))), m, 2)
-        assert w[0] == 0.0
+        assert self.node_steps(self.star_model(), "cmp", 0) == \
+            [((1, 2, 3, 4), 0.2)]
 
     def test_trws_interior_grid_node(self):
         # 3x3 grid, row-major: node 4 has N_in = N_out = 2
@@ -134,13 +137,8 @@ class TestWeightsFor:
                     edges.append((u, u + 3))
         m = GraphicalModel([2] * 9, edges, [np.zeros(2)] * 9,
                            [np.zeros((2, 2))] * len(edges))
-        w = weights_for(WeightScheme("trws", order=tuple(range(9))), m, 4)
-        assert w[5] == 0.5 and w[7] == 0.5
-        assert w[1] == 0.0 and w[3] == 0.0
-
-    def test_order_required(self):
-        with pytest.raises(ValueError):
-            weights_for(WeightScheme("trws"), self.star_model(), 0)
+        # forward sweep to the later neighbours, backward to the earlier
+        assert self.node_steps(m, "trws", 4) == [((5, 7), 0.5), ((1, 3), 0.5)]
 
 
 class TestMplpUpdate:

@@ -175,7 +175,7 @@ def test_program_from_random_phi_and_reuse():
             continue
         prog = Program(model)
         for b in compute_mmc_cover(model).blocks:
-            blk.emit_hm_chain(prog, b)
+            blk.emit_hm(prog, b)
             blk.emit_tbca(prog, b, plus=True)
         for b in compute_static_trees(model).blocks:
             blk.emit_tbca(prog, b)
