@@ -135,11 +135,6 @@ def tbca_pp_chain(model, phi, block, counter=None):
     run_program(model, phi, counter, emit_tbca, block, True)
 
 
-def tbca_tree(model, phi, block, counter=None, plus=False):
-    """Tree-BCA update on a tree (or chain) block; see :func:`emit_tbca`."""
-    run_program(model, phi, counter, emit_tbca, block, plus)
-
-
 def emit_tbca(prog, block, plus=False):
     """Append the (plus-)TBCA update of ``block`` to ``prog``.
 

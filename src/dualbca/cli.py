@@ -3,8 +3,8 @@
 Subcommands:
     solve   run one method on one instance, optionally writing a trace CSV
             and a summary JSON
-    bench   run a method matrix over a list of instances on a worker pool,
-            writing one trace CSV per run plus an aggregate CSV
+    bench   run a method matrix over a list of instances, one run after
+            another, writing one trace CSV per run plus an aggregate CSV
     verify  run the self-check battery on generated small instances
 
 Trace CSV columns: pass,messages,normalized_messages,dual,primal,wall_seconds.
@@ -165,17 +165,7 @@ def cmd_bench(args):
             trace_path = os.path.join(args.out_dir, f"{name}-{method}.csv")
             jobs.append((model, name, shift, method, config, trace_path,
                          mean_edges))
-    workers = min(len(jobs), os.cpu_count() or 1)
-    cap = os.environ.get("BCA_MAP_THREADS")
-    if cap:
-        workers = max(1, min(workers, int(cap)))
-    results = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_job, jobs))
-    else:
-        results = [_bench_job(j) for j in jobs]
+    results = [_bench_job(j) for j in jobs]
 
     agg_path = os.path.join(args.out_dir, "aggregate.csv")
     with open(agg_path, "w", newline="") as f:

@@ -26,8 +26,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import blocks as blk
 from . import covers
 from .model import Reparametrization, dual_value, energy, primal_round
@@ -35,6 +33,9 @@ from .updates import MessageCounter, Program
 
 METHODS = ("msd", "cmp", "trws", "mplp", "mplppp", "dmm", "tbca", "tbcapp",
            "spam")
+# A run stops once its dual rose by less than ``tol`` (relative) over this
+# many passes.
+_CONVERGENCE_WINDOW = 5
 
 
 @dataclass
@@ -48,7 +49,6 @@ class SolverConfig:
     tree_mode: str = "static"        # tbca/tbcapp only: static | dynamic
     node_order: list = None          # None = input order
     cover: str = "auto"              # dmm/tbca/spam: auto | mmc | rows_columns | ssp
-    convergence_window: int = 5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -225,9 +225,8 @@ def run(model, config):
         if config.max_seconds is not None and \
                 time.perf_counter() - t0 >= config.max_seconds:
             break
-        w = config.convergence_window
-        if len(trace) > w:
-            recent = [r.dual for r in trace[-(w + 1):]]
+        if len(trace) > _CONVERGENCE_WINDOW:
+            recent = [r.dual for r in trace[-(_CONVERGENCE_WINDOW + 1):]]
             scale = max(1.0, abs(recent[-1]))
             if (recent[-1] - recent[0]) / scale < config.tol:
                 break

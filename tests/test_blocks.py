@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dualbca.blocks import (Block, chain_block, emit_hm, emit_tbca, hm_chain,
-                            hm_tree, tbca_chain, tbca_pp_chain, tbca_tree,
-                            tree_block)
+                            hm_tree, tbca_chain, tbca_pp_chain, tree_block)
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            dual_value, unary_costs)
 from dualbca.generate import random_tree_model
@@ -13,6 +12,7 @@ from dualbca.oracle import (block_dual, brute_force_min, chain_min,
                             check_maximal_minorant, check_minorant)
 from dualbca.updates import (HANDSHAKE, PUSH, RDP, MessageCounter, Program,
                              handshake_update)
+from helpers import tbca_tree
 
 
 def chain_model(rng, n, labels=3):

@@ -118,12 +118,22 @@ class TestBench:
         rc = main(["bench", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BCA_MAP_THREADS", "1")
+    def test_runs_jobs_in_order(self, tmp_path, capsys):
         out = tmp_path / "bench"
-        rc = main(["bench", "--generate", "complete:5,3", "--methods",
-                   "mplppp", "--max-passes", "2", "--out-dir", str(out)])
+        rc = main(["bench", "--generate", "complete:5,3", "--generate",
+                   "sparse_grid:3,3", "--methods", "trws", "mplppp",
+                   "--max-passes", "2", "--out-dir", str(out)])
         assert rc == 0
+        with open(out / "aggregate.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        pairs = list(dict.fromkeys((r[0], r[1]) for r in rows))
+        assert pairs == [("complete-seed0", "trws"),
+                         ("complete-seed0", "mplppp"),
+                         ("sparse_grid-seed1", "trws"),
+                         ("sparse_grid-seed1", "mplppp")]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed[:4]] == \
+            [f"{name} {method}" for name, method in pairs]
 
 
 class TestVerify:

@@ -14,8 +14,8 @@ from dualbca.generate import random_phi
 from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
                            check_feasible, dual_value, energy, primal_round)
 from dualbca.solve import SolverConfig, run
-from dualbca.updates import (MessageCounter, message, node_aggregate,
-                             node_distribute, push_min_into)
+from dualbca.updates import MessageCounter
+from helpers import message, node_aggregate, node_distribute, push_min_into
 
 TOL = 1e-9
 

@@ -11,7 +11,8 @@ from dualbca.oracle import (ENUMERATION_GUARD, MinorantHypothesisError,
                             StateSpaceTooLarge, block_dual, brute_force_min,
                             chain_min, check_maximal_minorant, check_minorant,
                             energy_table)
-from dualbca.updates import dp_update, handshake_update, mplp_update
+from dualbca.updates import handshake_update, mplp_update
+from helpers import dp_update
 
 
 def two_node_model():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dualbca import covers
-from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
-                           dual_value, energy)
+from dualbca.model import GraphicalModel, check_feasible, energy
 from dualbca.generate import (generate_instance, random_model,
                               random_tree_model)
 from dualbca.oracle import brute_force_min, chain_min

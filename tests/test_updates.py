@@ -4,12 +4,14 @@ import pytest
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            dual_value, pairwise_costs, primal_round,
                            unary_costs)
-from dualbca.generate import random_model
+from dualbca.generate import random_model, random_phi
 from dualbca.oracle import brute_force_min
-from dualbca.solve import SolverConfig, _Run
-from dualbca.updates import (MessageCounter, dp_update, handshake_update,
-                             mplp_update, node_aggregate, node_distribute,
-                             rdp_update)
+from dualbca.solve import METHODS, SolverConfig, _Run
+from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
+                             MessageCounter, Program, handshake_update,
+                             mplp_update)
+from helpers import dp_update, node_aggregate, node_distribute, rdp_update
+from test_waves import models
 
 
 def edge_model(t_u, t_v, t_uv):
@@ -326,3 +328,35 @@ def test_all_updates_preserve_feasibility():
                                             for v in nb})
         assert check_feasible(m, phi)
         assert dual_value(m, phi) >= before - 1e-9
+
+
+def append_op(prog, kind, u, v, r):
+    """Append an operation as listed by ``Program.ops`` to ``prog``."""
+    if kind == STAR:
+        prog.star(u, r)
+    elif kind == TRWS:
+        prog.trws(u, v, r)
+    elif kind == RDP:
+        prog.rdp(u, v, r)
+    else:
+        add = {PUSH: prog.push, HANDSHAKE: prog.handshake, MPLP: prog.mplp}
+        add[kind](u, v)
+
+
+@pytest.mark.parametrize("method,tree_mode",
+                         [(m, "static") for m in METHODS]
+                         + [("tbca", "dynamic"), ("tbcapp", "dynamic")])
+def test_pass_is_bit_identical_to_its_ops_one_at_a_time(method, tree_mode):
+    # The waves and batches of a compiled pass leave phi bit for bit as
+    # its operations do when each runs as a program of its own.
+    rng = np.random.default_rng(30)
+    for model in models(1) + models(2):
+        prog = _Run(model, SolverConfig(method, tree_mode=tree_mode)).program()
+        phi = random_phi(rng, model, scale=2.0)
+        ref = phi.copy()
+        prog.run(phi)
+        for op in prog.ops:
+            one = Program(model)
+            append_op(one, *op)
+            one.run(ref)
+        assert np.array_equal(phi.buffer, ref.buffer)

@@ -14,9 +14,9 @@ from dualbca.generate import random_phi
 from dualbca.model import COST_CAP, GraphicalModel, Reparametrization
 from dualbca.solve import SolverConfig, _Run, run
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
-                             MessageCounter, Program, dp_update,
-                             handshake_update, message, mplp_update,
-                             push_min_into, rdp_update)
+                             MessageCounter, Program, handshake_update,
+                             mplp_update)
+from helpers import dp_update, message, push_min_into, rdp_update
 
 TOL = 1e-9
 MESSAGES = {RDP: 1, PUSH: 1, HANDSHAKE: 3, MPLP: 2}
