@@ -20,6 +20,12 @@ operations: ``msd`` and ``cmp`` one star update per node, ``trws`` one
 TRW-S step per node and sweep.  Node operations at adjacent nodes conflict
 and at non-adjacent nodes do not, so on a row-major grid a sweep runs as one
 batched wave per anti-diagonal.
+
+The blocks of a chain cover (``dmm``, ``spam``, and ``tbca``/``tbcapp``
+with an explicit ``cover``) are swept in one fixed order: the single edges
+first, in model edge order, then the longer chains by greedy colour class,
+so that the chains of a class, which share no node, run in the same waves.
+Spanning trees keep their order: each spans its whole component.
 """
 from __future__ import annotations
 
@@ -104,16 +110,42 @@ def _chain_cover(model, config):
         schedule = covers.compute_ssp_cover(model, config.seed)
     else:
         raise ValueError(f"unknown cover {kind!r}")
-    # Sweep blocks in canonical order and orientation each pass (extraction
-    # order and chain direction are artifacts of the cover construction, not
-    # part of its contract).
-    blocks = []
+    # Extraction order and chain direction are artifacts of the cover
+    # construction, not part of its contract.  A chain is swept from its
+    # smaller end.  The block order of a pass: single edges first, in model
+    # edge order (a cover of single edges is MPLP++'s sweep), then the
+    # longer chains colour class by colour class (see
+    # :func:`_colour_classes`).  Chains of one class share no node, so their
+    # updates run in the same waves.
+    edges, chains = [], []
     for b in schedule.blocks:
-        if b.kind in ("edge", "chain") and b.nodes[0] > b.nodes[-1]:
+        if b.nodes[0] > b.nodes[-1]:
             b = blk.chain_block(model, b.nodes[::-1])
-        blocks.append(b)
-    blocks.sort(key=lambda b: b.nodes)
-    return covers.BlockSchedule(schedule.origin, blocks)
+        (edges if len(b.nodes) == 2 else chains).append(b)
+    edges.sort(key=lambda b: model.edge_id(*b.nodes))
+    chains = [b for c in _colour_classes(chains) for b in c]
+    return covers.BlockSchedule(schedule.origin, edges + chains)
+
+
+def _colour_classes(blocks):
+    """Greedy colour classes of ``blocks``, each in canonical order.
+
+    Longest first (ties by node tuple), each block takes the smallest
+    colour that no block sharing a node with it has.
+    """
+    used = {}                       # node -> bit mask of its blocks' colours
+    classes = []
+    for b in sorted(blocks, key=lambda b: (-len(b.nodes), b.nodes)):
+        taken = 0
+        for u in b.nodes:
+            taken |= used.get(u, 0)
+        c = (~taken & (taken + 1)).bit_length() - 1     # lowest free colour
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(b)
+        for u in b.nodes:
+            used[u] = used.get(u, 0) | 1 << c
+    return [sorted(c, key=lambda b: b.nodes) for c in classes]
 
 
 def _emit_trws(prog, model, order):

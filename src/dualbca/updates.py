@@ -46,7 +46,10 @@ class MessageCounter:
 # earlier operation it conflicts with.  A wave runs as numpy batches of
 # operations that share kind and target layout (the orientation and table
 # shape of each target, and for a star update the row of each), and leaves
-# phi bit for bit as running its operations one at a time would.
+# phi bit for bit as running its operations one at a time would.  For edge
+# operations on square tables the orientation is not part of the layout: a
+# batch holds both, the ones where u is the canonical first endpoint first,
+# and each operation's record says which it is.
 
 RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)
 _MESSAGES = (1, 1, 3, 2, 1, 1)       # messages charged per target, by kind
@@ -54,19 +57,24 @@ _OWN = (1, 0, 2, 2, 1, 0)            # endpoints whose phi rows a kind reads
 _BATCH_TARGETS = 256                 # most targets per batch
 
 # Columns of a compiled operation's integers: for u and then for its first
-# target v the start of theta_x, of x's phi rows and x's degree; then per
-# target the edge's position in its shape block, then per target the start
-# of phi_{u,v}, then per target the start of phi_{v,u}.  Starts index
+# target v the start of theta_x, of x's phi rows and x's degree; then 1 if u
+# is the canonical first endpoint of the first target's edge, else 0; then
+# per target the edge's position in its shape block, then per target the
+# start of phi_{u,v}, then per target the start of phi_{v,u}.  Starts index
 # ``Reparametrization.buffer`` (theta, then phi).  Targets are ordered by
-# part (orientation and shape block), then by row of u.
-_U, _V, _TARGETS = 0, 3, 6
+# part (shape block, and orientation unless the tables are square), then by
+# row of u.
+_U, _V, _FIRST, _TARGETS = 0, 3, 6, 7
 _THETA, _ROWS, _DEG = 0, 1, 2           # offsets within the _U and _V columns
 
 
 class _Part(NamedTuple):
-    """The targets of a batch whose edges share orientation and block."""
+    """The targets of a batch whose edges share a shape block, and
+    orientation unless the tables are square."""
 
-    first: bool             # u is the canonical first endpoint of each edge
+    first: object           # u is the canonical first endpoint of each edge:
+                            # True, False, or None where both occur (the
+                            # edges with u first come first)
     table: np.ndarray       # shape block holding the edges' tables
     lab_v: int
     many: bool              # more than one target
@@ -260,18 +268,27 @@ class Program:
         entry = np.searchsorted(
             np.repeat(np.arange(n_nodes), model._degree) * n_nodes
             + model._inc_nbr, u[op] * n_nodes + targets)
-        # Part of each target: its orientation and shape block.
+        # Part of each target: side * n_blocks + shape block, where side is
+        # 1 if u is the edge's canonical first endpoint, 0 if not, and 2 (any)
+        # for an edge operation on a square table.  (A node operation's
+        # orientations follow its rows: freeing them would merge no batches,
+        # only split its parts' kernels in two.)
         n_blocks = len(model._shape_groups)
-        part = (targets > u[op]) * n_blocks \
-            + model._edge_block[model._inc_edge[entry]]
+        block = model._edge_block[model._inc_edge[entry]]
+        first = targets > u[op]
+        square = np.array([g.block.shape[1] == g.block.shape[2]
+                           for g in model._shape_groups])[block] \
+            & (kind[op] < TRWS)
+        part = np.where(square, 2, first) * n_blocks + block
         row = entry - model._inc_ptr[u[op]]
         by = np.lexsort((row, part, op))
         entry, part, row = entry[by], part[by], row[by]
+        first, square = first[by], square[by]
         # The layout of an operation: its kind, then per target the code
-        # (row + 1) * 2 * n_blocks + part, with row -1 but for a star update.
+        # (row + 1) * 3 * n_blocks + part, with row -1 but for a star update.
         # Layouts are compared in groups of target counts up to a power of
         # two, padded with code -1.
-        code = np.append(np.where(kind[op] == STAR, row + 1, 0) * 2 * n_blocks
+        code = np.append(np.where(kind[op] == STAR, row + 1, 0) * 3 * n_blocks
                          + part, -1)
         layout = np.empty(n, dtype=np.int64)
         layouts = []
@@ -283,11 +300,14 @@ class Program:
             keys, which = _unique_rows(np.column_stack((kind[sel], code[at])))
             layout[sel] = len(layouts) + which
             layouts += keys.tolist()
+        # Batches by wave and layout; within a batch, operations whose first
+        # target has u first go first, so that an orientation-free part is
+        # two runs.
         key = waves * len(layouts) + layout
-        order = np.argsort(key, kind="stable")
+        order = np.lexsort((~first[op_start], key))
         starts = _batch_starts(key[order],
                                np.maximum(1, _BATCH_TARGETS // count[order]))
-        seg = np.cumsum(np.append(0, 6 + 3 * count[order]))   # ints of ops
+        seg = np.cumsum(np.append(0, _TARGETS + 3 * count[order]))
         ints = np.empty(seg[-1], dtype=np.int64)
         phi_at = model._unary_flat.size     # start of phi in the buffer
         at = seg[:-1]
@@ -295,17 +315,23 @@ class Program:
             ints[at + col + _THETA] = model.label_offsets[node]
             ints[at + col + _ROWS] = model._phi_start[node] + phi_at
             ints[at + col + _DEG] = model._degree[node]
+        ints[at + _FIRST] = first[op_start[order]]
         place = np.empty(n, dtype=np.int64)
         place[order] = at
         col = place[op] + _TARGETS + np.arange(len(op)) - op_start[op]
         ints[col] = model._edge_pos[model._inc_edge[entry]]
         ints[col + count[op]] = model._inc_phi[entry] + phi_at
         ints[col + 2 * count[op]] = model._inc_back[entry] + phi_at
-        # A batch's spec: layout, r = 1 throughout, then for u and v the
-        # widest read node's degree, to which rows are padded, and whether
-        # all read nodes have it.
+        # A batch's spec: layout, r = 1 throughout, the orientations of its
+        # square tables (1: u first throughout, 2: v first throughout, 3:
+        # both), then for u and v the widest read node's degree, to which
+        # rows are padded, and whether all read nodes have it.
         spec = [layout[order[starts]],
                 np.logical_and.reduceat(r[order] == 1.0, starts)]
+        sides = [np.logical_or.reduceat(square & f, op_start)[order]
+                 for f in (first, ~first)]
+        spec.append(np.logical_or.reduceat(sides[0], starts)
+                    + 2 * np.logical_or.reduceat(sides[1], starts))
         own = np.take(_OWN, kind[order])
         for k, x in enumerate((_U, _V)):
             deg = np.where(own > k, ints[at + x + _DEG], 0)
@@ -345,19 +371,39 @@ def _batch_starts(key, size):
 
 
 def _unique_rows(a):
-    """The distinct rows of an integer matrix and, per row, its index among
-    them (``np.unique(axis=0)`` sorts the rows as bytes, far slower)."""
-    order = np.lexsort(a.T[::-1])
-    a = a[order]
-    new = np.append(True, np.any(a[1:] != a[:-1], axis=1))
+    """The distinct rows of an integer matrix, in lexicographic order, and
+    per row its index among them.
+
+    Rows whose columns' ranges fit 62 bits together are packed into one
+    int64 key each; the rest are sorted column by column
+    (``np.unique(axis=0)`` sorts the rows as bytes, far slower).
+    """
+    low = a.min(axis=0)
+    bits = [int(x).bit_length() for x in (a.max(axis=0) - low).tolist()]
+    if sum(bits) <= 62:
+        key = np.zeros(len(a), dtype=np.int64)
+        for j, b in enumerate(bits):
+            if b:
+                key <<= b
+                key |= a[:, j] - low[j]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.append(True, key[1:] != key[:-1])
+    else:
+        order = np.lexsort(a.T[::-1])
+        s = a[order]
+        new = np.append(True, np.any(s[1:] != s[:-1], axis=1))
     which = np.empty(len(a), dtype=np.int64)
     which[order] = np.cumsum(new) - 1
-    return a[new], which
+    return a[order[new]], which
 
 
-def _spec(model, layout, unit, deg_u, full_u, deg_v, full_v, gathers):
+def _spec(model, layout, unit, sides, deg_u, full_u, deg_v, full_v,
+          gathers):
     """The :class:`_Spec` of the batches with this layout (kind, then a
-    code of each target's part and row) and these padded degrees.
+    code of each target's part and row), these orientations of their square
+    tables (1: u first throughout, 2: v first throughout, 3: both) and these
+    padded degrees.
 
     ``gathers`` shares the gather pattern between layouts that differ only
     in the targets' orientations and blocks, as the node operations of K_n
@@ -365,19 +411,20 @@ def _spec(model, layout, unit, deg_u, full_u, deg_v, full_v, gathers):
     """
     kind, codes = layout[0], [z for z in layout[1:] if z >= 0]
     n_blocks, c, own = len(model._shape_groups), len(codes), _OWN[kind]
-    parts_of = [z % (2 * n_blocks) for z in codes]
-    first, block = divmod(parts_of[0], n_blocks)
-    lab = model._shape_groups[block].block.shape[2 - first]
+    parts_of = [z % (3 * n_blocks) for z in codes]
+    side, block = divmod(parts_of[0], n_blocks)
+    lab = model._shape_groups[block].block.shape[2 - side % 2]
     uv = lab * ((kind != PUSH) + deg_u * (own > 0))
     vu = uv + c * lab
     cut = [t for t in range(1, c) if parts_of[t] != parts_of[t - 1]]
     parts, lab_vs = [], []
     for t0, t1 in zip([0] + cut, cut + [c]):
-        first, block = divmod(parts_of[t0], n_blocks)
+        side, block = divmod(parts_of[t0], n_blocks)
         table = model._shape_groups[block].block
         back = vu + sum(lab_vs)
-        lab_vs += [table.shape[1 + first]] * (t1 - t0)
-        parts.append(_Part(bool(first), table, lab_vs[-1], t1 - t0 > 1,
+        lab_vs += [table.shape[1 + side % 2]] * (t1 - t0)
+        first = bool(side) if side < 2 else {1: True, 2: False}.get(sides)
+        parts.append(_Part(first, table, lab_vs[-1], t1 - t0 > 1,
                            _TARGETS + t0 if t1 - t0 == 1 else
                            slice(_TARGETS + t0, _TARGETS + t1),
                            slice(uv + t0 * lab, uv + t1 * lab),
@@ -404,7 +451,7 @@ def _spec(model, layout, unit, deg_u, full_u, deg_v, full_v, gathers):
     # :func:`_excess`; a star update's rows are its targets' phi_{u,v}.
     excess = slice(0, uv)
     if kind == STAR:
-        rows = [z // (2 * n_blocks) - 1 for z in codes]
+        rows = [z // (3 * n_blocks) - 1 for z in codes]
         excess = slice(0, vu)
         if rows != sorted(rows):
             slot = np.argsort(rows)
@@ -435,24 +482,40 @@ def _excess(part, lab):
     return np.subtract.reduce(part.reshape(len(part), -1, lab), axis=1)
 
 
-def _marginal(tab, first, p_uv, p_vu, axis):
-    """Minima over ``axis`` (1: Y_a, 2: Y_b) of theta^phi of a batch of
-    edges in canonical orientation, (m, L_a, L_b), summed with the operand
-    order of :func:`dualbca.model.pairwise_costs`.
+def _marginal(tab, k, p_uv, p_vu, over_u):
+    """Minima over Y_u (``over_u``: the u -> v messages) or over Y_v of
+    theta^phi of a batch of edges, whose tables ``tab`` are in canonical
+    orientation, (m, L_a, L_b); theta^phi is summed with the operand order
+    of :func:`dualbca.model.pairwise_costs`.
 
-    theta^phi is laid out with the reduced axis first, so that numpy
-    reduces it as a few elementwise minima over whole slabs; reducing a
-    short inner axis goes a few elements at a time and is about twice as
-    slow on tables of 4x4 to 16x16.
+    u is the canonical first endpoint of the first k edges and the second
+    of the rest (both occur only on square tables); each run is summed as a
+    batch of its own.  theta^phi is laid out with the reduced axis first, so
+    that numpy reduces it as a few elementwise minima over whole slabs;
+    reducing a short inner axis goes a few elements at a time and is about
+    twice as slow on tables of 4x4 to 16x16.
     """
+    if 0 < k < len(tab):
+        return np.concatenate((
+            _marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u),
+            _marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u)))
+    first = k > 0
     p_a, p_b = (p_uv, p_vu) if first else (p_vu, p_uv)
-    if axis == 1:
+    if first == over_u:                 # minima over Y_a
         t = np.add(tab.transpose(1, 0, 2), p_a.T[:, :, None], order="C")
         t += p_b
     else:
         t = np.add(tab.transpose(2, 0, 1), p_a, order="C")
         t += p_b.T[:, :, None]
     return np.minimum.reduce(t, axis=0)
+
+
+def _u_first(ops, p, n):
+    """How many of the n edges of part p have u as their canonical first
+    endpoint; they come first."""
+    if p.first is None:                 # an edge operation's only target
+        return int(np.count_nonzero(ops[:, _FIRST]))
+    return n if p.first else 0
 
 
 def _run_star(buf, ops, r, g):
@@ -477,8 +540,8 @@ def _run_star(buf, ops, r, g):
         if p.many:              # (m, c * L) values to (m * c, L)
             pos, a, b = pos.ravel(), a.reshape(-1, lab), b.reshape(-1, p.lab_v)
         # A star update pulls v -> u (minima over Y_v), the rest push u -> v.
-        d = _marginal(p.table.take(pos, axis=0), p.first, a, b,
-                      2 if p.first == (kind == STAR) else 1)
+        d = _marginal(p.table.take(pos, axis=0), _u_first(ops, p, len(pos)),
+                      a, b, kind != STAR)
         out = p_uv if kind == STAR else p_vu
         out -= d.reshape(out.shape) if p.many else d
     if kind == STAR:
@@ -503,14 +566,13 @@ def _run_pair(buf, ops, r, g):
     p_uv, p_vu = x[:, a:b], x[:, b:c]
     p_uv += _excess(x[:, :a], g.lab)
     p_vu += _excess(x[:, c:], p.lab_v)
-    to_u, to_v = (2, 1) if p.first else (1, 2)   # axis of Y_v, of Y_u
-    tab = p.table.take(ops[:, p.pos], axis=0)
-    p_uv -= 0.5 * _marginal(tab, p.first, p_uv, p_vu, to_u)
+    tab, k = p.table.take(ops[:, p.pos], axis=0), _u_first(ops, p, len(ops))
+    p_uv -= 0.5 * _marginal(tab, k, p_uv, p_vu, False)
     if g.kind == MPLP:
-        p_vu -= 0.5 * _marginal(tab, p.first, p_uv, p_vu, to_v)
+        p_vu -= 0.5 * _marginal(tab, k, p_uv, p_vu, True)
     else:
-        p_vu -= _marginal(tab, p.first, p_uv, p_vu, to_v)
-        p_uv -= _marginal(tab, p.first, p_uv, p_vu, to_u)
+        p_vu -= _marginal(tab, k, p_uv, p_vu, True)
+        p_uv -= _marginal(tab, k, p_uv, p_vu, False)
     buf[idx[:, a:c]] = x[:, a:c]
 
 

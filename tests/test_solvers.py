@@ -8,8 +8,8 @@ from dualbca.model import GraphicalModel, check_feasible, energy
 from dualbca.generate import (generate_instance, random_model,
                               random_tree_model)
 from dualbca.oracle import brute_force_min, chain_min
-from dualbca.solve import (METHODS, SolverConfig, TraceRecord,
-                           normalize_messages, run)
+from dualbca.solve import (METHODS, SolverConfig, TraceRecord, _chain_cover,
+                           _colour_classes, _Run, normalize_messages, run)
 
 
 def chain_model(rng, n, labels=3):
@@ -195,6 +195,67 @@ class TestSpamVsMplppp:
             _, _, tb = run(m, SolverConfig(method="mplppp", max_passes=300))
             da, db = ta[-1].dual, tb[-1].dual
             assert abs(da - db) <= 1e-6 * max(1.0, abs(da), abs(db))
+
+
+class TestBlockOrder:
+    """The block order of a chain cover: single edges first, in model edge
+    order, then the longer chains by greedy colour class."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(40)
+        for h, w in ((5, 7), (8, 8)):
+            m = generate_instance("sparse_grid", height=h, width=w, seed=h)
+            for cover in ("ssp", "mmc", "rows_columns"):
+                yield m, cover
+        for _ in range(8):
+            m = random_model(rng, n_nodes=int(rng.integers(6, 16)),
+                             edge_prob=0.35)
+            for cover in ("ssp", "mmc"):
+                yield m, cover
+
+    def test_classes_share_no_node_and_order_the_schedule(self):
+        for m, cover in self.cases():
+            for seed in range(2):
+                cfg = SolverConfig("dmm", cover=cover, seed=seed)
+                blocks = _chain_cover(m, cfg).blocks
+                edges = [b for b in blocks if len(b.nodes) == 2]
+                chains = blocks[len(edges):]
+                assert all(len(b.nodes) > 2 for b in chains)
+                assert [m.edge_id(*b.nodes) for b in edges] == \
+                    sorted(m.edge_id(*b.nodes) for b in edges)
+                classes = _colour_classes(chains)
+                assert [b for c in classes for b in c] == list(chains)
+                for k, c in enumerate(classes):
+                    assert [b.nodes for b in c] == sorted(b.nodes for b in c)
+                    nodes = [u for b in c for u in b.nodes]
+                    assert len(nodes) == len(set(nodes))
+                    # Greedy: a block of class k meets every earlier class.
+                    for b in c:
+                        for earlier in classes[:k]:
+                            assert any(set(b.nodes) & set(a.nodes)
+                                       for a in earlier)
+
+    def test_cover_blocks_unchanged(self):
+        build = {"ssp": lambda m: covers.compute_ssp_cover(m, 0),
+                 "mmc": covers.compute_mmc_cover,
+                 "rows_columns": covers.rows_columns_cover}
+        for m, cover in self.cases():
+            ordered = _chain_cover(m, SolverConfig("spam", cover=cover))
+            raw = build[cover](m)
+            assert sorted(sorted(b.edges) for b in ordered.blocks) == \
+                sorted(sorted(b.edges) for b in raw.blocks)
+            for b in ordered.blocks:
+                assert b.nodes[0] < b.nodes[-1]
+                assert b.edges == tuple(tuple(sorted(e))
+                                        for e in zip(b.nodes, b.nodes[1:]))
+
+    def test_complete_graph_spam_program_is_mplppp(self):
+        for n in (3, 6, 9):
+            m = generate_instance("complete", n_nodes=n, labels=3, seed=n)
+            spam = _Run(m, SolverConfig("spam", seed=n)).program()
+            mplppp = _Run(m, SolverConfig("mplppp")).program()
+            assert spam.ops == mplppp.ops
 
 
 class TestCustomOrderAndCovers:

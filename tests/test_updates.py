@@ -360,3 +360,46 @@ def test_pass_is_bit_identical_to_its_ops_one_at_a_time(method, tree_mode):
             append_op(one, *op)
             one.run(ref)
         assert np.array_equal(phi.buffer, ref.buffer)
+
+
+def assert_bit_identical_to_one_at_a_time(prog, model, rng):
+    phi = random_phi(rng, model, scale=2.0)
+    ref = phi.copy()
+    prog.run(phi)
+    for op in prog.ops:
+        one = Program(model)
+        append_op(one, *op)
+        one.run(ref)
+    assert np.array_equal(phi.buffer, ref.buffer)
+
+
+def path_model(rng, n, labels=3):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return GraphicalModel([labels] * n, edges,
+                          [rng.uniform(0, 2, labels) for _ in range(n)],
+                          [rng.uniform(0, 2, (labels, labels))
+                           for _ in edges])
+
+
+def batch_count(prog, model):
+    prog.run(Reparametrization(model))
+    return len(prog._plan[2][0])
+
+
+@pytest.mark.parametrize("kind", [RDP, HANDSHAKE])
+def test_square_tables_batch_both_orientations_together(kind):
+    # Edge operations on square tables with alternating orientations: one
+    # batch per wave, bit for bit as one operation at a time.
+    rng = np.random.default_rng(32)
+    model = path_model(rng, 13)
+    prog = Program(model)
+    for parity in (0, 1):
+        for i in range(parity, 12, 2):
+            u, v = (i, i + 1) if (i // 2) % 2 == 0 else (i + 1, i)
+            if kind == RDP:
+                prog.rdp(u, v, 0.25 + 0.75 * (i % 3 == 0))
+            else:
+                prog.handshake(u, v)
+    assert max(prog.waves()) + 1 == 2
+    assert batch_count(prog, model) == 2
+    assert_bit_identical_to_one_at_a_time(prog, model, rng)

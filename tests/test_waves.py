@@ -10,12 +10,12 @@ import itertools
 import numpy as np
 import pytest
 
-from dualbca.generate import random_phi
+from dualbca.generate import generate_instance, random_phi
 from dualbca.model import COST_CAP, GraphicalModel, Reparametrization
 from dualbca.solve import SolverConfig, _Run, run
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
-                             MessageCounter, Program, handshake_update,
-                             mplp_update)
+                             MessageCounter, Program, _unique_rows,
+                             handshake_update, mplp_update)
 from helpers import dp_update, message, push_min_into, rdp_update
 
 TOL = 1e-9
@@ -471,3 +471,30 @@ def test_zero_pass_runs_compile_no_program(method, monkeypatch):
         phi, _, trace = run(model, SolverConfig(method, max_passes=0,
                                                 tree_mode=tree_mode))
         assert phi.is_zero() and len(trace) == 1
+
+
+def test_chain_cover_program_shape_on_the_32x32_grid():
+    # Counted, not timed: colour-class block order and orientation-free
+    # batches on square tables keep the chain programs wide.
+    model = generate_instance("sparse_grid", height=32, width=32, labels=8,
+                              seed=0)
+    shape = {}
+    for method in ("spam", "dmm"):
+        state = _Run(model, SolverConfig(method))
+        prog = state.program()
+        state.do_pass()
+        shape[method] = max(prog.waves()) + 1, len(prog._plan[2][0])
+    assert shape["spam"][0] <= 300 and shape["spam"][1] <= 600
+    assert shape["dmm"][1] <= 110
+
+
+def test_unique_rows_packed_and_unpacked():
+    rng = np.random.default_rng(33)
+    for high in (2, 50, 2**20, 2**40):
+        for cols in (1, 3, 6):
+            a = rng.integers(-1, high, (200, cols))
+            a[100:] = a[:100]           # duplicates
+            keys, which = _unique_rows(a)
+            ref, inverse = np.unique(a, axis=0, return_inverse=True)
+            assert np.array_equal(keys, ref)
+            assert np.array_equal(which, inverse.ravel())
