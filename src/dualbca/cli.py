@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .generate import REGIMES, generate_instance
-from .solve import METHODS, SolverConfig, normalize_messages, run
+from .solve import COVERS, METHODS, SolverConfig, normalize_messages, run
 from .uai import parse_uai
 from .verify import run_all
 
@@ -195,8 +195,7 @@ def _add_run_flags(p):
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", choices=("input", "random"), default="input")
-    p.add_argument("--cover", default="auto",
-                   choices=("auto", "mmc", "rows_columns", "ssp"))
+    p.add_argument("--cover", default="auto", choices=COVERS)
     p.add_argument("--tree-mode", default="static",
                    choices=("static", "dynamic"))
     p.add_argument("--probabilities", action="store_true",

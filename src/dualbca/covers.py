@@ -5,7 +5,7 @@ chains, greedily re-weighted spanning trees) plus gap-scored dynamic trees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,9 @@ from .model import edge_chunks, node_costs, node_minima
 class BlockSchedule:
     origin: str              # mmc | ssp | static_trees | dynamic_trees | rows_columns
     blocks: tuple
-    coverage: frozenset = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        cov = frozenset(e for b in self.blocks for e in b.edges)
-        object.__setattr__(self, "coverage", cov)
 
 
 def compute_mmc_cover(model, order=None):
@@ -71,110 +68,85 @@ def rows_columns_cover(model):
     return BlockSchedule("rows_columns", chains)
 
 
-def _bfs_dist_count(indptr, indices, src, n, alive=None):
-    """BFS distances from ``src`` (-1 when unreached) and shortest-path
-    counts capped at 2 (only ==1 matters).
+def _bfs_live_paths(model, start, alive):
+    """Level-synchronous BFS of the full graph from ``start``.
 
-    Level-synchronous: each level gathers all CSR entries of its frontier at
-    once and sums the path counts reaching each new node with one bincount.
-    With ``alive`` (one flag per CSR entry) dead entries are skipped.
+    Returns, per node: the full-graph distance (-1 when unreached); the
+    number of those shortest paths whose edges are all ``alive`` (one flag
+    per edge), capped at 2; and, where that count is positive, the edge of
+    the last step of one such path (-1 elsewhere).  Each level gathers its
+    frontier's CSR entries at once and sums the live path counts reaching
+    each new node with one bincount.  The BFS stops at a frontier
+    without live paths, as no node beyond it can get one, and once it has
+    reached every node.
     """
+    ptr, nbr, edge = model._inc_ptr, model._inc_nbr, model._inc_edge
+    n = model.n_nodes
     dist = np.full(n, -1, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
-    dist[src] = 0
-    count[src] = 1
-    frontier = np.array([src], dtype=np.int64)
+    via = np.full(n, -1, dtype=np.int64)
+    dist[start] = 0
+    count[start] = 1
+    frontier = np.array([start], dtype=np.int64)
     level = 0
-    while frontier.size:
+    seen = 1
+    while seen < n and count[frontier].any():
         level += 1
-        starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
+        lens = model._degree[frontier]
         ends = np.cumsum(lens)
-        entry = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
-        paths = np.repeat(count[frontier], lens)
-        if alive is not None:
-            keep = alive[entry]
-            entry, paths = entry[keep], paths[keep]
-        nbr = indices[entry]
-        new = dist[nbr] < 0
-        nbr, paths = nbr[new], paths[new]
-        dist[nbr] = level
+        entry = np.repeat(ptr[frontier] - ends + lens, lens) + np.arange(ends[-1])
+        paths = np.repeat(count[frontier], lens) * alive[edge[entry]]
+        new = dist[nbr[entry]] < 0
+        entry, paths = entry[new], paths[new]
+        reached = nbr[entry]
+        dist[reached] = level
         frontier = np.flatnonzero(dist == level)
+        seen += frontier.size
         count[frontier] = np.minimum(
-            np.bincount(nbr, weights=paths)[frontier], 2)
-    return dist, count
-
-
-def _csr(n, src, dst):
-    """Directed CSR adjacency from parallel endpoint arrays."""
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst.astype(np.int64)
+            np.bincount(reached, weights=paths)[frontier], 2)
+        step = entry[paths > 0]
+        via[nbr[step]] = edge[step]
+    return dist, count, via
 
 
 def compute_ssp_cover(model, seed=0):
     """Partition of the edges into strictly-shortest-path chains.
 
     Repeatedly picks a random start vertex with uncovered incident edges,
-    finds the most distant vertex reached by a unique shortest path in the
-    residual (uncovered) graph, extracts that path as a chain and removes
-    its edges.  A chain additionally may not be longer than the start-to-end
-    distance in the full graph: if a direct shorter connection exists the
-    detour is not treated as a shortest path.  In complete graphs this
-    reduces to single-edge blocks.
+    finds the most distant vertex (lowest index on ties) reached by a
+    unique shortest path in the residual (uncovered) graph, extracts that
+    path as a chain and removes its edges.  A chain additionally may not be
+    longer than the start-to-end distance in the full graph: if a direct
+    shorter connection exists the detour is not treated as a shortest path.
+    In complete graphs this reduces to single-edge blocks.
+
+    One BFS of the full graph per chain decides both conditions: it counts,
+    over the full graph's shortest paths, those whose edges are all
+    uncovered.  A residual path is a full-graph path, so the residual
+    distance is never below the full one; the count is therefore positive
+    exactly when the two distances are equal, and then it is the number of
+    residual shortest paths.  An end is strict exactly when the count is 1.
     """
-    n = model.n_nodes
     if model.n_edges == 0:
         return BlockSchedule("ssp", [])
     rng = np.random.default_rng(seed)
-    e_u = np.array([u for u, _ in model.edges], dtype=np.int64)
-    e_v = np.array([v for _, v in model.edges], dtype=np.int64)
-    edge_ids = np.arange(model.n_edges)
-    # One CSR of the full graph; the residual graph is its entries whose
-    # edge is still alive, in the same order.
-    indptr, indices = _csr(n, np.concatenate([e_u, e_v]),
-                           np.concatenate([e_v, e_u]))
-    entry_edge = np.concatenate([edge_ids, edge_ids])[
-        np.argsort(np.concatenate([e_u, e_v]), kind="stable")]
-
     alive = np.ones(model.n_edges, dtype=bool)
-    degree = np.zeros(n, dtype=np.int64)
-    np.add.at(degree, e_u, 1)
-    np.add.at(degree, e_v, 1)
+    degree = model._degree.copy()
     chains = []
-    full = {}               # start -> distances in the full graph (int32)
     while alive.any():
-        live = alive[entry_edge]
-        candidates = np.flatnonzero(degree > 0)
-        start = int(rng.choice(candidates))
-        dist, count = _bfs_dist_count(indptr, indices, start, n, live)
-        if start not in full:
-            full[start] = _bfs_dist_count(
-                indptr, indices, start, n)[0].astype(np.int32)
-        dist_full = full[start]
-        strict = (dist >= 1) & (count == 1) & (dist == dist_full)
-        ends = np.flatnonzero(strict)
-        end = int(ends[np.argmax(dist[ends])])  # argmax returns lowest index on ties
-        # Trace the unique shortest path back from the end.
-        path = [end]
-        node = end
+        start = int(rng.choice(np.flatnonzero(degree > 0)))
+        dist, count, via = _bfs_live_paths(model, start, alive)
+        ends = np.flatnonzero((count == 1) & (dist >= 1))
+        node = int(ends[np.argmax(dist[ends])])  # argmax returns lowest index on ties
+        path = [node]
         while node != start:
-            for k in range(indptr[node], indptr[node + 1]):
-                w = indices[k]
-                if live[k] and dist[w] == dist[node] - 1 and count[w] == 1:
-                    node = int(w)
-                    break
+            a, b = model.edges[via[node]]
+            node = a if b == node else b
             path.append(node)
         path.reverse()
-        for a, b in zip(path, path[1:]):
-            e = model.edge_id(a, b)
-            alive[e] = False
-            degree[a] -= 1
-            degree[b] -= 1
+        alive[via[path[1:]]] = False
+        degree[path[:-1]] -= 1
+        degree[path[1:]] -= 1
         chains.append(chain_block(model, path))
     return BlockSchedule("ssp", chains)
 

@@ -39,6 +39,7 @@ from .updates import MessageCounter, Program
 
 METHODS = ("msd", "cmp", "trws", "mplp", "mplppp", "dmm", "tbca", "tbcapp",
            "spam")
+COVERS = ("auto", "mmc", "rows_columns", "ssp")
 # A run stops once its dual rose by less than ``tol`` (relative) over this
 # many passes.
 _CONVERGENCE_WINDOW = 5
@@ -59,8 +60,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.tol <= 0:
+        for name in ("max_passes", "max_messages", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:     # NaN fails too
+                raise ValueError(f"{name} must be non-negative")
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.cover not in COVERS:
+            raise ValueError(f"unknown cover {self.cover!r}")
         if self.tree_mode not in ("static", "dynamic"):
             raise ValueError(f"unknown tree_mode {self.tree_mode!r}")
         if self.max_passes is None and self.max_messages is None \
@@ -106,10 +113,8 @@ def _chain_cover(model, config):
         schedule = covers.compute_mmc_cover(model, _node_order(model, config))
     elif kind == "rows_columns":
         schedule = covers.rows_columns_cover(model)
-    elif kind == "ssp":
-        schedule = covers.compute_ssp_cover(model, config.seed)
     else:
-        raise ValueError(f"unknown cover {kind!r}")
+        schedule = covers.compute_ssp_cover(model, config.seed)
     # Extraction order and chain direction are artifacts of the cover
     # construction, not part of its contract.  A chain is swept from its
     # smaller end.  The block order of a pass: single edges first, in model

@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dualbca
 from dualbca.cli import main
 from dualbca.generate import generate_instance
 from dualbca.uai import write_uai
@@ -59,6 +61,11 @@ class TestSolve:
     def test_missing_model_file_exits_1(self):
         rc = main(["solve", "--model", "/does/not/exist.uai",
                    "--method", "spam", "--max-passes", "1"])
+        assert rc == 1
+
+    def test_nan_tol_exits_1(self):
+        rc = main(["solve", "--generate", "sparse_grid:3", "--method", "msd",
+                   "--max-passes", "1", "--tol", "nan"])
         assert rc == 1
 
     def test_malformed_model_exits_1(self, tmp_path):
@@ -142,8 +149,12 @@ class TestVerify:
 
 
 def test_console_script_installed(tmp_path):
+    # The child imports the package this suite imports, installed or not.
+    root = os.path.dirname(os.path.dirname(dualbca.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     res = subprocess.run([sys.executable, "-m", "dualbca.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
     assert res.returncode == 0
     assert "solve" in res.stdout and "bench" in res.stdout
 

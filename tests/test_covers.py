@@ -4,7 +4,8 @@ import pytest
 from dualbca.covers import (BlockSchedule, compute_dynamic_forest,
                             compute_mmc_cover, compute_ssp_cover,
                             compute_static_trees, gap_scores,
-                            rows_columns_cover, _csr, _spanning_forest)
+                            rows_columns_cover, _bfs_live_paths,
+                            _spanning_forest)
 from dualbca.model import GraphicalModel, Reparametrization, primal_round
 from dualbca.generate import generate_instance, random_model
 from dualbca.oracle import count_shortest_paths
@@ -18,6 +19,29 @@ def graph_model(n, edges, labels=2, grid_shape=None):
 
 def complete_model(n):
     return graph_model(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def covered(schedule):
+    return {e for b in schedule.blocks for e in b.edges}
+
+
+def adjacency(n, edges):
+    adj = {u: [] for u in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def bfs_distances(adj, src):
+    """Plain BFS distances from ``src``; unreached nodes are absent."""
+    dist, queue = {src: 0}, [src]
+    for u in queue:
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def assert_partition(model, schedule):
@@ -75,21 +99,38 @@ class TestSspCover:
             assert_partition(m, cover)
 
     def test_chains_strict_at_extraction(self):
-        # replay the cover, checking each chain against the path-count oracle
+        # Replay each cover in extraction order (chains run from their start)
+        # and check every chain against the path-count oracle: the unique
+        # shortest residual path, as long as the full-graph distance, to the
+        # farthest strict end, lowest index on ties.
         rng = np.random.default_rng(2)
-        for i in range(20):
-            m = random_model(rng, n_nodes=8, edge_prob=0.4)
-            if m.n_edges == 0:
-                continue
-            cover = compute_ssp_cover(m, seed=i)
+        models = [random_model(rng, n_nodes=int(rng.integers(2, 12)),
+                               edge_prob=float(rng.uniform(0.15, 0.6)))
+                  for _ in range(30)]
+        # Two components with no edges between them.
+        models += [graph_model(8, [(u, v) for u, v in random_model(
+            rng, n_nodes=8, edge_prob=0.6).edges if (u < 4) == (v < 4)])
+            for _ in range(5)]
+        models.append(generate_instance("sparse_grid", height=6, width=6,
+                                        seed=0))
+        for i, m in enumerate(models):
+            full = adjacency(m.n_nodes, m.edges)
             residual = set(m.edges)
-            for b in cover.blocks:
-                adj = {u: [] for u in range(m.n_nodes)}
-                for (a, c) in residual:
-                    adj[a].append(c)
-                    adj[c].append(a)
-                assert count_shortest_paths(adj, b.nodes[0], b.nodes[-1]) == 1
+            for b in compute_ssp_cover(m, seed=i).blocks:
+                start, end = b.nodes[0], b.nodes[-1]
+                assert set(b.edges) <= residual
+                adj = adjacency(m.n_nodes, residual)
+                res_dist = bfs_distances(adj, start)
+                full_dist = bfs_distances(full, start)
+                assert count_shortest_paths(adj, start, end) == 1
+                assert len(b.edges) == res_dist[end] == full_dist[end]
+                strict = [v for v in res_dist if v != start
+                          and res_dist[v] == full_dist[v]
+                          and count_shortest_paths(adj, start, v) == 1]
+                far = max(res_dist[v] for v in strict)
+                assert end == min(v for v in strict if res_dist[v] == far)
                 residual -= set(b.edges)
+            assert not residual
 
     def test_complete_graph_single_edges(self):
         for n in (3, 4, 8):
@@ -133,19 +174,19 @@ class TestStaticTrees:
         m = graph_model(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         cover = compute_static_trees(m)
         assert len(cover.blocks) == 2
-        assert cover.coverage == frozenset(m.edges)
+        assert covered(cover) == set(m.edges)
 
     def test_complete_graph_covered(self):
         m = complete_model(4)
         cover = compute_static_trees(m)
-        assert cover.coverage == frozenset(m.edges)
+        assert covered(cover) == set(m.edges)
         for b in cover.blocks:
             assert len(b.edges) == 3
 
     def test_disconnected_graph(self):
         m = graph_model(5, [(0, 1), (1, 2), (3, 4)])
         cover = compute_static_trees(m)
-        assert cover.coverage == frozenset(m.edges)
+        assert covered(cover) == set(m.edges)
         assert all(len(b.edges) == len(b.nodes) - 1 for b in cover.blocks)
 
 
@@ -225,11 +266,10 @@ def test_schedule_coverage_field():
     m = graph_model(3, [(0, 1), (1, 2)])
     cover = compute_mmc_cover(m)
     assert isinstance(cover, BlockSchedule)
-    assert cover.coverage == frozenset(m.edges)
+    assert covered(cover) == set(m.edges)
 
 
 def test_level_bfs_matches_oracle_on_random_graphs():
-    from dualbca.covers import _bfs_dist_count
     rng = np.random.default_rng(12)
     for trial in range(40):
         n = int(rng.integers(2, 14))
@@ -238,29 +278,33 @@ def test_level_bfs_matches_oracle_on_random_graphs():
         # Every third graph leaves its edges between the halves out.
         if trial % 3 == 0:
             edges = [(u, v) for u, v in edges if (u < n // 2) == (v < n // 2)]
+        m = graph_model(n, edges)
         # Half the time, mask some edges out as the SSP cover does.
-        dead = {e for e in edges if trial % 2 and rng.random() < 0.3}
-        live = [e for e in edges if e not in dead]
-        adj = {u: [] for u in range(n)}
-        for u, v in live:
-            adj[u].append(v)
-            adj[v].append(u)
-        src = np.array([u for u, _ in edges] + [v for _, v in edges], dtype=np.int64)
-        dst = np.array([v for _, v in edges] + [u for u, _ in edges], dtype=np.int64)
-        indptr, indices = _csr(n, src, dst)
-        alive = np.array([(min(a, b), max(a, b)) not in dead
-                          for a, b in zip(src, dst)])[np.argsort(src, kind="stable")]
-        # Reference distances by repeated relaxation.
-        far = n + 1
-        ref = np.full((n, n), far)
-        np.fill_diagonal(ref, 0)
-        for u, v in live:
-            ref[u, v] = ref[v, u] = 1
-        for k in range(n):
-            ref = np.minimum(ref, ref[:, k, None] + ref[None, k, :])
+        alive = np.array([not (trial % 2 and rng.random() < 0.3)
+                          for _ in edges], dtype=bool)
+        full = adjacency(n, edges)
+        live = adjacency(n, [e for e, a in zip(edges, alive) if a])
         for s in range(n):
-            dist, count = _bfs_dist_count(indptr, indices, s, n,
-                                          alive if dead else None)
-            assert dist.tolist() == [d if d < far else -1 for d in ref[s]]
-            assert count.tolist() == [min(count_shortest_paths(adj, s, t), 2)
-                                      for t in range(n)]
+            dist, count, via = _bfs_live_paths(m, s, alive)
+            full_dist = bfs_distances(full, s)
+            live_dist = bfs_distances(live, s)
+            for t in range(n):
+                # Only full-graph shortest paths count: none where the live
+                # distance exceeds the full one.
+                on_full = t in live_dist and live_dist[t] == full_dist[t]
+                want = min(count_shortest_paths(live, s, t), 2) if on_full else 0
+                assert count[t] == want
+                if dist[t] >= 0:
+                    assert dist[t] == full_dist[t]
+                if count[t]:
+                    assert dist[t] == full_dist[t]
+                if count[t] and t != s:
+                    a, b = m.edges[via[t]]
+                    w = a if b == t else b
+                    assert t in (a, b) and alive[via[t]]
+                    assert dist[w] == dist[t] - 1 and count[w] > 0
+                else:
+                    assert via[t] == -1
+            # The BFS may stop early, but only beyond every live path.
+            reach = max(full_dist[t] for t in range(n) if count[t])
+            assert all(dist[t] >= 0 for t in full_dist if full_dist[t] <= reach)

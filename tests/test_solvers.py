@@ -37,6 +37,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(method="tbca", tree_mode="greedy")
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(tol=float("nan")),
+        dict(max_passes=None, max_seconds=float("nan")),
+        dict(max_seconds=-1.0),
+        dict(max_passes=-1),
+        dict(max_messages=-1),
+    ] + [dict(method=m, cover="bogus") for m in METHODS])
+    def test_bad_field_rejected(self, kwargs):
+        kwargs = {"method": "msd", **kwargs}
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
 
 class TestRunBasics:
     def test_edgeless_model(self):
