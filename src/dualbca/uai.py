@@ -34,7 +34,8 @@ class _Tokens:
     """Whitespace-separated tokens of a text, read one line at a time.
 
     Only the current line is held in memory; line numbers count lines as
-    ``str.splitlines`` does.
+    ``str.splitlines`` does.  Tokens are handed out singly or as the rest of
+    the current line (``take``), so a table converts a line at a time.
     """
 
     def __init__(self, lines):
@@ -56,14 +57,20 @@ class _Tokens:
             self._i = 0
         return True
 
-    def next(self, what):
+    def take(self, n, what):
+        """Up to ``n`` tokens, all from one line: (list of tokens, line)."""
         if not self._fill():
             raise ModelFormatError(f"unexpected end of file, expected {what}",
                                    self.last_line)
-        tok = self._line_tokens[self._i]
-        self._i += 1
+        i = self._i
+        toks = self._line_tokens[i:i + n]
+        self._i = i + len(toks)
         self.last_line = self._line
-        return tok, self._line
+        return toks, self._line
+
+    def next(self, what):
+        (tok,), line = self.take(1, what)
+        return tok, line
 
     def next_int(self, what, least=None):
         """The next token as an integer, rejected when below ``least``."""
@@ -76,12 +83,25 @@ class _Tokens:
             raise ModelFormatError(f"{what} {value} is below {least}", line)
         return value
 
-    def next_float(self, what):
-        tok, line = self.next(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise ModelFormatError(f"expected {what}, got {tok!r}", line) from None
+    def next_floats(self, n, what):
+        """The next ``n`` tokens as a float64 array, converted a line's worth
+        at a time.  numpy converts a string as ``float()`` does, so only a
+        line that fails is read token by token, to name the bad one."""
+        parts = []
+        while n:
+            toks, line = self.take(n, what)
+            try:
+                parts.append(np.array(toks, dtype=np.float64))
+            except ValueError:
+                for tok in toks:
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise ModelFormatError(f"expected {what}, got {tok!r}",
+                                               line) from None
+                raise  # numpy refused a line float() reads: not expected
+            n -= len(toks)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def exhausted(self):
         return not self._fill()
@@ -107,12 +127,12 @@ def _parse(toks, probabilities):
     scopes = []
     for _ in range(n_factors):
         size = toks.next_int("scope size")
-        scope = [toks.next_int("variable index") for _ in range(size)]
-        line = toks.last_line
         if size not in (1, 2):
             raise ModelFormatError(
                 f"only unary and pairwise factors are supported, got arity {size}",
-                line)
+                toks.last_line)
+        scope = [toks.next_int("variable index") for _ in range(size)]
+        line = toks.last_line
         for v in scope:
             if not 0 <= v < n_vars:
                 raise ModelFormatError(f"variable index {v} out of range", line)
@@ -131,8 +151,7 @@ def _parse(toks, probabilities):
             raise ModelFormatError(
                 f"factor over {scope} declares {n_entries} entries, needs {expected}",
                 toks.last_line)
-        entries = np.array([toks.next_float("table entry")
-                            for _ in range(n_entries)])
+        entries = toks.next_floats(n_entries, "table entry")
         line = toks.last_line
         if probabilities:
             if np.any(entries < 0):
@@ -140,9 +159,10 @@ def _parse(toks, probabilities):
             with np.errstate(divide="ignore"):
                 entries = -np.log(entries)
             entries = np.minimum(entries, COST_CAP)
-        if not np.all(np.isfinite(entries)):
-            raise ModelFormatError("non-finite table entry", line)
+        # min and max are NaN or infinite when any entry is.
         lo = entries.min()
+        if not (math.isfinite(lo) and math.isfinite(entries.max())):
+            raise ModelFormatError("non-finite table entry", line)
         if lo < 0:
             entries = entries - lo
             total_shift += lo
@@ -173,22 +193,18 @@ def _parse(toks, probabilities):
 
 
 def write_uai(model, path):
-    """Write a model as a UAI MARKOV cost file, round-trip exact."""
-    out = ["MARKOV", str(model.n_nodes),
-           " ".join(str(k) for k in model.labels),
-           str(model.n_nodes + model.n_edges)]
-    for u in range(model.n_nodes):
-        out.append(f"1 {u}")
-    for (u, v) in model.edges:
-        out.append(f"2 {u} {v}")
-    for u in range(model.n_nodes):
-        out.append("")
-        out.append(str(model.labels[u]))
-        out.append(" ".join(repr(float(x)) for x in model.unary[u]))
-    for e in range(model.n_edges):
-        t = model.pairwise[e]
-        out.append("")
-        out.append(str(t.size))
-        out.append(" ".join(repr(float(x)) for x in t.ravel()))
+    """Write a model as a UAI MARKOV cost file, round-trip exact.
+
+    Each line goes to the file as it is made; no copy of the whole text is
+    held."""
     with open(path, "w") as f:
-        f.write("\n".join(out) + "\n")
+        f.write(f"MARKOV\n{model.n_nodes}\n")
+        f.write(" ".join(map(str, model.labels)) + "\n")
+        f.write(f"{model.n_nodes + model.n_edges}\n")
+        for u in range(model.n_nodes):
+            f.write(f"1 {u}\n")
+        for (u, v) in model.edges:
+            f.write(f"2 {u} {v}\n")
+        for t in (*model.unary, *model.pairwise):
+            f.write(f"\n{t.size}\n")
+            f.write(" ".join(map(repr, t.ravel().tolist())) + "\n")

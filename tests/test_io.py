@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualbca.generate import REGIMES, generate_instance, random_model
-from dualbca.model import COST_CAP
+from dualbca.model import COST_CAP, GraphicalModel
 from dualbca.uai import ModelFormatError, parse_uai, write_uai
 
 
@@ -98,13 +99,56 @@ class TestParseUai:
         ("MARKOV\n2\n2 -3\n0\n", 3, "cardinality -3"),
         ("MARKOV\n-1\n0\n", 2, "variable count -1"),
         ("MARKOV\n1\n2\n-1\n", 4, "factor count -1"),
+        # The scope size is checked before any variable index is read.
+        ("MARKOV\n2\n2 2\n2\n1000000 0\n1 1\n\n4\n0 0 0 0\n\n2\n0 0\n",
+         5, "arity 1000000"),
     ], ids=["zero-cardinality", "negative-cardinality",
-            "negative-variable-count", "negative-factor-count"])
+            "negative-variable-count", "negative-factor-count",
+            "huge-scope-size"])
     def test_hostile_counts_rejected(self, tmp_path, text, line, what):
         p = write(tmp_path, text)
         with pytest.raises(ModelFormatError, match=what) as exc:
             parse_uai(p)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("MARKOV\n1\n4\n1\n1 0\n\n4\n1 2\n3 x\n", 9,
+         "expected table entry, got 'x'"),
+        ("MARKOV\n2\n2 2\n2\n1 0\n1 1\n\n2\n1 2 3\n4 5 6\n", 9,
+         "declares 3 entries, needs 2"),
+        ("MARKOV\n1\n2\n2\n1 0\n1 0\n\n2\n1 2\n\n2\n3\n4\n", 13,
+         "duplicate unary factor on variable 0"),
+        ("MARKOV\n1\n3\n1\n1 0\n\n3\n1 2", 8,
+         "unexpected end of file, expected table entry"),
+        # A non-finite table is reported at its last entry's line.
+        *((f"MARKOV\n1\n3\n1\n1 0\n\n3\n{bad} 1\n2\n", 9,
+           "non-finite table entry")
+          for bad in ("nan", "inf", "-Infinity", "1e400")),
+    ], ids=["bad-token-second-line", "size-shares-line",
+            "duplicate-unary", "eof-mid-line",
+            "nan", "inf", "minus-infinity", "overflow"])
+    def test_table_entry_errors(self, tmp_path, text, line, what):
+        p = write(tmp_path, text)
+        with pytest.raises(ModelFormatError, match=what) as exc:
+            parse_uai(p)
+        assert exc.value.line == line
+
+    def test_negative_probability_rejected(self, tmp_path):
+        p = write(tmp_path, "MARKOV\n1\n2\n1\n1 0\n\n2\n0.5\n-0.1\n")
+        with pytest.raises(ModelFormatError, match="negative probability") \
+                as exc:
+            parse_uai(p, probabilities=True)
+        assert exc.value.line == 9
+
+    def test_tables_sharing_lines(self, tmp_path):
+        # Entries read as float() reads them, wherever the lines break.
+        p = write(tmp_path, "MARKOV\n2\n2 3\n3\n1 0\n1 1\n2 0 1\n"
+                            "2 1_0\n\u0661\u0662 3 +4 .5\n6e0 6\n"
+                            "1 2 3 4 5 6\n")
+        m, _ = parse_uai(p)
+        assert m.unary[0].tolist() == [10.0, 12.0]
+        assert m.unary[1].tolist() == [4.0, 0.5, 6.0]
+        assert m.pairwise[0].tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     def test_trailing_content_rejected(self, tmp_path):
         p = write(tmp_path, "MARKOV\n1\n2\n1\n1 0\n\n2\n3 5\n7\n")
@@ -133,6 +177,79 @@ class TestRoundTrip:
                 assert np.array_equal(m2.unary[u], m.unary[u])
             for e in range(m.n_edges):
                 assert np.array_equal(m2.pairwise[e], m.pairwise[e])
+
+    def test_written_text(self, tmp_path):
+        m = GraphicalModel(
+            [1, 3, 2], [(0, 1), (1, 2)],
+            [np.array([0.5]), np.array([0.0, 1e-05, 2.0]),
+             np.array([0.1, 3.0])],
+            [np.array([[1.0, 0.25, 7.0]]),
+             np.array([[0.0, 1e12], [2.5, 0.3], [4.0, 1.5e-300]])])
+        p = tmp_path / "m.uai"
+        write_uai(m, p)
+        assert p.read_text() == (
+            "MARKOV\n3\n1 3 2\n5\n1 0\n1 1\n1 2\n2 0 1\n2 1 2\n"
+            "\n1\n0.5\n"
+            "\n3\n0.0 1e-05 2.0\n"
+            "\n2\n0.1 3.0\n"
+            "\n3\n1.0 0.25 7.0\n"
+            "\n6\n0.0 1000000000000.0 2.5 0.3 4.0 1.5e-300\n")
+
+
+# Token-level mutations of valid files.  Every integer a mutation can put in
+# a count is at most a small model's table size, so no mutation can ask for
+# a large allocation.
+_FUZZ_TOKENS = ["-1", "0", "1", "2", "3", "x", "nan", "1e400", "2.5"]
+
+
+@st.composite
+def mutated_uai(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    model = random_model(rng, n_nodes=draw(st.integers(1, 4)), edge_prob=0.5)
+    return model, draw(st.lists(
+        st.tuples(st.sampled_from(["delete", "duplicate", "swap", "truncate",
+                                   "replace"]),
+                  st.integers(0, 10**6), st.sampled_from(_FUZZ_TOKENS)),
+        min_size=1, max_size=3))
+
+
+def _mutate(text, mutations):
+    """Apply (kind, position, token) mutations to the tokens of ``text``;
+    line breaks stay where they are unless a truncation cuts them off."""
+    lines = [line.split() for line in text.splitlines()]
+    for kind, pos, tok in mutations:
+        where = [(i, j) for i, line in enumerate(lines)
+                 for j in range(len(line))]
+        if not where:
+            break
+        i, j = where[pos % len(where)]
+        if kind == "delete":
+            del lines[i][j]
+        elif kind == "duplicate":
+            lines[i].insert(j, lines[i][j])
+        elif kind == "swap":
+            k, l = where[(pos + 1) % len(where)]
+            lines[i][j], lines[k][l] = lines[k][l], lines[i][j]
+        elif kind == "truncate":
+            lines = lines[:i] + [lines[i][:j]]
+        else:
+            lines[i][j] = tok
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_uai())
+def test_parse_mutated_files(tmp_path, case):
+    model, mutations = case
+    p = tmp_path / "m.uai"
+    write_uai(model, p)
+    text = _mutate(p.read_text(), mutations)
+    p.write_text(text)
+    try:
+        parse_uai(p)
+    except ModelFormatError as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
 
 
 class TestGenerate:
