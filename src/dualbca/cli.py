@@ -154,6 +154,12 @@ def cmd_bench(args):
         print("bench: no instances given (use --models and/or --generate)",
               file=sys.stderr)
         return 2
+    names = [name for _, name, _ in instances]
+    dups = [x for i, x in enumerate(names) if x in names[:i]]
+    if dups:
+        print(f"bench: two instances are named {dups[0]!r}, and traces are "
+              "named after instances", file=sys.stderr)
+        return 2
     methods = args.methods or list(METHODS)
     os.makedirs(args.out_dir, exist_ok=True)
     mean_edges = float(np.mean([m.n_edges for m, _, _ in instances]))

@@ -220,9 +220,9 @@ class Reparametrization:
     live in the flat buffer ``values`` laid out by the model; a
     reparametrization is owned by exactly one solver run at a time.
 
-    ``values`` is the tail of ``buffer``, which starts with a copy of the
-    model's unary buffer, so that the kernels of
-    :class:`dualbca.updates.Program` gather theta and phi with one index.
+    ``buffer`` holds a copy of the model's unary buffer, then ``values``,
+    then one zero, so that :class:`dualbca.updates.Program` gathers theta,
+    phi and the zero it pads short rows with by one index.
     """
 
     __slots__ = ("model", "buffer", "values")
@@ -230,8 +230,8 @@ class Reparametrization:
     def __init__(self, model: GraphicalModel):
         self.model = model
         self.buffer = np.concatenate((model._unary_flat,
-                                      np.zeros(model.phi_size)))
-        self.values = self.buffer[model._unary_flat.size:]
+                                      np.zeros(model.phi_size + 1)))
+        self.values = self.buffer[model._unary_flat.size:-1]
 
     def __getitem__(self, uv):
         _, start, _ = self.model._incidence[uv]
@@ -249,7 +249,7 @@ class Reparametrization:
         out = Reparametrization.__new__(Reparametrization)
         out.model = self.model
         out.buffer = self.buffer.copy()
-        out.values = out.buffer[self.model._unary_flat.size:]
+        out.values = out.buffer[self.model._unary_flat.size:-1]
         return out
 
     def is_zero(self):

@@ -112,8 +112,9 @@ def parse_uai(path, probabilities=False):
 
     ``total_shift`` is the constant added to the energy by the per-table
     zero-shifts; add it back to compare duals against unshifted inputs.
+    A byte that is not UTF-8 fails in its token, at that token's line.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         return _parse(_Tokens(f), probabilities)
 
 

@@ -49,22 +49,23 @@ class MessageCounter:
 # phi bit for bit as running its operations one at a time would.  For edge
 # operations on square tables the orientation is not part of the layout: a
 # batch holds both, the ones where u is the canonical first endpoint first,
-# and each operation's record says which it is.
+# and the batch knows how many of them there are.
 
 RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)
 _MESSAGES = (1, 1, 3, 2, 1, 1)       # messages charged per target, by kind
 _OWN = (1, 0, 2, 2, 1, 0)            # endpoints whose phi rows a kind reads
 _BATCH_TARGETS = 256                 # most targets per batch
 
-# Columns of a compiled operation's integers: for u and then for its first
-# target v the start of theta_x, of x's phi rows and x's degree; then 1 if u
-# is the canonical first endpoint of the first target's edge, else 0; then
-# per target the edge's position in its shape block, then per target the
-# start of phi_{u,v}, then per target the start of phi_{v,u}.  Starts index
-# ``Reparametrization.buffer`` (theta, then phi).  Targets are ordered by
-# part (shape block, and orientation unless the tables are square), then by
-# row of u.
-_U, _V, _FIRST, _TARGETS = 0, 3, 6, 7
+# Columns of the record from which the compiler builds a batch's gather
+# index, one row per operation: for u and then for its first target v the
+# start of theta_x, of x's phi rows and x's degree; then per target the
+# edge's position in its shape block, then per target the start of
+# phi_{u,v}, then per target the start of phi_{v,u}.  Starts index
+# ``Reparametrization.buffer``: theta, then phi, then one zero that rows
+# past a node's degree read (theta^phi_x subtracts x's rows one at a time,
+# and x - 0.0 is x).  Targets are ordered by part (shape block, and
+# orientation unless the tables are square), then by row of u.
+_U, _V, _TARGETS = 0, 3, 6
 _THETA, _ROWS, _DEG = 0, 1, 2           # offsets within the _U and _V columns
 
 
@@ -72,13 +73,9 @@ class _Part(NamedTuple):
     """The targets of a batch whose edges share a shape block, and
     orientation unless the tables are square."""
 
-    first: object           # u is the canonical first endpoint of each edge:
-                            # True, False, or None where both occur (the
-                            # edges with u first come first)
     table: np.ndarray       # shape block holding the edges' tables
     lab_v: int
     many: bool              # more than one target
-    pos: object             # column(s) of the edges' positions in ``table``
     mine: slice             # their phi_{u,v} in the gathered row ...
     back: slice             # ... and their phi_{v,u}
 
@@ -89,9 +86,7 @@ class _Spec(NamedTuple):
     A batch gathers one row per operation from the buffer: theta_u when
     the kind reads theta^phi_u, u's phi rows when it reads them apart from
     its targets', the targets' phi_{u,v}, their phi_{v,u}, then theta_v
-    and v's phi rows for handshake and mplp.  ``col`` and ``offset`` give,
-    per gathered value, the column of the operation's start and the offset
-    from it.
+    and v's phi rows for handshake and mplp.
     """
 
     kind: int
@@ -102,10 +97,6 @@ class _Spec(NamedTuple):
     vu: int                 # start of the phi_{v,u}
     excess: object          # theta_u and u's rows in the gathered row
     parts: tuple
-    col: np.ndarray
-    offset: np.ndarray
-    pad: tuple              # (degree column, row number per gathered value)
-                            # of the nodes with fewer rows than the widest
 
 
 class Program:
@@ -113,10 +104,12 @@ class Program:
 
     Edge operations are appended with :meth:`rdp`, :meth:`push`,
     :meth:`handshake` and :meth:`mplp`, node operations with :meth:`trws`
-    and :meth:`star`.  The first :meth:`run` levels and batches them; the
-    compiled program keeps per-operation scalars only, gathers the tables
-    from the model's shape blocks and theta and phi from
-    ``Reparametrization.buffer`` on every run, and runs on any
+    and :meth:`star`.  The first :meth:`run` levels and batches them, and
+    compiles each batch into what its kernel reads: its spec, the index of
+    its theta and phi in ``Reparametrization.buffer`` (rows past a node's
+    degree index the buffer's zero slot), the positions of its tables in the
+    model's shape blocks, and its weights.  The compiled program gathers
+    the tables and the buffer on every run, and runs on any
     reparametrization of the model.
     """
 
@@ -261,7 +254,7 @@ class Program:
         waves = np.frombuffer(self._level(), dtype=np.int64)
         n = len(kind)
         if n == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, 1)), ((),) * 5, 0
+            return [], 0
         op = np.repeat(np.arange(n), count)     # operation of each target
         op_start = np.cumsum(count) - count
         n_nodes = model.n_nodes             # CSR entry of each (u, target)
@@ -282,8 +275,7 @@ class Program:
         part = np.where(square, 2, first) * n_blocks + block
         row = entry - model._inc_ptr[u[op]]
         by = np.lexsort((row, part, op))
-        entry, part, row = entry[by], part[by], row[by]
-        first, square = first[by], square[by]
+        entry, part, row, first = entry[by], part[by], row[by], first[by]
         # The layout of an operation: its kind, then per target the code
         # (row + 1) * 3 * n_blocks + part, with row -1 but for a star update.
         # Layouts are compared in groups of target counts up to a power of
@@ -307,55 +299,76 @@ class Program:
         order = np.lexsort((~first[op_start], key))
         starts = _batch_starts(key[order],
                                np.maximum(1, _BATCH_TARGETS // count[order]))
-        seg = np.cumsum(np.append(0, _TARGETS + 3 * count[order]))
-        ints = np.empty(seg[-1], dtype=np.int64)
+        # The operations' records, one after another in batch order, in the
+        # narrowest type that indexes the buffer.
         phi_at = model._unary_flat.size     # start of phi in the buffer
+        zero = phi_at + model.phi_size      # the buffer's zero slot
+        seg = np.cumsum(np.append(0, _TARGETS + 3 * count[order]))
+        ints = np.empty(seg[-1], dtype=np.int32 if zero < 2**31 else np.int64)
         at = seg[:-1]
         for col, node in ((_U, u[order]), (_V, targets[by][op_start[order]])):
             ints[at + col + _THETA] = model.label_offsets[node]
             ints[at + col + _ROWS] = model._phi_start[node] + phi_at
             ints[at + col + _DEG] = model._degree[node]
-        ints[at + _FIRST] = first[op_start[order]]
         place = np.empty(n, dtype=np.int64)
         place[order] = at
         col = place[op] + _TARGETS + np.arange(len(op)) - op_start[op]
         ints[col] = model._edge_pos[model._inc_edge[entry]]
         ints[col + count[op]] = model._inc_phi[entry] + phi_at
         ints[col + 2 * count[op]] = model._inc_back[entry] + phi_at
-        # A batch's spec: layout, r = 1 throughout, the orientations of its
-        # square tables (1: u first throughout, 2: v first throughout, 3:
-        # both), then for u and v the widest read node's degree, to which
-        # rows are padded, and whether all read nodes have it.
+        # A batch's spec: layout, r = 1 throughout, then for u and v the
+        # widest read node's degree, to which rows are padded.
         spec = [layout[order[starts]],
                 np.logical_and.reduceat(r[order] == 1.0, starts)]
-        sides = [np.logical_or.reduceat(square & f, op_start)[order]
-                 for f in (first, ~first)]
-        spec.append(np.logical_or.reduceat(sides[0], starts)
-                    + 2 * np.logical_or.reduceat(sides[1], starts))
         own = np.take(_OWN, kind[order])
         for k, x in enumerate((_U, _V)):
-            deg = np.where(own > k, ints[at + x + _DEG], 0)
-            widest = np.maximum.reduceat(deg, starts)
-            spec += [widest, np.minimum.reduceat(deg, starts) == widest]
+            spec.append(np.maximum.reduceat(
+                np.where(own > k, ints[at + x + _DEG], 0), starts))
         keys, which = _unique_rows(np.stack(spec, axis=1, dtype=np.int64))
-        gathers = {}
-        specs = [_spec(model, layouts[k[0]], *k[1:], gathers)
-                 for k in keys.tolist()]
-        bounds = np.append(starts, n)
-        groups = (array("q", bounds[:-1]), array("q", bounds[1:]),
-                  array("q", seg[bounds[:-1]]), array("q", seg[bounds[1:]]),
-                  [specs[k] for k in which.tolist()])
+        # The batches of one spec compile together: their operations, in
+        # program order, are the rows of one record, and each batch is a
+        # run of its rows.
+        size = np.diff(np.append(starts, n))
+        spec_of = np.repeat(which, size)        # of each operation
+        rows = np.argsort(spec_of, kind="stable")
+        lo = np.searchsorted(spec_of[rows], np.arange(len(keys) + 1))
+        groups, gathers = [], {}
+        for k, key in enumerate(keys.tolist()):
+            g, (col, offset, pad), where = _spec(model, layouts[key[0]],
+                                                 *key[1:], gathers)
+            sel = at[rows[lo[k]:lo[k + 1]]]
+            rec = ints[sel[:, None] + np.arange(seg[rows[lo[k]] + 1] - sel[0])]
+            idx = rec.take(col, axis=1)
+            idx += offset
+            for deg, widest, row in pad:    # rows past a node's degree
+                short = np.flatnonzero(rec[:, deg] < widest)
+                if short.size:
+                    idx[short] = np.where(row >= rec[short, deg, None], zero,
+                                          idx[short])
+            groups.append((g, idx, [(rec[:, c].copy(), each)
+                                    for c, each in where]))
+        # Each batch: its spec, its rows of the spec's index, per part its
+        # edges' positions and how many of them have u first, its weights.
+        u_first = np.add.reduceat(first[op_start[order]], starts).tolist()
+        inner = np.argsort(rows)[starts] - lo[which]    # first row in group
+        r, batches = r[order][:, None], []
+        for k, s, m, a, f in zip(which.tolist(), inner.tolist(), size.tolist(),
+                                 starts.tolist(), u_first):
+            g, idx, pos = groups[k]
+            batches.append((g, idx[s:s + m], [
+                (p[s:s + m].reshape(-1), f if each is None else each * m)
+                for p, each in pos], r[a:a + m]))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
-        return ints, r[order][:, None], groups, messages
+        return batches, messages
 
     def run(self, phi, counter=None):
         """Apply the program to phi, charging its messages to ``counter``."""
         if self._plan is None:
             self._plan = self._compile()
-        ints, r, groups, messages = self._plan
+        batches, messages = self._plan
         buf = phi.buffer
-        for s, t, a, b, g in zip(*groups):
-            _KERNELS[g.kind](buf, ints[a:b].reshape(t - s, -1), r[s:t], g)
+        for g, idx, parts, r in batches:
+            _KERNELS[g.kind](buf, g, idx, parts, r)
         if counter is not None:
             counter.add(messages)
 
@@ -398,16 +411,19 @@ def _unique_rows(a):
     return a[order[new]], which
 
 
-def _spec(model, layout, unit, sides, deg_u, full_u, deg_v, full_v,
-          gathers):
+def _spec(model, layout, unit, deg_u, deg_v, gathers):
     """The :class:`_Spec` of the batches with this layout (kind, then a
-    code of each target's part and row), these orientations of their square
-    tables (1: u first throughout, 2: v first throughout, 3: both) and these
-    padded degrees.
+    code of each target's part and row) and these padded degrees, and what
+    only the compiler reads: the gather pattern, and per part the record
+    columns of its edges' positions and how many of them have u as their
+    canonical first endpoint per operation (None where that varies).
 
-    ``gathers`` shares the gather pattern between layouts that differ only
-    in the targets' orientations and blocks, as the node operations of K_n
-    all do.
+    The gather pattern gives per gathered value the record column of its
+    start (``col``) and the offset from it, and per node whose rows are read
+    its degree column, the padded degree and the row each value lies in
+    (-1 outside the rows).  ``gathers`` shares it between layouts that
+    differ only in the targets' orientations and blocks, as the node
+    operations of K_n all do.
     """
     kind, codes = layout[0], [z for z in layout[1:] if z >= 0]
     n_blocks, c, own = len(model._shape_groups), len(codes), _OWN[kind]
@@ -417,19 +433,18 @@ def _spec(model, layout, unit, sides, deg_u, full_u, deg_v, full_v,
     uv = lab * ((kind != PUSH) + deg_u * (own > 0))
     vu = uv + c * lab
     cut = [t for t in range(1, c) if parts_of[t] != parts_of[t - 1]]
-    parts, lab_vs = [], []
+    parts, where, lab_vs = [], [], []
     for t0, t1 in zip([0] + cut, cut + [c]):
         side, block = divmod(parts_of[t0], n_blocks)
         table = model._shape_groups[block].block
         back = vu + sum(lab_vs)
         lab_vs += [table.shape[1 + side % 2]] * (t1 - t0)
-        first = bool(side) if side < 2 else {1: True, 2: False}.get(sides)
-        parts.append(_Part(first, table, lab_vs[-1], t1 - t0 > 1,
-                           _TARGETS + t0 if t1 - t0 == 1 else
-                           slice(_TARGETS + t0, _TARGETS + t1),
+        parts.append(_Part(table, lab_vs[-1], t1 - t0 > 1,
                            slice(uv + t0 * lab, uv + t1 * lab),
                            slice(back, vu + sum(lab_vs))))
-    key = (kind, lab, deg_u, full_u, deg_v, full_v, tuple(lab_vs))
+        where.append((slice(_TARGETS + t0, _TARGETS + t1),
+                      side * (t1 - t0) if side < 2 else None))
+    key = (kind, lab, deg_u, deg_v, tuple(lab_vs))
     if key not in gathers:
         # Segments: theta_u, u's rows, the targets' phi_{u,v}, their
         # phi_{v,u}, theta_v, v's rows; a kind leaves out what it does not
@@ -443,9 +458,10 @@ def _spec(model, layout, unit, sides, deg_u, full_u, deg_v, full_v,
                         + [_V + _THETA, _V + _ROWS], length)
         offset = np.arange(len(col)) - np.repeat(np.cumsum(length) - length,
                                                  length)
-        pad = tuple((x + _DEG, np.where(col == x + _ROWS, offset // k, -1))
-                    for x, full, k in ((_U, full_u, lab), (_V, full_v, lab_v))
-                    if not full)
+        pad = tuple((x + _DEG, deg,
+                     np.where(col == x + _ROWS, offset // k, -1))
+                    for x, deg, k in ((_U, deg_u, lab), (_V, deg_v, lab_v))
+                    if deg)
         gathers[key] = (col, offset, pad)
     # theta_u and u's rows in adjacency order, the operand order of
     # :func:`_excess`; a star update's rows are its targets' phi_{u,v}.
@@ -457,23 +473,8 @@ def _spec(model, layout, unit, sides, deg_u, full_u, deg_v, full_v,
             slot = np.argsort(rows)
             excess = np.r_[:lab, (uv + slot[:, None] * lab
                                   + np.arange(lab)).ravel()]
-    return _Spec(kind, bool(unit), c > 1, lab, uv, vu, excess, tuple(parts),
-                 *gathers[key])
-
-
-def _gather(buf, ops, g):
-    """Index and values of the batch's gathered rows, (m, K) each.
-
-    Rows past a node's degree read as zeros: theta^phi_x is theta_x minus
-    the rows one at a time in adjacency order, and x - 0.0 is x.
-    """
-    idx = ops.take(g.col, axis=1) + g.offset
-    if not g.pad:
-        return idx, buf[idx]
-    keep = True
-    for deg, rows in g.pad:
-        keep = keep & (rows < ops[:, deg, None])
-    return idx, np.where(keep, buf.take(idx, mode="clip"), 0.0)
+    return (_Spec(kind, bool(unit), c > 1, lab, uv, vu, excess, tuple(parts)),
+            gathers[key], where)
 
 
 def _excess(part, lab):
@@ -510,15 +511,7 @@ def _marginal(tab, k, p_uv, p_vu, over_u):
     return np.minimum.reduce(t, axis=0)
 
 
-def _u_first(ops, p, n):
-    """How many of the n edges of part p have u as their canonical first
-    endpoint; they come first."""
-    if p.first is None:                 # an edge operation's only target
-        return int(np.count_nonzero(ops[:, _FIRST]))
-    return n if p.first else 0
-
-
-def _run_star(buf, ops, r, g):
+def _run_star(buf, g, idx, parts, r):
     """rdp, push, the TRW-S step and the star update at a batch of nodes.
 
     rdp and the TRW-S step add r * theta^phi_u to the targets' phi_{u,v},
@@ -527,21 +520,20 @@ def _run_star(buf, ops, r, g):
     phi_{u,v}.  What an operation leaves unchanged of the targets' phi no
     other operation of the wave writes, so all of it is written back.
     """
-    idx, x = _gather(buf, ops, g)
+    x = buf.take(idx)
     lab, kind = g.lab, g.kind
     mine = x[:, g.uv:g.vu]              # the targets' phi_{u,v}
     if g.many:
         mine = mine.reshape(len(x), -1, lab)
     if kind == RDP or kind == TRWS:
         mine += _share(x, r, g)
-    for p in g.parts:
-        pos, p_uv, p_vu = ops[:, p.pos], x[:, p.mine], x[:, p.back]
+    for p, (pos, k) in zip(g.parts, parts):
+        p_uv, p_vu = x[:, p.mine], x[:, p.back]
         a, b = p_uv, p_vu
         if p.many:              # (m, c * L) values to (m * c, L)
-            pos, a, b = pos.ravel(), a.reshape(-1, lab), b.reshape(-1, p.lab_v)
+            a, b = a.reshape(-1, lab), b.reshape(-1, p.lab_v)
         # A star update pulls v -> u (minima over Y_v), the rest push u -> v.
-        d = _marginal(p.table.take(pos, axis=0), _u_first(ops, p, len(pos)),
-                      a, b, kind != STAR)
+        d = _marginal(p.table.take(pos, axis=0), k, a, b, kind != STAR)
         out = p_uv if kind == STAR else p_vu
         out -= d.reshape(out.shape) if p.many else d
     if kind == STAR:
@@ -558,15 +550,15 @@ def _share(x, r, g):
     return e[:, None, :] if g.many else e
 
 
-def _run_pair(buf, ops, r, g):
+def _run_pair(buf, g, idx, parts, r):
     """handshake and mplp: aggregate both nodes, then the edge's pushes."""
-    idx, x = _gather(buf, ops, g)
-    (p,) = g.parts
+    x = buf.take(idx)
+    (p,), ((pos, k),) = g.parts, parts
     a, b, c = g.uv, g.vu, p.back.stop
     p_uv, p_vu = x[:, a:b], x[:, b:c]
     p_uv += _excess(x[:, :a], g.lab)
     p_vu += _excess(x[:, c:], p.lab_v)
-    tab, k = p.table.take(ops[:, p.pos], axis=0), _u_first(ops, p, len(ops))
+    tab = p.table.take(pos, axis=0)
     p_uv -= 0.5 * _marginal(tab, k, p_uv, p_vu, False)
     if g.kind == MPLP:
         p_vu -= 0.5 * _marginal(tab, k, p_uv, p_vu, True)

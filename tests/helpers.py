@@ -2,12 +2,13 @@
 
 Each runs a :class:`dualbca.updates.Program` of one operation, or computes
 the same quantity from :mod:`dualbca.model`, so that tests can check the
-elementary updates one at a time.
+elementary updates one at a time.  :func:`batch_count` reads how many
+batches a compiled program runs.
 """
 import numpy as np
 
 from dualbca.blocks import emit_tbca
-from dualbca.model import pairwise_costs, unary_costs
+from dualbca.model import Reparametrization, pairwise_costs, unary_costs
 from dualbca.updates import Program, run_program
 
 
@@ -82,3 +83,12 @@ def rdp_update(model, phi, u, v, r, counter=None):
 def tbca_tree(model, phi, block, counter=None, plus=False):
     """Tree-BCA update on a tree (or chain) block; see :func:`emit_tbca`."""
     run_program(model, phi, counter, emit_tbca, block, plus)
+
+
+def batch_count(prog):
+    """Number of batches the program runs a pass in; compiles it (by a run
+    on a zero reparametrization) if it has not run yet."""
+    if prog._plan is None:
+        prog.run(Reparametrization(prog.model))
+    batches, _ = prog._plan
+    return len(batches)

@@ -125,6 +125,21 @@ class TestBench:
         rc = main(["bench", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_duplicate_instance_names_exit_2(self, tmp_path, capsys):
+        # Two files with one basename would write one trace file twice.
+        paths = []
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            paths.append(str(tmp_path / d / "x.uai"))
+            write_uai(generate_instance("sparse_grid", height=2, width=2,
+                                        seed=len(paths)), paths[-1])
+        out = tmp_path / "bench"
+        rc = main(["bench", "--models", *paths, "--methods", "trws",
+                   "--max-passes", "1", "--out-dir", str(out)])
+        assert rc == 2
+        assert "'x.uai'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runs_jobs_in_order(self, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = main(["bench", "--generate", "complete:5,3", "--generate",

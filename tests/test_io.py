@@ -133,6 +133,19 @@ class TestParseUai:
             parse_uai(p)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("data, line, what", [
+        (b"MARKOV\n1\n2\n1\n1 0\n\n2\n1 \xff\n", 8,
+         r"expected table entry, got '\\udcff'"),
+        (b"MARK\xffOV\n1\n2\n0\n", 1, "expected MARKOV network"),
+    ], ids=["in-table", "in-header"])
+    def test_non_utf8_byte_reported_at_its_line(self, tmp_path, data, line,
+                                                what):
+        p = tmp_path / "model.uai"
+        p.write_bytes(data)
+        with pytest.raises(ModelFormatError, match=what) as exc:
+            parse_uai(p)
+        assert exc.value.line == line
+
     def test_negative_probability_rejected(self, tmp_path):
         p = write(tmp_path, "MARKOV\n1\n2\n1\n1 0\n\n2\n0.5\n-0.1\n")
         with pytest.raises(ModelFormatError, match="negative probability") \

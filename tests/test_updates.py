@@ -10,7 +10,8 @@ from dualbca.solve import METHODS, SolverConfig, _Run
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, handshake_update,
                              mplp_update)
-from helpers import dp_update, node_aggregate, node_distribute, rdp_update
+from helpers import (batch_count, dp_update, node_aggregate, node_distribute,
+                     rdp_update)
 from test_waves import models
 
 
@@ -381,11 +382,6 @@ def path_model(rng, n, labels=3):
                            for _ in edges])
 
 
-def batch_count(prog, model):
-    prog.run(Reparametrization(model))
-    return len(prog._plan[2][0])
-
-
 @pytest.mark.parametrize("kind", [RDP, HANDSHAKE])
 def test_square_tables_batch_both_orientations_together(kind):
     # Edge operations on square tables with alternating orientations: one
@@ -401,5 +397,5 @@ def test_square_tables_batch_both_orientations_together(kind):
             else:
                 prog.handshake(u, v)
     assert max(prog.waves()) + 1 == 2
-    assert batch_count(prog, model) == 2
+    assert batch_count(prog) == 2
     assert_bit_identical_to_one_at_a_time(prog, model, rng)

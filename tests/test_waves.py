@@ -16,7 +16,8 @@ from dualbca.solve import SolverConfig, _Run, run
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, _unique_rows,
                              handshake_update, mplp_update)
-from helpers import dp_update, message, push_min_into, rdp_update
+from helpers import (batch_count, dp_update, message, push_min_into,
+                     rdp_update)
 
 TOL = 1e-9
 MESSAGES = {RDP: 1, PUSH: 1, HANDSHAKE: 3, MPLP: 2}
@@ -473,6 +474,25 @@ def test_zero_pass_runs_compile_no_program(method, monkeypatch):
         assert phi.is_zero() and len(trace) == 1
 
 
+@pytest.mark.parametrize("method,tree_mode", [
+    (m, "static") for m in ("msd", "cmp", "trws", "mplp", "mplppp", "dmm",
+                            "tbca", "tbcapp", "spam")] + CASES[-2:])
+def test_zero_slot_stays_zero(method, tree_mode):
+    # Rows past a node's degree gather the buffer's last value, a zero
+    # that no kernel writes and that phi's values leave out.  Batches that
+    # mix node degrees occur on the grid and the hostile models.
+    grid = generate_instance("sparse_grid", height=5, width=6, labels=3,
+                             seed=4)
+    for model in models(3) + [grid]:
+        state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
+        state.do_pass()
+        phi, copy = state.phi, state.phi.copy()
+        assert phi.buffer[-1] == 0.0
+        assert phi.values.size == model.phi_size
+        assert copy.buffer.size == phi.buffer.size and copy.buffer[-1] == 0.0
+        assert np.array_equal(copy.values, phi.values)
+
+
 def test_chain_cover_program_shape_on_the_32x32_grid():
     # Counted, not timed: colour-class block order and orientation-free
     # batches on square tables keep the chain programs wide.
@@ -483,7 +503,7 @@ def test_chain_cover_program_shape_on_the_32x32_grid():
         state = _Run(model, SolverConfig(method))
         prog = state.program()
         state.do_pass()
-        shape[method] = max(prog.waves()) + 1, len(prog._plan[2][0])
+        shape[method] = max(prog.waves()) + 1, batch_count(prog)
     assert shape["spam"][0] <= 300 and shape["spam"][1] <= 600
     assert shape["dmm"][1] <= 110
 
