@@ -374,10 +374,14 @@ def dual_value(model, phi):
 
     Minima are added in node order, then in edge order.
     """
+    return _dual(model, phi, node_costs(model, phi))
+
+
+def _dual(model, phi, costs):
     edge_min = np.zeros(model.n_edges)
     for ids, t in edge_chunks(model, phi):
         edge_min[ids] = t.min(axis=(1, 2))
-    return _sum_in_order(node_minima(model, node_costs(model, phi)), edge_min)
+    return _sum_in_order(node_minima(model, costs), edge_min)
 
 
 def check_feasible(model, phi, tol=FEAS_TOL):
@@ -392,7 +396,17 @@ def check_feasible(model, phi, tol=FEAS_TOL):
 
 def primal_round(model, phi):
     """Independent per-node rounding: y_u = argmin theta^phi_u, lowest index wins."""
+    return _round(model, node_costs(model, phi))
+
+
+def _dual_and_rounding(model, phi):
+    """(:func:`dual_value`, :func:`primal_round`) from one evaluation of
+    theta^phi."""
     costs = node_costs(model, phi)
+    return _dual(model, phi, costs), _round(model, costs)
+
+
+def _round(model, costs):
     y = np.zeros(model.n_nodes, dtype=np.int64)
     for nodes, slots in model._label_groups:
         y[nodes] = costs[slots].argmin(axis=1)

@@ -6,8 +6,8 @@ blocks they sweep and which update they apply per block:
 ==========  =====================================================
 msd, cmp    node-adjacent aggregate/distribute, isotropic weights
 trws        ordered forward/backward sweeps, anisotropic weights
-mplp        edge sweep with the half-split edge update
-mplppp      edge sweep with the handshake update
+mplp        edge sweep by colour class, half-split edge update
+mplppp      edge sweep by colour class, handshake update
 dmm         hierarchical minorant on a fixed chain cover
 tbca        tree-BCA on static or dynamic spanning trees
 tbcapp      tbca plus the maximality correction
@@ -21,11 +21,13 @@ TRW-S step per node and sweep.  Node operations at adjacent nodes conflict
 and at non-adjacent nodes do not, so on a row-major grid a sweep runs as one
 batched wave per anti-diagonal.
 
-The blocks of a chain cover (``dmm``, ``spam``, and ``tbca``/``tbcapp``
-with an explicit ``cover``) are swept in one fixed order: the single edges
-first, in model edge order, then the longer chains by greedy colour class,
-so that the chains of a class, which share no node, run in the same waves.
-Spanning trees keep their order: each spans its whole component.
+Edge sweeps go by greedy colour class (:func:`_edge_order`): the edges of
+a class share no node, so each class runs as one wave.  The blocks of a
+chain cover (``dmm``, ``spam``, and ``tbca``/``tbcapp`` with an explicit
+``cover``) are swept in one fixed order: the single edges first, in the
+edge sweep's order, then the longer chains by greedy colour class, longest
+first, so that the chains of a class run in the same waves.  Spanning
+trees keep their order: each spans its whole component.
 """
 from __future__ import annotations
 
@@ -34,7 +36,10 @@ from dataclasses import dataclass
 
 from . import blocks as blk
 from . import covers
-from .model import Reparametrization, dual_value, energy, primal_round
+from .model import Reparametrization, _dual_and_rounding, energy, primal_round
+# Not called here; benchmarks/bench_trace.py wraps the evaluation functions
+# of this module by name.
+from .model import dual_value  # noqa: F401
 from .updates import MessageCounter, Program
 
 METHODS = ("msd", "cmp", "trws", "mplp", "mplppp", "dmm", "tbca", "tbcapp",
@@ -117,40 +122,55 @@ def _chain_cover(model, config):
         schedule = covers.compute_ssp_cover(model, config.seed)
     # Extraction order and chain direction are artifacts of the cover
     # construction, not part of its contract.  A chain is swept from its
-    # smaller end.  The block order of a pass: single edges first, in model
-    # edge order (a cover of single edges is MPLP++'s sweep), then the
-    # longer chains colour class by colour class (see
-    # :func:`_colour_classes`).  Chains of one class share no node, so their
-    # updates run in the same waves.
-    edges, chains = [], []
+    # smaller end.  The block order of a pass: single edges first, in the
+    # edge sweep's order (a cover of single edges is MPLP++'s sweep), then
+    # the longer chains colour class by colour class, longest first.
+    blocks = {}
     for b in schedule.blocks:
         if b.nodes[0] > b.nodes[-1]:
             b = blk.chain_block(model, b.nodes[::-1])
-        (edges if len(b.nodes) == 2 else chains).append(b)
-    edges.sort(key=lambda b: model.edge_id(*b.nodes))
-    chains = [b for c in _colour_classes(chains) for b in c]
-    return covers.BlockSchedule(schedule.origin, edges + chains)
+        blocks[b.nodes] = b
+    chains = _colour_classes([p for p in blocks if len(p) > 2],
+                             lambda p: (-len(p), p))
+    order = _edge_order(model, [p for p in blocks if len(p) == 2])
+    order += [p for c in chains for p in c]
+    return covers.BlockSchedule(schedule.origin, [blocks[p] for p in order])
 
 
-def _colour_classes(blocks):
-    """Greedy colour classes of ``blocks``, each in canonical order.
+def _colour_classes(paths, visit):
+    """Greedy colour classes of the node tuples ``paths``, each sorted.
 
-    Longest first (ties by node tuple), each block takes the smallest
-    colour that no block sharing a node with it has.
+    In order of ``visit``, each path takes the smallest colour that no
+    path sharing a node with it has.  The paths of a class share no node,
+    so their updates run in the same waves.
     """
-    used = {}                       # node -> bit mask of its blocks' colours
+    used = {}                       # node -> bit mask of its paths' colours
     classes = []
-    for b in sorted(blocks, key=lambda b: (-len(b.nodes), b.nodes)):
+    for p in sorted(paths, key=visit):
         taken = 0
-        for u in b.nodes:
+        for u in p:
             taken |= used.get(u, 0)
         c = (~taken & (taken + 1)).bit_length() - 1     # lowest free colour
         if c == len(classes):
             classes.append([])
-        classes[c].append(b)
-        for u in b.nodes:
+        classes[c].append(p)
+        for u in p:
             used[u] = used.get(u, 0) | 1 << c
-    return [sorted(c, key=lambda b: b.nodes) for c in classes]
+    return [sorted(c) for c in classes]
+
+
+def _edge_order(model, edges):
+    """The edges (u, v), u < v, in the order of an edge sweep.
+
+    Greedy colour classes, visited by ((u + v) mod n, u, v): each class
+    is a matching and runs as one wave.  The edges of one sum mod n form a
+    matching, so an edge's colour is at most (u + v) mod n and at most n
+    classes are needed: 50 on K_50 (Delta + 1), where lexicographic
+    visiting needs 63; 4 on a grid.
+    """
+    n = model.n_nodes
+    classes = _colour_classes(edges, lambda e: ((e[0] + e[1]) % n, e))
+    return [e for c in classes for e in c]
 
 
 def _emit_trws(prog, model, order):
@@ -214,7 +234,7 @@ class _Run:
             _emit_trws(prog, model, self.order)
         elif m in ("mplp", "mplppp"):
             add = prog.mplp if m == "mplp" else prog.handshake
-            for (u, v) in model.edges:
+            for (u, v) in _edge_order(model, model.edges):
                 add(u, v)
         elif m in ("dmm", "spam"):
             for chain in self.schedule.blocks:
@@ -247,11 +267,14 @@ def run(model, config):
     state = _Run(model, config)
 
     def record(k):
-        y = primal_round(model, state.phi)
-        return TraceRecord(k, state.counter.total, dual_value(model, state.phi),
-                           energy(model, y), time.perf_counter() - t0)
+        """Append the record of pass ``k``; returns its labeling."""
+        dual, y = _dual_and_rounding(model, state.phi)
+        trace.append(TraceRecord(k, state.counter.total, dual,
+                                 energy(model, y), time.perf_counter() - t0))
+        return y
 
-    trace = [record(0)]
+    trace = []
+    y = record(0)
     k = 0
     while True:
         if config.max_passes is not None and k >= config.max_passes:
@@ -269,6 +292,5 @@ def run(model, config):
                 break
         k += 1
         state.do_pass()
-        trace.append(record(k))
-    y = primal_round(model, state.phi)
+        y = record(k)
     return state.phi, y, trace

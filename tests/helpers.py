@@ -3,7 +3,8 @@
 Each runs a :class:`dualbca.updates.Program` of one operation, or computes
 the same quantity from :mod:`dualbca.model`, so that tests can check the
 elementary updates one at a time.  :func:`batch_count` reads how many
-batches a compiled program runs.
+batches a compiled program runs, and :func:`check_greedy_classes` checks a
+colour-class block order.
 """
 import numpy as np
 
@@ -92,3 +93,18 @@ def batch_count(prog):
         prog.run(Reparametrization(prog.model))
     batches, _ = prog._plan
     return len(batches)
+
+
+def check_greedy_classes(classes, visit):
+    """Assert that ``classes`` (lists of node tuples) are the greedy colour
+    classes of their paths visited in order of ``visit``: each class is in
+    canonical order and shares no node, and each path of class k shares a
+    node with a path of every earlier class visited before it."""
+    for k, c in enumerate(classes):
+        assert c == sorted(c)
+        nodes = [u for p in c for u in p]
+        assert len(nodes) == len(set(nodes))
+        for p in c:
+            for earlier in classes[:k]:
+                assert any(set(p) & set(q) and visit(q) < visit(p)
+                           for q in earlier)

@@ -10,6 +10,7 @@ from dualbca.generate import (generate_instance, random_model,
 from dualbca.oracle import brute_force_min, chain_min
 from dualbca.solve import (METHODS, SolverConfig, TraceRecord, _chain_cover,
                            _colour_classes, _Run, normalize_messages, run)
+from helpers import check_greedy_classes
 
 
 def chain_model(rng, n, labels=3):
@@ -210,8 +211,10 @@ class TestSpamVsMplppp:
 
 
 class TestBlockOrder:
-    """The block order of a chain cover: single edges first, in model edge
-    order, then the longer chains by greedy colour class."""
+    """The block order of a chain cover: single edges first, then the
+    longer chains, each part by greedy colour class.  Single edges are
+    visited by ((u + v) mod n, u, v), as in the edge sweeps of mplp and
+    mplppp; chains longest first, ties by node tuple."""
 
     @staticmethod
     def cases():
@@ -228,25 +231,19 @@ class TestBlockOrder:
 
     def test_classes_share_no_node_and_order_the_schedule(self):
         for m, cover in self.cases():
+            n = m.n_nodes
             for seed in range(2):
                 cfg = SolverConfig("dmm", cover=cover, seed=seed)
                 blocks = _chain_cover(m, cfg).blocks
-                edges = [b for b in blocks if len(b.nodes) == 2]
-                chains = blocks[len(edges):]
-                assert all(len(b.nodes) > 2 for b in chains)
-                assert [m.edge_id(*b.nodes) for b in edges] == \
-                    sorted(m.edge_id(*b.nodes) for b in edges)
-                classes = _colour_classes(chains)
-                assert [b for c in classes for b in c] == list(chains)
-                for k, c in enumerate(classes):
-                    assert [b.nodes for b in c] == sorted(b.nodes for b in c)
-                    nodes = [u for b in c for u in b.nodes]
-                    assert len(nodes) == len(set(nodes))
-                    # Greedy: a block of class k meets every earlier class.
-                    for b in c:
-                        for earlier in classes[:k]:
-                            assert any(set(b.nodes) & set(a.nodes)
-                                       for a in earlier)
+                edges = [b.nodes for b in blocks if len(b.nodes) == 2]
+                chains = [b.nodes for b in blocks[len(edges):]]
+                assert all(len(p) > 2 for p in chains)
+                for paths, visit in (
+                        (edges, lambda e: ((e[0] + e[1]) % n, e)),
+                        (chains, lambda p: (-len(p), p))):
+                    classes = _colour_classes(paths, visit)
+                    assert [p for c in classes for p in c] == paths
+                    check_greedy_classes(classes, visit)
 
     def test_cover_blocks_unchanged(self):
         build = {"ssp": lambda m: covers.compute_ssp_cover(m, 0),

@@ -12,12 +12,12 @@ import pytest
 
 from dualbca.generate import generate_instance, random_phi
 from dualbca.model import COST_CAP, GraphicalModel, Reparametrization
-from dualbca.solve import SolverConfig, _Run, run
+from dualbca.solve import SolverConfig, _colour_classes, _Run, run
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, _unique_rows,
                              handshake_update, mplp_update)
-from helpers import (batch_count, dp_update, message, push_min_into,
-                     rdp_update)
+from helpers import (batch_count, check_greedy_classes, dp_update, message,
+                     push_min_into, rdp_update)
 
 TOL = 1e-9
 MESSAGES = {RDP: 1, PUSH: 1, HANDSHAKE: 3, MPLP: 2}
@@ -506,6 +506,38 @@ def test_chain_cover_program_shape_on_the_32x32_grid():
         shape[method] = max(prog.waves()) + 1, batch_count(prog)
     assert shape["spam"][0] <= 300 and shape["spam"][1] <= 600
     assert shape["dmm"][1] <= 110
+
+
+def test_edge_sweep_program_shape():
+    # Counted, not timed: an edge sweep goes one greedy colour class, a
+    # matching, per wave.
+    def shape(model, method):
+        state = _Run(model, SolverConfig(method))
+        prog = state.program()
+        state.do_pass()
+        return prog, max(prog.waves()) + 1, batch_count(prog)
+
+    def check_order(model, prog):
+        n = model.n_nodes
+        visit = lambda e: ((e[0] + e[1]) % n, e)
+        classes = _colour_classes(model.edges, visit)
+        assert [(u, v) for _, u, v, _ in prog.ops] == \
+            [e for c in classes for e in c]
+        check_greedy_classes(classes, visit)
+
+    for n in range(3, 13):
+        model = generate_instance("complete", n_nodes=n, labels=3, seed=n)
+        for method in ("mplp", "mplppp", "spam"):
+            prog, waves, batches = shape(model, method)
+            assert waves <= n and batches == waves, (n, method)
+            check_order(model, prog)
+    model = generate_instance("sparse_grid", height=32, width=32, labels=8,
+                              seed=0)
+    for method in ("mplp", "mplppp"):
+        prog, waves, _ = shape(model, method)
+        assert waves == 4
+        check_order(model, prog)
+    assert shape(model, "spam")[1:] == (268, 513)
 
 
 def test_unique_rows_packed_and_unpacked():
