@@ -3,8 +3,10 @@
 The energy of a labeling y is the sum of unary costs theta_u(y_u) and
 pairwise costs theta_uv(y_u, y_v).  A reparametrization phi assigns one real
 vector per directed edge incidence (u,v); it shifts costs between nodes and
-edges without changing any labeling's energy.  All solver state lives in phi:
-reparametrized costs are always computed on the fly from (theta, phi).
+edges without changing any labeling's energy.  All solver state lives in phi.
+Evaluation computes reparametrized costs from (theta, phi); the programs of
+:mod:`dualbca.updates` keep each node's theta^phi next to phi, derived from
+(theta, phi) when a program starts to run and updated by its operations.
 
 Layout.  The model fixes where everything lives, once:
 
@@ -116,6 +118,15 @@ class GraphicalModel:
                 raise ValueError("costs must be finite (use COST_CAP for forbidden pairs)")
             if np.any(t < 0):
                 raise ValueError("costs must be non-negative (pre-shift your input)")
+        # Costs reach theta^phi as unaries and as the minima of table rows and
+        # columns.  Where one of them is so large that an ulp of it exceeds
+        # FEAS_TOL, as COST_CAP is, programs derive theta^phi afresh from
+        # theta and phi rather than update it by deltas.
+        big = FEAS_TOL / np.finfo(np.float64).eps
+        self._exact_excess = bool(flat.max(initial=0.0) >= big or any(
+            b.max(initial=0.0) >= big and max(
+                b.min(axis=a).max(initial=0.0) for a in (1, 2)) >= big
+            for b, _ in blocks))
 
         # Directed incidences in CSR order: node by node, neighbours
         # ascending.  Incidence i of edge e is (a, b) for i = e, (b, a) for
@@ -220,18 +231,21 @@ class Reparametrization:
     live in the flat buffer ``values`` laid out by the model; a
     reparametrization is owned by exactly one solver run at a time.
 
-    ``buffer`` holds a copy of the model's unary buffer, then ``values``,
-    then one zero, so that :class:`dualbca.updates.Program` gathers theta,
-    phi and the zero it pads short rows with by one index.
+    ``buffer`` holds theta^phi of every node (laid out as the unary
+    buffer), then ``values``, then a zero scratch row per directed
+    incidence, so that :class:`dualbca.updates.Program` gathers all it
+    reads by one index.  A program derives theta^phi from theta and phi
+    when it starts to run and keeps it up to date; nothing else reads it.
     """
 
     __slots__ = ("model", "buffer", "values")
 
     def __init__(self, model: GraphicalModel):
         self.model = model
-        self.buffer = np.concatenate((model._unary_flat,
-                                      np.zeros(model.phi_size + 1)))
-        self.values = self.buffer[model._unary_flat.size:-1]
+        at = model._unary_flat.size
+        self.buffer = np.zeros(at + 2 * model.phi_size)
+        self.buffer[:at] = model._unary_flat
+        self.values = self.buffer[at:at + model.phi_size]
 
     def __getitem__(self, uv):
         _, start, _ = self.model._incidence[uv]
@@ -247,9 +261,9 @@ class Reparametrization:
 
     def copy(self):
         out = Reparametrization.__new__(Reparametrization)
-        out.model = self.model
-        out.buffer = self.buffer.copy()
-        out.values = out.buffer[self.model._unary_flat.size:-1]
+        out.model, out.buffer = self.model, self.buffer.copy()
+        at = self.model._unary_flat.size
+        out.values = out.buffer[at:at + self.model.phi_size]
         return out
 
     def is_zero(self):

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import node_costs
+
 
 class MessageCounter:
     """Per-run accumulator of directed min-marginal computations."""
@@ -41,32 +43,36 @@ class MessageCounter:
 # Two operations conflict when they share an edge (so node operations at
 # adjacent nodes conflict, and at non-adjacent nodes do not), or when one
 # reads theta^phi_x and the other writes a row of x.  Operations that do not
-# conflict touch disjoint state and commute exactly, so a program is
-# levelled into waves, each operation in the earliest wave after every
-# earlier operation it conflicts with.  A wave runs as numpy batches of
-# operations that share kind and target layout (the orientation and table
-# shape of each target, and for a star update the row of each), and leaves
-# phi bit for bit as running its operations one at a time would.  For edge
-# operations on square tables the orientation is not part of the layout: a
-# batch holds both, the ones where u is the canonical first endpoint first,
-# and the batch knows how many of them there are.
+# conflict touch disjoint phi and commute exactly, so a program is levelled
+# into waves, each operation in the earliest wave after every earlier
+# operation it conflicts with.  theta^phi_x is kept in the buffer, and a
+# push adds to it, so pushes into x must keep program order: a push into x
+# also goes to no wave before an earlier operation that writes a row of x.
+# A wave runs as numpy batches of operations that share kind and target
+# layout (the orientation and table shape of each target), and leaves the
+# buffer bit for bit as running its operations one per wave, in program
+# order, would.  For edge operations on square tables the orientation is
+# not part of the layout: a batch holds both, the ones where u is the
+# canonical first endpoint first, and the batch knows how many of them
+# there are.
 
 RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)
 _MESSAGES = (1, 1, 3, 2, 1, 1)       # messages charged per target, by kind
-_OWN = (1, 0, 2, 2, 1, 0)            # endpoints whose phi rows a kind reads
 _BATCH_TARGETS = 256                 # most targets per batch
 
 # Columns of the record from which the compiler builds a batch's gather
-# index, one row per operation: for u and then for its first target v the
-# start of theta_x, of x's phi rows and x's degree; then per target the
-# edge's position in its shape block, then per target the start of
-# phi_{u,v}, then per target the start of phi_{v,u}.  Starts index
-# ``Reparametrization.buffer``: theta, then phi, then one zero that rows
-# past a node's degree read (theta^phi_x subtracts x's rows one at a time,
-# and x - 0.0 is x).  Targets are ordered by part (shape block, and
-# orientation unless the tables are square), then by row of u.
-_U, _V, _TARGETS = 0, 3, 6
-_THETA, _ROWS, _DEG = 0, 1, 2           # offsets within the _U and _V columns
+# index, one row per operation: the start of theta^phi_u; then per target
+# the edge's position in its shape block, then per target the start of
+# phi_{u,v}, of phi_{v,u} and of theta^phi_v.  Starts index
+# ``Reparametrization.buffer``: theta^phi of every node, then phi, then a
+# scratch row per directed incidence.  Every kind but a push reads and
+# writes theta^phi_u, and every kind but the star update writes
+# theta^phi_v of its targets.  Where several pushes land in one node in one
+# wave, each after the first in program order adds to the scratch row of
+# its incidence, and the wave ends by adding those rows to the node in
+# program order.  Targets are ordered by part (shape block, and orientation
+# unless the tables are square), then by row of u.
+_U, _TARGETS = 0, 1
 
 
 class _Part(NamedTuple):
@@ -76,17 +82,17 @@ class _Part(NamedTuple):
     table: np.ndarray       # shape block holding the edges' tables
     lab_v: int
     many: bool              # more than one target
-    mine: slice             # their phi_{u,v} in the gathered row ...
-    back: slice             # ... and their phi_{v,u}
+    mine: slice             # their phi_{u,v} in the gathered row, ...
+    back: slice             # ... their phi_{v,u} ...
+    excess: slice           # ... and their theta^phi_v
 
 
 class _Spec(NamedTuple):
-    """What one batch of operations shares: kind, layout, padded degrees.
+    """What one batch of operations shares: kind and layout.
 
-    A batch gathers one row per operation from the buffer: theta_u when
-    the kind reads theta^phi_u, u's phi rows when it reads them apart from
-    its targets', the targets' phi_{u,v}, their phi_{v,u}, then theta_v
-    and v's phi rows for handshake and mplp.
+    A batch gathers one row per operation from the buffer: theta^phi_u
+    (not for a push), the targets' phi_{u,v}, their phi_{v,u}, then their
+    theta^phi_v (not for a star update).
     """
 
     kind: int
@@ -95,7 +101,6 @@ class _Spec(NamedTuple):
     lab: int                # L_u
     uv: int                 # start of the phi_{u,v} in the gathered row
     vu: int                 # start of the phi_{v,u}
-    excess: object          # theta_u and u's rows in the gathered row
     parts: tuple
 
 
@@ -106,10 +111,9 @@ class Program:
     :meth:`handshake` and :meth:`mplp`, node operations with :meth:`trws`
     and :meth:`star`.  The first :meth:`run` levels and batches them, and
     compiles each batch into what its kernel reads: its spec, the index of
-    its theta and phi in ``Reparametrization.buffer`` (rows past a node's
-    degree index the buffer's zero slot), the positions of its tables in the
-    model's shape blocks, and its weights.  The compiled program gathers
-    the tables and the buffer on every run, and runs on any
+    its theta^phi and phi in ``Reparametrization.buffer``, the positions of
+    its tables in the model's shape blocks, and its weights.  The compiled
+    program gathers the tables and the buffer on every run, and runs on any
     reparametrization of the model.
     """
 
@@ -216,8 +220,9 @@ class Program:
                 edges = star[ptr[u]:ptr[u + 1]]
                 w = max(map(edge_last.__getitem__, edges))
                 later = targets[t:t + c]
-                if kind == TRWS:
-                    w = max(w, max(map(read.__getitem__, later)))
+                if kind == TRWS:    # pushes keep program order per node
+                    w = max(w, max(map(read.__getitem__, later)),
+                            max(map(wrote.__getitem__, later)) - 1)
                 w += 1
                 for e in edges:
                     edge_last[e] = w
@@ -228,7 +233,7 @@ class Program:
                 continue
             v = targets[t]
             e = model._incidence[u, v][0]
-            w = max(edge_last[e], read[u], read[v])
+            w = max(edge_last[e], read[u], read[v], wrote[v] - 1)
             if kind == RDP:
                 w = max(w, wrote[u])
             elif kind != PUSH:
@@ -273,15 +278,12 @@ class Program:
                            for g in model._shape_groups])[block] \
             & (kind[op] < TRWS)
         part = np.where(square, 2, first) * n_blocks + block
-        row = entry - model._inc_ptr[u[op]]
-        by = np.lexsort((row, part, op))
-        entry, part, row, first = entry[by], part[by], row[by], first[by]
-        # The layout of an operation: its kind, then per target the code
-        # (row + 1) * 3 * n_blocks + part, with row -1 but for a star update.
+        by = np.lexsort((entry - model._inc_ptr[u[op]], part, op))
+        entry, part, first, into = entry[by], part[by], first[by], targets[by]
+        # The layout of an operation: its kind, then the part of each target.
         # Layouts are compared in groups of target counts up to a power of
-        # two, padded with code -1.
-        code = np.append(np.where(kind[op] == STAR, row + 1, 0) * 3 * n_blocks
-                         + part, -1)
+        # two, padded with -1.
+        code = np.append(part, -1)
         layout = np.empty(n, dtype=np.int64)
         layouts = []
         group = np.ceil(np.log2(count)).astype(np.int64)
@@ -299,32 +301,35 @@ class Program:
         order = np.lexsort((~first[op_start], key))
         starts = _batch_starts(key[order],
                                np.maximum(1, _BATCH_TARGETS // count[order]))
+        # theta^phi_v of each target: its node's, or for a push after the
+        # first into that node in its wave, the scratch row of its incidence.
+        phi_at = model._unary_flat.size     # start of phi in the buffer
+        excess = model.label_offsets[into]
+        push = np.flatnonzero((kind[op] < HANDSHAKE) | (kind[op] == TRWS))
+        node = waves[op[push]] * n_nodes + into[push]
+        push, node = push[np.argsort(node, kind="stable")], np.sort(node)
+        late = push[1:][node[1:] == node[:-1]]
+        late = late[np.lexsort((late, waves[op[late]]))]   # wave, then program
+        excess[late] = model._inc_back[entry[late]] + phi_at + model.phi_size
         # The operations' records, one after another in batch order, in the
         # narrowest type that indexes the buffer.
-        phi_at = model._unary_flat.size     # start of phi in the buffer
-        zero = phi_at + model.phi_size      # the buffer's zero slot
-        seg = np.cumsum(np.append(0, _TARGETS + 3 * count[order]))
-        ints = np.empty(seg[-1], dtype=np.int32 if zero < 2**31 else np.int64)
+        seg = np.cumsum(np.append(0, _TARGETS + 4 * count[order]))
+        top = phi_at + 2 * model.phi_size
+        ints = np.empty(seg[-1], dtype=np.int32 if top < 2**31 else np.int64)
         at = seg[:-1]
-        for col, node in ((_U, u[order]), (_V, targets[by][op_start[order]])):
-            ints[at + col + _THETA] = model.label_offsets[node]
-            ints[at + col + _ROWS] = model._phi_start[node] + phi_at
-            ints[at + col + _DEG] = model._degree[node]
+        ints[at + _U] = model.label_offsets[u[order]]
         place = np.empty(n, dtype=np.int64)
         place[order] = at
         col = place[op] + _TARGETS + np.arange(len(op)) - op_start[op]
         ints[col] = model._edge_pos[model._inc_edge[entry]]
         ints[col + count[op]] = model._inc_phi[entry] + phi_at
         ints[col + 2 * count[op]] = model._inc_back[entry] + phi_at
-        # A batch's spec: layout, r = 1 throughout, then for u and v the
-        # widest read node's degree, to which rows are padded.
-        spec = [layout[order[starts]],
-                np.logical_and.reduceat(r[order] == 1.0, starts)]
-        own = np.take(_OWN, kind[order])
-        for k, x in enumerate((_U, _V)):
-            spec.append(np.maximum.reduceat(
-                np.where(own > k, ints[at + x + _DEG], 0), starts))
-        keys, which = _unique_rows(np.stack(spec, axis=1, dtype=np.int64))
+        ints[col + 3 * count[op]] = excess
+        # A batch's spec: layout and r = 1 throughout.
+        keys, which = _unique_rows(np.stack(
+            (layout[order[starts]],
+             np.logical_and.reduceat(r[order] == 1.0, starts)), axis=1,
+            dtype=np.int64))
         # The batches of one spec compile together: their operations, in
         # program order, are the rows of one record, and each batch is a
         # run of its rows.
@@ -333,42 +338,65 @@ class Program:
         rows = np.argsort(spec_of, kind="stable")
         lo = np.searchsorted(spec_of[rows], np.arange(len(keys) + 1))
         groups, gathers = [], {}
-        for k, key in enumerate(keys.tolist()):
-            g, (col, offset, pad), where = _spec(model, layouts[key[0]],
-                                                 *key[1:], gathers)
+        for k, (lay, unit) in enumerate(keys.tolist()):
+            g, (col, offset), where = _spec(model, layouts[lay], unit, gathers)
             sel = at[rows[lo[k]:lo[k + 1]]]
             rec = ints[sel[:, None] + np.arange(seg[rows[lo[k]] + 1] - sel[0])]
             idx = rec.take(col, axis=1)
             idx += offset
-            for deg, widest, row in pad:    # rows past a node's degree
-                short = np.flatnonzero(rec[:, deg] < widest)
-                if short.size:
-                    idx[short] = np.where(row >= rec[short, deg, None], zero,
-                                          idx[short])
             groups.append((g, idx, [(rec[:, c].copy(), each)
                                     for c, each in where]))
+        # The wave's last batch adds the late pushes' scratch rows to their
+        # nodes, in program order, and clears them.
+        wave_of = waves[order[starts]]          # of each batch
+        lab = np.diff(model.label_offsets)[into[late]]
+        step = np.arange(lab.sum()) - np.repeat(np.cumsum(lab) - lab, lab)
+        dest = np.repeat(model.label_offsets[into[late]], lab) + step
+        src = np.repeat(excess[late], lab) + step
+        wave, cut = np.unique(np.repeat(waves[op[late]], lab),
+                              return_index=True)
+        fix = [None] * len(starts)
+        for b, d, s in zip(np.searchsorted(wave_of, wave, "right") - 1,
+                           np.split(dest, cut[1:]), np.split(src, cut[1:])):
+            fix[b] = d, s
         # Each batch: its spec, its rows of the spec's index, per part its
-        # edges' positions and how many of them have u first, its weights.
+        # edges' positions and how many of them have u first, its weights,
+        # and what ends its wave.
         u_first = np.add.reduceat(first[op_start[order]], starts).tolist()
         inner = np.argsort(rows)[starts] - lo[which]    # first row in group
-        r, batches = r[order][:, None], []
-        for k, s, m, a, f in zip(which.tolist(), inner.tolist(), size.tolist(),
-                                 starts.tolist(), u_first):
+        # Weights: r, and what an operation keeps of theta^phi_u.
+        r, batches = np.column_stack((r, 1.0 - count * r))[order], []
+        for k, s, m, a, f, end in zip(which.tolist(), inner.tolist(),
+                                      size.tolist(), starts.tolist(), u_first,
+                                      fix):
             g, idx, pos = groups[k]
             batches.append((g, idx[s:s + m], [
                 (p[s:s + m].reshape(-1), f if each is None else each * m)
-                for p, each in pos], r[a:a + m]))
+                for p, each in pos], r[a:a + m], end))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages
 
     def run(self, phi, counter=None):
-        """Apply the program to phi, charging its messages to ``counter``."""
+        """Apply the program to phi, charging its messages to ``counter``.
+
+        theta^phi of every node is first derived from theta and phi, so phi
+        written from outside a program is honoured.  Where values too large
+        to update by deltas can reach theta^phi (``_exact_excess``), it is
+        derived again after every batch."""
         if self._plan is None:
             self._plan = self._compile()
         batches, messages = self._plan
-        buf = phi.buffer
-        for g, idx, parts, r in batches:
+        model, buf = self.model, phi.buffer
+        nodes, exact = slice(model._unary_flat.size), model._exact_excess
+        buf[nodes] = node_costs(model, phi)
+        for g, idx, parts, r, end in batches:
             _KERNELS[g.kind](buf, g, idx, parts, r)
+            if end is not None:         # the late pushes of the wave
+                into, at = end
+                np.add.at(buf, into, buf.take(at))
+                buf.put(at, 0.0)
+            if exact:
+                buf[nodes] = node_costs(model, phi)
         if counter is not None:
             counter.add(messages)
 
@@ -411,76 +439,50 @@ def _unique_rows(a):
     return a[order[new]], which
 
 
-def _spec(model, layout, unit, deg_u, deg_v, gathers):
-    """The :class:`_Spec` of the batches with this layout (kind, then a
-    code of each target's part and row) and these padded degrees, and what
-    only the compiler reads: the gather pattern, and per part the record
-    columns of its edges' positions and how many of them have u as their
-    canonical first endpoint per operation (None where that varies).
+def _spec(model, layout, unit, gathers):
+    """The :class:`_Spec` of the batches with this layout (kind, then the
+    part of each target), and what only the compiler reads: the gather
+    pattern, and per part the record columns of its edges' positions and
+    how many of them have u as their canonical first endpoint per operation
+    (None where that varies).
 
     The gather pattern gives per gathered value the record column of its
-    start (``col``) and the offset from it, and per node whose rows are read
-    its degree column, the padded degree and the row each value lies in
-    (-1 outside the rows).  ``gathers`` shares it between layouts that
-    differ only in the targets' orientations and blocks, as the node
-    operations of K_n all do.
+    start (``col``) and the offset from it.  ``gathers`` shares it between
+    layouts that differ only in the targets' orientations and blocks, as
+    the node operations of K_n all do.
     """
     kind, codes = layout[0], [z for z in layout[1:] if z >= 0]
-    n_blocks, c, own = len(model._shape_groups), len(codes), _OWN[kind]
-    parts_of = [z % (3 * n_blocks) for z in codes]
-    side, block = divmod(parts_of[0], n_blocks)
+    n_blocks, c = len(model._shape_groups), len(codes)
+    side, block = divmod(codes[0], n_blocks)
     lab = model._shape_groups[block].block.shape[2 - side % 2]
-    uv = lab * ((kind != PUSH) + deg_u * (own > 0))
+    uv = lab * (kind != PUSH)
     vu = uv + c * lab
-    cut = [t for t in range(1, c) if parts_of[t] != parts_of[t - 1]]
-    parts, where, lab_vs = [], [], []
+    lab_vs = [model._shape_groups[z % n_blocks].block.shape[
+        1 + z // n_blocks % 2] for z in codes]
+    at = list(accumulate(lab_vs, initial=vu))   # starts of the phi_{v,u}
+    cut = [t for t in range(1, c) if codes[t] != codes[t - 1]]
+    parts, where = [], []
     for t0, t1 in zip([0] + cut, cut + [c]):
-        side, block = divmod(parts_of[t0], n_blocks)
-        table = model._shape_groups[block].block
-        back = vu + sum(lab_vs)
-        lab_vs += [table.shape[1 + side % 2]] * (t1 - t0)
-        parts.append(_Part(table, lab_vs[-1], t1 - t0 > 1,
-                           slice(uv + t0 * lab, uv + t1 * lab),
-                           slice(back, vu + sum(lab_vs))))
+        side, block = divmod(codes[t0], n_blocks)
+        parts.append(_Part(model._shape_groups[block].block, lab_vs[t0],
+                           t1 - t0 > 1, slice(uv + t0 * lab, uv + t1 * lab),
+                           slice(at[t0], at[t1]),
+                           slice(at[t0] + at[c] - vu, at[t1] + at[c] - vu)))
         where.append((slice(_TARGETS + t0, _TARGETS + t1),
                       side * (t1 - t0) if side < 2 else None))
-    key = (kind, lab, deg_u, deg_v, tuple(lab_vs))
+    key = (kind, lab, tuple(lab_vs))
     if key not in gathers:
-        # Segments: theta_u, u's rows, the targets' phi_{u,v}, their
-        # phi_{v,u}, theta_v, v's rows; a kind leaves out what it does not
-        # read.
-        lab_v = lab_vs[0]
-        length = np.array([lab * (kind != PUSH), lab * deg_u * (own > 0)]
-                          + [lab] * c + lab_vs
-                          + [lab_v * (own > 1), lab_v * deg_v * (own > 1)])
-        col = np.repeat([_U + _THETA, _U + _ROWS]
-                        + list(range(_TARGETS + c, _TARGETS + 3 * c))
-                        + [_V + _THETA, _V + _ROWS], length)
+        # Segments: theta^phi_u, the targets' phi_{u,v}, their phi_{v,u},
+        # their theta^phi_v; a kind leaves out what it does not read.
+        theirs = c * (kind != STAR)
+        length = np.array([uv] + [lab] * c + lab_vs + lab_vs[:theirs])
+        col = np.repeat([_U] + list(range(_TARGETS + c,
+                                          _TARGETS + 3 * c + theirs)), length)
         offset = np.arange(len(col)) - np.repeat(np.cumsum(length) - length,
                                                  length)
-        pad = tuple((x + _DEG, deg,
-                     np.where(col == x + _ROWS, offset // k, -1))
-                    for x, deg, k in ((_U, deg_u, lab), (_V, deg_v, lab_v))
-                    if deg)
-        gathers[key] = (col, offset, pad)
-    # theta_u and u's rows in adjacency order, the operand order of
-    # :func:`_excess`; a star update's rows are its targets' phi_{u,v}.
-    excess = slice(0, uv)
-    if kind == STAR:
-        rows = [z // (3 * n_blocks) - 1 for z in codes]
-        excess = slice(0, vu)
-        if rows != sorted(rows):
-            slot = np.argsort(rows)
-            excess = np.r_[:lab, (uv + slot[:, None] * lab
-                                  + np.arange(lab)).ravel()]
-    return (_Spec(kind, bool(unit), c > 1, lab, uv, vu, excess, tuple(parts)),
+        gathers[key] = (col, offset)
+    return (_Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts)),
             gathers[key], where)
-
-
-def _excess(part, lab):
-    """theta^phi of a node from its gathered theta and phi rows, (m, lab):
-    the rounding of :func:`dualbca.model.unary_costs`."""
-    return np.subtract.reduce(part.reshape(len(part), -1, lab), axis=1)
 
 
 def _marginal(tab, k, p_uv, p_vu, over_u):
@@ -514,19 +516,21 @@ def _marginal(tab, k, p_uv, p_vu, over_u):
 def _run_star(buf, g, idx, parts, r):
     """rdp, push, the TRW-S step and the star update at a batch of nodes.
 
-    rdp and the TRW-S step add r * theta^phi_u to the targets' phi_{u,v},
-    then push each u -> v min-marginal; a push only pushes; the star update
-    pulls every v -> u min-marginal, then adds r * theta^phi_u to every
-    phi_{u,v}.  What an operation leaves unchanged of the targets' phi no
-    other operation of the wave writes, so all of it is written back.
+    rdp and the TRW-S step move r * theta^phi_u into each target's
+    phi_{u,v}, then push each u -> v min-marginal into v; a push only
+    pushes; the star update pulls every v -> u min-marginal into u, then
+    moves r * theta^phi_u into every phi_{u,v}.  What an operation leaves
+    unchanged of what it gathered no other operation of the wave writes, so
+    all of it is written back.
     """
     x = buf.take(idx)
     lab, kind = g.lab, g.kind
+    e = x[:, :g.uv]                     # theta^phi_u
     mine = x[:, g.uv:g.vu]              # the targets' phi_{u,v}
     if g.many:
         mine = mine.reshape(len(x), -1, lab)
     if kind == RDP or kind == TRWS:
-        mine += _share(x, r, g)
+        _share(e, mine, r, g)
     for p, (pos, k) in zip(g.parts, parts):
         p_uv, p_vu = x[:, p.mine], x[:, p.back]
         a, b = p_uv, p_vu
@@ -534,38 +538,47 @@ def _run_star(buf, g, idx, parts, r):
             a, b = a.reshape(-1, lab), b.reshape(-1, p.lab_v)
         # A star update pulls v -> u (minima over Y_v), the rest push u -> v.
         d = _marginal(p.table.take(pos, axis=0), k, a, b, kind != STAR)
-        out = p_uv if kind == STAR else p_vu
-        out -= d.reshape(out.shape) if p.many else d
+        if kind == STAR:
+            p_uv -= d.reshape(p_uv.shape)
+            e += d.reshape(len(x), -1, lab).sum(axis=1)
+        else:
+            d = d.reshape(p_vu.shape)
+            p_vu -= d
+            x[:, p.excess] += d
     if kind == STAR:
-        mine += _share(x, r, g)
-    buf[idx[:, g.uv:]] = x[:, g.uv:]
+        _share(e, mine, r, g)
+    buf[idx] = x
 
 
-def _share(x, r, g):
-    """r * theta^phi_u of each operation, shaped to add to the phi_{u,v} of
-    each of its targets."""
-    e = _excess(x[:, g.excess], g.lab)
-    if not g.unit:
-        e *= r
-    return e[:, None, :] if g.many else e
+def _share(e, mine, r, g):
+    """Move r * theta^phi_u of each operation into the phi_{u,v} of each of
+    its targets; theta^phi_u keeps 1 - r * (number of targets) of itself."""
+    s = e if g.unit else e * r[:, :1]
+    mine += s[:, None, :] if g.many else s
+    e *= r[:, 1:]
 
 
 def _run_pair(buf, g, idx, parts, r):
     """handshake and mplp: aggregate both nodes, then the edge's pushes."""
     x = buf.take(idx)
     (p,), ((pos, k),) = g.parts, parts
-    a, b, c = g.uv, g.vu, p.back.stop
-    p_uv, p_vu = x[:, a:b], x[:, b:c]
-    p_uv += _excess(x[:, :a], g.lab)
-    p_vu += _excess(x[:, c:], p.lab_v)
+    e_u, p_uv, p_vu, e_v = x[:, :g.uv], x[:, p.mine], x[:, p.back], \
+        x[:, p.excess]
+    p_uv += e_u
+    p_vu += e_v
     tab = p.table.take(pos, axis=0)
-    p_uv -= 0.5 * _marginal(tab, k, p_uv, p_vu, False)
+    e_u[...] = 0.5 * _marginal(tab, k, p_uv, p_vu, False)
+    p_uv -= e_u
     if g.kind == MPLP:
-        p_vu -= 0.5 * _marginal(tab, k, p_uv, p_vu, True)
+        e_v[...] = 0.5 * _marginal(tab, k, p_uv, p_vu, True)
+        p_vu -= e_v
     else:
-        p_vu -= _marginal(tab, k, p_uv, p_vu, True)
-        p_uv -= _marginal(tab, k, p_uv, p_vu, False)
-    buf[idx[:, a:c]] = x[:, a:c]
+        e_v[...] = _marginal(tab, k, p_uv, p_vu, True)
+        p_vu -= e_v
+        d = _marginal(tab, k, p_uv, p_vu, False)
+        p_uv -= d
+        e_u += d
+    buf[idx] = x
 
 
 _KERNELS = (_run_star, _run_star, _run_pair, _run_pair, _run_star, _run_star)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualbca import covers
-from dualbca.model import GraphicalModel, check_feasible, energy
+from dualbca.model import COST_CAP, GraphicalModel, check_feasible, energy
 from dualbca.generate import (generate_instance, random_model,
                               random_tree_model)
 from dualbca.oracle import brute_force_min, chain_min
@@ -95,6 +95,25 @@ class TestSafetyAndMonotonicity:
                 assert b >= a - 1e-9
             assert duals[-1] <= opt + 1e-9
             assert check_feasible(m, phi)
+
+    def test_capped_grid_keeps_its_feasible_and_monotone_methods(self):
+        # A 6x6x3 grid with 30% of the pairwise cells at COST_CAP; 4 of its
+        # 60 edges have a whole row or column capped.  After 30 passes cmp
+        # and mplp end feasible and dual-monotone, and tbcapp dual-monotone:
+        # keeping theta^phi in the buffer must leave these as they are.
+        base = generate_instance("sparse_grid", height=6, width=6, labels=3,
+                                 seed=0)
+        block = np.array(base.pairwise)
+        block[np.random.default_rng(0).random(block.shape) < 0.3] = COST_CAP
+        model = GraphicalModel(base.labels, base.edges, base.unary, block,
+                               grid_shape=base.grid_shape)
+        for method, feasible in (("cmp", True), ("mplp", True),
+                                 ("tbcapp", False)):
+            phi, _, trace = run(model, SolverConfig(method, max_passes=30))
+            duals = [r.dual for r in trace]
+            assert len(duals) == 31
+            assert all(b >= a - 1e-9 for a, b in zip(duals, duals[1:]))
+            assert check_feasible(model, phi) or not feasible, method
 
 
 class TestExactnessOnTrees:

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -348,29 +350,25 @@ def append_op(prog, kind, u, v, r):
                          [(m, "static") for m in METHODS]
                          + [("tbca", "dynamic"), ("tbcapp", "dynamic")])
 def test_pass_is_bit_identical_to_its_ops_one_at_a_time(method, tree_mode):
-    # The waves and batches of a compiled pass leave phi bit for bit as
-    # its operations do when each runs as a program of its own.
+    # The waves and batches of a compiled pass leave the buffer, phi and
+    # the kept theta^phi, bit for bit as its operations do when each runs
+    # in a wave of its own, in program order; with a small cap theta^phi
+    # is updated by the operations, not derived afresh.
     rng = np.random.default_rng(30)
-    for model in models(1) + models(2):
+    for model in models(1) + models(2) + models(1, cap=5.0):
         prog = _Run(model, SolverConfig(method, tree_mode=tree_mode)).program()
-        phi = random_phi(rng, model, scale=2.0)
-        ref = phi.copy()
-        prog.run(phi)
-        for op in prog.ops:
-            one = Program(model)
-            append_op(one, *op)
-            one.run(ref)
-        assert np.array_equal(phi.buffer, ref.buffer)
+        assert_bit_identical_to_one_at_a_time(prog, model, rng)
 
 
 def assert_bit_identical_to_one_at_a_time(prog, model, rng):
     phi = random_phi(rng, model, scale=2.0)
     ref = phi.copy()
     prog.run(phi)
+    one = Program(model)
     for op in prog.ops:
-        one = Program(model)
         append_op(one, *op)
-        one.run(ref)
+    one._level = lambda: array("q", range(len(prog.ops)))
+    one.run(ref)
     assert np.array_equal(phi.buffer, ref.buffer)
 
 

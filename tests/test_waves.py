@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from dualbca.generate import generate_instance, random_phi
-from dualbca.model import COST_CAP, GraphicalModel, Reparametrization
-from dualbca.solve import SolverConfig, _colour_classes, _Run, run
+from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
+                           node_costs)
+from dualbca.solve import (METHODS, SolverConfig, _colour_classes, _Run,
+                           run)
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, _unique_rows,
                              handshake_update, mplp_update)
@@ -23,22 +25,22 @@ TOL = 1e-9
 MESSAGES = {RDP: 1, PUSH: 1, HANDSHAKE: 3, MPLP: 2}
 
 
-def hostile_model(rng, n_nodes):
-    """Mixed label counts, the last two nodes isolated, COST_CAP cells."""
+def hostile_model(rng, n_nodes, cap=COST_CAP):
+    """Mixed label counts, the last two nodes isolated, cells at ``cap``."""
     labels = [int(k) for k in rng.integers(1, 5, n_nodes)]
     edges = [(u, v) for u in range(n_nodes - 2) for v in range(u + 1, n_nodes - 2)
              if rng.random() < 0.5]
 
     def table(shape):
         t = rng.uniform(0.0, 2.0, shape)
-        t[rng.random(shape) < 0.2] = COST_CAP
+        t[rng.random(shape) < 0.2] = cap
         return t
 
     return GraphicalModel(labels, edges, [table(k) for k in labels],
                           [table((labels[u], labels[v])) for u, v in edges])
 
 
-def hostile_grid(rng, h, w):
+def hostile_grid(rng, h, w, cap=COST_CAP):
     """A grid (long chains, many waves) with the same hostile tables."""
     labels = [int(k) for k in rng.integers(1, 5, h * w)]
     edges = [(r * w + c, r * w + c + 1) for r in range(h) for c in range(w - 1)]
@@ -46,7 +48,7 @@ def hostile_grid(rng, h, w):
 
     def table(shape):
         t = rng.uniform(0.0, 2.0, shape)
-        t[rng.random(shape) < 0.2] = COST_CAP
+        t[rng.random(shape) < 0.2] = cap
         return t
 
     return GraphicalModel(labels, edges, [table(k) for k in labels],
@@ -54,10 +56,13 @@ def hostile_grid(rng, h, w):
                           grid_shape=(h, w))
 
 
-def models(seed):
+def models(seed, cap=COST_CAP):
+    """Six hostile models and a hostile grid.  With the default ``cap``
+    programs derive theta^phi afresh; with a small one they update it."""
     rng = np.random.default_rng(seed)
-    out = [hostile_model(rng, int(rng.integers(4, 11))) for _ in range(6)]
-    out.append(hostile_grid(rng, 4, 5))
+    out = [hostile_model(rng, int(rng.integers(4, 11)), cap)
+           for _ in range(6)]
+    out.append(hostile_grid(rng, 4, 5, cap))
     return out
 
 
@@ -143,11 +148,8 @@ def test_no_wave_holds_conflicting_ops(method, tree_mode):
             for wave in by_wave.values():
                 for a, b in itertools.combinations(wave, 2):
                     assert not conflict(a, b), (a, b)
-            # Each op sits right after the latest earlier op it conflicts
-            # with: the earliest wave the rule allows.
-            for i, (op, w) in enumerate(zip(ops, waves)):
-                before = [waves[j] for j in range(i) if conflict(ops[j], op)]
-                assert w == (max(before) + 1 if before else 0)
+            for i, w in enumerate(waves):
+                assert w == earliest_wave(model, ops, waves, i)
 
 
 @pytest.mark.parametrize("method,tree_mode", CASES)
@@ -320,19 +322,36 @@ def ref_star_pass(model, phi, method):
 
 def footprint(model, op):
     """(edges touched, nodes whose theta^phi is read, nodes a row of which
-    is written) of an operation, as the levelling rule counts them."""
+    is written, nodes into which it pushes without reading their theta^phi)
+    of an operation, as the levelling rule counts them."""
     kind, u, v, _ = op
     if kind in (TRWS, STAR):
         edges = {frozenset((u, x)) for x in model.neighbors(u)}
-        return edges, {u}, {u} | (set(v) if kind == TRWS else set())
+        later = set(v) if kind == TRWS else set()
+        return edges, {u}, {u} | later, later
     reads = {RDP: {u}, PUSH: set()}.get(kind, {u, v})
-    return {frozenset((u, v))}, reads, {u, v}
+    return {frozenset((u, v))}, reads, {u, v}, {v} - reads
 
 
 def conflict_any(model, a, b):
-    ea, ra, wa = footprint(model, a)
-    eb, rb, wb = footprint(model, b)
+    ea, ra, wa, _ = footprint(model, a)
+    eb, rb, wb, _ = footprint(model, b)
     return bool(ea & eb or ra & wb or rb & wa)
+
+
+def earliest_wave(model, ops, waves, i):
+    """The wave the levelling rule allows operation i: right after the
+    latest earlier operation it conflicts with, and no earlier than any
+    earlier one that writes a row of a node it pushes into (additions to
+    a node's theta^phi keep program order)."""
+    into = footprint(model, ops[i])[3]
+    w = 0
+    for j in range(i):
+        if conflict_any(model, ops[j], ops[i]):
+            w = max(w, waves[j] + 1)
+        elif into & footprint(model, ops[j])[2]:
+            w = max(w, waves[j])
+    return w
 
 
 def node_orders(model):
@@ -355,10 +374,8 @@ def test_node_waves_hold_no_adjacent_ops(method, k):
         for (a, wa), (b, wb) in itertools.combinations(zip(ops, waves), 2):
             if wa == wb:
                 assert a[1] != b[1] and not model.has_edge(a[1], b[1])
-        for i, (op, w) in enumerate(zip(ops, waves)):
-            before = [waves[j] for j in range(i)
-                      if conflict_any(model, ops[j], op)]
-            assert w == (max(before) + 1 if before else 0)
+        for i, w in enumerate(waves):
+            assert w == earliest_wave(model, ops, waves, i)
 
 
 def test_grid_waves_are_anti_diagonals():
@@ -418,10 +435,8 @@ def test_mixed_program_reruns_on_random_phi():
             prog.push(model.neighbors(u)[0], u)
         ops = prog.ops
         waves = prog.waves()
-        for i, (op, w) in enumerate(zip(ops, waves)):
-            before = [waves[j] for j in range(i)
-                      if conflict_any(model, ops[j], op)]
-            assert w == (max(before) + 1 if before else 0)
+        for i, w in enumerate(waves):
+            assert w == earliest_wave(model, ops, waves, i)
         for _ in range(2):
             phi = random_phi(rng, model, scale=2.0)
             ref = phi.copy()
@@ -474,23 +489,102 @@ def test_zero_pass_runs_compile_no_program(method, monkeypatch):
         assert phi.is_zero() and len(trace) == 1
 
 
-@pytest.mark.parametrize("method,tree_mode", [
+BUFFER_CASES = [
     (m, "static") for m in ("msd", "cmp", "trws", "mplp", "mplppp", "dmm",
-                            "tbca", "tbcapp", "spam")] + CASES[-2:])
-def test_zero_slot_stays_zero(method, tree_mode):
-    # Rows past a node's degree gather the buffer's last value, a zero
-    # that no kernel writes and that phi's values leave out.  Batches that
-    # mix node degrees occur on the grid and the hostile models.
+                            "tbca", "tbcapp", "spam")] + CASES[-2:]
+
+
+def buffer_models():
+    """The hostile models, which derive theta^phi afresh, the same with a
+    small cap, which update it, and a 5x6 grid, whose waves push into one
+    node several times and whose batches mix node degrees."""
     grid = generate_instance("sparse_grid", height=5, width=6, labels=3,
                              seed=4)
-    for model in models(3) + [grid]:
+    assert all(m._exact_excess for m in models(3))
+    assert not any(m._exact_excess for m in models(3, cap=5.0) + [grid])
+    return models(3) + models(3, cap=5.0) + [grid]
+
+
+@pytest.mark.parametrize("method,tree_mode", BUFFER_CASES)
+def test_zero_slot_stays_zero(method, tree_mode):
+    # Behind phi the buffer holds a scratch row per directed incidence,
+    # into which late pushes of a wave add and which the wave's end clears
+    # again; phi's values leave it out and a copy keeps it.
+    for model in buffer_models():
         state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
         state.do_pass()
-        phi, copy = state.phi, state.phi.copy()
-        assert phi.buffer[-1] == 0.0
+        phi, n = state.phi, model._unary_flat.size
+        assert not phi.buffer[n + model.phi_size:].any()
         assert phi.values.size == model.phi_size
-        assert copy.buffer.size == phi.buffer.size and copy.buffer[-1] == 0.0
+        copy = phi.copy()
+        assert np.array_equal(copy.buffer, phi.buffer)
         assert np.array_equal(copy.values, phi.values)
+
+
+@pytest.mark.parametrize("method,tree_mode", BUFFER_CASES)
+def test_buffer_holds_theta_phi_after_a_pass(method, tree_mode):
+    # The buffer keeps theta^phi of every node in front of phi.
+    for model in buffer_models():
+        state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
+        state.do_pass()
+        phi, n = state.phi, model._unary_flat.size
+        want = node_costs(model, phi)
+        assert np.all(np.abs(phi.buffer[:n] - want)
+                      <= TOL * np.maximum(1.0, np.abs(want)))
+        assert phi.values.size == model.phi_size
+
+
+def test_run_honours_phi_written_from_outside():
+    # A run derives theta^phi from theta and phi before its first wave, so
+    # phi written through phi[u, v] after an earlier run leaves the buffer
+    # bit for bit as on a fresh reparametrization holding the same values.
+    rng = np.random.default_rng(12)
+    grid = generate_instance("sparse_grid", height=5, width=6, labels=3,
+                             seed=4)
+    for model in models(4)[:3] + models(4, cap=5.0)[:3] + [grid]:
+        for method in ("msd", "trws", "mplppp", "spam", "tbcapp"):
+            prog = _Run(model, SolverConfig(method)).program()
+            phi = random_phi(rng, model, scale=2.0)
+            prog.run(phi)
+            for u, v in model.edges:
+                phi[u, v] += rng.uniform(-1.0, 1.0, model.labels[u])
+            fresh = Reparametrization(model)
+            fresh.values[:] = phi.values
+            prog.run(phi)
+            prog.run(fresh)
+            assert np.array_equal(phi.buffer, fresh.buffer)
+
+
+def test_program_shape_on_k50_and_the_32x32_grid():
+    # Counted, not timed.  An edge update reads theta^phi of its ends, L_u
+    # values each: a K_50 mplp or mplppp operation gathers 4 * 4 = 16
+    # values (408 with theta_u and all 49 rows of both ends), and an mplp
+    # pass compiles to under 100 KB of index.  Waves and batches per pass
+    # of all nine methods.
+    shape = {}
+    for name, model in (
+            ("grid", generate_instance("sparse_grid", height=32, width=32,
+                                       labels=8, seed=0)),
+            ("k50", generate_instance("complete", n_nodes=50, labels=4,
+                                      seed=0))):
+        for method in METHODS:
+            prog = _Run(model, SolverConfig(method)).program()
+            shape[name, method] = max(prog.waves()) + 1, batch_count(prog)
+            if name == "k50" and method in ("mplp", "mplppp"):
+                batches, _ = prog._plan
+                assert {b[1].shape[1] for b in batches} == {16}
+                assert sum(b[1].nbytes for b in batches) < 100_000
+    assert shape == {
+        ("grid", "msd"): (63, 122), ("grid", "cmp"): (63, 122),
+        ("grid", "trws"): (124, 184), ("grid", "mplp"): (4, 8),
+        ("grid", "mplppp"): (4, 8), ("grid", "dmm"): (70, 96),
+        ("grid", "tbca"): (313, 313), ("grid", "tbcapp"): (498, 558),
+        ("grid", "spam"): (268, 513),
+        ("k50", "msd"): (50, 50), ("k50", "cmp"): (50, 50),
+        ("k50", "trws"): (98, 98), ("k50", "mplp"): (50, 50),
+        ("k50", "mplppp"): (50, 50), ("k50", "dmm"): (369, 614),
+        ("k50", "tbca"): (2499, 2499), ("k50", "tbcapp"): (4900, 4900),
+        ("k50", "spam"): (50, 50)}
 
 
 def test_chain_cover_program_shape_on_the_32x32_grid():
