@@ -76,36 +76,41 @@ def _bfs_live_paths(model, start, alive):
     per edge), capped at 2; and, where that count is positive, the edge of
     the last step of one such path (-1 elsewhere).  Each level gathers its
     frontier's CSR entries at once and sums the live path counts reaching
-    each new node with one bincount.  The BFS stops at a frontier
-    without live paths, as no node beyond it can get one, and once it has
-    reached every node.
+    each new node with one bincount.
+
+    A node with exactly one live path has a predecessor with exactly one,
+    so the BFS stops after the first level that holds no such node, or once
+    it has reached every node.  Everything it returns is exact up to the
+    last level it built; nodes beyond it read as unreached, and none of
+    them has exactly one live path.
     """
     ptr, nbr, edge = model._inc_ptr, model._inc_nbr, model._inc_edge
     n = model.n_nodes
+    live = alive[edge]                  # per CSR entry
     dist = np.full(n, -1, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
     via = np.full(n, -1, dtype=np.int64)
     dist[start] = 0
     count[start] = 1
-    frontier = np.array([start], dtype=np.int64)
+    frontier, paths = np.array([start]), np.ones(1)  # and its path counts
     level = 0
     seen = 1
-    while seen < n and count[frontier].any():
+    while seen < n and 1.0 in paths.tolist():
         level += 1
         lens = model._degree[frontier]
-        ends = np.cumsum(lens)
-        entry = np.repeat(ptr[frontier] - ends + lens, lens) + np.arange(ends[-1])
-        paths = np.repeat(count[frontier], lens) * alive[edge[entry]]
-        new = dist[nbr[entry]] < 0
-        entry, paths = entry[new], paths[new]
+        ends = lens.cumsum()
+        entry = (ptr[frontier] - ends + lens).repeat(lens) + np.arange(ends[-1])
         reached = nbr[entry]
+        new = (dist[reached] < 0).nonzero()[0]
+        entry, reached = entry[new], reached[new]
+        step = paths.repeat(lens)[new] * live[entry]
         dist[reached] = level
-        frontier = np.flatnonzero(dist == level)
+        frontier = (dist == level).nonzero()[0]
         seen += frontier.size
-        count[frontier] = np.minimum(
-            np.bincount(reached, weights=paths)[frontier], 2)
-        step = entry[paths > 0]
-        via[nbr[step]] = edge[step]
+        paths = np.minimum(np.bincount(reached, weights=step)[frontier], 2)
+        count[frontier] = paths
+        step = step.nonzero()[0]
+        via[reached[step]] = edge[entry[step]]
     return dist, count, via
 
 
@@ -132,21 +137,25 @@ def compute_ssp_cover(model, seed=0):
     rng = np.random.default_rng(seed)
     alive = np.ones(model.n_edges, dtype=bool)
     degree = model._degree.copy()
+    left = model.n_edges
     chains = []
-    while alive.any():
-        start = int(rng.choice(np.flatnonzero(degree > 0)))
+    while left:
+        start = int(rng.choice((degree > 0).nonzero()[0]))
         dist, count, via = _bfs_live_paths(model, start, alive)
-        ends = np.flatnonzero((count == 1) & (dist >= 1))
-        node = int(ends[np.argmax(dist[ends])])  # argmax returns lowest index on ties
+        # The farthest strict end, lowest index on ties: only the start has
+        # distance 0, and it has a strict neighbour.
+        node = int((dist * (count == 1)).argmax())
         path = [node]
         while node != start:
             a, b = model.edges[via[node]]
             node = a if b == node else b
             path.append(node)
         path.reverse()
-        alive[via[path[1:]]] = False
-        degree[path[:-1]] -= 1
-        degree[path[1:]] -= 1
+        at = np.array(path)
+        alive[via[at[1:]]] = False
+        degree[at[:-1]] -= 1
+        degree[at[1:]] -= 1
+        left -= len(path) - 1
         chains.append(chain_block(model, path))
     return BlockSchedule("ssp", chains)
 

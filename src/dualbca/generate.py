@@ -12,23 +12,21 @@ REGIMES = ("sparse_grid", "denser", "complete")
 
 
 def _grid_edges(height, width):
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            u = r * width + c
-            if c + 1 < width:
-                edges.append((u, u + 1))
-            if r + 1 < height:
-                edges.append((u, u + width))
-    return edges
+    """Edges of the 4-connected grid as an (m, 2) array: node by node in
+    row-major order, the edge to the right neighbour before the one below."""
+    u = np.arange(height * width)
+    ends = np.stack((np.stack((u, u + 1), axis=1),
+                     np.stack((u, u + width), axis=1)), axis=1)
+    return ends[np.stack((u % width + 1 < width, u + width < u.size), axis=1)]
 
 
-def _truncated_linear(rng, k_u, k_v):
-    lam = rng.uniform(0.5, 2.0)
-    trunc = max(1, max(k_u, k_v) // 2)
-    s = np.arange(k_u)[:, None]
-    t = np.arange(k_v)[None, :]
-    return lam * np.minimum(np.abs(s - t), trunc).astype(float)
+def _truncated_linear(rng, n_edges, labels):
+    """Truncated-linear tables lam * min(|s - t|, max(1, labels // 2)), with
+    one weight lam ~ U(0.5, 2) per edge, drawn in edge order."""
+    lam = rng.uniform(0.5, 2.0, n_edges)
+    s = np.arange(labels)
+    steps = np.minimum(np.abs(s[:, None] - s), max(1, labels // 2))
+    return lam[:, None, None] * steps.astype(float)
 
 
 def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
@@ -40,6 +38,9 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
     denser: the same grid plus random long-range truncated-linear edges up
         to ``connectivity`` (fraction of all node pairs).
     complete: K_n (``n_nodes`` nodes) with uniform random tables.
+
+    Tables are drawn in bulk, unaries node by node, then pairwise tables
+    edge by edge.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -47,31 +48,30 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
     if regime == "complete":
         n = int(n_nodes if n_nodes is not None else height * width)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        lab = [labels] * n
-        unary = [rng.uniform(0.0, 5.0, labels) for _ in range(n)]
+        unary = rng.uniform(0.0, 5.0, (n, labels))
         pairwise = rng.uniform(0.0, 1.0, (len(edges), labels, labels))
-        return GraphicalModel(lab, edges, unary, pairwise)
+        return GraphicalModel([labels] * n, edges, unary, pairwise)
 
     n = height * width
     edges = _grid_edges(height, width)
     grid_shape = (height, width)
     if regime == "denser":
         target = round(connectivity * n * (n - 1) / 2)
-        existing = set(edges)
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if (u, v) not in existing]
+        # Every node pair that is not a grid edge, in lexicographic order.
+        u, v = np.triu_indices(n, 1)
+        free = ((v != u + 1) | (v % width == 0)) & (v != u + width)
+        u, v = u[free], v[free]
         extra = max(0, target - len(edges))
-        if extra > len(all_pairs):
+        if extra > len(u):
             raise ValueError("connectivity target exceeds the complete graph")
-        picked = rng.choice(len(all_pairs), size=extra, replace=False)
-        edges = edges + [all_pairs[i] for i in sorted(picked)]
+        picked = np.sort(rng.choice(len(u), size=extra, replace=False))
+        edges = np.concatenate((edges, np.stack((u[picked], v[picked]),
+                                                axis=1)))
         grid_shape = None          # long-range edges break the grid structure
-    lab = [labels] * n
-    unary = [rng.uniform(0.0, 5.0, labels) for _ in range(n)]
-    pairwise = np.empty((len(edges), labels, labels))
-    for table in pairwise:
-        table[...] = _truncated_linear(rng, labels, labels)
-    return GraphicalModel(lab, edges, unary, pairwise, grid_shape=grid_shape)
+    unary = rng.uniform(0.0, 5.0, (n, labels))
+    pairwise = _truncated_linear(rng, len(edges), labels)
+    return GraphicalModel([labels] * n, edges.tolist(), unary, pairwise,
+                          grid_shape=grid_shape)
 
 
 def random_model(rng, n_nodes=5, max_labels=3, edge_prob=0.6, scale=1.0):

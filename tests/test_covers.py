@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,12 @@ def graph_model(n, edges, labels=2, grid_shape=None):
 
 def complete_model(n):
     return graph_model(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def two_components():
+    m = random_model(np.random.default_rng(7), n_nodes=40, edge_prob=0.15)
+    return graph_model(40, [(u, v) for u, v in m.edges
+                            if (u < 20) == (v < 20)])
 
 
 def covered(schedule):
@@ -148,6 +157,34 @@ class TestSspCover:
     def test_empty_graph(self):
         m = graph_model(3, [])
         assert compute_ssp_cover(m, seed=0).blocks == ()
+
+    # sha256 of the JSON list of each cover's chains (seed 0), node by node
+    # in chain order: the covers are pinned chain for chain, in order.
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: graph_model(32 * 32, generate_instance(
+            "sparse_grid", height=32, width=32, labels=1, seed=0).edges),
+         "2e79da189bba6d924e18bf12947cafbeb9f1b7adcbb222bc66c3c31f04ea0b7d"),
+        (lambda: graph_model(64 * 64, generate_instance(
+            "sparse_grid", height=64, width=64, labels=1, seed=0).edges),
+         "8516d79ec43f483238fd9d5d61c967cc152e9ea510903b0db1cd7961b59f73c3"),
+        (lambda: generate_instance("denser", height=12, width=12, labels=2,
+                                   seed=0),
+         "bcb55c97eae750914c902084abfe8b258ecaf2ec8458229f4e7b8919beaab2c7"),
+        (lambda: generate_instance("denser", height=12, width=12, labels=2,
+                                   seed=1),
+         "099efaa4d841e69dce4f6e6c1fff8b3ee412144439465105421cf6e74d4f96e0"),
+        (lambda: generate_instance("denser", height=12, width=12, labels=2,
+                                   seed=2),
+         "ce4e9c96e27c464e59e7782e98a16f1576eaf58fb872440a15784c47dae339ef"),
+        (two_components,
+         "2bf5a49f871da4472b17a301de1ed4869c00963c9d396b9254803a6dd146d554"),
+    ], ids=["grid32", "grid64", "denser0", "denser1", "denser2",
+            "two_components"])
+    def test_cover_pinned(self, make, digest):
+        chains = [[int(u) for u in b.nodes]
+                  for b in compute_ssp_cover(make(), seed=0).blocks]
+        assert hashlib.sha256(
+            json.dumps(chains).encode()).hexdigest() == digest
 
 
 class TestRowsColumns:
@@ -288,16 +325,26 @@ def test_level_bfs_matches_oracle_on_random_graphs():
             dist, count, via = _bfs_live_paths(m, s, alive)
             full_dist = bfs_distances(full, s)
             live_dist = bfs_distances(live, s)
+            # The last level built is the first without a node that has
+            # exactly one live path, or the farthest level.
+            stop = int(dist.max())
+            strict = [any(count[t] == 1 for t in range(n) if dist[t] == k)
+                      for k in range(stop + 1)]
+            assert all(strict[:-1])
+            assert stop == max(full_dist.values()) or not strict[-1]
             for t in range(n):
                 # Only full-graph shortest paths count: none where the live
                 # distance exceeds the full one.
                 on_full = t in live_dist and live_dist[t] == full_dist[t]
                 want = min(count_shortest_paths(live, s, t), 2) if on_full else 0
+                if t not in full_dist or full_dist[t] > stop:
+                    # Beyond the stop level: unreached, and no node there
+                    # has exactly one live shortest path.
+                    assert dist[t] == -1 and count[t] == 0 and via[t] == -1
+                    assert want != 1
+                    continue
+                assert dist[t] == full_dist[t]
                 assert count[t] == want
-                if dist[t] >= 0:
-                    assert dist[t] == full_dist[t]
-                if count[t]:
-                    assert dist[t] == full_dist[t]
                 if count[t] and t != s:
                     a, b = m.edges[via[t]]
                     w = a if b == t else b
@@ -305,6 +352,3 @@ def test_level_bfs_matches_oracle_on_random_graphs():
                     assert dist[w] == dist[t] - 1 and count[w] > 0
                 else:
                     assert via[t] == -1
-            # The BFS may stop early, but only beyond every live path.
-            reach = max(full_dist[t] for t in range(n) if count[t])
-            assert all(dist[t] >= 0 for t in full_dist if full_dist[t] <= reach)

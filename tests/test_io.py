@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -303,3 +305,31 @@ class TestGenerate:
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
             generate_instance("ring", seed=0)
+
+    # sha256 of each instance's unary tables, pairwise tables and edges (as
+    # little-endian float64 and int64): generation is pinned to the bit.
+    @pytest.mark.parametrize("regime, size, seed, digest", [
+        ("sparse_grid", dict(height=32, width=32, labels=8), 0,
+         "47657fb714bc179467b13d01ca5162292d6ad7d1fe06144af3af5c234fe9d2e6"),
+        ("sparse_grid", dict(height=32, width=32, labels=8), 1,
+         "a1bfc59a600cca97c9ae48e50b293e8e0c094702a84019ecbcfc9b7fc98163c3"),
+        ("sparse_grid", dict(height=5, width=7, labels=3), 0,
+         "6b87f83b6fd6d0977869e74c9e1728fbff2b4190d68a92d2c18ea3b218d08920"),
+        ("sparse_grid", dict(height=5, width=7, labels=3), 1,
+         "595f857ca6af2acb4b9889cf9a6e887ec20fd49d564fa50e670926cc2f265848"),
+        ("denser", dict(height=12, width=12, labels=6), 0,
+         "92f2e121b7af4d01adbc4dbe82f3705f087f352b73e089e14b5e34dfa4e92580"),
+        ("denser", dict(height=12, width=12, labels=6), 1,
+         "b23f69f3edb4c910d3b5b4cdd60deeb37c7757598cd08c4903f4c08ec47dea9d"),
+        ("complete", dict(n_nodes=50, labels=4), 0,
+         "5871a4e7dfa5e5b494127da896aa9196fcd56bc69f9ab818e92c6ae2f1dba6a0"),
+        ("complete", dict(n_nodes=50, labels=4), 1,
+         "88d645ffa691ad4117101862c5f4c8fa227065c4defbe8ace225f87095e00f0c"),
+    ])
+    def test_tables_pinned(self, regime, size, seed, digest):
+        m = generate_instance(regime, seed=seed, **size)
+        h = hashlib.sha256()
+        h.update(np.concatenate(m.unary).astype("<f8").tobytes())
+        h.update(np.stack(m.pairwise).astype("<f8").tobytes())
+        h.update(np.array(m.edges, dtype="<i8").tobytes())
+        assert h.hexdigest() == digest

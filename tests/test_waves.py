@@ -15,6 +15,7 @@ from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
                            node_costs)
 from dualbca.solve import (METHODS, SolverConfig, _colour_classes, _Run,
                            run)
+from dualbca import updates
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, _unique_rows,
                              handshake_update, mplp_update)
@@ -532,6 +533,35 @@ def test_buffer_holds_theta_phi_after_a_pass(method, tree_mode):
         assert np.all(np.abs(phi.buffer[:n] - want)
                       <= TOL * np.maximum(1.0, np.abs(want)))
         assert phi.values.size == model.phi_size
+
+
+@pytest.mark.parametrize("method,tree_mode", BUFFER_CASES)
+def test_exact_path_derives_theta_phi_before_every_batch(method, tree_mode,
+                                                        monkeypatch):
+    # Where theta^phi is derived afresh, the buffer holds node_costs bit
+    # for bit before every batch and after every pass.  The capped-row
+    # grid's waves push into one node several times.
+    def checked(kernel):
+        def run_checked(buf, *args):
+            assert np.array_equal(buf[:n], node_costs(model, phi))
+            kernel(buf, *args)
+        return run_checked
+
+    monkeypatch.setattr(updates, "_KERNELS",
+                        tuple(map(checked, updates._KERNELS)))
+    grid = generate_instance("sparse_grid", height=5, width=6, labels=3,
+                             seed=4)
+    tables = np.stack(grid.pairwise)
+    tables[7, 1] = COST_CAP
+    grid = GraphicalModel(grid.labels, grid.edges, grid.unary, tables,
+                          grid_shape=grid.grid_shape)
+    for model in models(3) + [grid]:
+        assert model._exact_excess
+        state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
+        phi, n = state.phi, model._unary_flat.size
+        for _ in range(2):
+            state.do_pass()
+            assert np.array_equal(phi.buffer[:n], node_costs(model, phi))
 
 
 def test_run_honours_phi_written_from_outside():
