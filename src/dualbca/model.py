@@ -152,7 +152,6 @@ class GraphicalModel:
         np.cumsum(deg * lab, out=phi_off[1:])
         self.phi_size = int(phi_off[-1])
         self._phi_off = phi_off.tolist()
-        self._phi_start = phi_off[:-1]
         self._degree = deg
         # Start of phi_{u,v}, then of phi_{v,u}, per CSR entry (u, v).
         self._inc_phi = phi_off[src] + (np.arange(src.size)

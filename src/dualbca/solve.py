@@ -1,38 +1,22 @@
 """Full iterative solvers with message accounting and convergence traces.
 
-All methods update one shared dual vector phi; they differ only in which
-blocks they sweep and which update they apply per block:
+All methods update one shared dual vector phi.  Each is one row of
+``_TAXONOMY``: the family of blocks it sweeps and the update it applies to
+each block.  Every pass is an :class:`dualbca.updates.Program`, compiled at
+the run's first pass (each pass, for dynamic trees).
 
-==========  =====================================================
-msd, cmp    node-adjacent aggregate/distribute, isotropic weights
-trws        ordered forward/backward sweeps, anisotropic weights
-mplp        edge sweep by colour class, half-split edge update
-mplppp      edge sweep by colour class, handshake update
-dmm         hierarchical minorant on a fixed chain cover
-tbca        tree-BCA on static or dynamic spanning trees
-tbcapp      tbca plus the maximality correction
-spam        hierarchical minorant on strictly-shortest-path chains
-==========  =====================================================
-
-Every pass is an :class:`dualbca.updates.Program`, compiled at the run's
-first pass (each pass, for dynamic trees).  The node methods write node
-operations: ``msd`` and ``cmp`` one star update per node, ``trws`` one
-TRW-S step per node and sweep.  Node operations at adjacent nodes conflict
-and at non-adjacent nodes do not, so on a row-major grid a sweep runs as one
-batched wave per anti-diagonal.
-
-Edge sweeps go by greedy colour class (:func:`_edge_order`): the edges of
-a class share no node, so each class runs as one wave.  The blocks of a
-chain cover (``dmm``, ``spam``, and ``tbca``/``tbcapp`` with an explicit
-``cover``) are swept in one fixed order: the single edges first, in the
-edge sweep's order, then the longer chains by greedy colour class, longest
-first, so that the chains of a class run in the same waves.  Spanning
-trees keep their order: each spans its whole component.
+Node operations at adjacent nodes conflict and at non-adjacent nodes do
+not, so on a row-major grid a ``msd``, ``cmp`` or ``trws`` sweep runs as one
+batched wave per anti-diagonal.  Edge sweeps and the blocks of a chain
+cover go by greedy colour class (:func:`_edge_order`, :func:`_chain_cover`),
+and the blocks of a class run in the same waves.  Spanning trees keep their
+order: each spans its whole component.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import blocks as blk
 from . import covers
@@ -42,8 +26,6 @@ from .model import Reparametrization, _dual_and_rounding, energy, primal_round
 from .model import dual_value  # noqa: F401
 from .updates import MessageCounter, Program
 
-METHODS = ("msd", "cmp", "trws", "mplp", "mplppp", "dmm", "tbca", "tbcapp",
-           "spam")
 COVERS = ("auto", "mmc", "rows_columns", "ssp")
 # A run stops once its dual rose by less than ``tol`` (relative) over this
 # many passes.
@@ -58,9 +40,9 @@ class SolverConfig:
     max_seconds: float = None
     tol: float = 1e-9
     seed: int = 0
-    tree_mode: str = "static"        # tbca/tbcapp only: static | dynamic
-    node_order: list = None          # None = input order
-    cover: str = "auto"              # dmm/tbca/spam: auto | mmc | rows_columns | ssp
+    tree_mode: str = "static"        # tbca/tbcapp: static | dynamic trees
+    node_order: list = None          # trws, mmc cover; None = input order
+    cover: str = "auto"              # dmm/spam/tbca/tbcapp: one of COVERS
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -75,6 +57,8 @@ class SolverConfig:
             raise ValueError(f"unknown cover {self.cover!r}")
         if self.tree_mode not in ("static", "dynamic"):
             raise ValueError(f"unknown tree_mode {self.tree_mode!r}")
+        if self.tree_mode == "dynamic" and self.cover != "auto":
+            raise ValueError("dynamic trees exclude an explicit cover")
         if self.max_passes is None and self.max_messages is None \
                 and self.max_seconds is None:
             raise ValueError("at least one stopping criterion must be set")
@@ -108,12 +92,7 @@ def _node_order(model, config):
 def _chain_cover(model, config):
     kind = config.cover
     if kind == "auto":
-        if config.method == "spam":
-            kind = "ssp"
-        elif config.method == "dmm":
-            kind = "rows_columns" if model.grid_shape is not None else "mmc"
-        else:
-            kind = "mmc"
+        kind = _TAXONOMY[config.method][0].auto(model)
     if kind == "mmc":
         schedule = covers.compute_mmc_cover(model, _node_order(model, config))
     elif kind == "rows_columns":
@@ -173,8 +152,17 @@ def _edge_order(model, edges):
     return [e for c in classes for e in c]
 
 
-def _emit_trws(prog, model, order):
-    """One TRW-S pass: a sweep along ``order``, then one along its reverse.
+# Block families, called with the run when it starts.  Covers and static
+# trees are built then, before pass 0; the others are lazy, built as the
+# first pass compiles; dynamic trees give each pass's blocks from its phi.
+def _stars(extra):
+    """Every node u with a neighbour, and its star weight 1 / (deg + extra)."""
+    return lambda run: ((u, 1.0 / (len(nbrs) + extra))
+                        for u, nbrs in enumerate(run.model.adjacency) if nbrs)
+
+
+def _emit_trws(run):
+    """The steps (u, later, r) of a TRW-S pass: along the order, then back.
 
     Each node with a later neighbour takes one step, with weight
     1 / max(n_in, n_out) over its earlier and later neighbours.  At each
@@ -183,6 +171,7 @@ def _emit_trws(prog, model, order):
     one distribution plus one min-marginal push per later edge realizes the
     aggregate/distribute node update at a single message per edge.
     """
+    model, order = run.model, run.order
     pos = [0] * model.n_nodes
     for sweep in (order, order[::-1]):
         for i, u in enumerate(sweep):
@@ -191,12 +180,51 @@ def _emit_trws(prog, model, order):
             nbrs = model.neighbors(u)
             later = [v for v in nbrs if pos[v] > pos[u]]
             if later:
-                prog.trws(u, later,
-                          1.0 / max(len(nbrs) - len(later), len(later)))
+                yield u, later, 1.0 / max(len(nbrs) - len(later), len(later))
+
+
+def _edges(run):
+    """Every edge, in the order of an edge sweep."""
+    yield from _edge_order(run.model, run.model.edges)
+
+
+class _Cover(NamedTuple):
+    """A chain cover, of kind ``auto(model)`` unless the config names one."""
+    auto: Callable
+
+    def __call__(self, run):
+        return _chain_cover(run.model, run.config).blocks
+
+
+def _trees(run):
+    """Static or dynamic spanning trees, or an explicit cover's chains."""
+    model, config = run.model, run.config
+    if config.cover != "auto":
+        return _chain_cover(model, config).blocks
+    if config.tree_mode == "static":
+        return covers.compute_static_trees(model).blocks
+    return lambda: covers.compute_dynamic_forest(
+        model, run.phi, primal_round(model, run.phi))
+
+
+# Each method: (block family, update), the update (program, block) -> None.
+_TAXONOMY = {
+    "msd": (_stars(0), lambda prog, star: prog.star(*star)),
+    "cmp": (_stars(1), lambda prog, star: prog.star(*star)),
+    "trws": (_emit_trws, lambda prog, step: prog.trws(*step)),
+    "mplp": (_edges, lambda prog, e: prog.mplp(*e)),
+    "mplppp": (_edges, lambda prog, e: prog.handshake(*e)),
+    "dmm": (_Cover(lambda model: "mmc" if model.grid_shape is None
+                   else "rows_columns"), blk.emit_hm),
+    "tbca": (_trees, blk.emit_tbca),
+    "tbcapp": (_trees, lambda prog, b: blk.emit_tbca(prog, b, plus=True)),
+    "spam": (_Cover(lambda model: "ssp"), blk.emit_hm),
+}
+METHODS = tuple(_TAXONOMY)
 
 
 class _Run:
-    """One solver run: owns phi, the counter and the schedule."""
+    """One solver run: owns phi, the counter and the method's blocks."""
 
     def __init__(self, model, config):
         self.model = model
@@ -204,50 +232,21 @@ class _Run:
         self.phi = Reparametrization(model)
         self.counter = MessageCounter()
         self.order = _node_order(model, config)
-        m = config.method
-        self.schedule = None
-        if m in ("dmm", "spam"):
-            self.schedule = _chain_cover(model, config)
-        elif m in ("tbca", "tbcapp"):
-            if config.cover != "auto":
-                self.schedule = _chain_cover(model, config)
-            elif config.tree_mode == "static":
-                self.schedule = covers.compute_static_trees(model)
+        blocks, self._update = _TAXONOMY[config.method]
+        self._blocks = blocks(self)
         self._program = None
 
     def program(self):
-        """The program of the next pass.
-
-        A static schedule is compiled at its first pass and reused; dynamic
-        trees are recomputed from the current phi every pass.
-        """
+        """The program of the next pass: compiled at the first pass and
+        reused, or for dynamic trees recomputed from the current phi."""
         if self._program is not None:
             return self._program
-        model, m = self.model, self.config.method
-        prog = Program(model)
-        if m in ("msd", "cmp"):
-            for u in range(model.n_nodes):
-                deg = len(model.neighbors(u))
-                if deg:
-                    prog.star(u, 1.0 / deg if m == "msd" else 1.0 / (deg + 1))
-        elif m == "trws":
-            _emit_trws(prog, model, self.order)
-        elif m in ("mplp", "mplppp"):
-            add = prog.mplp if m == "mplp" else prog.handshake
-            for (u, v) in _edge_order(model, model.edges):
-                add(u, v)
-        elif m in ("dmm", "spam"):
-            for chain in self.schedule.blocks:
-                blk.emit_hm(prog, chain)
-        elif self.schedule is not None:
-            for b in self.schedule.blocks:
-                blk.emit_tbca(prog, b, plus=(m == "tbcapp"))
-        elif model.n_edges > 0:
-            y = primal_round(model, self.phi)
-            for tree in covers.compute_dynamic_forest(model, self.phi, y):
-                blk.emit_tbca(prog, tree, plus=(m == "tbcapp"))
-            return prog
-        self._program = prog
+        dynamic = callable(self._blocks)
+        prog = Program(self.model)
+        for b in self._blocks() if dynamic else self._blocks:
+            self._update(prog, b)
+        if not dynamic:
+            self._program = prog
         return prog
 
     def do_pass(self):

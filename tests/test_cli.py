@@ -68,6 +68,19 @@ class TestSolve:
                    "--max-passes", "1", "--tol", "nan"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--method", "tbca"],
+        ["bench", "--methods", "tbca", "msd", "--out-dir", "OUT"]],
+        ids=["solve", "bench"])
+    def test_dynamic_trees_with_a_cover_exit_1(self, command, tmp_path,
+                                                capsys):
+        command = [str(tmp_path) if a == "OUT" else a for a in command]
+        rc = main(command + ["--generate", "sparse_grid:3", "--max-passes",
+                             "1", "--cover", "mmc", "--tree-mode", "dynamic"])
+        assert rc == 1
+        assert "dynamic trees exclude an explicit cover" in \
+            capsys.readouterr().err
+
     def test_malformed_model_exits_1(self, tmp_path):
         p = tmp_path / "bad.uai"
         p.write_text("BAYES\n")

@@ -38,6 +38,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(method="tbca", tree_mode="greedy")
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dynamic_trees_exclude_an_explicit_cover(self, method):
+        for cover in ("mmc", "rows_columns", "ssp"):
+            with pytest.raises(ValueError, match="explicit cover"):
+                SolverConfig(method, cover=cover, tree_mode="dynamic")
+        SolverConfig(method, cover="auto", tree_mode="dynamic")
+
     @pytest.mark.parametrize("kwargs", [
         dict(tol=float("nan")),
         dict(max_passes=None, max_seconds=float("nan")),
@@ -186,19 +193,34 @@ class TestMessageBudgets:
                                           max_seconds=0.2))
         assert trace[-1].wall_seconds < 5.0
 
-    def test_clock_includes_cover_build(self, monkeypatch):
-        # The cover is built before pass 0; its time counts towards
-        # wall_seconds and max_seconds.
-        build = covers.compute_ssp_cover
+    @pytest.mark.parametrize("method,cover,builder,regime", [
+        pytest.param("spam", "auto", "compute_ssp_cover", "sparse_grid",
+                     id="spam-ssp"),
+        pytest.param("dmm", "auto", "rows_columns_cover", "sparse_grid",
+                     id="dmm-rows_columns"),
+        pytest.param("dmm", "auto", "compute_mmc_cover", "complete",
+                     id="dmm-mmc"),
+        pytest.param("tbca", "auto", "compute_static_trees", "sparse_grid",
+                     id="tbca-static_trees"),
+        pytest.param("tbcapp", "mmc", "compute_mmc_cover", "sparse_grid",
+                     id="tbcapp-mmc"),
+    ])
+    def test_clock_includes_cover_build(self, monkeypatch, method, cover,
+                                        builder, regime):
+        # Covers and static trees are built before pass 0; their time
+        # counts towards wall_seconds and max_seconds.
+        build, calls = getattr(covers, builder), []
 
-        def slow_build(model, seed=0):
+        def slow_build(*args):
+            calls.append(args)
             time.sleep(0.05)
-            return build(model, seed)
+            return build(*args)
 
-        monkeypatch.setattr(covers, "compute_ssp_cover", slow_build)
-        m = generate_instance("sparse_grid", height=4, width=4, seed=0)
-        _, _, trace = run(m, SolverConfig(method="spam", max_passes=10,
-                                          max_seconds=1e-6))
+        monkeypatch.setattr(covers, builder, slow_build)
+        m = generate_instance(regime, height=4, width=4, seed=0)
+        _, _, trace = run(m, SolverConfig(method=method, max_passes=10,
+                                          max_seconds=1e-6, cover=cover))
+        assert len(calls) == 1
         assert len(trace) == 1
         assert trace[0].wall_seconds >= 0.05
 
