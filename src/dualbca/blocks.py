@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .updates import run_program
+import numpy as np
+
+from .updates import HANDSHAKE, RDP, run_program
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def tbca_chain(model, phi, block, counter=None):
     2(n-1) messages on an n-node chain.
     """
     _require_chain(block)
-    run_program(model, phi, counter, emit_tbca, block, False)
+    run_program(model, phi, counter, emit_tbca, block)
 
 
 def tbca_pp_chain(model, phi, block, counter=None):
@@ -132,27 +134,33 @@ def tbca_pp_chain(model, phi, block, counter=None):
     out as well, so every chain edge ends with zero row and column minima.
     """
     _require_chain(block)
-    run_program(model, phi, counter, emit_tbca, block, True)
+    run_program(model, phi, counter,
+                lambda prog, b: emit_tbca(prog, b, plus=True), block)
 
 
-def emit_tbca(prog, block, plus=False):
-    """Append the (plus-)TBCA update of ``block`` to ``prog``.
+def emit_tbca(prog, *blocks, plus=False):
+    """Append the (plus-)TBCA update of each block to ``prog``, in one call.
 
     Costs are collected at the root ``block.nodes[-1]`` (a chain's end, a
     tree's highest index) along a depth-first post-order; the reverse sweep
     redistributes with r = (j-1)/n at the j-th backward step, which on a
     chain is r = (n - i)/n at node i.
     """
-    nodes = block.nodes
-    n = len(nodes)
-    order = [(nodes[c], nodes[p])
-             for c, p in _walk(_block_adjacency(block), n - 1)[1:]]
-    for c, p in reversed(order):       # children before parents
-        prog.rdp(c, p)
-    for j, (c, p) in enumerate(order, start=1):
-        prog.rdp(p, c, (j - 1) / n)
-        if plus:
-            prog.push(c, p)
+    u, v, r = [], [], []
+    for block in blocks:
+        nodes, n = block.nodes, len(block.nodes)
+        walk = _walk(_block_adjacency(block), n - 1)[1:]
+        c, p = [nodes[i] for i, _ in walk], [nodes[j] for _, j in walk]
+        m, k = len(walk), 1 + plus
+        bu, bv, br = [0] * k * m, [0] * k * m, [0.0] * k * m
+        bu[::k], bv[::k], br[::k] = p, c, [j / n for j in range(m)]
+        if plus:        # each backward rdp, then a push back
+            bu[1::2], bv[1::2] = c, p
+        u += c[::-1] + bu           # children before parents, then back
+        v += p[::-1] + bv
+        r += [1.0] * m + br
+    if u:
+        prog._append(RDP, u, 1, v, r)
 
 
 def hm_chain(model, phi, block, counter=None):
@@ -166,14 +174,34 @@ def hm_tree(model, phi, block, counter=None):
     run_program(model, phi, counter, emit_hm, block)
 
 
-def emit_hm(prog, block):
-    """Append the hierarchical minorant update of ``block`` to ``prog``.
+def emit_hm(prog, *blocks):
+    """Append the hierarchical minorant update of each block to ``prog``.
 
     DP pushes every cost toward the mid edge, a handshake resolves it, and
     the two sides are processed in turn, the lower-position side first.
-    Pushes already performed at an enclosing level are not repeated.
+    Pushes already performed at an enclosing level are not repeated.  The
+    operations depend only on positions in ``block.nodes``, so the blocks'
+    operations are worked out once per tree and per chain length, and
+    appended in one call.
     """
-    nodes, adj = block.nodes, _block_adjacency(block)
+    memo, ops, at = {}, [], [0]
+    for block in blocks:
+        key = block if block.kind == "tree" else len(block.nodes)
+        if key not in memo:
+            memo[key] = _hm(_block_adjacency(block))
+        ops.append(memo[key])
+        at.append(at[-1] + len(block.nodes))
+    if ops:
+        nodes = np.fromiter((u for b in blocks for u in b.nodes), np.int64)
+        kind, a, b = np.concatenate(ops).T
+        at = np.repeat(at[:-1], list(map(len, ops)))
+        prog._append(kind, nodes[a + at], 1, nodes[b + at], kind == RDP)
+
+
+def _hm(adj):
+    """(kind, position of u, position of v) of every operation of the
+    hierarchical minorant update of the tree ``adj``, which it empties."""
+    ops = []
     # Sub-blocks still to do, as (root, top): below the top, root is the
     # endpoint the enclosing handshake changed, and every edge of the
     # sub-block already holds a DP message toward it.  Each handshake drops
@@ -186,7 +214,7 @@ def emit_hm(prog, block):
         order = _walk(adj, root)
         n = len(order)
         if n == 2:
-            prog.handshake(nodes[min(order[1])], nodes[max(order[1])])
+            ops.append((HANDSHAKE, min(order[1]), max(order[1])))
             continue
         size = {u: 1 for u, _ in order}
         for u, p in order[:0:-1]:
@@ -196,8 +224,8 @@ def emit_hm(prog, block):
                       for u, p in order[1:])
         if top:
             # Push every edge toward b, children in position order.
-            for u, w in reversed(_walk(adj, b, reverse=True)[1:]):
-                prog.rdp(nodes[u], nodes[w])
+            ops += [(RDP, u, w)
+                    for u, w in reversed(_walk(adj, b, reverse=True)[1:])]
         else:
             # Only the edges between root and b point away from b; every
             # other message toward root also points toward b and is valid.
@@ -206,9 +234,9 @@ def emit_hm(prog, block):
             while path[-1] != root:
                 path.append(parent[path[-1]])
             path.reverse()
-            for u, w in zip(path, path[1:]):
-                prog.rdp(nodes[u], nodes[w])
-        prog.handshake(nodes[a], nodes[b])
+            ops += [(RDP, u, w) for u, w in zip(path, path[1:])]
+        ops.append((HANDSHAKE, a, b))
         adj[a].remove(b)
         adj[b].remove(a)
         todo += [(b, False), (a, False)]
+    return np.array(ops, dtype=np.int64).reshape(-1, 3)

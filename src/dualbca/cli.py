@@ -141,6 +141,11 @@ def _bench_job(job):
 
 
 def cmd_bench(args):
+    methods = args.methods or list(METHODS)
+    dups = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if dups:
+        print(f"bench: method {dups[0]!r} is given twice", file=sys.stderr)
+        return 2
     instances = []
     for path in args.models or ():
         model, shift = parse_uai(path, probabilities=args.probabilities)
@@ -160,7 +165,6 @@ def cmd_bench(args):
         print(f"bench: two instances are named {dups[0]!r}, and traces are "
               "named after instances", file=sys.stderr)
         return 2
-    methods = args.methods or list(METHODS)
     os.makedirs(args.out_dir, exist_ok=True)
     mean_edges = float(np.mean([m.n_edges for m, _, _ in instances]))
 

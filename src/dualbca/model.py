@@ -142,6 +142,8 @@ class GraphicalModel:
         self._inc_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=self._inc_ptr[1:])
         self._inc_nbr = dst[csr]
+        # u * n + v of every entry (u, v), ascending, to look pairs up.
+        self._inc_key = src * n + self._inc_nbr
         self._inc_edge = csr % max(self.n_edges, 1)
         nbr = self._inc_nbr.tolist()
         ptr = self._inc_ptr.tolist()

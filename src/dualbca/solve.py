@@ -15,8 +15,12 @@ order: each spans its whole component.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import blocks as blk
 from . import covers
@@ -24,7 +28,8 @@ from .model import Reparametrization, _dual_and_rounding, energy, primal_round
 # Not called here; benchmarks/bench_trace.py wraps the evaluation functions
 # of this module by name.
 from .model import dual_value  # noqa: F401
-from .updates import MessageCounter, Program
+from .updates import (HANDSHAKE, MPLP, STAR, TRWS, MessageCounter,
+                      Program)
 
 COVERS = ("auto", "mmc", "rows_columns", "ssp")
 # A run stops once its dual rose by less than ``tol`` (relative) over this
@@ -123,18 +128,19 @@ def _colour_classes(paths, visit):
     path sharing a node with it has.  The paths of a class share no node,
     so their updates run in the same waves.
     """
-    used = {}                       # node -> bit mask of its paths' colours
+    used = defaultdict(int)         # node -> bit mask of its paths' colours
     classes = []
     for p in sorted(paths, key=visit):
         taken = 0
         for u in p:
-            taken |= used.get(u, 0)
-        c = (~taken & (taken + 1)).bit_length() - 1     # lowest free colour
+            taken |= used[u]
+        bit = ~taken & (taken + 1)      # the lowest free colour
+        c = bit.bit_length() - 1
         if c == len(classes):
             classes.append([])
         classes[c].append(p)
         for u in p:
-            used[u] = used.get(u, 0) | 1 << c
+            used[u] |= bit
     return [sorted(c) for c in classes]
 
 
@@ -148,21 +154,26 @@ def _edge_order(model, edges):
     visiting needs 63; 4 on a grid.
     """
     n = model.n_nodes
-    classes = _colour_classes(edges, lambda e: ((e[0] + e[1]) % n, e))
+    classes = _colour_classes(
+        edges, lambda e: ((e[0] + e[1]) % n * n + e[0]) * n + e[1])
     return [e for c in classes for e in c]
 
 
 # Block families, called with the run when it starts.  Covers and static
 # trees are built then, before pass 0; the others are lazy, built as the
 # first pass compiles; dynamic trees give each pass's blocks from its phi.
+# Node and edge families give (u, count, targets, r) arrays.
 def _stars(extra):
     """Every node u with a neighbour, and its star weight 1 / (deg + extra)."""
-    return lambda run: ((u, 1.0 / (len(nbrs) + extra))
-                        for u, nbrs in enumerate(run.model.adjacency) if nbrs)
+    def stars(run):
+        deg = run.model._degree
+        u = np.flatnonzero(deg)
+        yield u, deg[u], run.model._inc_nbr, 1.0 / (deg[u] + extra)
+    return stars
 
 
 def _emit_trws(run):
-    """The steps (u, later, r) of a TRW-S pass: along the order, then back.
+    """The steps of a TRW-S pass: along the order, then back.
 
     Each node with a later neighbour takes one step, with weight
     1 / max(n_in, n_out) over its earlier and later neighbours.  At each
@@ -171,21 +182,30 @@ def _emit_trws(run):
     one distribution plus one min-marginal push per later edge realizes the
     aggregate/distribute node update at a single message per edge.
     """
-    model, order = run.model, run.order
-    pos = [0] * model.n_nodes
+    model, order = run.model, np.array(run.order, dtype=np.int64)
+    deg, nbr = model._degree, model._inc_nbr
+    node = np.repeat(np.arange(model.n_nodes), deg)     # of each CSR entry
+    pos, steps = np.empty(model.n_nodes, dtype=np.int64), []
     for sweep in (order, order[::-1]):
-        for i, u in enumerate(sweep):
-            pos[u] = i
-        for u in sweep:
-            nbrs = model.neighbors(u)
-            later = [v for v in nbrs if pos[v] > pos[u]]
-            if later:
-                yield u, later, 1.0 / max(len(nbrs) - len(later), len(later))
+        pos[sweep] = np.arange(len(sweep))
+        later = np.flatnonzero(pos[nbr] > pos[node])
+        later = later[np.argsort(pos[node[later]], kind="stable")]
+        n_out = np.bincount(node[later], minlength=model.n_nodes)
+        u = sweep[n_out[sweep] > 0]
+        steps.append((u, n_out[u], nbr[later],
+                      1.0 / np.maximum(deg[u] - n_out[u], n_out[u])))
+    yield tuple(map(np.concatenate, zip(*steps)))
 
 
 def _edges(run):
     """Every edge, in the order of an edge sweep."""
-    yield from _edge_order(run.model, run.model.edges)
+    e = np.array(_edge_order(run.model, run.model.edges)).reshape(-1, 2)
+    yield e[:, 0], 1, e[:, 1], 0.0
+
+
+def _ops(kind):
+    """The update of a node or edge family: its operations, of one kind."""
+    return lambda prog, ops: prog._append(kind, *ops)
 
 
 class _Cover(NamedTuple):
@@ -207,17 +227,18 @@ def _trees(run):
         model, run.phi, primal_round(model, run.phi))
 
 
-# Each method: (block family, update), the update (program, block) -> None.
+# Each method: (block family, update), the update (program, *blocks) -> None
+# called once with the whole family.
 _TAXONOMY = {
-    "msd": (_stars(0), lambda prog, star: prog.star(*star)),
-    "cmp": (_stars(1), lambda prog, star: prog.star(*star)),
-    "trws": (_emit_trws, lambda prog, step: prog.trws(*step)),
-    "mplp": (_edges, lambda prog, e: prog.mplp(*e)),
-    "mplppp": (_edges, lambda prog, e: prog.handshake(*e)),
+    "msd": (_stars(0), _ops(STAR)),
+    "cmp": (_stars(1), _ops(STAR)),
+    "trws": (_emit_trws, _ops(TRWS)),
+    "mplp": (_edges, _ops(MPLP)),
+    "mplppp": (_edges, _ops(HANDSHAKE)),
     "dmm": (_Cover(lambda model: "mmc" if model.grid_shape is None
                    else "rows_columns"), blk.emit_hm),
     "tbca": (_trees, blk.emit_tbca),
-    "tbcapp": (_trees, lambda prog, b: blk.emit_tbca(prog, b, plus=True)),
+    "tbcapp": (_trees, partial(blk.emit_tbca, plus=True)),
     "spam": (_Cover(lambda model: "ssp"), blk.emit_hm),
 }
 METHODS = tuple(_TAXONOMY)
@@ -243,8 +264,7 @@ class _Run:
             return self._program
         dynamic = callable(self._blocks)
         prog = Program(self.model)
-        for b in self._blocks() if dynamic else self._blocks:
-            self._update(prog, b)
+        self._update(prog, *(self._blocks() if dynamic else self._blocks))
         if not dynamic:
             self._program = prog
         return prog

@@ -60,19 +60,15 @@ RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)
 _MESSAGES = (1, 1, 3, 2, 1, 1)       # messages charged per target, by kind
 _BATCH_TARGETS = 256                 # most targets per batch
 
-# Columns of the record from which the compiler builds a batch's gather
-# index, one row per operation: the start of theta^phi_u; then per target
-# the edge's position in its shape block, then per target the start of
-# phi_{u,v}, of phi_{v,u} and of theta^phi_v.  Starts index
-# ``Reparametrization.buffer``: theta^phi of every node, then phi, then a
-# scratch row per directed incidence.  Every kind but a push reads and
-# writes theta^phi_u, and every kind but the star update writes
-# theta^phi_v of its targets.  Where several pushes land in one node in one
-# wave, each after the first in program order adds to the scratch row of
-# its incidence, and the wave ends by adding those rows to the node in
-# program order.  Targets are ordered by part (shape block, and orientation
-# unless the tables are square), then by row of u.
-_U, _TARGETS = 0, 1
+# A batch gathers from ``Reparametrization.buffer`` (theta^phi of every
+# node, then phi, then a scratch row per directed incidence) one row per
+# operation.  Every kind but a push reads and writes theta^phi_u, and every
+# kind but the star update writes theta^phi_v of its targets.  Where
+# several pushes land in one node in one wave, each after the first in
+# program order adds to the scratch row of its incidence, and the wave ends
+# by adding those rows to the node in program order.  Targets are ordered
+# by part (shape block, and orientation unless the tables are square), then
+# by row of u.
 
 
 class _Part(NamedTuple):
@@ -109,94 +105,114 @@ class Program:
 
     Edge operations are appended with :meth:`rdp`, :meth:`push`,
     :meth:`handshake` and :meth:`mplp`, node operations with :meth:`trws`
-    and :meth:`star`.  The first :meth:`run` levels and batches them, and
-    compiles each batch into what its kernel reads: its spec, the index of
-    its theta^phi and phi in ``Reparametrization.buffer``, the positions of
-    its tables in the model's shape blocks, and its weights.  The compiled
-    program gathers the tables and the buffer on every run, and runs on any
-    reparametrization of the model.
+    and :meth:`star`, and whole sweeps as arrays with :meth:`_append`.  The
+    first :meth:`run` levels and batches them, and compiles each batch into
+    what its kernel reads: its spec, the index of its theta^phi and phi in
+    ``Reparametrization.buffer``, the positions of its tables in the model's
+    shape blocks, and its weights.  The compiled program gathers the tables
+    and the buffer on every run, and runs on any reparametrization of the
+    model.
     """
 
     def __init__(self, model):
         self.model = model
-        self._kind, self._u, self._count = array("b"), array("q"), array("q")
-        self._r = array("d")
-        self._targets = array("q")      # of all operations, in program order
+        # Appended chunks of (kind, u, count, targets, r, CSR entry of each
+        # (u, target)).
+        none = np.zeros(0, dtype=np.int64)
+        self._chunks = [(none, none, none, none, np.zeros(0), none)]
         self._plan = None
+
+    def _arrays(self):
+        if len(self._chunks) > 1:
+            self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
+        return self._chunks[0]
 
     @property
     def ops(self):
         """(kind, u, v, r) of every operation, in program order; v is the
         tuple of target neighbours for a node operation."""
-        ts = self._targets
+        kind, u, count, targets, r, _ = self._arrays()
+        ts, count = targets.tolist(), count.tolist()
         return [(k, u, tuple(ts[t:t + c]) if k >= TRWS else ts[t], r)
-                for k, u, c, r, t in zip(self._kind, self._u, self._count,
-                                         self._r, accumulate(self._count,
-                                                             initial=0))]
+                for k, u, c, r, t in zip(kind.tolist(), u.tolist(), count,
+                                         r.tolist(),
+                                         accumulate(count, initial=0))]
 
     def rdp(self, u, v, r=1.0):
         """Move fraction r of theta^phi_u into edge uv, then push the u -> v
         min-marginal into v.  r = 1 is the dynamic-programming push; r = 0
         moves nothing of theta^phi_u and is recorded as :meth:`push`."""
-        if not (0.0 <= r <= 1.0):
-            raise ValueError(f"r={r} outside [0, 1]")
-        if r == 0.0:
-            self.push(u, v)
-        else:
-            self._add(RDP, u, (v,), r)
+        self._append(RDP, [u], 1, [v], r)
 
     def push(self, u, v):
         """Subtract the u -> v min-marginal from phi_{v,u}."""
-        self._add(PUSH, u, (v,))
+        self._append(PUSH, [u], 1, [v], 0.0)
 
     def handshake(self, u, v):
         """The edge block update of MPLP++ (see :func:`handshake_update`)."""
-        self._add(HANDSHAKE, u, (v,))
+        self._append(HANDSHAKE, [u], 1, [v], 0.0)
 
     def mplp(self, u, v):
         """The edge block update of MPLP (see :func:`mplp_update`)."""
-        self._add(MPLP, u, (v,))
+        self._append(MPLP, [u], 1, [v], 0.0)
 
     def trws(self, u, later, r):
         """The TRW-S step at u: add r * theta^phi_u, computed once, to
         phi_{u,v} of every v in ``later``, then push each u -> v min-marginal
         into v.  One message per v."""
-        later = tuple(later)
-        targets = set(later)
-        if not targets.issubset(self._star(u)):
-            raise ValueError(f"a target of the TRW-S step at {u} is not a "
-                             "neighbour")
-        if len(targets) != len(later):
-            raise ValueError("repeated neighbour in a TRW-S step")
-        self._node(TRWS, u, later, r)
+        later = list(later)
+        self._append(TRWS, [u], len(later), later, r)
 
     def star(self, u, r):
         """The star update of msd and cmp at u: pull the row minima of every
         incident edge into u, then add r * theta^phi_u to each of u's rows.
         One message per neighbour."""
-        self._node(STAR, u, self._star(u), r)
+        star = self.model.neighbors(u) if 0 <= u < self.model.n_nodes else ()
+        self._append(STAR, [u], len(star), star, r)
 
-    def _star(self, u):
-        if not 0 <= u < self.model.n_nodes:
-            raise ValueError(f"node {u} out of range")
-        return self.model.neighbors(u)
+    def _append(self, kind, u, count, targets, r):
+        """Append operations given as arrays: u, and the kind, number of
+        targets and r of each (or one for all), then all their targets in
+        order.  An rdp with r = 0 is recorded as a push.  All are checked,
+        by one lookup of their (u, target) pairs, before any is appended."""
+        model, n = self.model, self.model.n_nodes
+        u = np.asarray(u, dtype=np.int64)
+        kind, count, r = (np.broadcast_to(np.asarray(x, dtype=t), u.shape)
+                          for x, t in ((kind, np.int64), (count, np.int64),
+                                       (r, np.float64)))
+        targets = np.asarray(targets, dtype=np.int64)
+        node = kind >= TRWS
 
-    def _node(self, kind, u, targets, r):
-        if not targets:
-            raise ValueError(f"node operation at {u} has no target edge")
-        if not (r >= 0.0 and r * len(targets) <= 1.0 + 1e-12):
-            raise ValueError(f"weight {r} over {len(targets)} edges is not a "
-                             f"fraction of theta^phi_{u}")
-        self._add(kind, u, targets, r)
+        def check(bad, message):
+            if np.count_nonzero(bad):
+                raise ValueError(message(int(np.argmax(bad))))
 
-    def _add(self, kind, u, targets, r=0.0):
-        if kind < TRWS:
-            self.model.incidence(u, targets[0])     # rejects a non-edge
-        self._kind.append(kind)
-        self._u.append(u)
-        self._count.append(len(targets))
-        self._r.append(r)
-        self._targets.extend(targets)
+        check(node & ((u < 0) | (u >= n)),
+              lambda i: f"node {u[i]} out of range")
+        r_bad = ~((r >= 0.0) & (r * count <= np.where(node, 1.0 + 1e-12,
+                                                        1.0)))
+        rdp = kind == RDP
+        check(rdp & r_bad, lambda i: f"r={r[i]} outside [0, 1]")
+        op = np.repeat(np.arange(len(u)), count)
+        src = u[op]
+        key = src * n + targets
+        entry = model._inc_key.searchsorted(key)
+        ok = (np.minimum(src, targets) >= 0) & (np.maximum(src, targets) < n) \
+            & (entry < len(model._inc_key))
+        ok[ok] = model._inc_key[entry[ok]] == key[ok]
+        check(~ok, lambda t: (
+            f"a target of the TRW-S step at {src[t]} is not a neighbour"
+            if node[op[t]] else
+            f"({src[t]},{targets[t]}) is not an edge of the model"))
+        pair = np.sort((op * len(model._inc_key) + entry)[node[op]])
+        check(pair[1:] == pair[:-1],
+              lambda i: "repeated neighbour in a TRW-S step")
+        check(count == 0, lambda i: f"node operation at {u[i]} has no target "
+              "edge")
+        check(node & r_bad, lambda i: f"weight {r[i]} over {count[i]} edges "
+              f"is not a fraction of theta^phi_{u[i]}")
+        self._chunks.append((np.where(rdp & (r == 0.0), PUSH, kind), u,
+                             count, targets, r, entry))
         self._plan = None
 
     def waves(self):
@@ -206,66 +222,60 @@ class Program:
     def _level(self):
         """Wave of every operation, in program order."""
         model = self.model
+        kind, u, count, targets, _, entry = self._arrays()
         edge_last = [-1] * model.n_edges
         wrote = [-1] * model.n_nodes        # last wave writing a row of x
         read = [-1] * model.n_nodes         # last wave reading theta^phi_x
-        ptr, star = model._inc_ptr.tolist(), model._inc_edge.tolist()
-        targets = self._targets.tolist()
-        waves = array("q")
-        for kind, u, c, t in zip(self._kind, self._u, self._count,
-                                 accumulate(self._count, initial=0)):
-            if kind >= TRWS:
+        waves = []
+        # Per operation, as compact arrays: an edge operation's edge and
+        # target, a node operation's star (a CSR range) and first target.
+        node, at = kind >= TRWS, np.cumsum(count) - count
+        a = np.where(node, model._inc_ptr[u], model._inc_edge[entry[at]])
+        b = np.where(node, model._inc_ptr[u + 1], targets[at])
+        star, ts, *ops = (array("q", x.tobytes()) for x in (
+            model._inc_edge, targets, kind, u, a, b, at, count))
+        for k, x, e, y, t, c in zip(*ops):
+            if k == PUSH:
+                w = max(edge_last[e], read[x], read[y], wrote[y] - 1) + 1
+                if wrote[x] < w:
+                    wrote[x] = w
+                edge_last[e] = wrote[y] = w
+            elif k == RDP:
+                w = max(edge_last[e], read[x], read[y], wrote[y] - 1,
+                        wrote[x]) + 1
+                edge_last[e] = read[x] = wrote[x] = wrote[y] = w
+            elif k < TRWS:
+                w = max(edge_last[e], read[x], read[y], wrote[x],
+                        wrote[y]) + 1
+                edge_last[e] = read[x] = read[y] = wrote[x] = wrote[y] = w
+            else:
                 # Whatever conflicts through theta^phi_u or u's rows also
                 # shares an edge of u's star.
-                edges = star[ptr[u]:ptr[u + 1]]
+                edges = star[e:y]
                 w = max(map(edge_last.__getitem__, edges))
-                later = targets[t:t + c]
-                if kind == TRWS:    # pushes keep program order per node
+                if k == TRWS:       # pushes keep program order per node
+                    later = ts[t:t + c]
                     w = max(w, max(map(read.__getitem__, later)),
-                            max(map(wrote.__getitem__, later)) - 1)
-                w += 1
-                for e in edges:
-                    edge_last[e] = w
-                if kind == TRWS:
-                    for x in later:
-                        wrote[x] = max(wrote[x], w)
-                waves.append(w)
-                continue
-            v = targets[t]
-            e = model._incidence[u, v][0]
-            w = max(edge_last[e], read[u], read[v], wrote[v] - 1)
-            if kind == RDP:
-                w = max(w, wrote[u])
-            elif kind != PUSH:
-                w = max(w, wrote[u], wrote[v])
-            w += 1
-            edge_last[e] = w
-            wrote[u] = max(wrote[u], w)
-            wrote[v] = max(wrote[v], w)
-            if kind == RDP:
-                read[u] = w
-            elif kind != PUSH:
-                read[u] = read[v] = w
+                            max(map(wrote.__getitem__, later)) - 1) + 1
+                    for z in later:
+                        wrote[z] = w
+                else:
+                    w += 1
+                for f in edges:
+                    edge_last[f] = w
             waves.append(w)
         return waves
 
     def _compile(self):
         model = self.model
-        kind = np.frombuffer(self._kind, dtype=np.int8).astype(np.int64)
-        u = np.frombuffer(self._u, dtype=np.int64)
-        count = np.frombuffer(self._count, dtype=np.int64)
-        r = np.frombuffer(self._r, dtype=np.float64)
-        targets = np.frombuffer(self._targets, dtype=np.int64)
-        waves = np.frombuffer(self._level(), dtype=np.int64)
+        kind, u, count, targets, r, entry = self._arrays()
+        waves = np.asarray(self._level(), dtype=np.int64)
         n = len(kind)
         if n == 0:
             return [], 0
         op = np.repeat(np.arange(n), count)     # operation of each target
         op_start = np.cumsum(count) - count
-        n_nodes = model.n_nodes             # CSR entry of each (u, target)
-        entry = np.searchsorted(
-            np.repeat(np.arange(n_nodes), model._degree) * n_nodes
-            + model._inc_nbr, u[op] * n_nodes + targets)
+        n_nodes = model.n_nodes
         # Part of each target: side * n_blocks + shape block, where side is
         # 1 if u is the edge's canonical first endpoint, 0 if not, and 2 (any)
         # for an edge operation on a square table.  (A node operation's
@@ -285,19 +295,19 @@ class Program:
         # two, padded with -1.
         code = np.append(part, -1)
         layout = np.empty(n, dtype=np.int64)
-        layouts = []
+        n_layouts = 0
         group = np.ceil(np.log2(count)).astype(np.int64)
         for k in np.flatnonzero(np.bincount(group)).tolist():
             sel, w = np.flatnonzero(group == k), 1 << k
             at = op_start[sel, None] + np.arange(w)
             at[np.arange(w) >= count[sel, None]] = len(op)
             keys, which = _unique_rows(np.column_stack((kind[sel], code[at])))
-            layout[sel] = len(layouts) + which
-            layouts += keys.tolist()
+            layout[sel] = n_layouts + which
+            n_layouts += len(keys)
         # Batches by wave and layout; within a batch, operations whose first
         # target has u first go first, so that an orientation-free part is
         # two runs.
-        key = waves * len(layouts) + layout
+        key = waves * n_layouts + layout
         order = np.lexsort((~first[op_start], key))
         starts = _batch_starts(key[order],
                                np.maximum(1, _BATCH_TARGETS // count[order]))
@@ -311,68 +321,91 @@ class Program:
         late = push[1:][node[1:] == node[:-1]]
         late = late[np.lexsort((late, waves[op[late]]))]   # wave, then program
         excess[late] = model._inc_back[entry[late]] + phi_at + model.phi_size
-        # The operations' records, one after another in batch order, in the
-        # narrowest type that indexes the buffer.
-        seg = np.cumsum(np.append(0, _TARGETS + 4 * count[order]))
-        top = phi_at + 2 * model.phi_size
-        ints = np.empty(seg[-1], dtype=np.int32 if top < 2**31 else np.int64)
-        at = seg[:-1]
-        ints[at + _U] = model.label_offsets[u[order]]
-        place = np.empty(n, dtype=np.int64)
-        place[order] = at
-        col = place[op] + _TARGETS + np.arange(len(op)) - op_start[op]
-        ints[col] = model._edge_pos[model._inc_edge[entry]]
-        ints[col + count[op]] = model._inc_phi[entry] + phi_at
-        ints[col + 2 * count[op]] = model._inc_back[entry] + phi_at
-        ints[col + 3 * count[op]] = excess
-        # A batch's spec: layout and r = 1 throughout.
+        # A batch's spec: layout and r = 1 throughout.  A spec's parts are
+        # the runs of equal part codes among the targets of one of its
+        # operations.
         keys, which = _unique_rows(np.stack(
             (layout[order[starts]],
              np.logical_and.reduceat(r[order] == 1.0, starts)), axis=1,
             dtype=np.int64))
-        # The batches of one spec compile together: their operations, in
-        # program order, are the rows of one record, and each batch is a
-        # run of its rows.
+        new = np.append(True, (part[1:] != part[:-1]) | (op[1:] != op[:-1]))
+        run = np.cumsum(new) - 1                # of each target
+        cut = np.flatnonzero(new)
+        codes, lens = part[cut].tolist(), np.diff(np.append(cut, len(op)))
+        rep = order[starts[np.unique(which, return_index=True)[1]]]
+        lo, hi = run[op_start[rep]], run[op_start[rep] + count[rep] - 1] + 1
+        specs = [_spec(model, k, unit, codes[a:b], lens[a:b].tolist())
+                 for k, a, b, (_, unit) in zip(kind[rep].tolist(), lo.tolist(),
+                                               hi.tolist(), keys.tolist())]
+        # One gather index for all operations, in batch order, in the
+        # narrowest type that indexes the buffer: per operation the segments
+        # theta^phi_u, then per target phi_{u,v}, phi_{v,u} and theta^phi_v
+        # (empty where a kind does not read them).  A batch is a run of it.
+        lab = np.diff(model.label_offsets)
+        seg = np.cumsum(np.append(0, 1 + 3 * count[order]))
+        place = np.empty(n, dtype=np.int64)     # first segment of each op
+        place[order] = seg[:-1]
+        col = place[op] + 1 + np.arange(len(op)) - op_start[op]
+        ints = np.int32 if phi_at + 2 * model.phi_size < 2**31 else np.int64
+        start, length = np.empty((2, seg[-1]), dtype=ints)
+        start[seg[:-1]] = model.label_offsets[u[order]]
+        length[seg[:-1]] = lab[u[order]] * (kind[order] != PUSH)
+        start[col] = model._inc_phi[entry] + phi_at
+        length[col] = lab[u[op]]
+        start[col + count[op]] = model._inc_back[entry] + phi_at
+        length[col + count[op]] = lab[into]
+        start[col + 2 * count[op]] = excess
+        length[col + 2 * count[op]] = lab[into] * (kind[op] != STAR)
+        # Each segment's values follow its start: one running sum of ones
+        # that jumps at the first value of each segment.
+        at, full = np.cumsum(length) - length, length > 0
+        index = np.ones(at[-1] + length[-1], dtype=ints)
+        start, length = start[full], length[full]
+        index[at[full]] = start + 1 - np.append(1, start[:-1] + length[:-1])
+        np.cumsum(index, out=index)
+        rows = np.append(at[seg[:-1][starts]], len(index)).tolist()
+        del start, length, at, full
+        # Per part of each batch, its edges' positions in their block and
+        # how many have u first: targets by batch, then by run within their
+        # operation (a batch's operations share them), then batch order.
         size = np.diff(np.append(starts, n))
-        spec_of = np.repeat(which, size)        # of each operation
-        rows = np.argsort(spec_of, kind="stable")
-        lo = np.searchsorted(spec_of[rows], np.arange(len(keys) + 1))
-        groups, gathers = [], {}
-        for k, (lay, unit) in enumerate(keys.tolist()):
-            g, (col, offset), where = _spec(model, layouts[lay], unit, gathers)
-            sel = at[rows[lo[k]:lo[k + 1]]]
-            rec = ints[sel[:, None] + np.arange(seg[rows[lo[k]] + 1] - sel[0])]
-            idx = rec.take(col, axis=1)
-            idx += offset
-            groups.append((g, idx, [(rec[:, c].copy(), each)
-                                    for c, each in where]))
+        batch = np.empty(n, dtype=np.int64)
+        batch[order] = np.repeat(np.arange(len(starts)), size)
+        key = batch[op] * len(op) + run - run[op_start][op]
+        by = np.lexsort((place[op], key))
+        key = key[by]
+        cut = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        pos = model._edge_pos[model._inc_edge[entry[by]]]
+        pos = [pos[a:b] for a, b in zip(cut.tolist(),
+                                         cut[1:].tolist() + [len(op)])]
+        b, side = key[cut] // len(op), part[by[cut]] // n_blocks
+        u_first = np.add.reduceat(first[op_start[order]], starts)[b]
+        pos = list(zip(pos, np.where(side < 2, side * np.diff(
+            np.append(cut, len(op))), u_first).tolist()))
+        cut = np.searchsorted(b, np.arange(len(starts) + 1)).tolist()
         # The wave's last batch adds the late pushes' scratch rows to their
         # nodes, in program order, and clears them.
         wave_of = waves[order[starts]]          # of each batch
-        lab = np.diff(model.label_offsets)[into[late]]
+        lab = lab[into[late]]
         step = np.arange(lab.sum()) - np.repeat(np.cumsum(lab) - lab, lab)
         dest = np.repeat(model.label_offsets[into[late]], lab) + step
         src = np.repeat(excess[late], lab) + step
-        wave, cut = np.unique(np.repeat(waves[op[late]], lab),
-                              return_index=True)
+        wave, at = np.unique(np.repeat(waves[op[late]], lab),
+                             return_index=True)
         fix = [None] * len(starts)
         for b, d, s in zip(np.searchsorted(wave_of, wave, "right") - 1,
-                           np.split(dest, cut[1:]), np.split(src, cut[1:])):
+                           np.split(dest, at[1:]), np.split(src, at[1:])):
             fix[b] = d, s
-        # Each batch: its spec, its rows of the spec's index, per part its
-        # edges' positions and how many of them have u first, its weights,
-        # and what ends its wave.
-        u_first = np.add.reduceat(first[op_start[order]], starts).tolist()
-        inner = np.argsort(rows)[starts] - lo[which]    # first row in group
-        # Weights: r, and what an operation keeps of theta^phi_u.
+        # Each batch: its spec, its rows of the index, per part its edges'
+        # positions and how many of them have u first, its weights, and
+        # what ends its wave.  Weights: r, and what an operation keeps of
+        # theta^phi_u.
         r, batches = np.column_stack((r, 1.0 - count * r))[order], []
-        for k, s, m, a, f, end in zip(which.tolist(), inner.tolist(),
-                                      size.tolist(), starts.tolist(), u_first,
-                                      fix):
-            g, idx, pos = groups[k]
-            batches.append((g, idx[s:s + m], [
-                (p[s:s + m].reshape(-1), f if each is None else each * m)
-                for p, each in pos], r[a:a + m], end))
+        for k, a, m, end, x, y, p, q in zip(
+                which.tolist(), starts.tolist(), size.tolist(), fix, rows,
+                rows[1:], cut, cut[1:]):
+            batches.append((specs[k], index[x:y].reshape(m, -1), pos[p:q],
+                            r[a:a + m], end))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages
 
@@ -420,13 +453,10 @@ def _unique_rows(a):
     (``np.unique(axis=0)`` sorts the rows as bytes, far slower).
     """
     low = a.min(axis=0)
-    bits = [int(x).bit_length() for x in (a.max(axis=0) - low).tolist()]
-    if sum(bits) <= 62:
-        key = np.zeros(len(a), dtype=np.int64)
-        for j, b in enumerate(bits):
-            if b:
-                key <<= b
-                key |= a[:, j] - low[j]
+    bits = np.array([int(x).bit_length()
+                     for x in (a.max(axis=0) - low).tolist()])
+    if bits.sum() <= 62:
+        key = (a - low) @ (1 << (bits.sum() - np.cumsum(bits)))
         order = np.argsort(key, kind="stable")
         key = key[order]
         new = np.append(True, key[1:] != key[:-1])
@@ -439,50 +469,26 @@ def _unique_rows(a):
     return a[order[new]], which
 
 
-def _spec(model, layout, unit, gathers):
-    """The :class:`_Spec` of the batches with this layout (kind, then the
-    part of each target), and what only the compiler reads: the gather
-    pattern, and per part the record columns of its edges' positions and
-    how many of them have u as their canonical first endpoint per operation
-    (None where that varies).
-
-    The gather pattern gives per gathered value the record column of its
-    start (``col``) and the offset from it.  ``gathers`` shares it between
-    layouts that differ only in the targets' orientations and blocks, as
-    the node operations of K_n all do.
-    """
-    kind, codes = layout[0], [z for z in layout[1:] if z >= 0]
-    n_blocks, c = len(model._shape_groups), len(codes)
+def _spec(model, kind, unit, codes, lens):
+    """The :class:`_Spec` of the batches of this kind whose targets come in
+    runs of ``lens[i]`` targets of part ``codes[i]``."""
+    groups = model._shape_groups
+    n_blocks, c = len(groups), sum(lens)
     side, block = divmod(codes[0], n_blocks)
-    lab = model._shape_groups[block].block.shape[2 - side % 2]
+    lab = groups[block].block.shape[2 - side % 2]
     uv = lab * (kind != PUSH)
     vu = uv + c * lab
-    lab_vs = [model._shape_groups[z % n_blocks].block.shape[
-        1 + z // n_blocks % 2] for z in codes]
-    at = list(accumulate(lab_vs, initial=vu))   # starts of the phi_{v,u}
-    cut = [t for t in range(1, c) if codes[t] != codes[t - 1]]
-    parts, where = [], []
-    for t0, t1 in zip([0] + cut, cut + [c]):
-        side, block = divmod(codes[t0], n_blocks)
-        parts.append(_Part(model._shape_groups[block].block, lab_vs[t0],
-                           t1 - t0 > 1, slice(uv + t0 * lab, uv + t1 * lab),
-                           slice(at[t0], at[t1]),
-                           slice(at[t0] + at[c] - vu, at[t1] + at[c] - vu)))
-        where.append((slice(_TARGETS + t0, _TARGETS + t1),
-                      side * (t1 - t0) if side < 2 else None))
-    key = (kind, lab, tuple(lab_vs))
-    if key not in gathers:
-        # Segments: theta^phi_u, the targets' phi_{u,v}, their phi_{v,u},
-        # their theta^phi_v; a kind leaves out what it does not read.
-        theirs = c * (kind != STAR)
-        length = np.array([uv] + [lab] * c + lab_vs + lab_vs[:theirs])
-        col = np.repeat([_U] + list(range(_TARGETS + c,
-                                          _TARGETS + 3 * c + theirs)), length)
-        offset = np.arange(len(col)) - np.repeat(np.cumsum(length) - length,
-                                                 length)
-        gathers[key] = (col, offset)
-    return (_Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts)),
-            gathers[key], where)
+    lab_vs = [groups[z % n_blocks].block.shape[1 + z // n_blocks % 2]
+              for z in codes]
+    end = vu + sum(lv * k for lv, k in zip(lab_vs, lens))  # of phi_{v,u}
+    parts, t0, a0 = [], 0, vu
+    for z, lab_v, k in zip(codes, lab_vs, lens):
+        t1, a1 = t0 + k, a0 + k * lab_v
+        parts.append(_Part(groups[z % n_blocks].block, lab_v, k > 1,
+                           slice(uv + t0 * lab, uv + t1 * lab), slice(a0, a1),
+                           slice(a0 + end - vu, a1 + end - vu)))
+        t0, a0 = t1, a1
+    return _Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts))
 
 
 def _marginal(tab, k, p_uv, p_vu, over_u):

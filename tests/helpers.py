@@ -6,6 +6,8 @@ elementary updates one at a time.  :func:`batch_count` reads how many
 batches a compiled program runs, and :func:`check_greedy_classes` checks a
 colour-class block order.
 """
+from functools import partial
+
 import numpy as np
 
 from dualbca.blocks import emit_tbca
@@ -83,7 +85,7 @@ def rdp_update(model, phi, u, v, r, counter=None):
 
 def tbca_tree(model, phi, block, counter=None, plus=False):
     """Tree-BCA update on a tree (or chain) block; see :func:`emit_tbca`."""
-    run_program(model, phi, counter, emit_tbca, block, plus)
+    run_program(model, phi, counter, partial(emit_tbca, plus=plus), block)
 
 
 def batch_count(prog):

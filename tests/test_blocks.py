@@ -198,9 +198,9 @@ class TestHmChain:
             assert counter.total == self.expected_messages(n)
 
 
-def program_ops(model, emit, block, *args):
+def program_ops(model, emit, block, **kwargs):
     prog = Program(model)
-    emit(prog, block, *args)
+    emit(prog, block, **kwargs)
     return prog.ops
 
 
@@ -252,7 +252,7 @@ def test_chain_programs_match_reference_on_shuffled_chains():
         b = chain_block(m, nodes)
         assert program_ops(m, emit_hm, b) == ref_hm_chain(nodes)
         for plus in (False, True):
-            assert program_ops(m, emit_tbca, b, plus) == \
+            assert program_ops(m, emit_tbca, b, plus=plus) == \
                 ref_tbca_chain(nodes, plus)
 
 
@@ -358,9 +358,9 @@ class TestTbcaTree:
             m = chain_model(rng, n)
             for plus in (False, True):
                 assert program_ops(m, emit_tbca, tree_block(m, m.edges),
-                                   plus) == \
+                                   plus=plus) == \
                     program_ops(m, emit_tbca, chain_block(m, list(range(n))),
-                                plus)
+                                plus=plus)
 
 
 def test_block_updates_never_decrease_dual_midstream():

@@ -153,6 +153,16 @@ class TestBench:
         assert "'x.uai'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_method_exits_2(self, tmp_path, capsys):
+        # A repeated method would run twice and write one trace file twice.
+        out = tmp_path / "bench"
+        rc = main(["bench", "--generate", "sparse_grid:3,3", "--methods",
+                   "spam", "trws", "spam", "--max-passes", "1", "--out-dir",
+                   str(out)])
+        assert rc == 2
+        assert "'spam'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runs_jobs_in_order(self, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = main(["bench", "--generate", "complete:5,3", "--generate",
