@@ -9,8 +9,8 @@ Node operations at adjacent nodes conflict and at non-adjacent nodes do
 not, so on a row-major grid a ``msd``, ``cmp`` or ``trws`` sweep runs as one
 batched wave per anti-diagonal.  Edge sweeps and the blocks of a chain
 cover go by greedy colour class (:func:`_edge_order`, :func:`_chain_cover`),
-and the blocks of a class run in the same waves.  Spanning trees keep their
-order: each spans its whole component.
+and the blocks of a class share waves and, packed by slack, batches.
+Spanning trees keep their order: each spans its whole component.
 """
 from __future__ import annotations
 

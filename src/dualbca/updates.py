@@ -10,6 +10,7 @@ Pass a :class:`MessageCounter` to have updates charge messages to it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -44,17 +45,20 @@ class MessageCounter:
 # adjacent nodes conflict, and at non-adjacent nodes do not), or when one
 # reads theta^phi_x and the other writes a row of x.  Operations that do not
 # conflict touch disjoint phi and commute exactly, so a program is levelled
-# into waves, each operation in the earliest wave after every earlier
-# operation it conflicts with.  theta^phi_x is kept in the buffer, and a
-# push adds to it, so pushes into x must keep program order: a push into x
-# also goes to no wave before an earlier operation that writes a row of x.
-# A wave runs as numpy batches of operations that share kind and target
-# layout (the orientation and table shape of each target), and leaves the
-# buffer bit for bit as running its operations one per wave, in program
-# order, would.  For edge operations on square tables the orientation is
-# not part of the layout: a batch holds both, the ones where u is the
-# canonical first endpoint first, and the batch knows how many of them
-# there are.
+# into waves, each operation after every earlier operation it conflicts
+# with.  theta^phi_x is kept in the buffer, and a push adds to it, so
+# pushes into x must keep program order: a push into x also goes to no wave
+# before an earlier operation that writes a row of x.  A wave runs as numpy
+# batches of operations that share kind and target layout (the orientation
+# and table shape of each target), and leaves the buffer bit for bit as
+# running its operations one per wave, in program order, would.  For edge
+# operations on square tables the orientation is not part of the layout: a
+# batch holds both, the ones where u is the canonical first endpoint first,
+# and the batch knows how many of them there are.  Levelling puts each
+# operation in its earliest wave, then packs waves that mix layouts by
+# slack: a layout runs in a wave only where one of its operations can go
+# no earlier, joined by those whose slack reaches it (list scheduling by
+# mobility), if that saves batches at the same depth.
 
 RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)
 _MESSAGES = (1, 1, 3, 2, 1, 1)       # messages charged per target, by kind
@@ -120,7 +124,7 @@ class Program:
         # (u, target)).
         none = np.zeros(0, dtype=np.int64)
         self._chunks = [(none, none, none, none, np.zeros(0), none)]
-        self._plan = None
+        self._plan = self._targets = None
 
     def _arrays(self):
         if len(self._chunks) > 1:
@@ -264,18 +268,80 @@ class Program:
                 for f in edges:
                     edge_last[f] = w
             waves.append(w)
-        return waves
+        layout, n_layouts = (self._targets or self._layouts())[-2:]
+        asap = np.asarray(waves, dtype=np.int64)
+        depth = max(waves, default=-1) + 1
+        last = np.empty(depth, dtype=np.int64)      # a layout of each wave
+        last[asap] = layout
+        if np.array_equal(last[asap], layout):
+            return waves                # no wave mixes layouts
+        # No slack if each op before the last wave has a next op a wave on.
+        deg, n = np.where(node, b - a, 1), len(kind)
+        edge = model._inc_edge[np.arange(deg.sum()) + np.repeat(
+            np.where(node, a, entry[at]) - np.cumsum(deg) + deg, deg)]
+        key, op = np.divmod(np.sort(edge * depth * n + np.repeat(
+            asap * n + np.arange(n), deg)), n)
+        tight = np.bincount(op[:-1][np.diff(key) == 1], minlength=n)
+        if np.all(tight | (asap == depth - 1)):
+            return waves
+        # Pack, walking back by earliest wave.  Bounds: per edge the next
+        # wave on it, per node the last to read theta^phi or to write a row.
+        edge_next = [depth] * model.n_edges
+        read_by, write_by = ([depth - 1] * model.n_nodes for _ in range(2))
+        runs, packed = [[] for _ in range(n_layouts)], array("q")   # -wave
+        by = np.argsort(asap, kind="stable")[::-1]
+        cols = kind, u, a, b, at, count, layout, asap
+        for k, x, e, y, t, c, g, w0 in zip(*(array("q", col[by].tobytes())
+                                             for col in cols)):
+            if k < TRWS:
+                p = write_by[x] if k == PUSH else read_by[x]
+                q = read_by[y] if k >= HANDSHAKE else write_by[y]
+                w = p if p < q else q
+                if edge_next[e] <= w:
+                    w = edge_next[e] - 1
+            else:
+                edges, later = star[e:y], ts[t:t + c] if k == TRWS else ()
+                w = min(min(map(edge_next.__getitem__, edges)) - 1,
+                        min(map(write_by.__getitem__, later), default=depth))
+            run = runs[g]   # the latest run in bound, else the earliest wave
+            i = bisect_left(run, -w)
+            if i == len(run):
+                run.append(-w0)
+            w = -run[i]
+            if k < HANDSHAKE:           # a push into y
+                edge_next[e] = write_by[y] = w
+                if read_by[y] >= w:
+                    read_by[y] = w - 1
+                if k == RDP:
+                    read_by[x] = write_by[x] = w - 1
+                elif read_by[x] >= w:
+                    read_by[x] = w - 1
+            elif k < TRWS:
+                edge_next[e] = w
+                read_by[x] = read_by[y] = write_by[x] = write_by[y] = w - 1
+            else:
+                for z in later:
+                    write_by[z] = w
+                    if read_by[z] >= w:
+                        read_by[z] = w - 1
+                for f in edges:
+                    edge_next[f] = w
+            packed.append(w)
+        packed = np.asarray(packed)[np.argsort(by)]
+        cap = np.empty(n_layouts, dtype=np.int64)   # operations per batch
+        cap[layout] = np.maximum(1, _BATCH_TARGETS // count)
 
-    def _compile(self):
+        def batches(w):
+            key = np.sort(w * n_layouts + layout)
+            return len(_batch_starts(key, cap[key % n_layouts]))
+
+        return packed.tolist() if batches(packed) < batches(asap) else waves
+
+    def _layouts(self):
         model = self.model
-        kind, u, count, targets, r, entry = self._arrays()
-        waves = np.asarray(self._level(), dtype=np.int64)
-        n = len(kind)
-        if n == 0:
-            return [], 0
-        op = np.repeat(np.arange(n), count)     # operation of each target
+        kind, u, count, targets, _, entry = self._arrays()
+        op = np.repeat(np.arange(len(kind)), count)     # of each target
         op_start = np.cumsum(count) - count
-        n_nodes = model.n_nodes
         # Part of each target: side * n_blocks + shape block, where side is
         # 1 if u is the edge's canonical first endpoint, 0 if not, and 2 (any)
         # for an edge operation on a square table.  (A node operation's
@@ -285,7 +351,7 @@ class Program:
         block = model._edge_block[model._inc_edge[entry]]
         first = targets > u[op]
         square = np.array([g.block.shape[1] == g.block.shape[2]
-                           for g in model._shape_groups])[block] \
+                           for g in model._shape_groups], dtype=bool)[block] \
             & (kind[op] < TRWS)
         part = np.where(square, 2, first) * n_blocks + block
         by = np.lexsort((entry - model._inc_ptr[u[op]], part, op))
@@ -294,7 +360,7 @@ class Program:
         # Layouts are compared in groups of target counts up to a power of
         # two, padded with -1.
         code = np.append(part, -1)
-        layout = np.empty(n, dtype=np.int64)
+        layout = np.empty(len(kind), dtype=np.int64)
         n_layouts = 0
         group = np.ceil(np.log2(count)).astype(np.int64)
         for k in np.flatnonzero(np.bincount(group)).tolist():
@@ -304,6 +370,19 @@ class Program:
             keys, which = _unique_rows(np.column_stack((kind[sel], code[at])))
             layout[sel] = n_layouts + which
             n_layouts += len(keys)
+        return op, op_start, entry, part, first, into, layout, n_layouts
+
+    def _compile(self):
+        model = self.model
+        kind, u, count, targets, r, entry = self._arrays()
+        n = len(kind)
+        if n == 0:
+            return [], 0
+        shared = self._targets = self._layouts()    # the levelling reads it
+        waves = np.asarray(self._level(), dtype=np.int64)
+        self._targets = None
+        op, op_start, entry, part, first, into, layout, n_layouts = shared
+        n_blocks = len(model._shape_groups)
         # Batches by wave and layout; within a batch, operations whose first
         # target has u first go first, so that an orientation-free part is
         # two runs.
@@ -316,7 +395,7 @@ class Program:
         phi_at = model._unary_flat.size     # start of phi in the buffer
         excess = model.label_offsets[into]
         push = np.flatnonzero((kind[op] < HANDSHAKE) | (kind[op] == TRWS))
-        node = waves[op[push]] * n_nodes + into[push]
+        node = waves[op[push]] * model.n_nodes + into[push]
         push, node = push[np.argsort(node, kind="stable")], np.sort(node)
         late = push[1:][node[1:] == node[:-1]]
         late = late[np.lexsort((late, waves[op[late]]))]   # wave, then program

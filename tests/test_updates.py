@@ -1,11 +1,13 @@
 from array import array
+from functools import partial
 
 import numpy as np
 import pytest
 
-from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
-                           dual_value, pairwise_costs, primal_round,
-                           unary_costs)
+from dualbca import blocks as blk
+from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
+                           check_feasible, dual_value, pairwise_costs,
+                           primal_round, unary_costs)
 from dualbca.generate import random_model, random_phi
 from dualbca.oracle import brute_force_min
 from dualbca.solve import METHODS, SolverConfig, _Run
@@ -14,7 +16,7 @@ from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              mplp_update)
 from helpers import (batch_count, dp_update, node_aggregate, node_distribute,
                      rdp_update)
-from test_waves import models
+from test_waves import check_packing, models
 
 
 def edge_model(t_u, t_v, t_uv):
@@ -397,3 +399,46 @@ def test_square_tables_batch_both_orientations_together(kind):
     assert max(prog.waves()) + 1 == 2
     assert batch_count(prog) == 2
     assert_bit_identical_to_one_at_a_time(prog, model, rng)
+
+
+def slack_model(rng, cap):
+    """Chains of 8, 3 and 5 nodes and a tree in which nodes 16 and 17 have
+    three children each; 2 to 4 labels per node, so that tables come in
+    several shapes and both orientations, and ``cap`` in 20% of the cells.
+    Returns the model, the chains' blocks and the tree's block."""
+    chains = [range(0, 8), range(8, 11), range(11, 16)]
+    tree = [(16, 17), (16, 18), (16, 19), (17, 20), (17, 21), (17, 22),
+            (18, 23)]
+    edges = [(a, b) for c in chains for a, b in zip(c, c[1:])] + tree
+    labels = [2 + u % 2 + (u % 3 == 0) for u in range(24)]
+
+    def table(shape):
+        t = rng.uniform(0.0, 2.0, shape)
+        t[rng.random(shape) < 0.2] = cap
+        return t
+
+    model = GraphicalModel(labels, edges, [table(k) for k in labels],
+                           [table((labels[u], labels[v])) for u, v in edges])
+    return (model, [blk.chain_block(model, c) for c in chains],
+            blk.tree_block(model, tree))
+
+
+@pytest.mark.parametrize("cap", [COST_CAP, 5.0], ids=["exact", "deltas"])
+def test_packing_saves_batches_where_operations_have_slack(cap):
+    # HM over chains of unequal length in one pass, and TBCA++ on a tree:
+    # the operations of the shorter chains and branches can wait for the
+    # longer ones.  Packed, each program runs in fewer batches than in its
+    # earliest waves, at the same depth, with pushes into one node sharing
+    # a wave, and bit for bit as its operations one at a time.  With
+    # COST_CAP cells theta^phi is derived afresh after every batch.
+    rng = np.random.default_rng(34)
+    model, chains, tree = slack_model(rng, cap)
+    assert model._exact_excess == (cap == COST_CAP)
+    for emit, blocks in ((blk.emit_hm, chains),
+                         (partial(blk.emit_tbca, plus=True), [tree])):
+        prog = Program(model)
+        emit(prog, *blocks)
+        packed, earliest = check_packing(model, prog)
+        assert packed < earliest
+        assert any(end is not None for *_, end in prog._plan[0])
+        assert_bit_identical_to_one_at_a_time(prog, model, rng)

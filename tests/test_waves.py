@@ -149,8 +149,7 @@ def test_no_wave_holds_conflicting_ops(method, tree_mode):
             for wave in by_wave.values():
                 for a, b in itertools.combinations(wave, 2):
                     assert not conflict(a, b), (a, b)
-            for i, w in enumerate(waves):
-                assert w == earliest_wave(model, ops, waves, i)
+            check_packing(model, prog)
 
 
 @pytest.mark.parametrize("method,tree_mode", CASES)
@@ -355,6 +354,28 @@ def earliest_wave(model, ops, waves, i):
     return w
 
 
+def check_packing(model, prog):
+    """The levelling contract: every operation goes after the earlier ones
+    it conflicts with, the depth is that of the earliest waves, and the
+    program runs in fewer batches than in the earliest waves, or in those
+    waves.  Returns the two batch counts."""
+    ops, waves = prog.ops, prog.waves()
+    for i, w in enumerate(waves):
+        assert w >= earliest_wave(model, ops, waves, i)
+    asap = []
+    for i in range(len(ops)):
+        asap.append(earliest_wave(model, ops, asap, i))
+    assert max(waves, default=-1) == max(asap, default=-1)
+    ref = Program(model)                # the same operations, at the
+    ref._chunks = [prog._arrays()]      # earliest waves
+    ref._level = lambda: asap
+    packed, earliest = batch_count(prog), batch_count(ref)
+    assert packed <= earliest
+    if packed == earliest:
+        assert waves == asap
+    return packed, earliest
+
+
 def node_orders(model):
     rng = np.random.default_rng(model.n_nodes)
     return [None, [int(u) for u in rng.permutation(model.n_nodes)],
@@ -375,8 +396,7 @@ def test_node_waves_hold_no_adjacent_ops(method, k):
         for (a, wa), (b, wb) in itertools.combinations(zip(ops, waves), 2):
             if wa == wb:
                 assert a[1] != b[1] and not model.has_edge(a[1], b[1])
-        for i, w in enumerate(waves):
-            assert w == earliest_wave(model, ops, waves, i)
+        check_packing(model, prog)
 
 
 def test_grid_waves_are_anti_diagonals():
@@ -435,9 +455,7 @@ def test_mixed_program_reruns_on_random_phi():
             prog.trws(u, model.neighbors(u)[::-1], 0.5 / len(model.neighbors(u)))
             prog.push(model.neighbors(u)[0], u)
         ops = prog.ops
-        waves = prog.waves()
-        for i, w in enumerate(waves):
-            assert w == earliest_wave(model, ops, waves, i)
+        check_packing(model, prog)
         for _ in range(2):
             phi = random_phi(rng, model, scale=2.0)
             ref = phi.copy()
@@ -607,19 +625,20 @@ def test_program_shape_on_k50_and_the_32x32_grid():
     assert shape == {
         ("grid", "msd"): (63, 122), ("grid", "cmp"): (63, 122),
         ("grid", "trws"): (124, 184), ("grid", "mplp"): (4, 8),
-        ("grid", "mplppp"): (4, 8), ("grid", "dmm"): (70, 96),
-        ("grid", "tbca"): (313, 313), ("grid", "tbcapp"): (498, 558),
-        ("grid", "spam"): (268, 513),
+        ("grid", "mplppp"): (4, 8), ("grid", "dmm"): (70, 72),
+        ("grid", "tbca"): (313, 313), ("grid", "tbcapp"): (498, 499),
+        ("grid", "spam"): (268, 321),
         ("k50", "msd"): (50, 50), ("k50", "cmp"): (50, 50),
         ("k50", "trws"): (98, 98), ("k50", "mplp"): (50, 50),
-        ("k50", "mplppp"): (50, 50), ("k50", "dmm"): (369, 614),
+        ("k50", "mplppp"): (50, 50), ("k50", "dmm"): (369, 457),
         ("k50", "tbca"): (2499, 2499), ("k50", "tbcapp"): (4900, 4900),
         ("k50", "spam"): (50, 50)}
 
 
 def test_chain_cover_program_shape_on_the_32x32_grid():
-    # Counted, not timed: colour-class block order and orientation-free
-    # batches on square tables keep the chain programs wide.
+    # Counted, not timed: colour-class block order, orientation-free
+    # batches on square tables and packing by slack keep the chain programs
+    # wide.
     model = generate_instance("sparse_grid", height=32, width=32, labels=8,
                               seed=0)
     shape = {}
@@ -628,8 +647,8 @@ def test_chain_cover_program_shape_on_the_32x32_grid():
         prog = state.program()
         state.do_pass()
         shape[method] = max(prog.waves()) + 1, batch_count(prog)
-    assert shape["spam"][0] <= 300 and shape["spam"][1] <= 600
-    assert shape["dmm"][1] <= 110
+    assert shape["spam"][0] <= 270 and shape["spam"][1] <= 340
+    assert shape["dmm"][1] <= 80
 
 
 def test_edge_sweep_program_shape():
@@ -661,7 +680,7 @@ def test_edge_sweep_program_shape():
         prog, waves, _ = shape(model, method)
         assert waves == 4
         check_order(model, prog)
-    assert shape(model, "spam")[1:] == (268, 513)
+    assert shape(model, "spam")[1:] == (268, 321)
 
 
 def test_unique_rows_packed_and_unpacked():
