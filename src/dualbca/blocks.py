@@ -43,12 +43,9 @@ def chain_block(model, nodes):
         raise ValueError("a chain needs at least two nodes")
     if len(set(nodes)) != len(nodes):
         raise ValueError("chain revisits a node")
-    edges = []
-    for a, b in zip(nodes, nodes[1:]):
-        model.edge_id(a, b)
-        edges.append((a, b))
+    _require_edges(model, nodes[:-1], nodes[1:])
     kind = "edge" if len(nodes) == 2 else "chain"
-    return Block(kind, nodes, edges)
+    return Block(kind, nodes, zip(nodes, nodes[1:]))
 
 
 def tree_block(model, edges):
@@ -58,8 +55,7 @@ def tree_block(model, edges):
         raise ValueError("a tree block needs at least one edge")
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edge in tree block")
-    for a, b in edges:
-        model.edge_id(a, b)
+    _require_edges(model, *zip(*edges))
     nodes = sorted({u for e in edges for u in e})
     if len(edges) != len(nodes) - 1:
         raise ValueError("tree block has a cycle or is disconnected")
@@ -67,6 +63,14 @@ def tree_block(model, edges):
     if not all(union(parent, a, b) for a, b in edges):
         raise ValueError("tree block has a cycle")
     return Block("tree", nodes, edges)
+
+
+def _require_edges(model, u, v):
+    """Raise at the first pair (u[i], v[i]) that is no edge of the model."""
+    found = model.lookup(u, v)[1]
+    if not found.all():
+        i = int(found.argmin())
+        raise ValueError(f"({u[i]},{v[i]}) is not an edge of the model")
 
 
 def find(parent, x):

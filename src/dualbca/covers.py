@@ -138,6 +138,7 @@ def compute_ssp_cover(model, seed=0):
     alive = np.ones(model.n_edges, dtype=bool)
     degree = model._degree.copy()
     left = model.n_edges
+    ends_sum = model.ends.sum(axis=1).tolist()
     chains = []
     while left:
         start = int(rng.choice((degree > 0).nonzero()[0]))
@@ -147,8 +148,7 @@ def compute_ssp_cover(model, seed=0):
         node = int((dist * (count == 1)).argmax())
         path = [node]
         while node != start:
-            a, b = model.edges[via[node]]
-            node = a if b == node else b
+            node = ends_sum[via[node]] - node   # the other end of via[node]
             path.append(node)
         path.reverse()
         at = np.array(path)
@@ -161,15 +161,16 @@ def compute_ssp_cover(model, seed=0):
 
 
 def _spanning_forest(model, keys):
-    """Kruskal spanning forest minimizing the per-edge sort keys, as one tree
-    block per connected component, ordered by the component's root."""
+    """Kruskal spanning forest minimizing the per-edge keys, ties by edge
+    id, as one tree block per connected component, ordered by the
+    component's root."""
     parent = list(range(model.n_nodes))
-    picked = [model.edges[e]
-              for e in sorted(range(model.n_edges), key=keys.__getitem__)
-              if union(parent, *model.edges[e])]
+    a, b = model.ends.T.tolist()
+    picked = [e for e in np.argsort(keys, kind="stable").tolist()
+              if union(parent, a[e], b[e])]
     trees = {}
-    for u, v in picked:
-        trees.setdefault(find(parent, u), []).append((u, v))
+    for e in picked:
+        trees.setdefault(find(parent, a[e]), []).append((a[e], b[e]))
     return [tree_block(model, edges) for _, edges in sorted(trees.items())]
 
 
@@ -180,14 +181,13 @@ def compute_static_trees(model):
     """
     if model.n_edges == 0:
         return BlockSchedule("static_trees", [])
-    times_used = [0] * model.n_edges
+    times_used = np.zeros(model.n_edges, dtype=np.int64)
     trees = []
-    while min(times_used) == 0:
-        forest = _spanning_forest(
-            model, [(times_used[e], e) for e in range(model.n_edges)])
-        for tree in forest:
-            for u, v in tree.edges:
-                times_used[model.edge_id(u, v)] += 1
+    while times_used.min() == 0:
+        forest = _spanning_forest(model, times_used)
+        a, b = np.array([e for tree in forest for e in tree.edges]).T
+        times_used += np.bincount(model._inc_edge[model.lookup(a, b)[0]],
+                                  minlength=model.n_edges)
         trees.extend(forest)
     return BlockSchedule("static_trees", trees)
 
@@ -197,9 +197,9 @@ def gap_scores(model, phi, y):
     costs = node_costs(model, phi)
     node_gap = costs[model.label_offsets[:-1] + y] - node_minima(model, costs)
     edge_gap = np.zeros(model.n_edges)
-    ends = np.array(model.edges, dtype=np.int64).reshape(-1, 2)
     for ids, t in edge_chunks(model, phi):
-        at_y = t[np.arange(len(ids)), y[ends[ids, 0]], y[ends[ids, 1]]]
+        a, b = model.ends[ids].T
+        at_y = t[np.arange(len(ids)), y[a], y[b]]
         edge_gap[ids] = at_y - t.min(axis=(1, 2))
     return node_gap, edge_gap
 
@@ -210,7 +210,5 @@ def compute_dynamic_forest(model, phi, y):
     Edge weight = edge gap + both endpoint node gaps; ties by edge index.
     """
     node_gap, edge_gap = gap_scores(model, phi, y)
-    weight = [edge_gap[e] + node_gap[u] + node_gap[v]
-              for e, (u, v) in enumerate(model.edges)]
-    return _spanning_forest(model, [(-weight[e], e)
-                                    for e in range(model.n_edges)])
+    a, b = model.ends.T
+    return _spanning_forest(model, -(edge_gap + node_gap[a] + node_gap[b]))

@@ -70,7 +70,7 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
         grid_shape = None          # long-range edges break the grid structure
     unary = rng.uniform(0.0, 5.0, (n, labels))
     pairwise = _truncated_linear(rng, len(edges), labels)
-    return GraphicalModel([labels] * n, edges.tolist(), unary, pairwise,
+    return GraphicalModel([labels] * n, edges, unary, pairwise,
                           grid_shape=grid_shape)
 
 

@@ -13,14 +13,19 @@ Layout.  The model fixes where everything lives, once:
 * the unary tables are views into one flat buffer, node after node;
 * the pairwise tables are views into one ``(m, L_a, L_b)`` block per shape;
 * phi is one flat buffer in which node u owns deg(u)*L_u values, one row of
-  L_u per neighbour in ``adjacency[u]`` order (a directed-incidence CSR,
-  whose neighbours, edges and phi starts are also kept as flat arrays).
+  L_u per neighbour in ascending order (a directed-incidence CSR, whose
+  neighbours, edges and phi starts are also kept as flat arrays).
+
+The model is built from whole arrays.  :meth:`GraphicalModel.lookup` finds
+the CSR entries of an array of pairs (u, v) by one binary search of the
+sorted keys u*n + v; the scalar accessors are calls to it.
 
 Whole-model evaluation works on these buffers with numpy reductions, and the
 programs of :mod:`dualbca.updates` gather and scatter them in batches.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +45,6 @@ _EDGE_CHUNK = 256
 class _ShapeGroup(NamedTuple):
     block: np.ndarray       # (m, L_a, L_b) pairwise tables
     edges: np.ndarray       # edge ids, ascending
-    a: np.ndarray           # canonical endpoints of the edges
-    b: np.ndarray
     off_ab: np.ndarray      # start of phi_{a,b} in the phi buffer
     off_ba: np.ndarray      # start of phi_{b,a}
 
@@ -50,12 +53,14 @@ class GraphicalModel:
     """Immutable graph with unary and pairwise cost tables.
 
     Nodes are ``0..n-1``; node ``u`` has ``labels[u]`` labels.  Edges are
-    unordered pairs stored canonically as ``(u, v)`` with ``u < v``.  All
+    unordered pairs stored canonically as ``(u, v)`` with ``u < v``: the
+    ``(|E|, 2)`` array ``ends``, and ``edges`` as a tuple of pairs.  All
     costs must be finite and non-negative (shift your input if needed; the
     non-negativity is what keeps the constrained dual well defined).
 
-    ``pairwise`` is a sequence of tables in edge order; an ``(|E|, L, L')``
-    array of same-shaped tables becomes the model's table block as it is.
+    ``edges`` is given as pairs or an ``(|E|, 2)`` array, ``pairwise`` as a
+    sequence of tables in edge order; an ``(|E|, L, L')`` array of
+    same-shaped tables becomes the model's table block as it is.
     """
 
     def __init__(self, labels, edges, unary, pairwise, grid_shape=None):
@@ -63,57 +68,103 @@ class GraphicalModel:
         self.n_nodes = n = len(self.labels)
         if any(k <= 0 for k in self.labels):
             raise ValueError("every node needs at least one label")
+        lab = np.array(self.labels, dtype=np.int64)
 
-        canon = []
-        for (u, v) in edges:
-            u, v = int(u), int(v)
+        given = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        u, v = given.T
+        self.ends = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1)
+        self.n_edges = m = len(self.ends)
+        a, b = self.ends.T
+        bad = np.flatnonzero((a == b) | (a < 0) | (b >= n))
+        if bad.size:
+            u, v = given[bad[0]].tolist()
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint out of range")
-            canon.append((u, v) if u < v else (v, u))
-        if len(set(canon)) != len(canon):
-            raise ValueError("duplicate edge")
-        self.edges = tuple(canon)
-        self.n_edges = len(self.edges)
+            raise ValueError(f"edge ({u},{v}) has an endpoint out of range")
 
-        if len(unary) != n or len(pairwise) != self.n_edges:
+        # Directed incidences in CSR order: node by node, neighbours
+        # ascending.  Incidence i of edge e is (a, b) for i = e, (b, a) for
+        # i = e + |E|; ``at[i]`` is its CSR entry.
+        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
+        key = src * n + dst
+        csr = key.argsort()
+        key = key[csr]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate edge")
+        # u * n + v of every entry (u, v), ascending, then n * n, a key
+        # past every pair (see :meth:`lookup`).
+        self._inc_key = np.append(key, n * n)
+        at = np.empty_like(csr)
+        at[csr] = np.arange(csr.size)
+        self._degree = deg = np.bincount(src, minlength=n)
+        src = src[csr]
+        self._inc_ptr = np.append(0, deg.cumsum())
+        self._inc_nbr = dst[csr]
+        self._inc_edge = csr % max(m, 1)
+
+        if len(unary) != n or len(pairwise) != m:
             raise ValueError("cost table count does not match nodes/edges")
         unary = [np.asarray(t, dtype=np.float64) for t in unary]
-        if not isinstance(pairwise, np.ndarray):
-            pairwise = [np.asarray(t, dtype=np.float64) for t in pairwise]
         for u, t in enumerate(unary):
             if t.shape != (self.labels[u],):
                 raise ValueError(f"unary table of node {u} has shape {t.shape}")
-        for e, (u, v) in enumerate(self.edges):
-            if pairwise[e].shape != (self.labels[u], self.labels[v]):
-                raise ValueError(f"pairwise table of edge ({u},{v}) has shape "
-                                 f"{pairwise[e].shape}")
+        if isinstance(pairwise, np.ndarray) and pairwise.ndim == 3:
+            shape = np.broadcast_to(pairwise.shape[1:], (m, 2))
+        else:
+            pairwise = [np.asarray(t, dtype=np.float64) for t in pairwise]
+            shape = np.array([t.shape if t.ndim == 2 else (0, 0)
+                              for t in pairwise], dtype=np.int64).reshape(m, 2)
+        bad = np.flatnonzero(np.any(shape != lab[self.ends], axis=1))
+        if bad.size:
+            e = bad[0]
+            raise ValueError(f"pairwise table of edge ({a[e]},{b[e]}) has "
+                             f"shape {pairwise[e].shape}")
 
-        lab = np.array(self.labels, dtype=np.int64)
-        self.label_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lab, out=self.label_offsets[1:])
-        flat = np.concatenate(unary) if unary else np.zeros(0)
-        self._unary_flat = flat
+        self.label_offsets = np.append(0, lab.cumsum())
+        self._unary_flat = flat = np.concatenate(unary) if n else np.zeros(0)
         self.unary = tuple(np.split(flat, self.label_offsets[1:-1])) if n else ()
 
-        shapes = {}
-        for e, (u, v) in enumerate(self.edges):
-            shapes.setdefault((self.labels[u], self.labels[v]), []).append(e)
-        if isinstance(pairwise, np.ndarray) and len(shapes) == 1:
+        # phi layout: node u owns deg(u) rows of L_u values.
+        phi_off = np.append(0, (deg * lab).cumsum())
+        self.phi_size = int(phi_off[-1])
+        self._phi_off = phi_off.tolist()
+        # Start of phi_{u,v}, then of phi_{v,u}, per CSR entry (u, v).
+        self._inc_phi = phi_off[src] + (np.arange(src.size)
+                                        - self._inc_ptr[src]) * lab[src]
+        self._inc_back = self._inc_phi[at[(csr + m) % max(src.size, 1)]]
+
+        # Label slot (index into the flat unary buffer) of every unary
+        # value and then of every phi value, so that one bincount over
+        # (theta, -phi) computes all of theta^phi.
+        owner = np.repeat(np.arange(n), deg * lab)
+        slot = (np.arange(self.phi_size) - phi_off[owner]) % lab[owner]
+        self._cost_slot = np.append(np.arange(flat.size),
+                                    slot + self.label_offsets[owner])
+
+        self._label_groups = [
+            (nodes, self.label_offsets[nodes][:, None] + np.arange(k))
+            for k in sorted(set(self.labels))
+            for nodes in [np.flatnonzero(lab == k)]]
+
+        # Shape groups in order of first appearance; within one, edges
+        # ascending.  Edge e is entry _edge_pos[e] of group _edge_block[e].
+        _, first, group = np.unique(lab[a] * (lab.max(initial=0) + 1) + lab[b],
+                                    return_index=True, return_inverse=True)
+        self._edge_block = np.argsort(first.argsort())[group]
+        self._edge_pos = np.empty(m, dtype=np.int64)
+        by = self._edge_block.argsort(kind="stable")
+        self._shape_groups = []
+        for i in np.split(by, np.bincount(self._edge_block).cumsum())[:-1]:
+            self._edge_pos[i] = np.arange(len(i))
             # Same-shaped tables given as one (|E|, L_a, L_b) array are
             # used as the block, without a copy.
-            blocks = [(np.ascontiguousarray(pairwise, dtype=np.float64),
-                       range(self.n_edges))]
-        else:
-            blocks = [(np.stack([pairwise[e] for e in ids]), ids)
-                      for ids in shapes.values()]
-        placed = [None] * self.n_edges       # edge -> (block, position)
-        for block, ids in blocks:
-            for i, e in enumerate(ids):
-                placed[e] = (block, i)
-        self.pairwise = tuple(block[i] for block, i in placed)
-        for t in (flat, *(block for block, _ in blocks)):
+            block = (np.ascontiguousarray(pairwise, dtype=np.float64)
+                     if isinstance(pairwise, np.ndarray)
+                     else np.stack([pairwise[e] for e in i.tolist()]))
+            self._shape_groups.append(_ShapeGroup(
+                block, i, self._inc_phi[at[i]], self._inc_back[at[i]]))
+        blocks = [g.block for g in self._shape_groups]
+        for t in (flat, *blocks):
             if not np.all(np.isfinite(t)):
                 raise ValueError("costs must be finite (use COST_CAP for forbidden pairs)")
             if np.any(t < 0):
@@ -126,101 +177,55 @@ class GraphicalModel:
         self._exact_excess = bool(flat.max(initial=0.0) >= big or any(
             b.max(initial=0.0) >= big and max(
                 b.min(axis=a).max(initial=0.0) for a in (1, 2)) >= big
-            for b, _ in blocks))
-
-        # Directed incidences in CSR order: node by node, neighbours
-        # ascending.  Incidence i of edge e is (a, b) for i = e, (b, a) for
-        # i = e + |E|; ``at[i]`` is its CSR entry.
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        src = np.concatenate((ends[:, 0], ends[:, 1]))
-        dst = np.concatenate((ends[:, 1], ends[:, 0]))
-        csr = np.lexsort((dst, src))
-        at = np.empty_like(csr)
-        at[csr] = np.arange(csr.size)
-        deg = np.bincount(src, minlength=n)
-        src = src[csr]
-        self._inc_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self._inc_ptr[1:])
-        self._inc_nbr = dst[csr]
-        # u * n + v of every entry (u, v), ascending, to look pairs up.
-        self._inc_key = src * n + self._inc_nbr
-        self._inc_edge = csr % max(self.n_edges, 1)
-        nbr = self._inc_nbr.tolist()
-        ptr = self._inc_ptr.tolist()
-        self.adjacency = tuple(tuple(nbr[ptr[u]:ptr[u + 1]]) for u in range(n))
-
-        # phi layout: node u owns deg(u) rows of L_u values.
-        phi_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg * lab, out=phi_off[1:])
-        self.phi_size = int(phi_off[-1])
-        self._phi_off = phi_off.tolist()
-        self._degree = deg
-        # Start of phi_{u,v}, then of phi_{v,u}, per CSR entry (u, v).
-        self._inc_phi = phi_off[src] + (np.arange(src.size)
-                                        - self._inc_ptr[src]) * lab[src]
-        self._inc_back = self._inc_phi[at[(csr + self.n_edges) % max(src.size, 1)]]
-        # (u, v) -> (edge id, start of phi_{u,v}, start of phi_{v,u}).
-        self._incidence = dict(zip(
-            zip(src.tolist(), nbr),
-            zip(self._inc_edge.tolist(), self._inc_phi.tolist(),
-                self._inc_back.tolist())))
-
-        # Label slot (index into the flat unary buffer) of every unary
-        # value and then of every phi value, so that one bincount over
-        # (theta, -phi) computes all of theta^phi.
-        self._cost_slot = np.empty(flat.size + self.phi_size, dtype=np.int64)
-        self._cost_slot[:flat.size] = np.arange(flat.size)
-        slot = self._cost_slot[flat.size:]
-        owner = np.repeat(np.arange(n), deg * lab)
-        slot[:] = np.arange(self.phi_size)
-        slot -= phi_off[owner]
-        slot %= lab[owner]
-        slot += self.label_offsets[owner]
-
-        self._label_groups = []
-        for k in sorted(set(self.labels)):
-            nodes = np.flatnonzero(lab == k)
-            self._label_groups.append(
-                (nodes, self.label_offsets[nodes][:, None] + np.arange(k)))
-
-        self._shape_groups = []
-        # Edge -> (index of its shape group, position in the block).
-        self._edge_block = np.empty(self.n_edges, dtype=np.int64)
-        self._edge_pos = np.empty(self.n_edges, dtype=np.int64)
-        for g, (block, ids) in enumerate(blocks):
-            ids = np.array(ids, dtype=np.int64)
-            a, b = ends[ids, 0], ends[ids, 1]
-            off_ab = self._inc_phi[at[ids]]
-            off_ba = self._inc_back[at[ids]]
-            self._edge_block[ids] = g
-            self._edge_pos[ids] = np.arange(len(ids))
-            self._shape_groups.append(_ShapeGroup(block, ids, a, b, off_ab,
-                                                  off_ba))
+            for b in blocks))
 
         # Optional (height, width) hint set by the grid generators; lets
         # solvers pick row/column chain covers.
         self.grid_shape = tuple(grid_shape) if grid_shape is not None else None
 
+    @cached_property
+    def edges(self):
+        return tuple(map(tuple, self.ends.tolist()))
+
+    @cached_property
+    def pairwise(self):
+        """The tables in edge order, as views into the shape blocks."""
+        blocks = [g.block for g in self._shape_groups]
+        return tuple(blocks[g][i] for g, i in zip(self._edge_block.tolist(),
+                                                  self._edge_pos.tolist()))
+
+    def lookup(self, u, v):
+        """CSR entries of the pairs (u, v), arrays or scalars, and which are
+        edges.  A pair with an endpoint out of range searches for n*n, so it
+        cannot alias an edge; the entry of a non-edge means nothing."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        n = self.n_nodes
+        valid = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n)
+        key = np.where(valid, u * n + v, n * n)
+        entry = self._inc_key.searchsorted(key)
+        return entry, valid & (self._inc_key[entry] == key)
+
     def neighbors(self, u):
-        return self.adjacency[u]
+        ptr = self._inc_ptr
+        return tuple(self._inc_nbr[ptr[u]:ptr[u + 1]].tolist())
 
     def has_edge(self, u, v):
-        return (u, v) in self._incidence
+        return bool(self.lookup(u, v)[1])
 
     def incidence(self, u, v):
         """(edge id, start of phi_{u,v}, start of phi_{v,u}) in the phi buffer."""
-        try:
-            return self._incidence[u, v]
-        except KeyError:
-            raise ValueError(f"({u},{v}) is not an edge of the model") from None
+        i, found = self.lookup(u, v)
+        if not found:
+            raise ValueError(f"({u},{v}) is not an edge of the model")
+        return (int(self._inc_edge[i]), int(self._inc_phi[i]),
+                int(self._inc_back[i]))
 
     def edge_id(self, u, v):
         return self.incidence(u, v)[0]
 
     def pairwise_table(self, u, v):
         """Pairwise cost table oriented as (labels of u, labels of v)."""
-        e = self.edge_id(u, v)
-        t = self.pairwise[e]
+        t = self.pairwise[self.edge_id(u, v)]
         return t if u < v else t.T
 
 
@@ -249,7 +254,7 @@ class Reparametrization:
         self.values = self.buffer[at:at + model.phi_size]
 
     def __getitem__(self, uv):
-        _, start, _ = self.model._incidence[uv]
+        start = self.model.incidence(*uv)[1]
         return self.values[start:start + self.model.labels[uv[0]]]
 
     def __setitem__(self, uv, value):
@@ -292,18 +297,12 @@ def pairwise_costs(model, phi, u, v):
     transposes of each other bit-exactly.
     """
     e, o_uv, o_vu = model.incidence(u, v)
-    t = model.pairwise[e]
-    if phi is None:
-        return t.copy() if u < v else t.T.copy()
-    p_uv = phi.values[o_uv:o_uv + model.labels[u]]
-    p_vu = phi.values[o_vu:o_vu + model.labels[v]]
-    if u < v:
-        out = t + p_uv[:, None]
-        out += p_vu
-        return out
-    out = t + p_vu[:, None]
-    out += p_uv
-    return out.T
+    a, b, o_ab, o_ba = (u, v, o_uv, o_vu) if u < v else (v, u, o_vu, o_uv)
+    out = model.pairwise[e].copy()
+    if phi is not None:
+        out += phi.values[o_ab:o_ab + model.labels[a]][:, None]
+        out += phi.values[o_ba:o_ba + model.labels[b]]
+    return out if u < v else out.T
 
 
 def check_labeling(model, y):
@@ -375,7 +374,7 @@ def energy(model, y, phi=None):
     node_terms = node_costs(model, phi)[model.label_offsets[:-1] + y]
     edge_terms = np.zeros(model.n_edges)
     for g in model._shape_groups:
-        y_a, y_b = y[g.a], y[g.b]
+        y_a, y_b = y[model.ends[g.edges]].T
         vals = g.block[np.arange(len(g.edges)), y_a, y_b]
         if phi is not None:
             vals = vals + phi.values[g.off_ab + y_a]

@@ -112,7 +112,7 @@ def _chain_cover(model, config):
     blocks = {}
     for b in schedule.blocks:
         if b.nodes[0] > b.nodes[-1]:
-            b = blk.chain_block(model, b.nodes[::-1])
+            b = blk.Block(b.kind, b.nodes[::-1], b.edges[::-1])
         blocks[b.nodes] = b
     chains = _colour_classes([p for p in blocks if len(p) > 2],
                              lambda p: (-len(p), p))
@@ -160,19 +160,18 @@ def _edge_order(model, edges):
 
 
 # Block families, called with the run when it starts.  Covers and static
-# trees are built then, before pass 0; the others are lazy, built as the
-# first pass compiles; dynamic trees give each pass's blocks from its phi.
-# Node and edge families give (u, count, targets, r) arrays.
+# trees are built then, before pass 0; dynamic trees give each pass's
+# blocks from its phi; node and edge families are lazy (see :func:`_ops`).
 def _stars(extra):
     """Every node u with a neighbour, and its star weight 1 / (deg + extra)."""
-    def stars(run):
-        deg = run.model._degree
+    def stars(model, order):
+        deg = model._degree
         u = np.flatnonzero(deg)
-        yield u, deg[u], run.model._inc_nbr, 1.0 / (deg[u] + extra)
+        return u, deg[u], model._inc_nbr, 1.0 / (deg[u] + extra)
     return stars
 
 
-def _emit_trws(run):
+def _emit_trws(model, order):
     """The steps of a TRW-S pass: along the order, then back.
 
     Each node with a later neighbour takes one step, with weight
@@ -182,7 +181,7 @@ def _emit_trws(run):
     one distribution plus one min-marginal push per later edge realizes the
     aggregate/distribute node update at a single message per edge.
     """
-    model, order = run.model, np.array(run.order, dtype=np.int64)
+    order = np.array(order, dtype=np.int64)
     deg, nbr = model._degree, model._inc_nbr
     node = np.repeat(np.arange(model.n_nodes), deg)     # of each CSR entry
     pos, steps = np.empty(model.n_nodes, dtype=np.int64), []
@@ -194,18 +193,21 @@ def _emit_trws(run):
         u = sweep[n_out[sweep] > 0]
         steps.append((u, n_out[u], nbr[later],
                       1.0 / np.maximum(deg[u] - n_out[u], n_out[u])))
-    yield tuple(map(np.concatenate, zip(*steps)))
+    return tuple(map(np.concatenate, zip(*steps)))
 
 
-def _edges(run):
+def _edges(model, order):
     """Every edge, in the order of an edge sweep."""
-    e = np.array(_edge_order(run.model, run.model.edges)).reshape(-1, 2)
-    yield e[:, 0], 1, e[:, 1], 0.0
+    e = np.array(_edge_order(model, model.edges)).reshape(-1, 2)
+    return e[:, 0], 1, e[:, 1], 0.0
 
 
-def _ops(kind):
-    """The update of a node or edge family: its operations, of one kind."""
-    return lambda prog, ops: prog._append(kind, *ops)
+def _ops(kind, arrays):
+    """(blocks, update) of a node or edge method.  The one block calls
+    ``arrays`` on the run's model and node order as a program is built, for
+    (u, count, targets, r); the update appends them, all of one kind."""
+    return (lambda run: [partial(arrays, run.model, run.order)],
+            lambda prog, ops: prog._append(kind, *ops()))
 
 
 class _Cover(NamedTuple):
@@ -230,11 +232,11 @@ def _trees(run):
 # Each method: (block family, update), the update (program, *blocks) -> None
 # called once with the whole family.
 _TAXONOMY = {
-    "msd": (_stars(0), _ops(STAR)),
-    "cmp": (_stars(1), _ops(STAR)),
-    "trws": (_emit_trws, _ops(TRWS)),
-    "mplp": (_edges, _ops(MPLP)),
-    "mplppp": (_edges, _ops(HANDSHAKE)),
+    "msd": _ops(STAR, _stars(0)),
+    "cmp": _ops(STAR, _stars(1)),
+    "trws": _ops(TRWS, _emit_trws),
+    "mplp": _ops(MPLP, _edges),
+    "mplppp": _ops(HANDSHAKE, _edges),
     "dmm": (_Cover(lambda model: "mmc" if model.grid_shape is None
                    else "rows_columns"), blk.emit_hm),
     "tbca": (_trees, blk.emit_tbca),

@@ -199,16 +199,12 @@ class Program:
         check(rdp & r_bad, lambda i: f"r={r[i]} outside [0, 1]")
         op = np.repeat(np.arange(len(u)), count)
         src = u[op]
-        key = src * n + targets
-        entry = model._inc_key.searchsorted(key)
-        ok = (np.minimum(src, targets) >= 0) & (np.maximum(src, targets) < n) \
-            & (entry < len(model._inc_key))
-        ok[ok] = model._inc_key[entry[ok]] == key[ok]
+        entry, ok = model.lookup(src, targets)
         check(~ok, lambda t: (
             f"a target of the TRW-S step at {src[t]} is not a neighbour"
             if node[op[t]] else
             f"({src[t]},{targets[t]}) is not an edge of the model"))
-        pair = np.sort((op * len(model._inc_key) + entry)[node[op]])
+        pair = np.sort((op * len(model._inc_nbr) + entry)[node[op]])
         check(pair[1:] == pair[:-1],
               lambda i: "repeated neighbour in a TRW-S step")
         check(count == 0, lambda i: f"node operation at {u[i]} has no target "

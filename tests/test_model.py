@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,37 +26,91 @@ class TestConstruction:
         assert m.neighbors(0) == (1,)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loop at node 0"):
             GraphicalModel([2], [(0, 0)], [np.zeros(2)], [np.zeros((2, 2))])
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate edge"):
             GraphicalModel([2, 2], [(0, 1), (1, 0)],
                            [np.zeros(2), np.zeros(2)],
                            [np.zeros((2, 2)), np.zeros((2, 2))])
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be non-negative"):
             GraphicalModel([2], [], [np.array([-1.0, 0.0])], [])
 
     def test_nonfinite_cost_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite"):
             GraphicalModel([2], [], [np.array([np.inf, 0.0])], [])
 
     def test_wrong_table_shape_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "pairwise table of edge (0,1) has shape (2, 2)")):
             GraphicalModel([2, 3], [(0, 1)], [np.zeros(2), np.zeros(3)],
                            [np.zeros((2, 2))])
 
     def test_out_of_range_endpoint_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "edge (0,2) has an endpoint out of range")):
             GraphicalModel([2, 2], [(0, 2)], [np.zeros(2), np.zeros(2)],
                            [np.zeros((2, 2))])
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1), (3, 0), (2, 2), (1, 0)],
+         "edge (3,0) has an endpoint out of range"),
+        ([(0, 1), (2, 2), (3, 0), (1, 0)], "self-loop at node 2"),
+        ([(0, 1), (1, 2), (1, 0), (2, 1)], "duplicate edge")])
+    def test_first_bad_edge_decides(self, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GraphicalModel([2] * 3, edges, [np.zeros(2)] * 3,
+                           [np.zeros((2, 2))] * len(edges))
+
+    def test_first_misshaped_unary_named(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "unary table of node 1 has shape (2,)")):
+            GraphicalModel([2, 3, 2], [],
+                           [np.zeros(2), np.zeros(2), np.zeros(3)], [])
+
+    @pytest.mark.parametrize("tables,message", [
+        ([np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2,))],
+         "pairwise table of edge (1,2) has shape (2, 3)"),
+        (np.zeros((3, 2, 2)), "pairwise table of edge (1,2) has shape (2, 2)")])
+    def test_first_misshaped_pairwise_named(self, tables, message):
+        # Edge (2, 1) is named canonically, as (1, 2).
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GraphicalModel([2, 3, 2], [(0, 2), (2, 1), (0, 1)],
+                           [np.zeros(2), np.zeros(3), np.zeros(2)], tables)
 
     def test_adjacency_sorted(self):
         m = GraphicalModel([2] * 4, [(2, 3), (0, 3), (1, 3)],
                            [np.zeros(2)] * 4, [np.zeros((2, 2))] * 3)
         assert m.neighbors(3) == (0, 1, 2)
+
+
+class TestPairLookup:
+    # n = 4 with one edge (1, 2): keys u * 4 + v of (0, 6) and (-1, 10)
+    # equal that of (1, 2), and (3, -3) that of (2, 1).
+    model = GraphicalModel([2] * 4, [(1, 2)], [np.zeros(2)] * 4,
+                           [np.zeros((2, 2))])
+
+    @pytest.mark.parametrize("pair", [(0, 3), (0, 6), (-1, 10), (3, -3),
+                                      (-1, 2), (2, 4)])
+    def test_non_edge_raises(self, pair):
+        message = re.escape(f"({pair[0]},{pair[1]}) is not an edge")
+        phi = Reparametrization(self.model)
+        with pytest.raises(ValueError, match=message):
+            phi[pair]
+        with pytest.raises(ValueError, match=message):
+            self.model.incidence(*pair)
+        assert not self.model.has_edge(*pair)
+
+    def test_bulk_lookup(self):
+        entry, found = self.model.lookup([1, 2, 0, -1, 3, 0],
+                                         [2, 1, 6, 10, -3, 3])
+        assert found.tolist() == [True, True, False, False, False, False]
+        assert self.model._inc_nbr[entry[:2]].tolist() == [2, 1]
+        assert self.model.incidence(1, 2) == (0, 0, 2)
+        assert self.model.incidence(2, 1) == (0, 2, 0)
 
 
 class TestReparametrizedCosts:

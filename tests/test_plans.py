@@ -123,36 +123,35 @@ def test_plans_unchanged(method, tree_mode):
     assert h.hexdigest() == DIGESTS[f"{method}-{tree_mode}"]
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_building_looks_up_no_incidence(method, monkeypatch):
-    # Emitting, levelling and compiling a program take whole arrays: no
-    # operation looks its edge up in the model's (u, v) dict.  The blocks
-    # are built before the counting starts.
-    lookups = []
-
-    class Counted(dict):
-        def __getitem__(self, key):
-            lookups.append(key)
-            return super().__getitem__(key)
-
-        def __contains__(self, key):
-            lookups.append(key)
-            return super().__contains__(key)
-
-        def get(self, key, default=None):
-            lookups.append(key)
-            return super().get(key, default)
+def count_incidence(monkeypatch):
+    """The (u, v) of every scalar ``incidence`` call from now on."""
+    lookups, inner = [], GraphicalModel.incidence
 
     def incidence(self, u, v):
         lookups.append((u, v))
         return inner(self, u, v)
 
+    monkeypatch.setattr(GraphicalModel, "incidence", incidence)
+    return lookups
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_building_looks_up_no_incidence(method, monkeypatch):
+    # Emitting, levelling and compiling a program take whole arrays: no
+    # operation looks its edge up by a scalar call.  The blocks are built
+    # before the counting starts.
     model = plan_models()[0]
     state = _Run(model, SolverConfig(method))
-    inner = GraphicalModel.incidence
-    monkeypatch.setattr(GraphicalModel, "incidence", incidence)
-    monkeypatch.setattr(model, "_incidence", Counted(model._incidence))
+    lookups = count_incidence(monkeypatch)
     prog = state.program()
     assert isinstance(prog, Program) and prog.ops
     prog._compile()
+    assert lookups == []
+
+
+@pytest.mark.parametrize("method", ["dmm", "spam", "tbca", "tbcapp"])
+def test_building_blocks_looks_up_no_incidence(method, monkeypatch):
+    # Covers and trees, built as the run starts, check their edges in bulk.
+    lookups = count_incidence(monkeypatch)
+    _Run(plan_models()[0], SolverConfig(method))
     assert lookups == []

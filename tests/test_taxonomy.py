@@ -137,3 +137,13 @@ def test_one_table_knows_the_methods():
                        if isinstance(sub, ast.Constant)}
             assert not strings & set(METHODS), \
                 f"line {node.lineno} compares against a method name"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_program_builds_again_from_one_run(method):
+    # Every block family can be read again, so a run that drops its
+    # compiled program builds the same operations.
+    state = _Run(digest_models()[1], SolverConfig(method))
+    first = state.program().ops
+    state._program = None
+    assert state.program().ops == first
