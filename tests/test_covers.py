@@ -12,6 +12,7 @@ from dualbca.covers import (BlockSchedule, compute_dynamic_forest,
 from dualbca.model import GraphicalModel, Reparametrization, primal_round
 from dualbca.generate import generate_instance, random_model
 from dualbca.oracle import count_shortest_paths
+from test_plans import capped_grid
 
 
 def graph_model(n, edges, labels=2, grid_shape=None):
@@ -225,6 +226,82 @@ class TestStaticTrees:
         cover = compute_static_trees(m)
         assert covered(cover) == set(m.edges)
         assert all(len(b.edges) == len(b.nodes) - 1 for b in cover.blocks)
+
+
+def tree_digest(blocks):
+    """sha256 of the JSON list of each tree's nodes and edges, in order."""
+    trees = [[[int(u) for u in b.nodes], [list(map(int, e)) for e in b.edges]]
+             for b in blocks]
+    return hashlib.sha256(json.dumps(trees).encode()).hexdigest()
+
+
+TREE_MODELS = {
+    "grid32": lambda: generate_instance("sparse_grid", height=32, width=32,
+                                        labels=2, seed=0),
+    "capped_grid": lambda: capped_grid(0),
+    "denser0": lambda: generate_instance("denser", height=12, width=12,
+                                         labels=2, seed=0),
+    "denser1": lambda: generate_instance("denser", height=12, width=12,
+                                         labels=2, seed=1),
+    "denser2": lambda: generate_instance("denser", height=12, width=12,
+                                         labels=2, seed=2),
+    "k8": lambda: complete_model(8),
+    "two_components": two_components,
+}
+
+
+class TestTreesPinned:
+    """Static trees and the dynamic forest pinned tree for tree, nodes and
+    edges in order, as the Kruskal forest of union-find roots built them:
+    (number of trees, digest)."""
+
+    STATIC = {
+        "grid32": (2, "d0ea6ada4889753bda285ee91db960a0"
+                      "60551b91f4a2258a2f60520dca1169b1"),
+        "capped_grid": (2, "d0ea6ada4889753bda285ee91db960a0"
+                           "60551b91f4a2258a2f60520dca1169b1"),
+        "denser0": (35, "a27735a361304f7ddfd6e466d73a7d2b"
+                        "390747e133945d611f52134849d72e6a"),
+        "denser1": (34, "5c5dba10f91e34fd2dd1f39ea5f13294"
+                        "4823160f42ceb3007f576f601e44a47b"),
+        "denser2": (35, "9ec737f298f456bda916e9b09ce407a4"
+                        "726b2290269adc36f78b90c96dc534bf"),
+        "k8": (7, "2c8fc3b31027349577f36c829441bf59"
+                  "76cf1e6e5633e90825847dc14d801e84"),
+        "two_components": (6, "217d0cb1859a823b460db1fab92bc6b9"
+                              "9fb74384a2806a0cf78d5fd8873bf200"),
+    }
+    # At the phi of uniform(-1, 1) values drawn from seed 5.
+    DYNAMIC = {
+        "grid32": (1, "ebaa6682c2e9c998481c7d5e3cc076ea"
+                      "4d9c3df324e813335343fc52ad941fcb"),
+        "capped_grid": (1, "b8d9b466d3bd2560a9c6bbca50b58f2b"
+                           "b6b164b29a0e21370b1ea9844e713fe2"),
+        "denser0": (1, "940a24db36d96aa4449d9294e5e3ce2c"
+                       "7a1bf1508e440a6713c7ee80006f193c"),
+        "denser1": (1, "05ea307bf75389cdd3b877786ae46158"
+                       "778ca40c44e6a8ef6f41d4c1dbc08007"),
+        "denser2": (1, "26b6cd480e5bf86d78cde886671cd84a"
+                       "02109e4bff616ee26607c736883ac03f"),
+        "k8": (1, "10d6ce7846799692c6c09c3deedbaa0a"
+                  "0f66e5b96ec0082ec26530b1f83d4b41"),
+        "two_components": (2, "39f9e700d70e8feab3eb28caa13ec6c3"
+                              "c1ef58e88e9790d198b5cb3fcc416f2d"),
+    }
+
+    @pytest.mark.parametrize("name", list(TREE_MODELS))
+    def test_static_trees_pinned(self, name):
+        trees = compute_static_trees(TREE_MODELS[name]()).blocks
+        assert (len(trees), tree_digest(trees)) == self.STATIC[name]
+
+    @pytest.mark.parametrize("name", list(TREE_MODELS))
+    def test_dynamic_forest_pinned(self, name):
+        m = TREE_MODELS[name]()
+        phi = Reparametrization(m)
+        phi.values[:] = np.random.default_rng(5).uniform(-1, 1,
+                                                         phi.values.size)
+        forest = compute_dynamic_forest(m, phi, primal_round(m, phi))
+        assert (len(forest), tree_digest(forest)) == self.DYNAMIC[name]
 
 
 class TestDynamicTree:
