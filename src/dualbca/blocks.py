@@ -32,37 +32,45 @@ class Block:
         if self.kind not in ("edge", "chain", "tree"):
             raise ValueError(f"unknown block kind {self.kind!r}")
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges",
-                           tuple(tuple(sorted(e)) for e in self.edges))
+        object.__setattr__(self, "edges", tuple(
+            (a, b) if a < b else (b, a) for a, b in self.edges))
 
 
 def chain_block(model, nodes):
     """Block for the chain visiting ``nodes`` in order."""
-    nodes = [int(u) for u in nodes]
-    if len(nodes) < 2:
-        raise ValueError("a chain needs at least two nodes")
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("chain revisits a node")
-    _require_edges(model, nodes[:-1], nodes[1:])
-    kind = "edge" if len(nodes) == 2 else "chain"
-    return Block(kind, nodes, zip(nodes, nodes[1:]))
+    return chain_blocks(model, [nodes])[0]
+
+
+def chain_blocks(model, paths):
+    """Blocks for the chains visiting each node sequence of ``paths`` in
+    order, their edges checked with one lookup."""
+    paths = [list(map(int, p)) for p in paths]
+    for p in paths:
+        if len(p) < 2:
+            raise ValueError("a chain needs at least two nodes")
+        if len(set(p)) != len(p):
+            raise ValueError("chain revisits a node")
+    _require_edges(model, [u for p in paths for u in p[:-1]],
+                   [v for p in paths for v in p[1:]])
+    return [Block("edge" if len(p) == 2 else "chain", p, zip(p, p[1:]))
+            for p in paths]
 
 
 def tree_block(model, edges):
     """Block for the tree spanned by ``edges`` (checked connected, acyclic)."""
-    edges = [tuple(sorted((int(a), int(b)))) for a, b in edges]
-    if not edges:
+    edges = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    if not edges.size:
         raise ValueError("a tree block needs at least one edge")
-    if len(set(edges)) != len(edges):
+    nodes, local = np.unique(edges, return_inverse=True)
+    a, b = local.reshape(-1, 2).T
+    if np.unique(a * nodes.size + b).size < a.size:
         raise ValueError("duplicate edge in tree block")
-    _require_edges(model, *zip(*edges))
-    nodes = sorted({u for e in edges for u in e})
-    if len(edges) != len(nodes) - 1:
+    _require_edges(model, *edges.T)
+    if a.size != nodes.size - 1:
         raise ValueError("tree block has a cycle or is disconnected")
-    parent = {u: u for u in nodes}
-    if not all(union(parent, a, b) for a, b in edges):
+    if not minimum_forest(nodes.size, a, b)[0].all():
         raise ValueError("tree block has a cycle")
-    return Block("tree", nodes, edges)
+    return Block("tree", nodes.tolist(), edges.tolist())
 
 
 def _require_edges(model, u, v):
@@ -73,21 +81,50 @@ def _require_edges(model, u, v):
         raise ValueError(f"({u[i]},{v[i]}) is not an edge of the model")
 
 
-def find(parent, x):
-    """Root of x in the union-find forest ``parent`` (a list or a dict)."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def minimum_forest(n, a, b):
+    """Borůvka's minimum spanning forest of nodes ``0..n-1`` and edges
+    (a[i], b[i]) ranked by i: which edges it picks, and each node's
+    component label.  The forest is unique, so these are Kruskal's edges.
 
-
-def union(parent, a, b):
-    """Join the sets of a and b; False when they already were one set."""
-    ra, rb = find(parent, a), find(parent, b)
-    if ra == rb:
-        return False
-    parent[ra] = rb
-    return True
+    In each round every component takes its least-ranked outgoing edge
+    (one minimum over both endpoints) and hooks onto the component at its
+    other end, two that took the same edge onto the smaller label; pointer
+    jumping then finds the new roots.  The rounds run on ranks n, 2n, 4n,
+    ... at a time: the forest of a prefix is part of the whole forest, and
+    a dense graph's later edges mostly just close cycles.
+    """
+    m = len(a)
+    picked = np.zeros(m, dtype=bool)
+    label = np.arange(n)
+    start, step = 0, n
+    while start < m:
+        rank = np.arange(start, min(start + step, m))
+        start, step = start + step, 2 * step
+        while True:
+            ca, cb = label[a[rank]], label[b[rank]]
+            out = ca != cb
+            if not out.any():
+                break
+            rank = rank[out]
+            best = np.full(n, m)
+            np.minimum.at(best, np.concatenate((ca[out], cb[out])),
+                          np.concatenate((rank, rank)))
+            c = np.flatnonzero(best < m)
+            e = best[c]
+            picked[e] = True
+            to = label[a[e]] + label[b[e]] - c
+            label[c] = to
+            mutual = (label[to] == c) & (c < to)
+            label[c[mutual]] = c[mutual]
+            root = label[c]
+            while True:
+                up = label[root]
+                if (up == root).all():
+                    break
+                root = up
+            label[c] = root
+            label = label[label]
+    return picked, label
 
 
 def _require_chain(block):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import chain_block, find, tree_block, union
+from .blocks import Block, chain_blocks, minimum_forest
 from .model import edge_chunks, node_costs, node_minima
 
 
@@ -49,8 +49,8 @@ def compute_mmc_cover(model, order=None):
                 nxt = ad[tail].pop(0)
                 chain.append(nxt)
                 tail = nxt
-            chains.append(chain_block(model, chain))
-    return BlockSchedule("mmc", chains)
+            chains.append(chain)
+    return BlockSchedule("mmc", chain_blocks(model, chains))
 
 
 def rows_columns_cover(model):
@@ -58,14 +58,9 @@ def rows_columns_cover(model):
     if model.grid_shape is None:
         raise ValueError("model carries no grid shape")
     h, w = model.grid_shape
-    chains = []
-    for r in range(h):
-        if w > 1:
-            chains.append(chain_block(model, [r * w + c for c in range(w)]))
-    for c in range(w):
-        if h > 1:
-            chains.append(chain_block(model, [r * w + c for r in range(h)]))
-    return BlockSchedule("rows_columns", chains)
+    rows = [range(r * w, (r + 1) * w) for r in range(h)] if w > 1 else []
+    columns = [range(c, h * w, w) for c in range(w)] if h > 1 else []
+    return BlockSchedule("rows_columns", chain_blocks(model, rows + columns))
 
 
 def _bfs_live_paths(model, start, alive):
@@ -156,22 +151,40 @@ def compute_ssp_cover(model, seed=0):
         degree[at[:-1]] -= 1
         degree[at[1:]] -= 1
         left -= len(path) - 1
-        chains.append(chain_block(model, path))
-    return BlockSchedule("ssp", chains)
+        chains.append(path)
+    return BlockSchedule("ssp", chain_blocks(model, chains))
 
 
 def _spanning_forest(model, keys):
-    """Kruskal spanning forest minimizing the per-edge keys, ties by edge
-    id, as one tree block per connected component, ordered by the
-    component's root."""
-    parent = list(range(model.n_nodes))
-    a, b = model.ends.T.tolist()
-    picked = [e for e in np.argsort(keys, kind="stable").tolist()
-              if union(parent, a[e], b[e])]
-    trees = {}
-    for e in picked:
-        trees.setdefault(find(parent, a[e]), []).append((a[e], b[e]))
-    return [tree_block(model, edges) for _, edges in sorted(trees.items())]
+    """Spanning forest minimizing the per-edge keys, ties by edge id, as one
+    tree block per connected component with an edge; see :func:`_forest`."""
+    return _forest(model, keys)[0]
+
+
+def _forest(model, keys):
+    """(tree blocks, edge ids) of the minimum spanning forest under the
+    per-edge keys, ties by edge id.
+
+    The trees come in order of their components' smallest nodes, and each
+    lists its edges in the order of the keys, the order in which Kruskal's
+    algorithm picks them; the edge ids are those of the trees in turn.
+    """
+    n = model.n_nodes
+    order = np.argsort(keys, kind="stable")
+    a, b = (x[order] for x in model.ends.T)
+    picked, label = minimum_forest(n, a, b)
+    low = np.full(n, n)
+    np.minimum.at(low, label, np.arange(n))
+    low = low[label]                # the smallest node of each component
+    tree = low[a[picked]]
+    ids = order[picked][np.argsort(tree, kind="stable")]
+    nodes = np.flatnonzero(model._degree)
+    nodes = nodes[np.argsort(low[nodes], kind="stable")].tolist()
+    size = np.unique(tree, return_counts=True)[1]
+    at = np.append(0, size.cumsum()).tolist()
+    edges = model.ends[ids].tolist()
+    return [Block("tree", nodes[i + k:j + k + 1], edges[i:j])
+            for k, (i, j) in enumerate(zip(at, at[1:]))], ids
 
 
 def compute_static_trees(model):
@@ -179,15 +192,11 @@ def compute_static_trees(model):
 
     On a disconnected graph each round yields one tree per component.
     """
-    if model.n_edges == 0:
-        return BlockSchedule("static_trees", [])
     times_used = np.zeros(model.n_edges, dtype=np.int64)
     trees = []
-    while times_used.min() == 0:
-        forest = _spanning_forest(model, times_used)
-        a, b = np.array([e for tree in forest for e in tree.edges]).T
-        times_used += np.bincount(model._inc_edge[model.lookup(a, b)[0]],
-                                  minlength=model.n_edges)
+    while model.n_edges and times_used.min() == 0:
+        forest, ids = _forest(model, times_used)
+        times_used[ids] += 1
         trees.extend(forest)
     return BlockSchedule("static_trees", trees)
 

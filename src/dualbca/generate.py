@@ -95,10 +95,17 @@ def random_tree_model(rng, n_nodes=6, labels=3, scale=1.0):
 
 
 def random_phi(rng, model, scale=1.0):
-    """Random reparametrization (not necessarily feasible)."""
+    """Random reparametrization (not necessarily feasible).
+
+    One uniform draw, in edge order: per edge (u, v) the values of
+    phi_{u,v}, then those of phi_{v,u}.
+    """
     from .model import Reparametrization
     phi = Reparametrization(model)
-    for (u, v) in model.edges:
-        phi[u, v] += rng.uniform(-scale, scale, model.labels[u])
-        phi[v, u] += rng.uniform(-scale, scale, model.labels[v])
+    entry = model.lookup(*model.ends.T)[0]
+    start = np.stack((model._inc_phi[entry], model._inc_back[entry]), axis=1)
+    size = np.array(model.labels)[model.ends].ravel()
+    ends = size.cumsum()
+    at = (start.ravel() - ends + size).repeat(size) + np.arange(size.sum())
+    phi.values[at] = rng.uniform(-scale, scale, at.size)
     return phi

@@ -160,8 +160,9 @@ def _edge_order(model, edges):
 
 
 # Block families, called with the run when it starts.  Covers and static
-# trees are built then, before pass 0; dynamic trees give each pass's
-# blocks from its phi; node and edge families are lazy (see :func:`_ops`).
+# trees are built then, before pass 0; dynamic trees give a function that
+# each pass calls with the run for its blocks, from its phi; node and edge
+# families are lazy (see :func:`_ops`).
 def _stars(extra):
     """Every node u with a neighbour, and its star weight 1 / (deg + extra)."""
     def stars(model, order):
@@ -225,8 +226,14 @@ def _trees(run):
         return _chain_cover(model, config).blocks
     if config.tree_mode == "static":
         return covers.compute_static_trees(model).blocks
-    return lambda: covers.compute_dynamic_forest(
-        model, run.phi, primal_round(model, run.phi))
+    return _dynamic_trees
+
+
+def _dynamic_trees(run):
+    """The maximum-gap forest at the run's phi.  It takes the run as an
+    argument, so that the run holds no closure over itself."""
+    return covers.compute_dynamic_forest(run.model, run.phi,
+                                         primal_round(run.model, run.phi))
 
 
 # Each method: (block family, update), the update (program, *blocks) -> None
@@ -266,7 +273,7 @@ class _Run:
             return self._program
         dynamic = callable(self._blocks)
         prog = Program(self.model)
-        self._update(prog, *(self._blocks() if dynamic else self._blocks))
+        self._update(prog, *(self._blocks(self) if dynamic else self._blocks))
         if not dynamic:
             self._program = prog
         return prog

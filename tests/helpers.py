@@ -4,7 +4,9 @@ Each runs a :class:`dualbca.updates.Program` of one operation, or computes
 the same quantity from :mod:`dualbca.model`, so that tests can check the
 elementary updates one at a time.  :func:`batch_count` reads how many
 batches a compiled program runs, and :func:`check_greedy_classes` checks a
-colour-class block order.
+colour-class block order.  :func:`kruskal_forest` is the plain Kruskal
+spanning forest that the array forest of :mod:`dualbca.covers` is checked
+against.
 """
 from functools import partial
 
@@ -110,3 +112,27 @@ def check_greedy_classes(classes, visit):
             for earlier in classes[:k]:
                 assert any(set(p) & set(q) and visit(q) < visit(p)
                            for q in earlier)
+
+
+def kruskal_forest(n, edges, keys):
+    """Kruskal's spanning forest of the pairs ``edges`` on nodes 0..n-1,
+    least key first, ties by position: {union-find root: the tree's edges
+    in the order picked}."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    picked = []
+    for i in sorted(range(len(edges)), key=lambda i: (keys[i], i)):
+        a, b = edges[i]
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            picked.append((a, b))
+    trees = {}
+    for a, b in picked:
+        trees.setdefault(find(a), []).append((a, b))
+    return trees

@@ -3,7 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dualbca.blocks import tree_block
 from dualbca.covers import (BlockSchedule, compute_dynamic_forest,
                             compute_mmc_cover, compute_ssp_cover,
                             compute_static_trees, gap_scores,
@@ -12,6 +14,8 @@ from dualbca.covers import (BlockSchedule, compute_dynamic_forest,
 from dualbca.model import GraphicalModel, Reparametrization, primal_round
 from dualbca.generate import generate_instance, random_model
 from dualbca.oracle import count_shortest_paths
+from dualbca.solve import SolverConfig, _Run
+from helpers import kruskal_forest
 from test_plans import capped_grid
 
 
@@ -302,6 +306,116 @@ class TestTreesPinned:
                                                          phi.values.size)
         forest = compute_dynamic_forest(m, phi, primal_round(m, phi))
         assert (len(forest), tree_digest(forest)) == self.DYNAMIC[name]
+
+
+@st.composite
+def forest_cases(draw):
+    """(model, keys): node-disjoint parts of 1-6 nodes (isolated nodes,
+    one-edge components, several components), their nodes interleaved,
+    each part a random subgraph, the edges in random order, with keys
+    0-2 so that many tie."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    perm = draw(st.permutations(range(sum(sizes))))
+    edges, at = [], 0
+    for k in sizes:
+        part = perm[at:at + k]
+        at += k
+        pairs = [(u, v) for i, u in enumerate(part) for v in part[i + 1:]]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        edges += [e for e, kept in zip(pairs, keep) if kept]
+    edges = draw(st.permutations(edges))
+    keys = draw(st.lists(st.integers(0, 2), min_size=len(edges),
+                         max_size=len(edges)))
+    return graph_model(len(perm), edges), keys
+
+
+def kruskal_static_trees(m, by_root=False):
+    """compute_static_trees by the reference Kruskal: each round's trees
+    in order of their smallest node, or else of their union-find root."""
+    times = [0] * m.n_edges
+    trees = []
+    while m.n_edges and min(times) == 0:
+        forest = kruskal_forest(m.n_nodes, m.edges, times)
+        for root in sorted(forest, key=lambda r: r if by_root
+                           else min(map(min, forest[r]))):
+            trees.append(tuple(forest[root]))
+            for e in forest[root]:
+                times[m.edges.index(e)] += 1
+    return trees
+
+
+class TestForestAgainstKruskal:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=forest_cases())
+    def test_forest_is_kruskals(self, case):
+        m, keys = case
+        forest = _spanning_forest(m, np.array(keys, dtype=np.int64))
+        want = kruskal_forest(m.n_nodes, m.edges, keys).values()
+        # The same trees, each with its edges in Kruskal's pick order ...
+        assert sorted(b.edges for b in forest) == sorted(map(tuple, want))
+        # ... in order of their smallest nodes, every node of a tree once.
+        for b in forest:
+            assert list(b.nodes) == sorted({u for e in b.edges for u in e})
+        firsts = [b.nodes[0] for b in forest]
+        assert firsts == sorted(firsts)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=forest_cases())
+    def test_static_trees_are_kruskals(self, case):
+        m, _ = case
+        assert [b.edges for b in compute_static_trees(m).blocks] == \
+            kruskal_static_trees(m)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=forest_cases(), data=st.data())
+    def test_tree_block_checks_as_kruskal(self, case, data):
+        m, _ = case
+        edges = data.draw(st.lists(st.sampled_from(m.edges), unique=True)
+                          if m.n_edges else st.just([]))
+        nodes = sorted({u for e in edges for u in e})
+        picked = sum(map(len, kruskal_forest(m.n_nodes, edges,
+                                             [0] * len(edges)).values()))
+        if not edges:
+            message = "a tree block needs at least one edge"
+        elif len(edges) != len(nodes) - 1:
+            message = "tree block has a cycle or is disconnected"
+        elif picked < len(edges):
+            message = "tree block has a cycle"
+        else:
+            b = tree_block(m, [e[::-1] for e in edges])
+            assert (b.kind, b.nodes, b.edges) == ("tree", tuple(nodes),
+                                                  tuple(edges))
+            return
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tree_block(m, edges)
+
+    def test_tree_order_change_leaves_tbca_unchanged(self):
+        # Components {0, 3, 5} and {1, 2, 4}, each a cycle.  Kruskal's
+        # union-find roots are 5 and 4, so by root the tree of {1, 2, 4}
+        # came first in every round; by smallest node it comes second.
+        rng = np.random.default_rng(4)
+        edges = [(0, 5), (1, 2), (2, 4), (3, 5), (1, 4), (0, 3)]
+        m = GraphicalModel([3] * 6, edges,
+                           [rng.uniform(0, 2, 3) for _ in range(6)],
+                           [rng.uniform(0, 2, (3, 3)) for _ in edges])
+        trees = compute_static_trees(m).blocks
+        assert [b.edges for b in trees] == kruskal_static_trees(m)
+        by_root = [tree_block(m, t)
+                   for t in kruskal_static_trees(m, by_root=True)]
+        assert [b.nodes for b in by_root] == [(1, 2, 4), (0, 3, 5)] * 2
+        assert [b.nodes for b in trees] == [(0, 3, 5), (1, 2, 4)] * 2
+        # The trees share no node, so their operations commute: a pass
+        # over either order gives the same phi, bit for bit.
+        for method in ("tbca", "tbcapp"):
+            new, old = (_Run(m, SolverConfig(method)) for _ in range(2))
+            assert new._blocks == tuple(trees)
+            old._blocks = by_root
+            for _ in range(3):
+                new.do_pass()
+                old.do_pass()
+            assert np.array_equal(new.phi.values, old.phi.values)
+            assert new.counter.total == old.counter.total
 
 
 class TestDynamicTree:

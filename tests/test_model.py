@@ -227,3 +227,21 @@ def test_pairwise_costs_oriented_view():
     t01 = pairwise_costs(m, phi, 0, 1)
     t10 = pairwise_costs(m, phi, 1, 0)
     assert np.array_equal(t01, t10.T)
+
+
+def test_random_phi_draws_as_the_edge_loop():
+    def edge_loop(rng, model, scale=1.0):
+        phi = Reparametrization(model)
+        for (u, v) in model.edges:
+            phi[u, v] += rng.uniform(-scale, scale, model.labels[u])
+            phi[v, u] += rng.uniform(-scale, scale, model.labels[v])
+        return phi
+
+    rng = np.random.default_rng(8)
+    for seed in range(40):
+        m = random_model(rng, n_nodes=int(rng.integers(1, 9)), max_labels=4,
+                         edge_prob=float(rng.uniform(0.0, 1.0)))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(random_phi(a, m, scale=2.0).values,
+                              edge_loop(b, m, scale=2.0).values)
+        assert a.random() == b.random()     # the same number of draws

@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -333,6 +335,21 @@ class TestCustomOrderAndCovers:
                                                 tree_mode="dynamic"))
             assert trace[-1].dual <= opt + 1e-9
             assert check_feasible(m, phi)
+
+
+def test_dynamic_run_frees_phi_without_the_cycle_collector():
+    # The run hands itself to the dynamic tree family at each pass, so it
+    # holds no closure over itself and its phi goes with its last reference.
+    m = generate_instance("sparse_grid", height=6, width=6, labels=3, seed=0)
+    gc.disable()
+    try:
+        state = _Run(m, SolverConfig("tbca", tree_mode="dynamic"))
+        state.do_pass()
+        buffer = weakref.ref(state.phi.buffer)
+        del state
+        assert buffer() is None
+    finally:
+        gc.enable()
 
 
 class TestNormalizeMessages:
