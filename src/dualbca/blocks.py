@@ -116,14 +116,11 @@ def minimum_forest(n, a, b):
             label[c] = to
             mutual = (label[to] == c) & (c < to)
             label[c[mutual]] = c[mutual]
-            root = label[c]
             while True:
-                up = label[root]
-                if (up == root).all():
+                up = label[label]
+                if (up == label).all():
                     break
-                root = up
-            label[c] = root
-            label = label[label]
+                label = up
     return picked, label
 
 
