@@ -58,7 +58,8 @@ def chain_blocks(model, paths):
 
 def tree_block(model, edges):
     """Block for the tree spanned by ``edges`` (checked connected, acyclic)."""
-    edges = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    edges = np.sort(np.array(list(edges), dtype=np.int64).reshape(-1, 2),
+                    axis=1)
     if not edges.size:
         raise ValueError("a tree block needs at least one edge")
     nodes, local = np.unique(edges, return_inverse=True)

@@ -51,14 +51,25 @@ class TestBlockConstruction:
     def test_tree_block_cycle_rejected(self):
         m = GraphicalModel([2] * 3, [(0, 1), (1, 2), (0, 2)],
                            [np.zeros(2)] * 3, [np.zeros((2, 2))] * 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cycle or is disconnected"):
             tree_block(m, m.edges)
 
     def test_tree_block_disconnected_rejected(self):
         m = GraphicalModel([2] * 4, [(0, 1), (2, 3)],
                            [np.zeros(2)] * 4, [np.zeros((2, 2))] * 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cycle or is disconnected"):
             tree_block(m, m.edges)
+
+    def test_tree_block_from_any_pairs(self):
+        # Any iterable of pairs, either way round; edges keep their order.
+        edges = [(0, 1), (1, 2), (1, 3), (2, 3), (4, 5)]
+        m = GraphicalModel([2] * 6, edges, [np.zeros(2)] * 6,
+                           [np.zeros((2, 2))] * 5)
+        b = tree_block(m, zip([3, 1, 2], [1, 0, 1]))
+        assert (b.nodes, b.edges) == ((0, 1, 2, 3), ((1, 3), (0, 1), (1, 2)))
+        # As many edges as a tree on its nodes, but a cycle and two parts.
+        with pytest.raises(ValueError, match=r"^tree block has a cycle$"):
+            tree_block(m, iter([(1, 2), (2, 3), (1, 3), (4, 5)]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
