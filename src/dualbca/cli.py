@@ -30,6 +30,10 @@ _GENERATE_HELP = (
     "regime:params, one of sparse_grid:H,W[,labels], "
     "denser:H,W[,labels[,connectivity]], complete:N[,labels]"
 )
+# The numbers a spec gives, in order; generate_instance has the defaults.
+_SPEC_FIELDS = {"sparse_grid": ("height", "width", "labels"),
+                "denser": ("height", "width", "labels", "connectivity"),
+                "complete": ("n_nodes", "labels")}
 
 
 def _parse_generate(spec):
@@ -37,107 +41,96 @@ def _parse_generate(spec):
     if regime not in REGIMES:
         raise argparse.ArgumentTypeError(
             f"unknown regime {regime!r}, expected one of {', '.join(REGIMES)}")
-    parts = [p for p in rest.split(",") if p] if rest else []
+    parts = [p for p in rest.split(",") if p]
     try:
-        if regime == "complete":
-            n = int(parts[0]) if parts else 16
-            labels = int(parts[1]) if len(parts) > 1 else 3
-            return regime, dict(n_nodes=n, labels=labels)
-        height = int(parts[0]) if parts else 4
-        width = int(parts[1]) if len(parts) > 1 else height
-        kwargs = dict(height=height, width=width)
-        if len(parts) > 2:
-            kwargs["labels"] = int(parts[2])
-        if regime == "denser" and len(parts) > 3:
-            kwargs["connectivity"] = float(parts[3])
-        return regime, kwargs
+        kwargs = {name: (float if name == "connectivity" else int)(p)
+                  for name, p in zip(_SPEC_FIELDS[regime], parts)}
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad generate spec {spec!r}: {exc}")
+    if "height" in kwargs:
+        kwargs.setdefault("width", kwargs["height"])
+    return regime, kwargs
 
 
-def _load_instance(args, seed):
-    if args.model is not None:
-        model, shift = parse_uai(args.model,
-                                 probabilities=getattr(args, "probabilities", False))
-        return model, os.path.basename(args.model), shift
-    regime, kwargs = args.generate
-    model = generate_instance(regime, seed=seed, **kwargs)
-    return model, f"{regime}-seed{seed}", 0.0
+def _instances(args):
+    """Each instance as (model, name, shift): the model files first, then
+    the generated specs, the i-th drawn with seed ``--seed + i``."""
+    for path in args.models or ():
+        model, shift = parse_uai(path, probabilities=args.probabilities)
+        yield model, os.path.basename(path), shift
+    for i, (regime, kwargs) in enumerate(args.generate or ()):
+        seed = args.seed + i
+        yield (generate_instance(regime, seed=seed, **kwargs),
+               f"{regime}-seed{seed}", 0.0)
 
 
-def _build_config(args, method):
-    """The run configuration; a random node order is drawn per instance by
-    :func:`_resolve_order`."""
-    return SolverConfig(method=method, max_passes=args.max_passes,
-                        max_messages=args.max_messages,
-                        max_seconds=args.max_seconds, tol=args.tol,
-                        seed=args.seed, cover=args.cover,
-                        tree_mode=args.tree_mode)
-
-
-def _resolve_order(config, args, model):
+def _configs(args, methods, model):
+    """One run configuration per method on ``model``; ``--order random``
+    draws one node order for all of them."""
+    order = None
     if args.order == "random":
-        rng = np.random.default_rng(args.seed)
-        order = [int(u) for u in rng.permutation(model.n_nodes)]
-        return SolverConfig(**{**config.__dict__, "node_order": order})
-    return config
+        order = np.random.default_rng(args.seed).permutation(
+            model.n_nodes).tolist()
+    return [SolverConfig(method=method, max_passes=args.max_passes,
+                         max_messages=args.max_messages,
+                         max_seconds=args.max_seconds, tol=args.tol,
+                         seed=args.seed, cover=args.cover,
+                         tree_mode=args.tree_mode, node_order=order)
+            for method in methods]
 
 
-def write_trace(path, trace, n_edges, mean_edges=None):
-    mean = float(n_edges if mean_edges is None else mean_edges)
+def _cells(row):
+    """The CSV cells of a trace row, floats written exactly."""
+    return [row[0], row[1], *map(repr, row[2:])]
+
+
+def write_trace(path, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["pass", "messages", "normalized_messages", "dual",
                     "primal", "wall_seconds"])
-        for r in trace:
-            w.writerow([r.pass_index, r.messages,
-                        repr(normalize_messages(r.messages, n_edges, mean)),
-                        repr(r.dual), repr(r.primal_energy),
-                        repr(r.wall_seconds)])
+        w.writerows(map(_cells, rows))
 
 
-def _summary(name, method, model, trace, shift, mean_edges=None):
-    last = trace[-1]
-    mean = float(model.n_edges if mean_edges is None else mean_edges)
-    return {
-        "instance": name,
-        "method": method,
-        "dual": last.dual + shift,
-        "primal": last.primal_energy + shift,
-        "gap": last.primal_energy - last.dual,
-        "messages": last.messages,
-        "normalized_messages": normalize_messages(last.messages,
-                                                  model.n_edges, mean),
-        "wall_seconds": last.wall_seconds,
-        "passes": last.pass_index,
-    }
+def _run_all(args, instances, methods, trace_path):
+    """Run each method on each instance, every configuration built (and so
+    checked) before the first run, and write each run's trace rows to
+    ``trace_path(name, method)`` unless that is None.  Returns per run its
+    summary and its rows: pass, messages, messages normalised by the
+    instances' mean |E|, dual, primal and wall seconds."""
+    mean = float(np.mean([model.n_edges for model, _, _ in instances]))
+    runs = [(model, name, shift, config) for model, name, shift in instances
+            for config in _configs(args, methods, model)]
+    results = []
+    for model, name, shift, config in runs:
+        rows = [(r.pass_index, r.messages,
+                 normalize_messages(r.messages, model.n_edges, mean),
+                 r.dual, r.primal_energy, r.wall_seconds)
+                for r in run(model, config)[2]]
+        path = trace_path(name, config.method)
+        if path:
+            write_trace(path, rows)
+        passes, messages, normalized, dual, primal, wall = rows[-1]
+        summary = {"instance": name, "method": config.method,
+                   "dual": dual + shift, "primal": primal + shift,
+                   "gap": primal - dual, "messages": messages,
+                   "normalized_messages": normalized, "wall_seconds": wall,
+                   "passes": passes}
+        results.append((summary, rows))
+    return results
 
 
 def cmd_solve(args):
-    model, name, shift = _load_instance(args, args.seed)
-    config = _resolve_order(_build_config(args, args.method), args, model)
-    phi, y, trace = run(model, config)
-    if args.trace:
-        write_trace(args.trace, trace, model.n_edges)
-    summary = _summary(name, args.method, model, trace, shift)
+    [(summary, _)] = _run_all(args, list(_instances(args)), [args.method],
+                              lambda name, method: args.trace)
     if args.summary:
         with open(args.summary, "w") as f:
             json.dump(summary, f, indent=2)
             f.write("\n")
-    print(f"{name} {args.method}: dual={summary['dual']:.9g} "
+    print(f"{summary['instance']} {args.method}: dual={summary['dual']:.9g} "
           f"primal={summary['primal']:.9g} messages={summary['messages']} "
           f"passes={summary['passes']}")
     return 0
-
-
-def _bench_job(job):
-    model, name, shift, method, config, trace_path, mean_edges = job
-    phi, y, trace = run(model, config)
-    write_trace(trace_path, trace, model.n_edges, mean_edges)
-    rows = [(name, method, r.pass_index, r.messages,
-             normalize_messages(r.messages, model.n_edges, mean_edges),
-             r.dual, r.primal_energy) for r in trace]
-    return _summary(name, method, model, trace, shift, mean_edges), rows
 
 
 def cmd_bench(args):
@@ -146,15 +139,7 @@ def cmd_bench(args):
     if dups:
         print(f"bench: method {dups[0]!r} is given twice", file=sys.stderr)
         return 2
-    instances = []
-    for path in args.models or ():
-        model, shift = parse_uai(path, probabilities=args.probabilities)
-        instances.append((model, os.path.basename(path), shift))
-    for i, spec in enumerate(args.generate or ()):
-        regime, kwargs = spec
-        seed = args.seed + i
-        model = generate_instance(regime, seed=seed, **kwargs)
-        instances.append((model, f"{regime}-seed{seed}", 0.0))
+    instances = list(_instances(args))
     if not instances:
         print("bench: no instances given (use --models and/or --generate)",
               file=sys.stderr)
@@ -166,30 +151,22 @@ def cmd_bench(args):
               "named after instances", file=sys.stderr)
         return 2
     os.makedirs(args.out_dir, exist_ok=True)
-    mean_edges = float(np.mean([m.n_edges for m, _, _ in instances]))
-
-    jobs = []
-    for model, name, shift in instances:
-        for method in methods:
-            config = _resolve_order(_build_config(args, method), args, model)
-            trace_path = os.path.join(args.out_dir, f"{name}-{method}.csv")
-            jobs.append((model, name, shift, method, config, trace_path,
-                         mean_edges))
-    results = [_bench_job(j) for j in jobs]
+    results = _run_all(args, instances, methods, lambda name, method:
+                       os.path.join(args.out_dir, f"{name}-{method}.csv"))
 
     agg_path = os.path.join(args.out_dir, "aggregate.csv")
     with open(agg_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["instance", "method", "pass", "messages",
                     "normalized_messages", "dual", "primal"])
-        for _, rows in results:
+        for summary, rows in results:
             for row in rows:
-                w.writerow([row[0], row[1], row[2], row[3],
-                            repr(float(row[4])), repr(row[5]), repr(row[6])])
+                w.writerow([summary["instance"], summary["method"],
+                            *_cells(row)[:5]])
     for summary, _ in results:
         print(f"{summary['instance']} {summary['method']}: "
               f"dual={summary['dual']:.9g} messages={summary['messages']}")
-    print(f"wrote {len(jobs)} traces and {agg_path}")
+    print(f"wrote {len(results)} traces and {agg_path}")
     return 0
 
 
@@ -222,8 +199,10 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run one method on one instance")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", help="UAI MARKOV model file")
-    src.add_argument("--generate", type=_parse_generate, help=_GENERATE_HELP)
+    src.add_argument("--model", dest="models", nargs=1, metavar="MODEL",
+                     help="UAI MARKOV model file")
+    src.add_argument("--generate", type=_parse_generate, nargs=1,
+                     help=_GENERATE_HELP)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--trace", help="write a per-pass trace CSV here")
     p.add_argument("--summary", help="write a run summary JSON here")
@@ -231,11 +210,12 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run a method matrix over instances")
-    p.add_argument("--models", nargs="*", help="UAI MARKOV model files")
+    p.add_argument("--models", nargs="*", action="extend",
+                   help="UAI MARKOV model files (repeatable)")
     p.add_argument("--generate", type=_parse_generate, action="append",
                    help=_GENERATE_HELP + " (repeatable)")
-    p.add_argument("--methods", nargs="*", choices=METHODS,
-                   help="default: all methods")
+    p.add_argument("--methods", nargs="*", action="extend", choices=METHODS,
+                   help="default: all methods (repeatable)")
     p.add_argument("--out-dir", default="bench-out")
     _add_run_flags(p)
     p.set_defaults(func=cmd_bench)

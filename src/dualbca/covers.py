@@ -155,12 +155,6 @@ def compute_ssp_cover(model, seed=0):
     return BlockSchedule("ssp", chain_blocks(model, chains))
 
 
-def _spanning_forest(model, keys):
-    """Spanning forest minimizing the per-edge keys, ties by edge id, as one
-    tree block per connected component with an edge; see :func:`_forest`."""
-    return _forest(model, keys)[0]
-
-
 def _forest(model, keys):
     """(tree blocks, edge ids) of the minimum spanning forest under the
     per-edge keys, ties by edge id.
@@ -220,4 +214,5 @@ def compute_dynamic_forest(model, phi, y):
     """
     node_gap, edge_gap = gap_scores(model, phi, y)
     a, b = model.ends.T
-    return _spanning_forest(model, -(edge_gap + node_gap[a] + node_gap[b]))
+    keys = -(edge_gap + node_gap[a] + node_gap[b])
+    return BlockSchedule("dynamic_trees", _forest(model, keys)[0])

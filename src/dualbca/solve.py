@@ -232,8 +232,8 @@ def _trees(run):
 def _dynamic_trees(run):
     """The maximum-gap forest at the run's phi.  It takes the run as an
     argument, so that the run holds no closure over itself."""
-    return covers.compute_dynamic_forest(run.model, run.phi,
-                                         primal_round(run.model, run.phi))
+    return covers.compute_dynamic_forest(
+        run.model, run.phi, primal_round(run.model, run.phi)).blocks
 
 
 # Each method: (block family, update), the update (program, *blocks) -> None

@@ -110,12 +110,12 @@ class Program:
     Edge operations are appended with :meth:`rdp`, :meth:`push`,
     :meth:`handshake` and :meth:`mplp`, node operations with :meth:`trws`
     and :meth:`star`, and whole sweeps as arrays with :meth:`_append`.  The
-    first :meth:`run` levels and batches them, and compiles each batch into
-    what its kernel reads: its spec, the index of its theta^phi and phi in
-    ``Reparametrization.buffer``, the positions of its tables in the model's
-    shape blocks, and its weights.  The compiled program gathers the tables
-    and the buffer on every run, and runs on any reparametrization of the
-    model.
+    first :meth:`run` or :meth:`waves` levels and batches them, and
+    compiles each batch into what its kernel reads: its spec, the index of
+    its theta^phi and phi in ``Reparametrization.buffer``, the positions of
+    its tables in the model's shape blocks, and its weights.  The compiled
+    program gathers the tables and the buffer on every run, and runs on any
+    reparametrization of the model.
     """
 
     def __init__(self, model):
@@ -124,7 +124,7 @@ class Program:
         # (u, target)).
         none = np.zeros(0, dtype=np.int64)
         self._chunks = [(none, none, none, none, np.zeros(0), none)]
-        self._plan = self._targets = None
+        self._plan = None
 
     def _arrays(self):
         if len(self._chunks) > 1:
@@ -217,10 +217,12 @@ class Program:
 
     def waves(self):
         """Wave index of every operation, in program order."""
-        return list(self._level())
+        if self._plan is None:
+            self._plan = self._compile()
+        return self._plan[2].tolist()
 
-    def _level(self):
-        """Wave of every operation, in program order."""
+    def _level(self, layout, n_layouts):
+        """Wave of every operation, in program order, by its layout code."""
         model = self.model
         kind, u, count, targets, _, entry = self._arrays()
         edge_last = [-1] * model.n_edges
@@ -264,7 +266,6 @@ class Program:
                 for f in edges:
                     edge_last[f] = w
             waves.append(w)
-        layout, n_layouts = (self._targets or self._layouts())[-2:]
         asap = np.asarray(waves, dtype=np.int64)
         depth = max(waves, default=-1) + 1
         last = np.empty(depth, dtype=np.int64)      # a layout of each wave
@@ -373,11 +374,10 @@ class Program:
         kind, u, count, targets, r, entry = self._arrays()
         n = len(kind)
         if n == 0:
-            return [], 0
-        shared = self._targets = self._layouts()    # the levelling reads it
-        waves = np.asarray(self._level(), dtype=np.int64)
-        self._targets = None
-        op, op_start, entry, part, first, into, layout, n_layouts = shared
+            return [], 0, np.zeros(0, dtype=np.int64)
+        op, op_start, entry, part, first, into, layout, n_layouts = \
+            self._layouts()
+        waves = np.asarray(self._level(layout, n_layouts), dtype=np.int64)
         n_blocks = len(model._shape_groups)
         # Batches by wave and layout; within a batch, operations whose first
         # target has u first go first, so that an orientation-free part is
@@ -482,7 +482,7 @@ class Program:
             batches.append((specs[k], index[x:y].reshape(m, -1), pos[p:q],
                             r[a:a + m], end))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
-        return batches, messages
+        return batches, messages, waves
 
     def run(self, phi, counter=None):
         """Apply the program to phi, charging its messages to ``counter``.
@@ -493,7 +493,7 @@ class Program:
         derived again after every batch."""
         if self._plan is None:
             self._plan = self._compile()
-        batches, messages = self._plan
+        batches, messages, _ = self._plan
         model, buf = self.model, phi.buffer
         nodes, exact = slice(model._unary_flat.size), model._exact_excess
         buf[nodes] = node_costs(model, phi)

@@ -95,7 +95,7 @@ def batch_count(prog):
     on a zero reparametrization) if it has not run yet."""
     if prog._plan is None:
         prog.run(Reparametrization(prog.model))
-    batches, _ = prog._plan
+    batches, _, _ = prog._plan
     return len(batches)
 
 

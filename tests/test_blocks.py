@@ -42,6 +42,12 @@ class TestBlockConstruction:
         with pytest.raises(ValueError):
             chain_block(m, [0, 2])
 
+    @pytest.mark.parametrize("nodes", [[], [2]])
+    def test_chain_needs_two_nodes(self, nodes):
+        m = chain_model(np.random.default_rng(0), 4)
+        with pytest.raises(ValueError, match="at least two nodes"):
+            chain_block(m, nodes)
+
     def test_chain_revisit_rejected(self):
         rng = np.random.default_rng(0)
         m = chain_model(rng, 4)
@@ -59,6 +65,12 @@ class TestBlockConstruction:
                            [np.zeros(2)] * 4, [np.zeros((2, 2))] * 2)
         with pytest.raises(ValueError, match="cycle or is disconnected"):
             tree_block(m, m.edges)
+
+    def test_tree_block_duplicate_edge_rejected(self):
+        m = GraphicalModel([2] * 3, [(0, 1), (1, 2)],
+                           [np.zeros(2)] * 3, [np.zeros((2, 2))] * 2)
+        with pytest.raises(ValueError, match="duplicate edge in tree block"):
+            tree_block(m, [(0, 1), (1, 2), (1, 0)])
 
     def test_tree_block_from_any_pairs(self):
         # Any iterable of pairs, either way round; edges keep their order.

@@ -115,6 +115,18 @@ class TestSolve:
             main(["solve", "--generate", "ring:5", "--method", "spam"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--method", "spam"], ["bench", "--out-dir", "OUT"]],
+        ids=["solve", "bench"])
+    def test_unparsable_generate_number_exits_2(self, command, tmp_path,
+                                                capsys):
+        command = [str(tmp_path / "b") if a == "OUT" else a for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--generate", "sparse_grid:x"])
+        assert exc.value.code == 2
+        assert "bad generate spec 'sparse_grid:x'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
 
 class TestBench:
     def test_matrix_outputs(self, tmp_path):
@@ -163,6 +175,31 @@ class TestBench:
         assert "'spam'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_method_across_flags_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        rc = main(["bench", "--generate", "sparse_grid:3,3", "--methods",
+                   "spam", "--methods", "spam", "--max-passes", "1",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "'spam'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_models_and_methods_accumulate(self, tmp_path):
+        paths = []
+        for name in ("a", "b", "c"):
+            paths.append(str(tmp_path / f"{name}.uai"))
+            write_uai(generate_instance("sparse_grid", height=2, width=2,
+                                        seed=len(paths)), paths[-1])
+        out = tmp_path / "bench"
+        rc = main(["bench", "--models", *paths[:2], "--models", paths[2],
+                   "--methods", "trws", "--methods", "spam",
+                   "--max-passes", "1", "--out-dir", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["aggregate.csv"] + [f"{name}.uai-{method}.csv"
+                                 for name in "abc"
+                                 for method in ("trws", "spam")])
+
     def test_runs_jobs_in_order(self, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = main(["bench", "--generate", "complete:5,3", "--generate",
@@ -197,20 +234,25 @@ def test_console_script_installed(tmp_path):
     assert "solve" in res.stdout and "bench" in res.stdout
 
 
-def test_bench_job_normalizes_summary_messages(tmp_path):
-    from dualbca.cli import _bench_job
-    from dualbca.solve import SolverConfig
-    small = generate_instance("sparse_grid", height=3, width=3, seed=1)
-    large = generate_instance("sparse_grid", height=4, width=6, seed=2)
-    mean = (small.n_edges + large.n_edges) / 2
-    for i, model in enumerate((small, large)):
-        path = tmp_path / f"{i}.csv"
-        summary, rows = _bench_job((model, f"m{i}", 0.0, "trws",
-                                    SolverConfig("trws", max_passes=3),
-                                    str(path), mean))
-        want = summary["messages"] * mean / model.n_edges
-        assert summary["normalized_messages"] == pytest.approx(want)
-        assert summary["normalized_messages"] != summary["messages"]
-        assert rows[-1][4] == summary["normalized_messages"]
-        _, trace_rows = read_trace(path)
-        assert float(trace_rows[-1][2]) == summary["normalized_messages"]
+def test_bench_normalizes_messages_by_the_mean_edge_count(tmp_path):
+    # Two instances of different |E|: each run's normalised count is its
+    # raw count times mean(|E|) / |E|, in its trace and in the aggregate.
+    out = tmp_path / "bench"
+    specs = {"sparse_grid-seed0": dict(height=3, width=3, seed=0),
+             "sparse_grid-seed1": dict(height=4, width=6, seed=1)}
+    rc = main(["bench", "--generate", "sparse_grid:3,3", "--generate",
+               "sparse_grid:4,6", "--methods", "trws", "--max-passes", "3",
+               "--out-dir", str(out)])
+    assert rc == 0
+    edges = {name: generate_instance("sparse_grid", **kw).n_edges
+             for name, kw in specs.items()}
+    mean = sum(edges.values()) / len(edges)
+    with open(out / "aggregate.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    for name, n_edges in edges.items():
+        last = [r for r in rows if r[0] == name][-1]
+        messages, normalized = int(last[3]), float(last[4])
+        assert normalized == pytest.approx(messages * mean / n_edges)
+        assert normalized != messages
+        _, trace_rows = read_trace(out / f"{name}-trws.csv")
+        assert trace_rows[-1][:5] == last[2:]

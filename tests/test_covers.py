@@ -10,7 +10,7 @@ from dualbca.covers import (BlockSchedule, compute_dynamic_forest,
                             compute_mmc_cover, compute_ssp_cover,
                             compute_static_trees, gap_scores,
                             rows_columns_cover, _bfs_live_paths,
-                            _spanning_forest)
+                            _forest)
 from dualbca.model import GraphicalModel, Reparametrization, primal_round
 from dualbca.generate import generate_instance, random_model
 from dualbca.oracle import count_shortest_paths
@@ -304,7 +304,7 @@ class TestTreesPinned:
         phi = Reparametrization(m)
         phi.values[:] = np.random.default_rng(5).uniform(-1, 1,
                                                          phi.values.size)
-        forest = compute_dynamic_forest(m, phi, primal_round(m, phi))
+        forest = compute_dynamic_forest(m, phi, primal_round(m, phi)).blocks
         assert (len(forest), tree_digest(forest)) == self.DYNAMIC[name]
 
 
@@ -350,7 +350,7 @@ class TestForestAgainstKruskal:
     @given(case=forest_cases())
     def test_forest_is_kruskals(self, case):
         m, keys = case
-        forest = _spanning_forest(m, np.array(keys, dtype=np.int64))
+        forest = _forest(m, np.array(keys, dtype=np.int64))[0]
         want = kruskal_forest(m.n_nodes, m.edges, keys).values()
         # The same trees, each with its edges in Kruskal's pick order ...
         assert sorted(b.edges for b in forest) == sorted(map(tuple, want))
@@ -421,7 +421,7 @@ class TestForestAgainstKruskal:
 class TestDynamicTree:
     @staticmethod
     def dynamic_tree(m, phi, y):
-        [tree] = compute_dynamic_forest(m, phi, y)
+        [tree] = compute_dynamic_forest(m, phi, y).blocks
         return tree
 
     @staticmethod
@@ -456,14 +456,14 @@ class TestDynamicTree:
         y = primal_round(m, phi)
         best_score = self.gap_score(m, phi, y, self.dynamic_tree(m, phi, y))
         for _ in range(100):
-            [rand_tree] = _spanning_forest(m, rng.permutation(m.n_edges))
+            [rand_tree] = _forest(m, rng.permutation(m.n_edges))[0]
             assert best_score >= self.gap_score(m, phi, y, rand_tree) - 1e-9
 
     def test_disconnected_rejected(self):
         # No spanning tree: the dynamic forest has one tree per component.
         m = graph_model(4, [(0, 1), (2, 3)])
         phi = Reparametrization(m)
-        forest = compute_dynamic_forest(m, phi, primal_round(m, phi))
+        forest = compute_dynamic_forest(m, phi, primal_round(m, phi)).blocks
         assert [b.edges for b in forest] == [((0, 1),), ((2, 3),)]
 
 
@@ -495,6 +495,21 @@ def test_schedule_coverage_field():
     cover = compute_mmc_cover(m)
     assert isinstance(cover, BlockSchedule)
     assert covered(cover) == set(m.edges)
+
+
+def test_every_builder_returns_a_block_schedule():
+    m = generate_instance("sparse_grid", height=4, width=4, seed=0)
+    phi = Reparametrization(m)
+    built = {"mmc": compute_mmc_cover(m),
+             "rows_columns": rows_columns_cover(m),
+             "ssp": compute_ssp_cover(m),
+             "static_trees": compute_static_trees(m),
+             "dynamic_trees": compute_dynamic_forest(m, phi,
+                                                     primal_round(m, phi))}
+    for origin, schedule in built.items():
+        assert isinstance(schedule, BlockSchedule)
+        assert schedule.origin == origin
+        assert isinstance(schedule.blocks, tuple) and schedule.blocks
 
 
 def test_level_bfs_matches_oracle_on_random_graphs():

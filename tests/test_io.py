@@ -302,6 +302,13 @@ class TestGenerate:
             assert all(t.min() >= 0 for t in m.unary)
             assert all(t.min() >= 0 for t in m.pairwise)
 
+    def test_connectivity_beyond_the_complete_graph_rejected(self):
+        # A 3x3 grid has 36 node pairs: connectivity 1 is K_9, 1.1 too many.
+        m = generate_instance("denser", height=3, width=3, connectivity=1.0)
+        assert m.n_edges == 36
+        with pytest.raises(ValueError, match="exceeds the complete graph"):
+            generate_instance("denser", height=3, width=3, connectivity=1.1)
+
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
             generate_instance("ring", seed=0)

@@ -74,17 +74,45 @@ class TestConstruction:
     @pytest.mark.parametrize("tables,message", [
         ([np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2,))],
          "pairwise table of edge (1,2) has shape (2, 3)"),
-        (np.zeros((3, 2, 2)), "pairwise table of edge (1,2) has shape (2, 2)")])
+        (np.zeros((3, 2, 2)), "pairwise table of edge (1,2) has shape (2, 2)"),
+        ([np.zeros((2, 2))] * 2,
+         "cost table count does not match nodes/edges")])
     def test_first_misshaped_pairwise_named(self, tables, message):
         # Edge (2, 1) is named canonically, as (1, 2).
         with pytest.raises(ValueError, match=re.escape(message)):
             GraphicalModel([2, 3, 2], [(0, 2), (2, 1), (0, 1)],
                            [np.zeros(2), np.zeros(3), np.zeros(2)], tables)
 
+    @pytest.mark.parametrize("labels", [[2, 0, 2], [2, -1, 2]])
+    def test_node_without_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="at least one label"):
+            GraphicalModel(labels, [(0, 1)], [np.zeros(2)] * 3,
+                           [np.zeros((2, 2))])
+
+    def test_unary_table_count_checked(self):
+        with pytest.raises(ValueError, match="cost table count"):
+            GraphicalModel([2, 2], [(0, 1)], [np.zeros(2)],
+                           [np.zeros((2, 2))])
+
     def test_adjacency_sorted(self):
         m = GraphicalModel([2] * 4, [(2, 3), (0, 3), (1, 3)],
                            [np.zeros(2)] * 4, [np.zeros((2, 2))] * 3)
         assert m.neighbors(3) == (0, 1, 2)
+
+
+class TestChecks:
+    @pytest.mark.parametrize("y,message", [
+        ([0], "one label per node"), ([[0, 1]], "one label per node"),
+        ([0, 2], "label 2 out of range for node 1"),
+        ([-1, 0], "label -1 out of range for node 0")])
+    def test_bad_labeling_rejected(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            energy(two_node_model(), y)
+
+    def test_negative_feasibility_tol_rejected(self):
+        m = two_node_model()
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            check_feasible(m, Reparametrization(m), -1e-9)
 
 
 class TestPairLookup:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dualbca.blocks import chain_block, tree_block, hm_chain, tbca_chain
 from dualbca.model import (GraphicalModel, Reparametrization, dual_value,
                            pairwise_costs)
 from dualbca.generate import random_model, random_tree_model
+from dualbca import oracle
 from dualbca.oracle import (ENUMERATION_GUARD, MinorantHypothesisError,
                             StateSpaceTooLarge, block_dual, brute_force_min,
                             chain_min, check_maximal_minorant, check_minorant,
@@ -19,6 +21,13 @@ def two_node_model():
     return GraphicalModel([2, 2], [(0, 1)],
                           [np.array([1.0, 0.0]), np.zeros(2)],
                           [np.array([[0.0, 2.0], [3.0, 1.0]])])
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (0, 2), (2, 1)])
+def test_pairwise_costs_of_a_non_edge_rejected(pair):
+    with pytest.raises(ValueError, match=re.escape(
+            f"({pair[0]},{pair[1]}) is not an edge")):
+        oracle.pairwise_costs(two_node_model(), None, *pair)
 
 
 class TestBruteForce:

@@ -89,7 +89,7 @@ def plan_digest(h, model, prog):
     """Add the waves and the compiled batches of ``prog`` to ``h``."""
     ints(h, prog.waves())
     blocks = [g.block for g in model._shape_groups]
-    batches, messages = prog._plan
+    batches, messages, _ = prog._plan
     ints(h, [len(batches), messages])
     for g, idx, parts, r, end in batches:
         h.update(repr((g.kind, g.unit, g.many, g.lab, g.uv, g.vu, len(idx),

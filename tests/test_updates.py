@@ -369,7 +369,7 @@ def assert_bit_identical_to_one_at_a_time(prog, model, rng):
     one = Program(model)
     for op in prog.ops:
         append_op(one, *op)
-    one._level = lambda: array("q", range(len(prog.ops)))
+    one._level = lambda layout, n_layouts: array("q", range(len(prog.ops)))
     one.run(ref)
     assert np.array_equal(phi.buffer, ref.buffer)
 

@@ -368,7 +368,7 @@ def check_packing(model, prog):
     assert max(waves, default=-1) == max(asap, default=-1)
     ref = Program(model)                # the same operations, at the
     ref._chunks = [prog._arrays()]      # earliest waves
-    ref._level = lambda: asap
+    ref._level = lambda layout, n_layouts: asap
     packed, earliest = batch_count(prog), batch_count(ref)
     assert packed <= earliest
     if packed == earliest:
@@ -619,7 +619,7 @@ def test_program_shape_on_k50_and_the_32x32_grid():
             prog = _Run(model, SolverConfig(method)).program()
             shape[name, method] = max(prog.waves()) + 1, batch_count(prog)
             if name == "k50" and method in ("mplp", "mplppp"):
-                batches, _ = prog._plan
+                batches, _, _ = prog._plan
                 assert {b[1].shape[1] for b in batches} == {16}
                 assert sum(b[1].nbytes for b in batches) < 100_000
     assert shape == {
