@@ -53,8 +53,8 @@ def _parse_generate(spec):
 
 
 def _instances(args):
-    """Each instance as (model, name, shift): the model files first, then
-    the generated specs, the i-th drawn with seed ``--seed + i``."""
+    """Each instance as (model, name, shift): ``--models`` (solve: ``--model``)
+    first, then ``--generate`` specs, the i-th drawn with seed --seed + i."""
     for path in args.models or ():
         model, shift = parse_uai(path, probabilities=args.probabilities)
         yield model, os.path.basename(path), shift
