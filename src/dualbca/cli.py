@@ -52,6 +52,16 @@ def _parse_generate(spec):
     return regime, kwargs
 
 
+class _Once(argparse.Action):
+    """Store the flag's one-item list; the flag given twice is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(
+                self, "given twice; solve takes one instance")
+        setattr(namespace, self.dest, values)
+
+
 def _instances(args):
     """Each instance as (model, name, shift): ``--models`` (solve: ``--model``)
     first, then ``--generate`` specs, the i-th drawn with seed --seed + i."""
@@ -199,10 +209,10 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run one method on one instance")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", dest="models", nargs=1, metavar="MODEL",
-                     help="UAI MARKOV model file")
+    src.add_argument("--model", dest="models", nargs=1, action=_Once,
+                     metavar="MODEL", help="UAI MARKOV model file")
     src.add_argument("--generate", type=_parse_generate, nargs=1,
-                     help=_GENERATE_HELP)
+                     action=_Once, help=_GENERATE_HELP)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--trace", help="write a per-pass trace CSV here")
     p.add_argument("--summary", help="write a run summary JSON here")

@@ -40,10 +40,20 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
     complete: K_n (``n_nodes`` nodes) with uniform random tables.
 
     Tables are drawn in bulk, unaries node by node, then pairwise tables
-    edge by edge.
+    edge by edge.  Sizes below 1, and a connectivity outside [0, 1], are
+    rejected.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
+    sizes = dict(height=height, width=width)
+    if regime == "complete" and n_nodes is not None:
+        sizes = dict(n_nodes=n_nodes)
+    for name, value in {**sizes, "labels": labels}.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not 0.0 <= connectivity <= 1.0:
+        raise ValueError(f"connectivity must be in [0, 1], got {connectivity} "
+                         "(above 1 its edge target exceeds the complete graph)")
     rng = np.random.default_rng(seed)
     if regime == "complete":
         n = int(n_nodes if n_nodes is not None else height * width)
@@ -62,8 +72,6 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
         free = ((v != u + 1) | (v % width == 0)) & (v != u + width)
         u, v = u[free], v[free]
         extra = max(0, target - len(edges))
-        if extra > len(u):
-            raise ValueError("connectivity target exceeds the complete graph")
         picked = np.sort(rng.choice(len(u), size=extra, replace=False))
         edges = np.concatenate((edges, np.stack((u[picked], v[picked]),
                                                 axis=1)))

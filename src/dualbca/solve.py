@@ -94,12 +94,11 @@ def _node_order(model, config):
     return order
 
 
-def _chain_cover(model, config):
-    kind = config.cover
-    if kind == "auto":
-        kind = _TAXONOMY[config.method][0].auto(model)
+def _chain_cover(model, config, kind, order):
+    """The chain cover of this kind (one of ``COVERS`` but auto), MMC's in
+    the node order ``order``, its blocks in the order of a pass."""
     if kind == "mmc":
-        schedule = covers.compute_mmc_cover(model, _node_order(model, config))
+        schedule = covers.compute_mmc_cover(model, order)
     elif kind == "rows_columns":
         schedule = covers.rows_columns_cover(model)
     else:
@@ -216,14 +215,16 @@ class _Cover(NamedTuple):
     auto: Callable
 
     def __call__(self, run):
-        return _chain_cover(run.model, run.config).blocks
+        model, config = run.model, run.config
+        kind = self.auto(model) if config.cover == "auto" else config.cover
+        return _chain_cover(model, config, kind, run.order).blocks
 
 
 def _trees(run):
     """Static or dynamic spanning trees, or an explicit cover's chains."""
     model, config = run.model, run.config
     if config.cover != "auto":
-        return _chain_cover(model, config).blocks
+        return _chain_cover(model, config, config.cover, run.order).blocks
     if config.tree_mode == "static":
         return covers.compute_static_trees(model).blocks
     return _dynamic_trees

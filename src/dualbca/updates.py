@@ -120,22 +120,17 @@ class Program:
 
     def __init__(self, model):
         self.model = model
-        # Appended chunks of (kind, u, count, targets, r, CSR entry of each
-        # (u, target)).
+        # (kind, u, count, targets, r, CSR entry of each (u, target)) of
+        # every operation, in program order.
         none = np.zeros(0, dtype=np.int64)
-        self._chunks = [(none, none, none, none, np.zeros(0), none)]
+        self._table = (none, none, none, none, np.zeros(0), none)
         self._plan = None
-
-    def _arrays(self):
-        if len(self._chunks) > 1:
-            self._chunks = [tuple(map(np.concatenate, zip(*self._chunks)))]
-        return self._chunks[0]
 
     @property
     def ops(self):
         """(kind, u, v, r) of every operation, in program order; v is the
         tuple of target neighbours for a node operation."""
-        kind, u, count, targets, r, _ = self._arrays()
+        kind, u, count, targets, r, _ = self._table
         ts, count = targets.tolist(), count.tolist()
         return [(k, u, tuple(ts[t:t + c]) if k >= TRWS else ts[t], r)
                 for k, u, c, r, t in zip(kind.tolist(), u.tolist(), count,
@@ -211,8 +206,9 @@ class Program:
               "edge")
         check(node & r_bad, lambda i: f"weight {r[i]} over {count[i]} edges "
               f"is not a fraction of theta^phi_{u[i]}")
-        self._chunks.append((np.where(rdp & (r == 0.0), PUSH, kind), u,
-                             count, targets, r, entry))
+        self._table = tuple(map(np.concatenate, zip(self._table, (
+            np.where(rdp & (r == 0.0), PUSH, kind), u, count, targets, r,
+            entry))))
         self._plan = None
 
     def waves(self):
@@ -224,7 +220,7 @@ class Program:
     def _level(self, layout, n_layouts):
         """Wave of every operation, in program order, by its layout code."""
         model = self.model
-        kind, u, count, targets, _, entry = self._arrays()
+        kind, u, count, targets, _, entry = self._table
         edge_last = [-1] * model.n_edges
         wrote = [-1] * model.n_nodes        # last wave writing a row of x
         read = [-1] * model.n_nodes         # last wave reading theta^phi_x
@@ -336,7 +332,7 @@ class Program:
 
     def _layouts(self):
         model = self.model
-        kind, u, count, targets, _, entry = self._arrays()
+        kind, u, count, targets, _, entry = self._table
         op = np.repeat(np.arange(len(kind)), count)     # of each target
         op_start = np.cumsum(count) - count
         # Part of each target: side * n_blocks + shape block, where side is
@@ -371,7 +367,7 @@ class Program:
 
     def _compile(self):
         model = self.model
-        kind, u, count, targets, r, entry = self._arrays()
+        kind, u, count, targets, r, entry = self._table
         n = len(kind)
         if n == 0:
             return [], 0, np.zeros(0, dtype=np.int64)
@@ -521,24 +517,11 @@ def _batch_starts(key, size):
 
 def _unique_rows(a):
     """The distinct rows of an integer matrix, in lexicographic order, and
-    per row its index among them.
-
-    Rows whose columns' ranges fit 62 bits together are packed into one
-    int64 key each; the rest are sorted column by column
-    (``np.unique(axis=0)`` sorts the rows as bytes, far slower).
-    """
-    low = a.min(axis=0)
-    bits = np.array([int(x).bit_length()
-                     for x in (a.max(axis=0) - low).tolist()])
-    if bits.sum() <= 62:
-        key = (a - low) @ (1 << (bits.sum() - np.cumsum(bits)))
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        new = np.append(True, key[1:] != key[:-1])
-    else:
-        order = np.lexsort(a.T[::-1])
-        s = a[order]
-        new = np.append(True, np.any(s[1:] != s[:-1], axis=1))
+    per row its index among them (sorted column by column:
+    ``np.unique(axis=0)`` sorts the rows as bytes, far slower)."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.append(True, np.any(s[1:] != s[:-1], axis=1))
     which = np.empty(len(a), dtype=np.int64)
     which[order] = np.cumsum(new) - 1
     return a[order[new]], which

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import dualbca
+from dualbca import blocks, verify
 from dualbca.cli import main
 from dualbca.generate import generate_instance
 from dualbca.uai import write_uai
@@ -109,6 +110,23 @@ class TestSolve:
                   "--max-passes", "3", "--trace", str(path)])
             outs.append(read_trace(path)[1])
         assert [r[:5] for r in outs[0]] == [r[:5] for r in outs[1]]
+
+    @pytest.mark.parametrize("flag", ["--model", "--generate"])
+    def test_second_instance_exits_2(self, flag, tmp_path, capsys):
+        # Kept as given, argparse would solve the last instance alone.
+        m = generate_instance("sparse_grid", height=3, width=3, seed=0)
+        for name in ("a", "b"):
+            write_uai(m, tmp_path / f"{name}.uai")
+        first, second = {"--model": [str(tmp_path / "a.uai"),
+                                     str(tmp_path / "b.uai")],
+                         "--generate": ["complete:4", "sparse_grid:3"]}[flag]
+        trace = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", flag, first, flag, second, "--method", "msd",
+                  "--max-passes", "1", "--trace", str(trace)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: given twice" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_bad_generate_spec_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -221,6 +239,24 @@ class TestBench:
 class TestVerify:
     def test_exit_zero(self):
         assert main(["verify", "--seed", "7"]) == 0
+
+    def test_every_trial_checks_a_chain(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            def call(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return call
+
+        for module, name in ((blocks, "tbca_pp_chain"), (blocks, "hm_chain"),
+                             (verify, "chain_min")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        for seed in (0, 3, 7, 11):
+            assert verify.check_maximality(seed, trials=15)
+            assert verify.check_viterbi_agreement(seed, trials=20)
+        assert [calls.count(name) for name in (
+            "tbca_pp_chain", "hm_chain", "chain_min")] == [60, 60, 80]
 
 
 def test_console_script_installed(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dualbca.cli import _parse_generate, main
 from dualbca.generate import REGIMES, generate_instance, random_model
 from dualbca.model import COST_CAP, GraphicalModel
 from dualbca.uai import ModelFormatError, parse_uai, write_uai
@@ -308,6 +309,16 @@ class TestGenerate:
         assert m.n_edges == 36
         with pytest.raises(ValueError, match="exceeds the complete graph"):
             generate_instance("denser", height=3, width=3, connectivity=1.1)
+
+    @pytest.mark.parametrize("spec, name", [
+        ("sparse_grid:-1", "height"), ("sparse_grid:3,-2", "width"),
+        ("complete:-3", "n_nodes"), ("denser:4,4,3,-0.5", "connectivity")])
+    def test_bad_sizes_rejected(self, spec, name, capsys):
+        regime, kwargs = _parse_generate(spec)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            generate_instance(regime, **kwargs)
+        assert main(["solve", "--generate", spec, "--method", "msd"]) == 1
+        assert f"{name} must be" in capsys.readouterr().err
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):

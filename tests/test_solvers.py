@@ -277,7 +277,7 @@ class TestBlockOrder:
             n = m.n_nodes
             for seed in range(2):
                 cfg = SolverConfig("dmm", cover=cover, seed=seed)
-                blocks = _chain_cover(m, cfg).blocks
+                blocks = _chain_cover(m, cfg, cover, None).blocks
                 edges = [b.nodes for b in blocks if len(b.nodes) == 2]
                 chains = [b.nodes for b in blocks[len(edges):]]
                 assert all(len(p) > 2 for p in chains)
@@ -293,7 +293,7 @@ class TestBlockOrder:
                  "mmc": covers.compute_mmc_cover,
                  "rows_columns": covers.rows_columns_cover}
         for m, cover in self.cases():
-            ordered = _chain_cover(m, SolverConfig("spam", cover=cover))
+            ordered = _chain_cover(m, SolverConfig("spam"), cover, None)
             raw = build[cover](m)
             assert sorted(sorted(b.edges) for b in ordered.blocks) == \
                 sorted(sorted(b.edges) for b in raw.blocks)

@@ -367,7 +367,7 @@ def check_packing(model, prog):
         asap.append(earliest_wave(model, ops, asap, i))
     assert max(waves, default=-1) == max(asap, default=-1)
     ref = Program(model)                # the same operations, at the
-    ref._chunks = [prog._arrays()]      # earliest waves
+    ref._table = prog._table            # earliest waves
     ref._level = lambda layout, n_layouts: asap
     packed, earliest = batch_count(prog), batch_count(ref)
     assert packed <= earliest
