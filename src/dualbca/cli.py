@@ -41,10 +41,12 @@ def _parse_generate(spec):
     if regime not in REGIMES:
         raise argparse.ArgumentTypeError(
             f"unknown regime {regime!r}, expected one of {', '.join(REGIMES)}")
-    parts = [p for p in rest.split(",") if p]
+    fields, parts = _SPEC_FIELDS[regime], rest.split(",") if rest else []
     try:
+        if "" in parts or len(parts) > len(fields):
+            raise ValueError("an empty or surplus number")
         kwargs = {name: (float if name == "connectivity" else int)(p)
-                  for name, p in zip(_SPEC_FIELDS[regime], parts)}
+                  for name, p in zip(fields, parts)}
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad generate spec {spec!r}: {exc}")
     if "height" in kwargs:

@@ -408,8 +408,8 @@ class Program:
         specs = [_spec(model, k, unit, codes[a:b], lens[a:b].tolist())
                  for k, a, b, (_, unit) in zip(kind[rep].tolist(), lo.tolist(),
                                                hi.tolist(), keys.tolist())]
-        # One gather index for all operations, in batch order, in the
-        # narrowest type that indexes the buffer: per operation the segments
+        # One gather index for all operations, in batch order, of np.intp
+        # (take and put then index with no cast): per operation the segments
         # theta^phi_u, then per target phi_{u,v}, phi_{v,u} and theta^phi_v
         # (empty where a kind does not read them).  A batch is a run of it.
         lab = np.diff(model.label_offsets)
@@ -417,8 +417,7 @@ class Program:
         place = np.empty(n, dtype=np.int64)     # first segment of each op
         place[order] = seg[:-1]
         col = place[op] + 1 + np.arange(len(op)) - op_start[op]
-        ints = np.int32 if phi_at + 2 * model.phi_size < 2**31 else np.int64
-        start, length = np.empty((2, seg[-1]), dtype=ints)
+        start, length = np.empty((2, seg[-1]), dtype=np.intp)
         start[seg[:-1]] = model.label_offsets[u[order]]
         length[seg[:-1]] = lab[u[order]] * (kind[order] != PUSH)
         start[col] = model._inc_phi[entry] + phi_at
@@ -430,7 +429,7 @@ class Program:
         # Each segment's values follow its start: one running sum of ones
         # that jumps at the first value of each segment.
         at, full = np.cumsum(length) - length, length > 0
-        index = np.ones(at[-1] + length[-1], dtype=ints)
+        index = np.ones(at[-1] + length[-1], dtype=np.intp)
         start, length = start[full], length[full]
         index[at[full]] = start + 1 - np.append(1, start[:-1] + length[:-1])
         np.cumsum(index, out=index)
@@ -549,23 +548,26 @@ def _spec(model, kind, unit, codes, lens):
     return _Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts))
 
 
-def _marginal(tab, k, p_uv, p_vu, over_u):
+def _marginal(tab, k, p_uv, p_vu, over_u, out=None):
     """Minima over Y_u (``over_u``: the u -> v messages) or over Y_v of
-    theta^phi of a batch of edges, whose tables ``tab`` are in canonical
-    orientation, (m, L_a, L_b); theta^phi is summed with the operand order
-    of :func:`dualbca.model.pairwise_costs`.
+    theta^phi of a batch of edges, into ``out`` if given.  The tables
+    ``tab`` are in canonical orientation, (m, L_a, L_b), and theta^phi is
+    summed with the operand order of :func:`dualbca.model.pairwise_costs`.
 
     u is the canonical first endpoint of the first k edges and the second
-    of the rest (both occur only on square tables); each run is summed as a
-    batch of its own.  theta^phi is laid out with the reduced axis first, so
-    that numpy reduces it as a few elementwise minima over whole slabs;
-    reducing a short inner axis goes a few elements at a time and is about
-    twice as slow on tables of 4x4 to 16x16.
+    of the rest (both occur only on square tables); each run is summed in
+    its own operand order and reduced into its rows of one (m, L) output.
+    theta^phi is laid out with the reduced axis first, so that numpy
+    reduces it as a few elementwise minima over whole slabs; reducing a
+    short inner axis goes a few elements at a time and is about twice as
+    slow on tables of 4x4 to 16x16.
     """
     if 0 < k < len(tab):
-        return np.concatenate((
-            _marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u),
-            _marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u)))
+        if out is None:
+            out = np.empty(tab.shape[:2])
+        _marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u, out[:k])
+        _marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u, out[k:])
+        return out
     first = k > 0
     p_a, p_b = (p_uv, p_vu) if first else (p_vu, p_uv)
     if first == over_u:                 # minima over Y_a
@@ -574,7 +576,7 @@ def _marginal(tab, k, p_uv, p_vu, over_u):
     else:
         t = np.add(tab.transpose(2, 0, 1), p_a, order="C")
         t += p_b.T[:, :, None]
-    return np.minimum.reduce(t, axis=0)
+    return np.minimum.reduce(t, axis=0, out=out)
 
 
 def _run_star(buf, g, idx, parts, r):

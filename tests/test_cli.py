@@ -145,6 +145,25 @@ class TestSolve:
         assert "bad generate spec 'sparse_grid:x'" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("spec", [
+        "sparse_grid:32,,8", "sparse_grid:,5", "complete:30,4,99"])
+    def test_empty_or_surplus_generate_field_exits_2(self, spec, tmp_path,
+                                                     capsys):
+        # Dropped, the first two would build a 32x8 and a 5x5 grid.
+        trace = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--generate", spec, "--method", "msd",
+                  "--max-passes", "1", "--trace", str(trace)])
+        assert exc.value.code == 2
+        assert f"bad generate spec {spec!r}" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_generate_spec_without_numbers_takes_the_defaults(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        assert main(["solve", "--generate", "complete:", "--method", "msd",
+                     "--max-passes", "1", "--trace", str(trace)]) == 0
+        assert trace.exists()
+
 
 class TestBench:
     def test_matrix_outputs(self, tmp_path):

@@ -607,8 +607,8 @@ def test_program_shape_on_k50_and_the_32x32_grid():
     # Counted, not timed.  An edge update reads theta^phi of its ends, L_u
     # values each: a K_50 mplp or mplppp operation gathers 4 * 4 = 16
     # values (408 with theta_u and all 49 rows of both ends), and an mplp
-    # pass compiles to under 100 KB of index.  Waves and batches per pass
-    # of all nine methods.
+    # pass compiles to fewer than 25,000 index entries.  Waves and batches
+    # per pass of all nine methods.
     shape = {}
     for name, model in (
             ("grid", generate_instance("sparse_grid", height=32, width=32,
@@ -621,7 +621,7 @@ def test_program_shape_on_k50_and_the_32x32_grid():
             if name == "k50" and method in ("mplp", "mplppp"):
                 batches, _, _ = prog._plan
                 assert {b[1].shape[1] for b in batches} == {16}
-                assert sum(b[1].nbytes for b in batches) < 100_000
+                assert sum(b[1].size for b in batches) < 25_000
     assert shape == {
         ("grid", "msd"): (63, 122), ("grid", "cmp"): (63, 122),
         ("grid", "trws"): (124, 184), ("grid", "mplp"): (4, 8),
@@ -633,6 +633,43 @@ def test_program_shape_on_k50_and_the_32x32_grid():
         ("k50", "mplppp"): (50, 50), ("k50", "dmm"): (369, 457),
         ("k50", "tbca"): (2499, 2499), ("k50", "tbcapp"): (4900, 4900),
         ("k50", "spam"): (50, 50)}
+
+
+def test_batch_indices_index_at_native_width():
+    # take and put cast any other index type on every call.
+    for model in (generate_instance("sparse_grid", height=32, width=32,
+                                    labels=8, seed=0),
+                  generate_instance("complete", n_nodes=50, labels=4,
+                                    seed=0),
+                  *models(0)):
+        for method in METHODS:
+            prog = _Run(model, SolverConfig(method)).program()
+            batch_count(prog)
+            batches, _, _ = prog._plan
+            assert {b[1].dtype for b in batches} <= {np.dtype(np.intp)}
+
+
+@pytest.mark.parametrize("over_u", [False, True])
+def test_mixed_marginal_is_its_two_runs_joined(over_u):
+    # One output for both orientation runs, bit for bit what joining the
+    # two single-orientation marginals gives.
+    rng = np.random.default_rng(21)
+    for lab in range(1, 17):
+        m = int(rng.integers(2, 12))
+        tab = rng.uniform(-3.0, 3.0, (m, lab, lab))
+        tab[rng.random(tab.shape) < 0.2] = COST_CAP
+        p_uv, p_vu = rng.normal(0.0, 1e3, (2, m, lab))
+        for k in range(1, m):
+            ref = np.concatenate((
+                updates._marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u),
+                updates._marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u)))
+            got = updates._marginal(tab, k, p_uv, p_vu, over_u)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            out = np.full((m + 1, lab), np.nan)[1:]
+            assert updates._marginal(tab, k, p_uv, p_vu, over_u,
+                                     out=out) is out
+            assert out.tobytes() == ref.tobytes()
 
 
 def test_chain_cover_program_shape_on_the_32x32_grid():
