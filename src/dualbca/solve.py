@@ -18,6 +18,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -123,13 +124,19 @@ def _chain_cover(model, config, kind, order):
 def _colour_classes(paths, visit):
     """Greedy colour classes of the node tuples ``paths``, each sorted.
 
-    In order of ``visit``, each path takes the smallest colour that no
-    path sharing a node with it has.  The paths of a class share no node,
-    so their updates run in the same waves.
+    The paths are visited in order of ``visit``, a key function of a path,
+    or the visit order itself as an array of indices into ``paths``.  Each
+    takes the smallest colour that no path sharing a node with it has.  The
+    paths of a class share no node, so their updates run in the same waves.
     """
+    if callable(visit):
+        visit = sorted(range(len(paths)),
+                       key=list(map(visit, paths)).__getitem__)
+    else:
+        visit = visit.tolist()
     used = defaultdict(int)         # node -> bit mask of its paths' colours
     classes = []
-    for p in sorted(paths, key=visit):
+    for p in map(paths.__getitem__, visit):
         taken = 0
         for u in p:
             taken |= used[u]
@@ -152,9 +159,10 @@ def _edge_order(model, edges):
     classes are needed: 50 on K_50 (Delta + 1), where lexicographic
     visiting needs 63; 4 on a grid.
     """
-    n = model.n_nodes
-    classes = _colour_classes(
-        edges, lambda e: ((e[0] + e[1]) % n * n + e[0]) * n + e[1])
+    u, v = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges)).reshape(-1, 2).T
+    classes = _colour_classes(edges, np.lexsort((v, u, (u + v)
+                                                 % model.n_nodes)))
     return [e for c in classes for e in c]
 
 
@@ -198,7 +206,9 @@ def _emit_trws(model, order):
 
 def _edges(model, order):
     """Every edge, in the order of an edge sweep."""
-    e = np.array(_edge_order(model, model.edges)).reshape(-1, 2)
+    e = _edge_order(model, model.edges)
+    e = np.fromiter(chain.from_iterable(e), dtype=np.int64,
+                    count=2 * len(e)).reshape(-1, 2)
     return e[:, 0], 1, e[:, 1], 0.0
 
 

@@ -65,9 +65,12 @@ _MESSAGES = (1, 1, 3, 2, 1, 1)       # messages charged per target, by kind
 _BATCH_TARGETS = 256                 # most targets per batch
 
 # A batch gathers from ``Reparametrization.buffer`` (theta^phi of every
-# node, then phi, then a scratch row per directed incidence) one row per
-# operation.  Every kind but a push reads and writes theta^phi_u, and every
-# kind but the star update writes theta^phi_v of its targets.  Where
+# node, then phi, then a scratch row per directed incidence) the same K
+# values for each of its m operations, into a (K, m) array laid out block by
+# block, so that each block is one contiguous (m, width) array of rows, one
+# per operation (see ``Program._compile``).  Every kind but a push reads and
+# writes theta^phi_u, and every kind but the star update writes theta^phi_v
+# of its targets.  Where
 # several pushes land in one node in one wave, each after the first in
 # program order adds to the scratch row of its incidence, and the wave ends
 # by adding those rows to the node in program order.  Targets are ordered
@@ -90,9 +93,10 @@ class _Part(NamedTuple):
 class _Spec(NamedTuple):
     """What one batch of operations shares: kind and layout.
 
-    A batch gathers one row per operation from the buffer: theta^phi_u
+    A batch gathers K values per operation from the buffer: theta^phi_u
     (not for a push), the targets' phi_{u,v}, their phi_{v,u}, then their
-    theta^phi_v (not for a star update).
+    theta^phi_v (not for a star update).  The slices below are ranges of
+    those K; in the gathered (K, m) array each names the rows of one block.
     """
 
     kind: int
@@ -112,10 +116,11 @@ class Program:
     and :meth:`star`, and whole sweeps as arrays with :meth:`_append`.  The
     first :meth:`run` or :meth:`waves` levels and batches them, and
     compiles each batch into what its kernel reads: its spec, the index of
-    its theta^phi and phi in ``Reparametrization.buffer``, the positions of
-    its tables in the model's shape blocks, and its weights.  The compiled
-    program gathers the tables and the buffer on every run, and runs on any
-    reparametrization of the model.
+    its theta^phi and phi in ``Reparametrization.buffer``, its tables (a
+    view of their shape block where their positions step evenly, else the
+    positions), and its weights as columns.  The compiled program gathers
+    the buffer, and the tables it holds no view of, on every run, and runs
+    on any reparametrization of the model.
     """
 
     def __init__(self, model):
@@ -411,21 +416,35 @@ class Program:
         # One gather index for all operations, in batch order, of np.intp
         # (take and put then index with no cast): per operation the segments
         # theta^phi_u, then per target phi_{u,v}, phi_{v,u} and theta^phi_v
-        # (empty where a kind does not read them).  A batch is a run of it.
+        # (empty where a kind does not read them).  A batch is a run of it,
+        # laid out block by block: the theta^phi_u of its m operations,
+        # then per part their phi_{u,v}, then per part their phi_{v,u}, then
+        # per part their theta^phi_v, each block one operation after the
+        # other.  Viewed as (K, m), K values per operation, the rows of a
+        # block are then one contiguous (m, width) array.
         lab = np.diff(model.label_offsets)
+        size = np.diff(np.append(starts, n))
         seg = np.cumsum(np.append(0, 1 + 3 * count[order]))
         place = np.empty(n, dtype=np.int64)     # first segment of each op
         place[order] = seg[:-1]
-        col = place[op] + 1 + np.arange(len(op)) - op_start[op]
+        m, base = np.empty((2, n), dtype=np.int64)  # of each op's batch
+        m[order] = np.repeat(size, size)
+        base[order] = np.repeat(seg[:-1][starts], size)
+        theta = base + (place - base) // (1 + 3 * count)    # + rank in batch
+        t0 = cut[run] - op_start[op]            # first target of its part
+        col = base[op] + m[op] * (1 + t0) + (theta - base)[op] * lens[run] \
+            + np.arange(len(op)) - op_start[op] - t0
         start, length = np.empty((2, seg[-1]), dtype=np.intp)
-        start[seg[:-1]] = model.label_offsets[u[order]]
-        length[seg[:-1]] = lab[u[order]] * (kind[order] != PUSH)
+        start[theta] = model.label_offsets[u]
+        length[theta] = lab[u] * (kind != PUSH)
         start[col] = model._inc_phi[entry] + phi_at
         length[col] = lab[u[op]]
-        start[col + count[op]] = model._inc_back[entry] + phi_at
-        length[col + count[op]] = lab[into]
-        start[col + 2 * count[op]] = excess
-        length[col + 2 * count[op]] = lab[into] * (kind[op] != STAR)
+        col += (m * count)[op]
+        start[col] = model._inc_back[entry] + phi_at
+        length[col] = lab[into]
+        col += (m * count)[op]
+        start[col] = excess
+        length[col] = lab[into] * (kind[op] != STAR)
         # Each segment's values follow its start: one running sum of ones
         # that jumps at the first value of each segment.
         at, full = np.cumsum(length) - length, length > 0
@@ -435,23 +454,34 @@ class Program:
         np.cumsum(index, out=index)
         rows = np.append(at[seg[:-1][starts]], len(index)).tolist()
         del start, length, at, full
-        # Per part of each batch, its edges' positions in their block and
-        # how many have u first: targets by batch, then by run within their
-        # operation (a batch's operations share them), then batch order.
-        size = np.diff(np.append(starts, n))
+        # Per part of each batch, its edges' tables and how many have u
+        # first: targets by batch, then by run within their operation (a
+        # batch's operations share them), then batch order.  Where their
+        # positions in the block step evenly (one target always does), the
+        # tables are a view of the block; else the positions, for a take.
         batch = np.empty(n, dtype=np.int64)
         batch[order] = np.repeat(np.arange(len(starts)), size)
         key = batch[op] * len(op) + run - run[op_start][op]
         by = np.lexsort((place[op], key))
         key = key[by]
-        cut = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        inner = key[1:] == key[:-1]
+        cut = np.flatnonzero(np.append(True, ~inner))
+        lens = np.diff(np.append(cut, len(op)))
         pos = model._edge_pos[model._inc_edge[entry[by]]]
-        pos = [pos[a:b] for a, b in zip(cut.tolist(),
-                                         cut[1:].tolist() + [len(op)])]
-        b, side = key[cut] // len(op), part[by[cut]] // n_blocks
+        diff, step = np.diff(pos), np.ones(len(cut), dtype=np.int64)
+        step[lens > 1] = diff[cut[lens > 1]]
+        odd = inner & (diff != np.repeat(step, lens)[1:])
+        even = np.bincount(np.cumsum(~inner)[odd], minlength=len(cut)) == 0
+        b, code = key[cut] // len(op), part[by[cut]]
+        side, blocks = code // n_blocks, [g.block for g in model._shape_groups]
+        tabs = [blocks[z][s:e if e >= 0 else None:d] if ev else pos[a:a + c]
+                for z, s, e, d, ev, a, c in zip(
+                    (code % n_blocks).tolist(), pos[cut].tolist(),
+                    (pos[cut] + lens * step).tolist(), step.tolist(),
+                    even.tolist(), cut.tolist(), lens.tolist())]
         u_first = np.add.reduceat(first[op_start[order]], starts)[b]
-        pos = list(zip(pos, np.where(side < 2, side * np.diff(
-            np.append(cut, len(op))), u_first).tolist()))
+        tabs = list(zip(tabs, np.where(side < 2, side * lens,
+                                       u_first).tolist()))
         cut = np.searchsorted(b, np.arange(len(starts) + 1)).tolist()
         # The wave's last batch adds the late pushes' scratch rows to their
         # nodes, in program order, and clears them.
@@ -467,15 +497,16 @@ class Program:
                            np.split(dest, at[1:]), np.split(src, at[1:])):
             fix[b] = d, s
         # Each batch: its spec, its rows of the index, per part its edges'
-        # positions and how many of them have u first, its weights, and
-        # what ends its wave.  Weights: r, and what an operation keeps of
-        # theta^phi_u.
-        r, batches = np.column_stack((r, 1.0 - count * r))[order], []
+        # tables and how many of them have u first, its weights as columns,
+        # and what ends its wave.  Weights: r, and what an operation keeps
+        # of theta^phi_u.
+        r, keep = r[order, None], (1.0 - count * r)[order, None]
+        batches = []
         for k, a, m, end, x, y, p, q in zip(
                 which.tolist(), starts.tolist(), size.tolist(), fix, rows,
                 rows[1:], cut, cut[1:]):
-            batches.append((specs[k], index[x:y].reshape(m, -1), pos[p:q],
-                            r[a:a + m], end))
+            batches.append((specs[k], index[x:y].reshape(-1, m), tabs[p:q],
+                            r[a:a + m], keep[a:a + m], end))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages, waves
 
@@ -492,8 +523,8 @@ class Program:
         model, buf = self.model, phi.buffer
         nodes, exact = slice(model._unary_flat.size), model._exact_excess
         buf[nodes] = node_costs(model, phi)
-        for g, idx, parts, r, end in batches:
-            _KERNELS[g.kind](buf, g, idx, parts, r)
+        for g, idx, parts, r, keep, end in batches:
+            _KERNELS[g.kind](buf, g, idx, parts, r, keep)
             if end is not None:         # the late pushes of the wave
                 into, at = end
                 np.add.at(buf, into, buf.take(at))
@@ -552,11 +583,15 @@ def _marginal(tab, k, p_uv, p_vu, over_u, out=None):
     """Minima over Y_u (``over_u``: the u -> v messages) or over Y_v of
     theta^phi of a batch of edges, into ``out`` if given.  The tables
     ``tab`` are in canonical orientation, (m, L_a, L_b), and theta^phi is
-    summed with the operand order of :func:`dualbca.model.pairwise_costs`.
+    summed with the operand order of :func:`dualbca.model.pairwise_costs`,
+    (theta_ab + phi_{a,b}) + phi_{b,a}.
 
     u is the canonical first endpoint of the first k edges and the second
-    of the rest (both occur only on square tables); each run is summed in
-    its own operand order and reduced into its rows of one (m, L) output.
+    of the rest (both occur only on square tables); each run is reduced
+    into its rows of one (m, L) output.  Minima over Y_a reduce
+    theta_ab + phi_{a,b} first and add the phi_{b,a} row to the result:
+    rounding to nearest is monotone, so min_s fl(q_s + c) = fl(min_s q_s +
+    c), bit for bit (signed zeros included), for one table-sized add less.
     theta^phi is laid out with the reduced axis first, so that numpy
     reduces it as a few elementwise minima over whole slabs; reducing a
     short inner axis goes a few elements at a time and is about twice as
@@ -568,78 +603,85 @@ def _marginal(tab, k, p_uv, p_vu, over_u, out=None):
         _marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u, out[:k])
         _marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u, out[k:])
         return out
-    first = k > 0
-    p_a, p_b = (p_uv, p_vu) if first else (p_vu, p_uv)
-    if first == over_u:                 # minima over Y_a
+    p_a, p_b = (p_uv, p_vu) if k else (p_vu, p_uv)
+    if (k > 0) == over_u:               # minima over Y_a
         t = np.add(tab.transpose(1, 0, 2), p_a.T[:, :, None], order="C")
-        t += p_b
-    else:
-        t = np.add(tab.transpose(2, 0, 1), p_a, order="C")
-        t += p_b.T[:, :, None]
+        out = np.minimum.reduce(t, axis=0, out=out)
+        out += p_b
+        return out
+    t = np.add(tab.transpose(2, 0, 1), p_a, order="C")
+    t += p_b.T[:, :, None]
     return np.minimum.reduce(t, axis=0, out=out)
 
 
-def _run_star(buf, g, idx, parts, r):
-    """rdp, push, the TRW-S step and the star update at a batch of nodes.
+def _run_push(buf, g, idx, parts, r, keep):
+    """rdp, push and the TRW-S step at a batch of nodes.
 
     rdp and the TRW-S step move r * theta^phi_u into each target's
-    phi_{u,v}, then push each u -> v min-marginal into v; a push only
-    pushes; the star update pulls every v -> u min-marginal into u, then
-    moves r * theta^phi_u into every phi_{u,v}.  What an operation leaves
-    unchanged of what it gathered no other operation of the wave writes, so
-    all of it is written back.
+    phi_{u,v}, so that theta^phi_u keeps 1 - r * (number of targets) of
+    itself; then each pushes its u -> v min-marginals into v, as a push
+    does.  What an operation leaves unchanged of what it gathered no other
+    operation of the wave writes, so all of it is written back.
     """
     x = buf.take(idx)
-    lab, kind = g.lab, g.kind
-    e = x[:, :g.uv]                     # theta^phi_u
-    mine = x[:, g.uv:g.vu]              # the targets' phi_{u,v}
-    if g.many:
-        mine = mine.reshape(len(x), -1, lab)
-    if kind == RDP or kind == TRWS:
-        _share(e, mine, r, g)
-    for p, (pos, k) in zip(g.parts, parts):
-        p_uv, p_vu = x[:, p.mine], x[:, p.back]
-        a, b = p_uv, p_vu
-        if p.many:              # (m, c * L) values to (m * c, L)
-            a, b = a.reshape(-1, lab), b.reshape(-1, p.lab_v)
-        # A star update pulls v -> u (minima over Y_v), the rest push u -> v.
-        d = _marginal(p.table.take(pos, axis=0), k, a, b, kind != STAR)
-        if kind == STAR:
-            p_uv -= d.reshape(p_uv.shape)
-            e += d.reshape(len(x), -1, lab).sum(axis=1)
-        else:
-            d = d.reshape(p_vu.shape)
-            p_vu -= d
-            x[:, p.excess] += d
-    if kind == STAR:
-        _share(e, mine, r, g)
+    m, lab = x.shape[1], g.lab
+    if g.kind != PUSH:
+        e = x[:g.uv].reshape(m, lab)
+        s = (e if g.unit else e * r)[:, None]
+        for p in g.parts:
+            mine = x[p.mine].reshape(m, -1, lab)
+            mine += s
+        e *= keep
+    for p, (tab, k) in zip(g.parts, parts):
+        if tab.ndim == 1:
+            tab = p.table.take(tab, axis=0)
+        p_vu, ex = x[p.back].reshape(-1, p.lab_v), x[p.excess].reshape(
+            -1, p.lab_v)
+        d = _marginal(tab, k, x[p.mine].reshape(-1, lab), p_vu, True)
+        p_vu -= d
+        ex += d
     buf[idx] = x
 
 
-def _share(e, mine, r, g):
-    """Move r * theta^phi_u of each operation into the phi_{u,v} of each of
-    its targets; theta^phi_u keeps 1 - r * (number of targets) of itself."""
-    s = e if g.unit else e * r[:, :1]
-    mine += s[:, None, :] if g.many else s
-    e *= r[:, 1:]
+def _run_star(buf, g, idx, parts, r, keep):
+    """The star update at a batch of nodes: pull every v -> u min-marginal
+    into u, then move r * theta^phi_u into every phi_{u,v}."""
+    x = buf.take(idx)
+    m, lab = x.shape[1], g.lab
+    e = x[:g.uv].reshape(m, lab)
+    for p, (tab, k) in zip(g.parts, parts):
+        if tab.ndim == 1:
+            tab = p.table.take(tab, axis=0)
+        p_uv = x[p.mine].reshape(-1, lab)
+        d = _marginal(tab, k, p_uv, x[p.back].reshape(-1, p.lab_v), False)
+        p_uv -= d
+        e += d.reshape(m, -1, lab).sum(axis=1)
+    s = (e * r)[:, None]
+    for p in g.parts:
+        mine = x[p.mine].reshape(m, -1, lab)
+        mine += s
+    e *= keep
+    buf[idx] = x
 
 
-def _run_pair(buf, g, idx, parts, r):
+def _run_pair(buf, g, idx, parts, r, keep):
     """handshake and mplp: aggregate both nodes, then the edge's pushes."""
     x = buf.take(idx)
-    (p,), ((pos, k),) = g.parts, parts
-    e_u, p_uv, p_vu, e_v = x[:, :g.uv], x[:, p.mine], x[:, p.back], \
-        x[:, p.excess]
+    m = x.shape[1]
+    (p,), ((tab, k),) = g.parts, parts
+    e_u, p_uv = x[:g.uv].reshape(m, -1), x[p.mine].reshape(m, -1)
+    p_vu, e_v = x[p.back].reshape(m, -1), x[p.excess].reshape(m, -1)
     p_uv += e_u
     p_vu += e_v
-    tab = p.table.take(pos, axis=0)
-    e_u[...] = 0.5 * _marginal(tab, k, p_uv, p_vu, False)
+    if tab.ndim == 1:
+        tab = p.table.take(tab, axis=0)
+    np.multiply(_marginal(tab, k, p_uv, p_vu, False), 0.5, out=e_u)
     p_uv -= e_u
     if g.kind == MPLP:
-        e_v[...] = 0.5 * _marginal(tab, k, p_uv, p_vu, True)
+        np.multiply(_marginal(tab, k, p_uv, p_vu, True), 0.5, out=e_v)
         p_vu -= e_v
     else:
-        e_v[...] = _marginal(tab, k, p_uv, p_vu, True)
+        _marginal(tab, k, p_uv, p_vu, True, out=e_v)
         p_vu -= e_v
         d = _marginal(tab, k, p_uv, p_vu, False)
         p_uv -= d
@@ -647,7 +689,7 @@ def _run_pair(buf, g, idx, parts, r):
     buf[idx] = x
 
 
-_KERNELS = (_run_star, _run_star, _run_pair, _run_pair, _run_star, _run_star)
+_KERNELS = (_run_push, _run_push, _run_pair, _run_pair, _run_push, _run_star)
 
 
 def run_program(model, phi, counter, emit, *args):

@@ -85,23 +85,48 @@ def ints(h, values):
     h.update(np.ascontiguousarray(values, dtype=np.int64).tobytes())
 
 
+def positions(block, tables):
+    """The positions in ``block`` of a batch part's tables: given as such,
+    or read off the view of the block that holds them."""
+    if tables.ndim == 1:
+        return tables
+    assert tables.base is block.base or tables.base is block
+    start, rest = divmod(tables.__array_interface__["data"][0]
+                         - block.__array_interface__["data"][0],
+                         block.strides[0])
+    step, left = divmod(tables.strides[0], block.strides[0])
+    assert rest == left == 0 and tables.strides[1:] == block.strides[1:]
+    return start + step * np.arange(len(tables))
+
+
+def op_rows(g, idx):
+    """A batch's gather index as one row per operation.  The compiled
+    index is (K, m), laid out block by block (theta^phi_u, then per part
+    phi_{u,v}, phi_{v,u} and theta^phi_v), each block (m, width)."""
+    m = idx.shape[1]
+    blocks = [slice(0, g.uv), *(p.mine for p in g.parts),
+              *(p.back for p in g.parts), *(p.excess for p in g.parts)]
+    return np.hstack([idx[b].reshape(m, len(idx[b])) for b in blocks])
+
+
 def plan_digest(h, model, prog):
     """Add the waves and the compiled batches of ``prog`` to ``h``."""
     ints(h, prog.waves())
     blocks = [g.block for g in model._shape_groups]
     batches, messages, _ = prog._plan
     ints(h, [len(batches), messages])
-    for g, idx, parts, r, end in batches:
-        h.update(repr((g.kind, g.unit, g.many, g.lab, g.uv, g.vu, len(idx),
+    for g, idx, parts, r, keep, end in batches:
+        h.update(repr((g.kind, g.unit, g.many, g.lab, g.uv, g.vu, idx.shape[1],
                        [(next(i for i, b in enumerate(blocks)
                               if b is p.table),
                          p.lab_v, p.many, p.mine, p.back, p.excess)
                         for p in g.parts])).encode())
-        ints(h, idx)
-        for pos, k in parts:
-            ints(h, pos)
+        ints(h, op_rows(g, idx))
+        for p, (tables, k) in zip(g.parts, parts):
+            ints(h, positions(p.table, tables))
             ints(h, [k])
-        h.update(np.ascontiguousarray(r, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(np.column_stack((r, keep)),
+                                      dtype=np.float64).tobytes())
         if end is None:
             h.update(b"-")
         else:

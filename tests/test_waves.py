@@ -558,10 +558,14 @@ def test_exact_path_derives_theta_phi_before_every_batch(method, tree_mode,
                                                         monkeypatch):
     # Where theta^phi is derived afresh, the buffer holds node_costs bit
     # for bit before every batch and after every pass.  The capped-row
-    # grid's waves push into one node several times.
+    # grid's waves push into one node several times.  Every batch of the
+    # compiled plan runs through the wrapped kernels, once per pass.
+    calls = []
+
     def checked(kernel):
         def run_checked(buf, *args):
             assert np.array_equal(buf[:n], node_costs(model, phi))
+            calls.append(1)
             kernel(buf, *args)
         return run_checked
 
@@ -578,8 +582,11 @@ def test_exact_path_derives_theta_phi_before_every_batch(method, tree_mode,
         state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
         phi, n = state.phi, model._unary_flat.size
         for _ in range(2):
-            state.do_pass()
+            prog = state.program()      # what do_pass runs
+            calls.clear()
+            prog.run(phi, state.counter)
             assert np.array_equal(phi.buffer[:n], node_costs(model, phi))
+            assert len(calls) == len(prog._plan[0]) > 0
 
 
 def test_run_honours_phi_written_from_outside():
@@ -619,8 +626,8 @@ def test_program_shape_on_k50_and_the_32x32_grid():
             prog = _Run(model, SolverConfig(method)).program()
             shape[name, method] = max(prog.waves()) + 1, batch_count(prog)
             if name == "k50" and method in ("mplp", "mplppp"):
-                batches, _, _ = prog._plan
-                assert {b[1].shape[1] for b in batches} == {16}
+                batches, _, _ = prog._plan     # (K, m) indices
+                assert {b[1].shape[0] for b in batches} == {16}
                 assert sum(b[1].size for b in batches) < 25_000
     assert shape == {
         ("grid", "msd"): (63, 122), ("grid", "cmp"): (63, 122),
@@ -670,6 +677,50 @@ def test_mixed_marginal_is_its_two_runs_joined(over_u):
             assert updates._marginal(tab, k, p_uv, p_vu, over_u,
                                      out=out) is out
             assert out.tobytes() == ref.tobytes()
+
+
+def test_marginal_is_add_then_reduce_bit_for_bit():
+    # Minima over Y_a reduce theta_ab + phi_{a,b} first and add phi_{b,a}
+    # to the result.  Rounding is monotone, so that is bit for bit the
+    # minimum of the whole sum, signed zeros included.  The reference sums
+    # every cell in the operand order of model.pairwise_costs, then takes
+    # the minimum over the reduced index in order, as numpy reduces a
+    # leading axis.  Small integers give exact ties and cancellations;
+    # UAI tables keep a -0 entry as -0.0.
+    rng = np.random.default_rng(22)
+
+    def draw(shape, scale):
+        x = (rng.normal(0.0, scale, shape) if rng.random() < 0.5
+             else rng.integers(-3, 4, shape).astype(np.float64))
+        x[rng.random(shape) < 0.15] = 0.0
+        x[rng.random(shape) < 0.15] = -0.0
+        return x
+
+    def reference(tab, k, p_uv, p_vu, over_u):
+        rows = []
+        for i, t in enumerate(tab):
+            p_a, p_b = (p_uv[i], p_vu[i]) if i < k else (p_vu[i], p_uv[i])
+            t = (t + p_a[:, None]) + p_b[None, :]
+            if (i < k) != over_u:       # minima over Y_b
+                t = t.T
+            acc = t[0]
+            for row in t[1:]:
+                acc = np.minimum(acc, row)
+            rows.append(acc)
+        return np.array(rows)
+
+    for lab_a, lab_b in itertools.product(range(1, 17), repeat=2):
+        m = int(rng.integers(1, 7))
+        tab = draw((m, lab_a, lab_b), 3.0)
+        tab[rng.random(tab.shape) < 0.2] = COST_CAP
+        for k in range(m + 1) if lab_a == lab_b else (0, m):
+            lab_u, lab_v = (lab_a, lab_b) if k else (lab_b, lab_a)
+            p_uv, p_vu = draw((m, lab_u), 1e3), draw((m, lab_v), 1e3)
+            for over_u in (False, True):
+                want = reference(tab, k, p_uv, p_vu, over_u)
+                got = updates._marginal(tab, k, p_uv, p_vu, over_u)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (lab_a, lab_b, k)
 
 
 def test_chain_cover_program_shape_on_the_32x32_grid():
