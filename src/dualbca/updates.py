@@ -419,9 +419,12 @@ class Program:
         # (empty where a kind does not read them).  A batch is a run of it,
         # laid out block by block: the theta^phi_u of its m operations,
         # then per part their phi_{u,v}, then per part their phi_{v,u}, then
-        # per part their theta^phi_v, each block one operation after the
-        # other.  Viewed as (K, m), K values per operation, the rows of a
-        # block are then one contiguous (m, width) array.
+        # per part their theta^phi_v, each block operation by operation.
+        # Viewed as (K, m), K values per operation, each block's rows are
+        # then one contiguous (m, width) array.  The operations of a batch
+        # share their segments' layout, so segment j of its operation i
+        # goes to m * (first segment of j's block) + i * (segments of j's
+        # block per operation) + (j's place in its block).
         lab = np.diff(model.label_offsets)
         size = np.diff(np.append(starts, n))
         seg = np.cumsum(np.append(0, 1 + 3 * count[order]))
@@ -430,16 +433,16 @@ class Program:
         m, base = np.empty((2, n), dtype=np.int64)  # of each op's batch
         m[order] = np.repeat(size, size)
         base[order] = np.repeat(seg[:-1][starts], size)
-        theta = base + (place - base) // (1 + 3 * count)    # + rank in batch
+        rank = (place - base) // (1 + 3 * count)    # i in its batch
         t0 = cut[run] - op_start[op]            # first target of its part
-        col = base[op] + m[op] * (1 + t0) + (theta - base)[op] * lens[run] \
+        col = base[op] + m[op] * (1 + t0) + rank[op] * lens[run] \
             + np.arange(len(op)) - op_start[op] - t0
         start, length = np.empty((2, seg[-1]), dtype=np.intp)
-        start[theta] = model.label_offsets[u]
-        length[theta] = lab[u] * (kind != PUSH)
+        start[base + rank] = model.label_offsets[u]
+        length[base + rank] = lab[u] * (kind != PUSH)
         start[col] = model._inc_phi[entry] + phi_at
         length[col] = lab[u[op]]
-        col += (m * count)[op]
+        col += (m * count)[op]                  # the next block of targets
         start[col] = model._inc_back[entry] + phi_at
         length[col] = lab[into]
         col += (m * count)[op]
@@ -474,14 +477,14 @@ class Program:
         even = np.bincount(np.cumsum(~inner)[odd], minlength=len(cut)) == 0
         b, code = key[cut] // len(op), part[by[cut]]
         side, blocks = code // n_blocks, [g.block for g in model._shape_groups]
-        tabs = [blocks[z][s:e if e >= 0 else None:d] if ev else pos[a:a + c]
-                for z, s, e, d, ev, a, c in zip(
+        u_first = np.where(side < 2, side * lens, np.add.reduceat(
+            first[op_start[order]], starts)[b])
+        stop = pos[cut] + lens * step           # below 0: past the start
+        tabs = [(blocks[z][s:e if e >= 0 else None:d] if ev else pos[a:a + c],
+                 k) for z, s, e, d, ev, a, c, k in zip(
                     (code % n_blocks).tolist(), pos[cut].tolist(),
-                    (pos[cut] + lens * step).tolist(), step.tolist(),
-                    even.tolist(), cut.tolist(), lens.tolist())]
-        u_first = np.add.reduceat(first[op_start[order]], starts)[b]
-        tabs = list(zip(tabs, np.where(side < 2, side * lens,
-                                       u_first).tolist()))
+                    stop.tolist(), step.tolist(), even.tolist(),
+                    cut.tolist(), lens.tolist(), u_first.tolist())]
         cut = np.searchsorted(b, np.arange(len(starts) + 1)).tolist()
         # The wave's last batch adds the late pushes' scratch rows to their
         # nodes, in program order, and clears them.
@@ -621,7 +624,9 @@ def _run_push(buf, g, idx, parts, r, keep):
     phi_{u,v}, so that theta^phi_u keeps 1 - r * (number of targets) of
     itself; then each pushes its u -> v min-marginals into v, as a push
     does.  What an operation leaves unchanged of what it gathered no other
-    operation of the wave writes, so all of it is written back.
+    operation of the wave writes, so all of it is written back.  Each block
+    of the gathered (K, m) array is read as rows: (m, L_u) for theta^phi_u,
+    (m * c, L) for c targets per operation.
     """
     x = buf.take(idx)
     m, lab = x.shape[1], g.lab
@@ -635,10 +640,10 @@ def _run_push(buf, g, idx, parts, r, keep):
     for p, (tab, k) in zip(g.parts, parts):
         if tab.ndim == 1:
             tab = p.table.take(tab, axis=0)
-        p_vu, ex = x[p.back].reshape(-1, p.lab_v), x[p.excess].reshape(
-            -1, p.lab_v)
+        p_vu = x[p.back].reshape(-1, p.lab_v)
         d = _marginal(tab, k, x[p.mine].reshape(-1, lab), p_vu, True)
         p_vu -= d
+        ex = x[p.excess].reshape(d.shape)
         ex += d
     buf[idx] = x
 
