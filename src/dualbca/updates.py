@@ -448,6 +448,7 @@ class Program:
         col += (m * count)[op]
         start[col] = excess
         length[col] = lab[into] * (kind[op] != STAR)
+        del m, base, rank, t0, col
         # Each segment's values follow its start: one running sum of ones
         # that jumps at the first value of each segment.
         at, full = np.cumsum(length) - length, length > 0
