@@ -1,0 +1,35 @@
+"""tools/pass_timer.py on this checkout against itself."""
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import pass_timer  # noqa: E402
+
+
+def listing(root):
+    return sorted(p.relative_to(root).as_posix()
+                  for p in (root / "src").rglob("*")
+                  if "__pycache__" not in p.parts)
+
+
+def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
+                                                               capsys):
+    before = listing(ROOT)
+    out = tmp_path / "rows.json"
+    assert pass_timer.main([str(ROOT), str(ROOT), "--passes", "2", "--only",
+                            "k50/mplp", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["case"] for r in rows] == ["k50/mplp"]
+    assert rows[0]["phi_identical"] and rows[0]["passes"] == 2
+    assert "k50/mplp" in capsys.readouterr().out
+    assert listing(ROOT) == before
+    assert "pass_timer_parent" not in sys.modules
+
+
+def test_rejects_fewer_than_two_passes():
+    with pytest.raises(SystemExit):
+        pass_timer.main([str(ROOT), str(ROOT), "--passes", "1"])

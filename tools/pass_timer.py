@@ -9,8 +9,7 @@ name and imported from there, so both run in one process and nothing is
 written into either checkout.  Per workload-shaped model and method, one
 ``solve._Run`` per side runs a first pass (which compiles its program),
 then N passes alternating between the sides, the parent first on even
-rounds, each timed with ``time.process_time`` while the garbage collector
-is off.  The models:
+rounds, each timed with ``time.process_time``.  The models:
 
 - ``grid``: the 32x32x8 ``sparse_grid`` of grid_chains (spam, dmm, tbca,
   trws);
@@ -44,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+SIDES = ("pass_timer_parent", "pass_timer_change")     # package names
 WORKLOADS = {
     "grid": ("spam", "dmm", "tbca", "trws"),
     "k50": ("msd", "cmp", "trws", "mplp", "mplppp"),
@@ -96,18 +96,17 @@ def start(pkg, model, method):
 
 
 def time_passes(states, passes):
-    """Per side, the process time of each of ``passes`` alternated passes."""
+    """Per side, the process time of each of ``passes`` alternated passes.
+    The garbage collector stays on, as in a solve: with it off through all
+    the passes of a full run, the dynamic tbca passes, which come last,
+    read about 1.5x what they read alone."""
     times = [[] for _ in states]
     gc.collect()
-    gc.disable()
-    try:
-        for i in range(passes):
-            for side in (0, 1) if i % 2 == 0 else (1, 0):
-                t0 = time.process_time()
-                states[side].do_pass()
-                times[side].append(time.process_time() - t0)
-    finally:
-        gc.enable()
+    for i in range(passes):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            t0 = time.process_time()
+            states[side].do_pass()
+            times[side].append(time.process_time() - t0)
     return times
 
 
@@ -132,6 +131,45 @@ def pass_ratios(rows):
     return ratios
 
 
+def run_all(pkgs, args):
+    """One row per timed (model, method)."""
+    rows = []
+    for workload, methods in WORKLOADS.items():
+        models = None
+        for method in methods:
+            if args.only is not None and \
+                    f"{workload}/{method}" not in args.only:
+                continue
+            if models is None:
+                models = [build(p, workload, args.seed) for p in pkgs]
+            states = [start(p, m, method) for p, m in zip(pkgs, models)]
+            times = time_passes(states, args.passes)
+            parent, change = ([t * 1e3 for t in side] for side in times)
+            row = {
+                "case": f"{workload}/{method}",
+                "passes": args.passes,
+                "parent_median_ms": round(statistics.median(parent), 3),
+                "parent_quartiles_ms": quartiles(parent),
+                "change_median_ms": round(statistics.median(change), 3),
+                "change_quartiles_ms": quartiles(change),
+                "ratio": round(statistics.median(change)
+                               / statistics.median(parent), 3),
+                "change_faster_in": sum(c < p for p, c in
+                                        zip(parent, change)),
+                "phi_identical": states[0].phi.values.tobytes()
+                == states[1].phi.values.tobytes(),
+            }
+            rows.append(row)
+            print(f"{row['case']:20s} parent {row['parent_median_ms']:8.3f}"
+                  f" ms  change {row['change_median_ms']:8.3f} ms  ratio "
+                  f"{row['ratio']:.3f}  faster {row['change_faster_in']}"
+                  f"/{args.passes}  phi "
+                  f"{'same' if row['phi_identical'] else 'DIFFERS'}",
+                  flush=True)
+            del states
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
@@ -142,48 +180,18 @@ def main(argv=None):
                         help="WORKLOAD/METHOD pairs, e.g. grid/spam")
     parser.add_argument("--json", default=None)
     args = parser.parse_args(argv)
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
-    sys.dont_write_bytecode = True
-    rows = []
+    if args.passes < 2:
+        parser.error("--passes must be at least 2")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        pkgs = [load(args.parent, "pass_timer_parent", tmp),
-                load(args.change, "pass_timer_change", tmp)]
-        for workload, methods in WORKLOADS.items():
-            models = None
-            for method in methods:
-                if args.only is not None and \
-                        f"{workload}/{method}" not in args.only:
-                    continue
-                if models is None:
-                    models = [build(p, workload, args.seed) for p in pkgs]
-                states = [start(p, m, method) for p, m in zip(pkgs, models)]
-                times = time_passes(states, args.passes)
-                parent, change = ([t * 1e3 for t in side] for side in times)
-                row = {
-                    "case": f"{workload}/{method}",
-                    "passes": args.passes,
-                    "parent_median_ms": round(statistics.median(parent), 3),
-                    "parent_quartiles_ms": quartiles(parent),
-                    "change_median_ms": round(statistics.median(change), 3),
-                    "change_quartiles_ms": quartiles(change),
-                    "ratio": round(statistics.median(change)
-                                   / statistics.median(parent), 3),
-                    "change_faster_in": sum(c < p for p, c in
-                                            zip(parent, change)),
-                    "phi_identical": states[0].phi.values.tobytes()
-                    == states[1].phi.values.tobytes(),
-                }
-                rows.append(row)
-                print(f"{row['case']:20s} parent {row['parent_median_ms']:8.3f}"
-                      f" ms  change {row['change_median_ms']:8.3f} ms  ratio "
-                      f"{row['ratio']:.3f}  faster {row['change_faster_in']}"
-                      f"/{args.passes}  phi "
-                      f"{'same' if row['phi_identical'] else 'DIFFERS'}",
-                      flush=True)
-                del states
-        sys.path.remove(tmp)
+        try:
+            rows = run_all([load(checkout, name, tmp) for checkout, name in
+                            zip((args.parent, args.change), SIDES)], args)
+        finally:
+            sys.path.remove(tmp)
+            for name in [m for m in sys.modules
+                         if m.split(".")[0] in SIDES]:
+                del sys.modules[name]
     ratios = pass_ratios(rows)
     for name, sides in ratios.items():
         print(f"{name}: parent {sides['parent']:.3f}, change "
