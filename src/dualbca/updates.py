@@ -70,12 +70,11 @@ _BATCH_TARGETS = 256                 # most targets per batch
 # block, so that each block is one contiguous (m, width) array of rows, one
 # per operation (see ``Program._compile``).  Every kind but a push reads and
 # writes theta^phi_u, and every kind but the star update writes theta^phi_v
-# of its targets.  Where
-# several pushes land in one node in one wave, each after the first in
-# program order adds to the scratch row of its incidence, and the wave ends
-# by adding those rows to the node in program order.  Targets are ordered
-# by part (shape block, and orientation unless the tables are square), then
-# by row of u.
+# of its targets.  Where several pushes land in one node in one wave, each
+# after the first in program order adds to the scratch row of its
+# incidence, and the wave ends by adding those rows to the node in program
+# order.  Targets are ordered by part (shape block, and orientation unless
+# the tables are square), then by row of u.
 
 
 class _Part(NamedTuple):
@@ -85,7 +84,7 @@ class _Part(NamedTuple):
     table: np.ndarray       # shape block holding the edges' tables
     lab_v: int
     many: bool              # more than one target
-    mine: slice             # their phi_{u,v} in the gathered row, ...
+    mine: slice             # their phi_{u,v} among the K values, ...
     back: slice             # ... their phi_{v,u} ...
     excess: slice           # ... and their theta^phi_v
 
@@ -103,7 +102,7 @@ class _Spec(NamedTuple):
     unit: bool              # r = 1 throughout
     many: bool              # more than one target
     lab: int                # L_u
-    uv: int                 # start of the phi_{u,v} in the gathered row
+    uv: int                 # start of the phi_{u,v} among the K values
     vu: int                 # start of the phi_{v,u}
     parts: tuple
 
