@@ -1,0 +1,309 @@
+"""What compiled batches work in, and the kernels that run them.
+
+A batch of a :class:`dualbca.updates.Program` gathers its values from
+``Reparametrization.buffer`` into a scratch array, works there with numpy
+ufuncs that write into views of it, and puts the values back.  The views
+depend only on the compiled plan, so :func:`_views` and :func:`_bind` make
+them once, as the program is compiled, for all batches of one spec, size
+and parts; a pass then runs no reshape, transpose or allocation.
+"""
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)   # operation kinds
+
+
+class _Scratch:
+    """The array that batch kernels gather into and work in, and the views
+    of it bound so far: spec ids by spec, and the views of batches by spec
+    id and size, and by spec id, size and parts.
+
+    The programs of one run share one, and run one at a time; a batch
+    leaves nothing in it that the next one reads.  A static run compiles
+    one program, and the views it bound are held by its batches alone.  A
+    run on dynamic trees compiles a program every pass, and keeps the
+    views (``reuse``), since the same batch shapes come back pass after
+    pass; the scratch then holds the largest batch any of them runs.
+    """
+
+    __slots__ = ("array", "specs", "views", "bound", "reuse")
+
+    def __init__(self, reuse=False):
+        self.array = np.empty(0)
+        self.specs, self.views, self.bound = {}, {}, {}
+        self.reuse = reuse      # keep the views for the next program
+
+    def fit(self, size):
+        """Hold at least ``size`` floats.  A new array starts with no
+        views; the programs bound to the old one keep it."""
+        if size > self.array.size:
+            self.array = np.empty(size)
+            self.views, self.bound = {}, {}
+
+
+def _views(g, shape, scratch):
+    """The views of ``scratch`` that batches of spec ``g`` and index shape
+    (K, m) work in whatever their tables: the gathered (K, m) values and
+    their blocks, r * theta^phi_u, and per part its outputs that are not
+    gathered values, and where its work space starts behind them.
+
+    The scratch holds the gathered values, then work space that each part
+    uses in turn: those outputs (a push's min-marginals, a star update's
+    pulled minima and their sum over each operation's targets, a
+    handshake's third min-marginal), then its gathered tables where the
+    batch holds their positions, then the sum that each run of each of
+    its min-marginals reduces in turn.  r * theta^phi_u, which rdp and
+    TRW-S steps use before their parts and a star update after them,
+    shares that space, and so do the late pushes that end a wave, once the
+    batch is written back.
+    """
+    n_k, m = shape
+    kind, lab = g.kind, g.lab
+    work = n_k * m
+    x = scratch[:work].reshape(n_k, m)
+    e = scratch[:m * g.uv].reshape(m, lab) if g.uv else None
+    own = None
+    if kind == STAR or kind in (RDP, TRWS) and not g.unit:
+        own = scratch[work:work + m * lab].reshape(m, lab)
+    share = e if own is None else own
+    mines, wide, parts = [], None, []
+    for p in g.parts:
+        lab_v = p.lab_v
+        p_uv = scratch[m * p.mine.start:m * p.mine.stop].reshape(-1, lab)
+        p_vu = scratch[m * p.back.start:m * p.back.stop].reshape(-1, lab_v)
+        n = len(p_uv)
+        if kind in (RDP, TRWS, STAR):   # what adds to phi_{u,v}
+            if n == m:
+                mines.append((p_uv, share))
+            else:
+                wide = share[:, None] if wide is None else wide
+                mines.append((p_uv.reshape(m, -1, lab), wide))
+        ex = None if kind == STAR else scratch[
+            m * p.excess.start:m * p.excess.stop].reshape(n, lab_v)
+        if kind == STAR:
+            out = scratch[work:work + n * lab].reshape(n, lab)
+            outs = out, out.reshape(m, -1, lab), scratch[
+                work + n * lab:work + (n + m) * lab].reshape(m, lab)
+        elif kind < HANDSHAKE or kind == TRWS:
+            outs = scratch[work:work + n * lab_v].reshape(n, lab_v),
+        elif kind == HANDSHAKE:
+            outs = scratch[work:work + m * lab].reshape(m, lab),
+        else:
+            outs = None,
+        parts.append((p_uv, p_vu, ex, outs, work + sum(
+            o.size for o in outs[:1] + outs[2:] if o is not None)))
+    return x, e, own, tuple(mines), parts
+
+
+def _bind(g, views, parts, scratch):
+    """The kernel arguments that batches of spec ``g`` share whose parts
+    are like ``parts`` (tables or their positions, how many have u first,
+    and views, each): ``views`` (see :func:`_views`), and per part the
+    views of its work space and its min-marginal runs.  Where a batch
+    holds the positions of a part's tables, the kernel gathers them into
+    the scratch, and the views of them that the runs read are bound here;
+    else the batch holds those views itself (see :func:`_how`)."""
+    kind = g.kind
+    x, e, own, mines, part_views = views
+    bound = []
+    for p, (tables, k, _), (p_uv, p_vu, ex, outs, top) in zip(
+            g.parts, parts, part_views):
+        (la, lb), cell, n = p.table.shape[1:], p.table[0].size, len(p_uv)
+        tab, how, memo = None, _how(kind, k, n), {}
+        if tables.ndim == 1:
+            tab = scratch[top:top + n * cell].reshape(n, la, lb)
+            top += n * cell
+        t = scratch[top:top + (max(k, n - k) if 0 < k < n else n) * cell]
+
+        def runs(over_u, out):
+            return _runs(k, t, la, lb, p_uv, p_vu, over_u, out, how, memo)
+
+        if kind == STAR:
+            views = runs(False, outs[0]), p_uv, *outs
+        elif kind < HANDSHAKE or kind == TRWS:
+            views = runs(True, outs[0]), p_vu, ex, outs[0]
+        else:
+            d = outs[0]                 # a handshake's third min-marginal
+            views = (p_uv, p_vu, ex, runs(False, e), runs(True, ex),
+                     None if d is None else runs(False, d), d)
+        gathered = None if tab is None else _transposed(tab, how)
+        bound.append((p.table, tab, gathered, *views))
+    if kind == STAR:
+        return x, e, own, mines, tuple(bound)
+    if kind in (HANDSHAKE, MPLP):
+        return (x, e, *bound[0])
+    node = None if kind == PUSH else (e, own, mines)
+    return x, node, tuple(bound)
+
+
+def _runs(k, t, la, lb, p_uv, p_vu, over_u, out, how, memo):
+    """The runs of a min-marginal over (m, la, lb) tables, u the first
+    endpoint of the first k of them, with its sum in ``t`` (see
+    :func:`_marginal`).  Each reads the tables through the view that
+    ``how`` lists as (rows, transposition).  ``memo`` keeps the views of
+    one part that its min-marginals share: of its rows and of its sums."""
+    n = len(out)
+    runs = []
+    for lo, hi in ((0, k), (k, n)) if 0 < k < n else ((0, n),):
+        first, c = lo == 0 < k, hi - lo
+        a = 0 if first else 1                   # p_a: phi_{u,v} or phi_{v,u}
+        over_a = first == over_u                # minima over Y_a
+        for x, wide in ((a, over_a), (1 - a, not over_a)):
+            if (x, lo, wide) not in memo:
+                rows = (p_uv, p_vu)[x] if c == n else (p_uv, p_vu)[x][lo:hi]
+                memo[x, lo, wide] = rows.T[:, :, None] if wide else rows
+        shape = (la, c, lb) if over_a else (lb, c, la)
+        if ("sum", shape) not in memo:
+            memo["sum", shape] = t[:c * la * lb].reshape(shape)
+        runs.append((how.index((None if c == n else slice(lo, hi),
+                                (1, 0, 2) if over_a else (2, 0, 1))),
+                     memo[a, lo, over_a], memo["sum", shape],
+                     memo[1 - a, lo, not over_a],
+                     out if c == n else out[lo:hi], over_a))
+    return tuple(runs)
+
+
+@functools.lru_cache(maxsize=4096)
+def _how(kind, k, n):
+    """The views of a part's n tables, u the first endpoint of the first k
+    of them, that the min-marginals of a kernel of this kind read: per
+    view the rows and their transposition, the reduced axis first.  A
+    push's one min-marginal reduces over Y_u, a star update's over Y_v, a
+    handshake's or an MPLP update's over both; on the first k tables Y_u
+    is the first axis."""
+    views = []
+    for over_u in ((False,) if kind == STAR else (True,) if kind in (
+            RDP, PUSH, TRWS) else (False, True)):
+        for lo, hi in ((0, k), (k, n)) if 0 < k < n else ((0, n),):
+            view = (None if hi - lo == n else slice(lo, hi),
+                    (1, 0, 2) if (lo == 0 < k) == over_u else (2, 0, 1))
+            if view not in views:
+                views.append(view)
+    return tuple(views)
+
+
+def _transposed(tables, how):
+    """The views of ``tables`` that ``how`` lists."""
+    return tuple([(tables if rows is None else tables[rows]).transpose(order)
+                  for rows, order in how])
+
+
+def _marginal(runs, tables):
+    """Minima over Y_u (the u -> v messages) or over Y_v of theta^phi of a
+    batch of edges, run by run, each into its rows of one (m, L) output.
+
+    The tables are in canonical orientation, (m, L_a, L_b), and theta^phi
+    is summed with the operand order of
+    :func:`dualbca.model.pairwise_costs`, (theta_ab + phi_{a,b}) +
+    phi_{b,a}.  u is the canonical first endpoint of the edges of one run
+    and the second of the other's (both occur only on square tables).
+    Each run holds which of ``tables`` it reads (its rows, transposed so
+    that the reduced axis comes first), the row it adds to them, broadcast
+    along the other axis, the sum it reduces, the row it adds last, its
+    output, and whether it reduces over Y_a.  Minima over Y_a reduce
+    theta_ab + phi_{a,b} first and add the phi_{b,a} row to the result:
+    rounding to nearest is monotone, so min_s fl(q_s + c) = fl(min_s q_s +
+    c), bit for bit (signed zeros included), for one table-sized add less.
+    With the reduced axis first, numpy reduces the sum as a few
+    elementwise minima over whole slabs; reducing a short inner axis goes
+    a few elements at a time and is about twice as slow on tables of 4x4
+    to 16x16.
+    """
+    for i, add, t, last, out, over_a in runs:
+        np.add(tables[i], add, out=t)
+        if over_a:
+            np.minimum.reduce(t, axis=0, out=out)
+            out += last
+        else:
+            t += last
+            np.minimum.reduce(t, axis=0, out=out)
+
+
+def _run_push(buf, idx, tables, r, keep, x, node, parts):
+    """rdp, push and the TRW-S step at a batch of nodes.
+
+    rdp and the TRW-S step move r * theta^phi_u into each target's
+    phi_{u,v}, so that theta^phi_u keeps 1 - r * (number of targets) of
+    itself; then each pushes its u -> v min-marginals into v, as a push
+    does.  What an operation leaves unchanged of what it gathered no other
+    operation of the wave writes, so all of it is written back.  ``node``
+    (none for a push) holds theta^phi_u as (m, L_u), r * theta^phi_u (none
+    where r = 1), and each part's phi_{u,v} with what adds to it.  Each
+    part holds its shape block, the scratch its tables are gathered into
+    and the views of them (none where the batch holds views of its own),
+    its min-marginal runs, its phi_{v,u} and theta^phi_v as
+    (m * c, L_v), and the min-marginals' output.  ``tables`` has the
+    batch's own: per part (its tables or their positions, how many have u
+    first, and the views of them that its min-marginals read).
+    """
+    buf.take(idx, out=x, mode="clip")
+    if node is not None:
+        e, own, mines = node
+        if own is not None:
+            np.multiply(e, r, out=own)
+        for mine, share in mines:
+            mine += share
+        e *= keep
+    for (block, tab, gathered, runs, p_vu, ex, d), (at, _, views) in zip(
+            parts, tables):
+        if tab is not None:
+            block.take(at, axis=0, out=tab, mode="clip")
+            views = gathered
+        _marginal(runs, views)
+        p_vu -= d
+        ex += d
+    buf[idx] = x
+
+
+def _run_star(buf, idx, tables, r, keep, x, e, own, mines, parts):
+    """The star update at a batch of nodes: pull every v -> u min-marginal
+    into u, then move r * theta^phi_u into every phi_{u,v}.  Each part
+    holds its tables as a push batch's do, its min-marginal runs, its
+    phi_{u,v} as (m * c, L_u), the min-marginals' output as (m * c, L_u)
+    and as (m, c, L_u), and their sum over each operation's targets."""
+    buf.take(idx, out=x, mode="clip")
+    for (block, tab, gathered, runs, p_uv, d, per_op, pulled), (at, _, views) \
+            in zip(parts, tables):
+        if tab is not None:
+            block.take(at, axis=0, out=tab, mode="clip")
+            views = gathered
+        _marginal(runs, views)
+        p_uv -= d
+        np.add.reduce(per_op, axis=1, out=pulled)
+        e += pulled
+    np.multiply(e, r, out=own)
+    for mine, share in mines:
+        mine += share
+    e *= keep
+    buf[idx] = x
+
+
+def _run_pair(buf, idx, tables, r, keep, x, e_u, block, tab, gathered, p_uv,
+              p_vu, e_v, to_u, to_v, back, d):
+    """handshake and mplp: aggregate both nodes, then the edge's pushes.
+    The first two min-marginals go straight into theta^phi_u and
+    theta^phi_v, a handshake's third (``back``, none for mplp) into
+    ``d``."""
+    (at, _, views), = tables
+    buf.take(idx, out=x, mode="clip")
+    p_uv += e_u
+    p_vu += e_v
+    if tab is not None:
+        block.take(at, axis=0, out=tab, mode="clip")
+        views = gathered
+    _marginal(to_u, views)
+    e_u *= 0.5
+    p_uv -= e_u
+    _marginal(to_v, views)
+    if back is None:
+        e_v *= 0.5
+        p_vu -= e_v
+    else:
+        p_vu -= e_v
+        _marginal(back, views)
+        p_uv -= d
+        e_u += d
+    buf[idx] = x

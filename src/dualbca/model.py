@@ -209,9 +209,6 @@ class GraphicalModel:
         ptr = self._inc_ptr
         return tuple(self._inc_nbr[ptr[u]:ptr[u + 1]].tolist())
 
-    def has_edge(self, u, v):
-        return bool(self.lookup(u, v)[1])
-
     def incidence(self, u, v):
         """(edge id, start of phi_{u,v}, start of phi_{v,u}) in the phi buffer."""
         i, found = self.lookup(u, v)
@@ -219,14 +216,6 @@ class GraphicalModel:
             raise ValueError(f"({u},{v}) is not an edge of the model")
         return (int(self._inc_edge[i]), int(self._inc_phi[i]),
                 int(self._inc_back[i]))
-
-    def edge_id(self, u, v):
-        return self.incidence(u, v)[0]
-
-    def pairwise_table(self, u, v):
-        """Pairwise cost table oriented as (labels of u, labels of v)."""
-        t = self.pairwise[self.edge_id(u, v)]
-        return t if u < v else t.T
 
 
 class Reparametrization:
@@ -271,9 +260,6 @@ class Reparametrization:
         at = self.model._unary_flat.size
         out.values = out.buffer[at:at + self.model.phi_size]
         return out
-
-    def is_zero(self):
-        return not self.values.any()
 
 
 def unary_costs(model, phi, u):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import blocks as blk
 from . import covers
+from .kernels import _Scratch
 from .model import Reparametrization, _dual_and_rounding, energy, primal_round
 # Not called here; benchmarks/bench_trace.py wraps the evaluation functions
 # of this module by name.
@@ -276,6 +277,7 @@ class _Run:
         blocks, self._update = _TAXONOMY[config.method]
         self._blocks = blocks(self)
         self._program = None
+        self._scratch = _Scratch(reuse=callable(self._blocks))
 
     def program(self):
         """The program of the next pass: compiled at the first pass and
@@ -283,7 +285,7 @@ class _Run:
         if self._program is not None:
             return self._program
         dynamic = callable(self._blocks)
-        prog = Program(self.model)
+        prog = Program(self.model, self._scratch)
         self._update(prog, *(self._blocks(self) if dynamic else self._blocks))
         if not dynamic:
             self._program = prog

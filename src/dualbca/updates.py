@@ -16,6 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS, _Scratch, _bind,
+                      _how, _run_pair, _run_push, _run_star, _transposed,
+                      _views)
 from .model import node_costs
 
 
@@ -60,21 +63,23 @@ class MessageCounter:
 # no earlier, joined by those whose slack reaches it (list scheduling by
 # mobility), if that saves batches at the same depth.
 
-RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)
 _MESSAGES = (1, 1, 3, 2, 1, 1)       # messages charged per target, by kind
 _BATCH_TARGETS = 256                 # most targets per batch
 
 # A batch gathers from ``Reparametrization.buffer`` (theta^phi of every
 # node, then phi, then a scratch row per directed incidence) the same K
-# values for each of its m operations, into a (K, m) array laid out block by
-# block, so that each block is one contiguous (m, width) array of rows, one
-# per operation (see ``Program._compile``).  Every kind but a push reads and
-# writes theta^phi_u, and every kind but the star update writes theta^phi_v
-# of its targets.  Where several pushes land in one node in one wave, each
-# after the first in program order adds to the scratch row of its
-# incidence, and the wave ends by adding those rows to the node in program
-# order.  Targets are ordered by part (shape block, and orientation unless
-# the tables are square), then by row of u.
+# values for each of its m operations, into the front of the program's
+# scratch array as (K, m), laid out block by block, so that each block is
+# one contiguous (m, width) array of rows, one per operation (see
+# ``Program._compile``).  Its kernel works in views of those blocks and of
+# the scratch behind them, made once as the program is compiled
+# (``kernels._bind``), and puts the K values back.  Every kind but a push
+# reads and writes theta^phi_u, and every kind but the star update writes
+# theta^phi_v of its targets.  Where several pushes land in one node in one
+# wave, each after the first in program order adds to the scratch row of
+# its incidence, and the wave ends by adding those rows to the node in
+# program order.  Targets are ordered by part (shape block, and orientation
+# unless the tables are square), then by row of u.
 
 
 class _Part(NamedTuple):
@@ -107,6 +112,25 @@ class _Spec(NamedTuple):
     parts: tuple
 
 
+class _Batch(NamedTuple):
+    """A compiled batch: what its kernel reads, and the spec it was bound
+    by.  The kernel is called with the batch's index, tables and weights,
+    then ``shared``, the views of the scratch that batches of its spec,
+    size and parts share (see ``kernels._views`` and ``kernels._bind``)."""
+
+    spec: _Spec
+    idx: np.ndarray         # (K, m) gather index into the buffer
+    tables: list            # per part: its tables (a view of their shape
+                            # block) or their positions, how many have u
+                            # first, and the views its min-marginals read
+    r: np.ndarray           # (m, 1) weights, and what each operation
+    keep: np.ndarray        # keeps of theta^phi_u
+    end: tuple              # (into, at, scratch) of the late pushes that
+                            # end the wave, or None
+    kind: int
+    shared: tuple
+
+
 class Program:
     """A sequence of elementary operations, run as conflict-free waves.
 
@@ -117,13 +141,16 @@ class Program:
     compiles each batch into what its kernel reads: its spec, the index of
     its theta^phi and phi in ``Reparametrization.buffer``, its tables (a
     view of their shape block where their positions step evenly, else the
-    positions), and its weights as columns.  The compiled program gathers
-    the buffer, and the tables it holds no view of, on every run, and runs
-    on any reparametrization of the model.
+    positions), its weights as columns, and the views of ``scratch`` that
+    it works in (see :class:`dualbca.kernels._Scratch`; a program of its
+    own if not given).  The compiled program gathers the buffer, and the
+    tables it holds no view of, on every run, and runs on any
+    reparametrization of the model.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, scratch=None):
         self.model = model
+        self._scratch = _Scratch() if scratch is None else scratch
         # (kind, u, count, targets, r, CSR entry of each (u, target)) of
         # every operation, in program order.
         none = np.zeros(0, dtype=np.int64)
@@ -409,9 +436,15 @@ class Program:
         codes, lens = part[cut].tolist(), np.diff(np.append(cut, len(op)))
         rep = order[starts[np.unique(which, return_index=True)[1]]]
         lo, hi = run[op_start[rep]], run[op_start[rep] + count[rep] - 1] + 1
-        specs = [_spec(model, k, unit, codes[a:b], lens[a:b].tolist())
-                 for k, a, b, (_, unit) in zip(kind[rep].tolist(), lo.tolist(),
-                                               hi.tolist(), keys.tolist())]
+        spec_ids, specs, known = [], [], self._scratch.specs
+        for k, a, b, (_, unit) in zip(kind[rep].tolist(), lo.tolist(),
+                                      hi.tolist(), keys.tolist()):
+            key = k, unit, *codes[a:b], *lens[a:b].tolist()
+            if key not in known:
+                known[key] = len(known), _spec(model, k, unit, codes[a:b],
+                                               lens[a:b].tolist())
+            spec_ids.append(known[key][0])
+            specs.append(known[key][1])
         # One gather index for all operations, in batch order, of np.intp
         # (take and put then index with no cast): per operation the segments
         # theta^phi_u, then per target phi_{u,v}, phi_{v,u} and theta^phi_v
@@ -480,12 +513,35 @@ class Program:
         u_first = np.where(side < 2, side * lens, np.add.reduceat(
             first[op_start[order]], starts)[b])
         stop = pos[cut] + lens * step           # below 0: past the start
-        tabs = [(blocks[z][s:e if e >= 0 else None:d] if ev else pos[a:a + c],
-                 k) for z, s, e, d, ev, a, c, k in zip(
-                    (code % n_blocks).tolist(), pos[cut].tolist(),
-                    stop.tolist(), step.tolist(), even.tolist(),
-                    cut.tolist(), lens.tolist(), u_first.tolist())]
+        # With a view, also the views of it that the batch's kernel reads.
+        kinds = kind[order[starts]]             # of each batch
+        tabs = []
+        for z, s, e, d, ev, a, c, k, g in zip(
+                (code % n_blocks).tolist(), pos[cut].tolist(), stop.tolist(),
+                step.tolist(), even.tolist(), cut.tolist(), lens.tolist(),
+                u_first.tolist(), kinds[b].tolist()):
+            if ev:
+                t = blocks[z][s:e if e >= 0 else None:d]
+                tabs.append((t, k, _transposed(t, _how(g, k, c))))
+            else:
+                tabs.append((pos[a:a + c], k, None))
         cut = np.searchsorted(b, np.arange(len(starts) + 1)).tolist()
+        # The scratch: what each batch works in (see kernels._views), over
+        # whole arrays: its gathered values, then the most that one of its
+        # parts needs (outputs, gathered tables, its longest run's sum) or
+        # r * theta^phi_u needs.
+        la, lb = np.array([g.shape[1:] for g in blocks])[code % n_blocks].T
+        lab_u, lab_v = np.where(side % 2, la, lb), np.where(side % 2, lb, la)
+        g, m = kinds[b], size[b]                # of each part's batch
+        t = np.where((0 < u_first) & (u_first < lens),
+                     np.maximum(u_first, lens - u_first), lens)
+        need = (t + lens * ~even) * la * lb + np.select(
+            [g == STAR, g == HANDSHAKE, g == MPLP],
+            [(lens + m) * lab_u, m * lab_u, 0], lens * lab_v)
+        own = (kinds == STAR) | np.isin(kinds, (RDP, TRWS)) & (keys[which, 1]
+                                                                == 0)
+        need = np.diff(rows) + np.maximum(np.maximum.reduceat(need, cut[:-1]),
+                                          lab_u[cut[:-1]] * size * own)
         # The wave's last batch adds the late pushes' scratch rows to their
         # nodes, in program order, and clears them.
         wave_of = waves[order[starts]]          # of each batch
@@ -499,17 +555,47 @@ class Program:
         for b, d, s in zip(np.searchsorted(wave_of, wave, "right") - 1,
                            np.split(dest, at[1:]), np.split(src, at[1:])):
             fix[b] = d, s
+            need[b] = max(need[b], len(s))
+        work = self._scratch
+        work.fit(int(need.max()))
+        scratch = work.array
         # Each batch: its spec, its rows of the index, per part its edges'
-        # tables and how many of them have u first, its weights as columns,
-        # and what ends its wave.  Weights: r, and what an operation keeps
-        # of theta^phi_u.
+        # tables, how many of them have u first and the views of them its
+        # kernel reads, its weights as columns, what ends its wave (with
+        # the scratch the late pushes are gathered into), and the views of
+        # the scratch that batches of its spec, size and parts share.
+        # Weights: r, and what an operation keeps of theta^phi_u.
         r, keep = r[order, None], (1.0 - count * r)[order, None]
+        # One key per batch: its spec, size, and per part how many tables
+        # have u first and whether it holds a view of them.
+        b_part = np.repeat(np.arange(len(starts)), np.diff(cut))
+        keyed = np.full((len(starts), 2 + np.diff(cut).max()), -1)
+        keyed[:, 0], keyed[:, 1] = np.take(spec_ids, which), size
+        keyed[b_part, 2 + np.arange(len(b_part)) - np.take(cut, b_part)] = \
+            u_first * 2 + even
+        keys, key_of = _unique_rows(keyed)
+        views, bound, shared = work.views, work.bound, []
+        for key, b in zip(map(tuple, keys.tolist()),
+                          np.unique(key_of, return_index=True)[1].tolist()):
+            if key not in bound:
+                g, parts = specs[which[b]], tabs[cut[b]:cut[b + 1]]
+                m = key[1]
+                if key[:2] not in views:
+                    views[key[:2]] = _views(g, ((rows[b + 1] - rows[b]) // m,
+                                                m), scratch)
+                bound[key] = _bind(g, views[key[:2]], parts, scratch)
+            shared.append(bound[key])
         batches = []
-        for k, a, m, end, x, y, p, q in zip(
+        for k, a, m, end, x, y, p, q, z in zip(
                 which.tolist(), starts.tolist(), size.tolist(), fix, rows,
-                rows[1:], cut, cut[1:]):
-            batches.append((specs[k], index[x:y].reshape(-1, m), tabs[p:q],
-                            r[a:a + m], keep[a:a + m], end))
+                rows[1:], cut, cut[1:], key_of.tolist()):
+            g, idx = specs[k], index[x:y].reshape(-1, m)
+            if end is not None:
+                end = *end, scratch[:len(end[1])]
+            batches.append(_Batch(g, idx, tabs[p:q], r[a:a + m],
+                                  keep[a:a + m], end, g.kind, shared[z]))
+        if not work.reuse:
+            work.views, work.bound = {}, {}
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages, waves
 
@@ -526,11 +612,11 @@ class Program:
         model, buf = self.model, phi.buffer
         nodes, exact = slice(model._unary_flat.size), model._exact_excess
         buf[nodes] = node_costs(model, phi)
-        for g, idx, parts, r, keep, end in batches:
-            _KERNELS[g.kind](buf, g, idx, parts, r, keep)
+        for _, idx, parts, r, keep, end, kind, shared in batches:
+            _KERNELS[kind](buf, idx, parts, r, keep, *shared)
             if end is not None:         # the late pushes of the wave
-                into, at = end
-                np.add.at(buf, into, buf.take(at))
+                into, at, late = end
+                np.add.at(buf, into, buf.take(at, out=late, mode="clip"))
                 buf.put(at, 0.0)
             if exact:
                 buf[nodes] = node_costs(model, phi)
@@ -580,118 +666,6 @@ def _spec(model, kind, unit, codes, lens):
                            slice(a0 + end - vu, a1 + end - vu)))
         t0, a0 = t1, a1
     return _Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts))
-
-
-def _marginal(tab, k, p_uv, p_vu, over_u, out=None):
-    """Minima over Y_u (``over_u``: the u -> v messages) or over Y_v of
-    theta^phi of a batch of edges, into ``out`` if given.  The tables
-    ``tab`` are in canonical orientation, (m, L_a, L_b), and theta^phi is
-    summed with the operand order of :func:`dualbca.model.pairwise_costs`,
-    (theta_ab + phi_{a,b}) + phi_{b,a}.
-
-    u is the canonical first endpoint of the first k edges and the second
-    of the rest (both occur only on square tables); each run is reduced
-    into its rows of one (m, L) output.  Minima over Y_a reduce
-    theta_ab + phi_{a,b} first and add the phi_{b,a} row to the result:
-    rounding to nearest is monotone, so min_s fl(q_s + c) = fl(min_s q_s +
-    c), bit for bit (signed zeros included), for one table-sized add less.
-    theta^phi is laid out with the reduced axis first, so that numpy
-    reduces it as a few elementwise minima over whole slabs; reducing a
-    short inner axis goes a few elements at a time and is about twice as
-    slow on tables of 4x4 to 16x16.
-    """
-    if 0 < k < len(tab):
-        if out is None:
-            out = np.empty(tab.shape[:2])
-        _marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u, out[:k])
-        _marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u, out[k:])
-        return out
-    p_a, p_b = (p_uv, p_vu) if k else (p_vu, p_uv)
-    if (k > 0) == over_u:               # minima over Y_a
-        t = np.add(tab.transpose(1, 0, 2), p_a.T[:, :, None], order="C")
-        out = np.minimum.reduce(t, axis=0, out=out)
-        out += p_b
-        return out
-    t = np.add(tab.transpose(2, 0, 1), p_a, order="C")
-    t += p_b.T[:, :, None]
-    return np.minimum.reduce(t, axis=0, out=out)
-
-
-def _run_push(buf, g, idx, parts, r, keep):
-    """rdp, push and the TRW-S step at a batch of nodes.
-
-    rdp and the TRW-S step move r * theta^phi_u into each target's
-    phi_{u,v}, so that theta^phi_u keeps 1 - r * (number of targets) of
-    itself; then each pushes its u -> v min-marginals into v, as a push
-    does.  What an operation leaves unchanged of what it gathered no other
-    operation of the wave writes, so all of it is written back.  Each block
-    of the gathered (K, m) array is read as rows: (m, L_u) for theta^phi_u,
-    (m * c, L) for c targets per operation.
-    """
-    x = buf.take(idx)
-    m, lab = x.shape[1], g.lab
-    if g.kind != PUSH:
-        e = x[:g.uv].reshape(m, lab)
-        s = (e if g.unit else e * r)[:, None]
-        for p in g.parts:
-            mine = x[p.mine].reshape(m, -1, lab)
-            mine += s
-        e *= keep
-    for p, (tab, k) in zip(g.parts, parts):
-        if tab.ndim == 1:
-            tab = p.table.take(tab, axis=0)
-        p_vu = x[p.back].reshape(-1, p.lab_v)
-        d = _marginal(tab, k, x[p.mine].reshape(-1, lab), p_vu, True)
-        p_vu -= d
-        ex = x[p.excess].reshape(d.shape)
-        ex += d
-    buf[idx] = x
-
-
-def _run_star(buf, g, idx, parts, r, keep):
-    """The star update at a batch of nodes: pull every v -> u min-marginal
-    into u, then move r * theta^phi_u into every phi_{u,v}."""
-    x = buf.take(idx)
-    m, lab = x.shape[1], g.lab
-    e = x[:g.uv].reshape(m, lab)
-    for p, (tab, k) in zip(g.parts, parts):
-        if tab.ndim == 1:
-            tab = p.table.take(tab, axis=0)
-        p_uv = x[p.mine].reshape(-1, lab)
-        d = _marginal(tab, k, p_uv, x[p.back].reshape(-1, p.lab_v), False)
-        p_uv -= d
-        e += d.reshape(m, -1, lab).sum(axis=1)
-    s = (e * r)[:, None]
-    for p in g.parts:
-        mine = x[p.mine].reshape(m, -1, lab)
-        mine += s
-    e *= keep
-    buf[idx] = x
-
-
-def _run_pair(buf, g, idx, parts, r, keep):
-    """handshake and mplp: aggregate both nodes, then the edge's pushes."""
-    x = buf.take(idx)
-    m = x.shape[1]
-    (p,), ((tab, k),) = g.parts, parts
-    e_u, p_uv = x[:g.uv].reshape(m, -1), x[p.mine].reshape(m, -1)
-    p_vu, e_v = x[p.back].reshape(m, -1), x[p.excess].reshape(m, -1)
-    p_uv += e_u
-    p_vu += e_v
-    if tab.ndim == 1:
-        tab = p.table.take(tab, axis=0)
-    np.multiply(_marginal(tab, k, p_uv, p_vu, False), 0.5, out=e_u)
-    p_uv -= e_u
-    if g.kind == MPLP:
-        np.multiply(_marginal(tab, k, p_uv, p_vu, True), 0.5, out=e_v)
-        p_vu -= e_v
-    else:
-        _marginal(tab, k, p_uv, p_vu, True, out=e_v)
-        p_vu -= e_v
-        d = _marginal(tab, k, p_uv, p_vu, False)
-        p_uv -= d
-        e_u += d
-    buf[idx] = x
 
 
 _KERNELS = (_run_push, _run_push, _run_pair, _run_pair, _run_push, _run_star)

@@ -2,8 +2,12 @@
 
 Each runs a :class:`dualbca.updates.Program` of one operation, or computes
 the same quantity from :mod:`dualbca.model`, so that tests can check the
-elementary updates one at a time.  :func:`batch_count` reads how many
-batches a compiled program runs, and :func:`check_greedy_classes` checks a
+elementary updates one at a time.  :func:`has_edge`, :func:`edge_id`,
+:func:`pairwise_table` and :func:`is_zero` read a model or a
+reparametrization through ``GraphicalModel.lookup`` and the flat arrays.
+:func:`batch_count` reads how many
+batches a compiled program runs, :func:`marginal` runs the min-marginal
+kernel on arrays of its own, and :func:`check_greedy_classes` checks a
 colour-class block order.  :func:`kruskal_forest` is the plain Kruskal
 spanning forest that the array forest of :mod:`dualbca.covers` is checked
 against.
@@ -14,7 +18,29 @@ import numpy as np
 
 from dualbca.blocks import emit_tbca
 from dualbca.model import Reparametrization, pairwise_costs, unary_costs
+from dualbca import kernels
 from dualbca.updates import Program, run_program
+
+
+def has_edge(model, u, v):
+    return bool(model.lookup(u, v)[1])
+
+
+def edge_id(model, u, v):
+    entry, found = model.lookup(u, v)
+    if not found:
+        raise ValueError(f"({u},{v}) is not an edge of the model")
+    return int(model._inc_edge[entry])
+
+
+def pairwise_table(model, u, v):
+    """Pairwise cost table oriented as (labels of u, labels of v)."""
+    t = model.pairwise[edge_id(model, u, v)]
+    return t if u < v else t.T
+
+
+def is_zero(phi):
+    return not phi.values.any()
 
 
 def node_aggregate(model, phi, u, counter=None):
@@ -97,6 +123,20 @@ def batch_count(prog):
         prog.run(Reparametrization(prog.model))
     batches, _, _ = prog._plan
     return len(batches)
+
+
+def marginal(tab, k, p_uv, p_vu, over_u, out=None):
+    """The min-marginals over Y_u (``over_u``) or Y_v of a batch of edges
+    with canonical tables ``tab``, u first in the first k (see
+    ``kernels._marginal``), bound to a sum buffer of their own and written
+    into ``out`` (new if not given), which is returned."""
+    if out is None:
+        out = np.empty((len(tab), (p_vu if over_u else p_uv).shape[1]))
+    how = kernels._how(kernels.PUSH if over_u else kernels.STAR, k, len(tab))
+    runs = kernels._runs(k, np.empty(tab.size), *tab.shape[1:], p_uv, p_vu,
+                         over_u, out, how, {})
+    kernels._marginal(runs, kernels._transposed(tab, how))
+    return out
 
 
 def check_greedy_classes(classes, visit):

@@ -15,7 +15,7 @@ from dualbca.model import GraphicalModel, Reparametrization, primal_round
 from dualbca.generate import generate_instance, random_model
 from dualbca.oracle import count_shortest_paths
 from dualbca.solve import SolverConfig, _Run
-from helpers import kruskal_forest
+from helpers import edge_id, kruskal_forest
 from test_plans import capped_grid
 
 
@@ -428,7 +428,7 @@ class TestDynamicTree:
     def gap_score(m, phi, y, tree):
         """Total gap of a tree under the dynamic-tree edge weights."""
         node_gap, edge_gap = gap_scores(m, phi, y)
-        return float(sum(edge_gap[m.edge_id(u, v)] + node_gap[u] + node_gap[v]
+        return float(sum(edge_gap[edge_id(m, u, v)] + node_gap[u] + node_gap[v]
                          for u, v in tree.edges))
 
     def test_zero_gap_returns_some_spanning_tree(self):

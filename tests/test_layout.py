@@ -15,7 +15,8 @@ from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
                            check_feasible, dual_value, energy, primal_round)
 from dualbca.solve import SolverConfig, run
 from dualbca.updates import MessageCounter
-from helpers import message, node_aggregate, node_distribute, push_min_into
+from helpers import (is_zero, message, node_aggregate, node_distribute,
+                     pairwise_table, push_min_into)
 
 TOL = 1e-9
 
@@ -64,13 +65,13 @@ def test_layout_views():
     rng, model, phi = next(cases(0))
     for (u, v) in model.edges:
         assert np.shares_memory(phi[u, v], phi.values)
-        assert model.pairwise_table(u, v).shape == (model.labels[u],
+        assert pairwise_table(model, u, v).shape == (model.labels[u],
                                                     model.labels[v])
     assert phi.values.size == sum(
         len(model.neighbors(u)) * model.labels[u] for u in range(model.n_nodes))
     copy = phi.copy()
     copy.values[:] = 0.0
-    assert copy.is_zero() and not phi.is_zero()
+    assert is_zero(copy) and not is_zero(phi)
 
 
 def test_table_array_is_the_block():

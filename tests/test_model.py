@@ -8,6 +8,7 @@ from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            unary_costs)
 from dualbca.generate import random_model, random_phi
 from dualbca.oracle import brute_force_min
+from helpers import has_edge
 
 
 def two_node_model():
@@ -130,7 +131,7 @@ class TestPairLookup:
             phi[pair]
         with pytest.raises(ValueError, match=message):
             self.model.incidence(*pair)
-        assert not self.model.has_edge(*pair)
+        assert not has_edge(self.model, *pair)
 
     def test_bulk_lookup(self):
         entry, found = self.model.lookup([1, 2, 0, -1, 3, 0],

@@ -25,7 +25,11 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
     rows = json.loads(out.read_text())["rows"]
     assert [r["case"] for r in rows] == ["k50/mplp"]
     assert rows[0]["phi_identical"] and rows[0]["passes"] == 2
-    assert "k50/mplp" in capsys.readouterr().out
+    assert rows[0]["parent_build_median_ms"] > 0
+    assert rows[0]["change_build_median_ms"] > 0
+    assert "break_even_passes" in rows[0]
+    out = capsys.readouterr().out
+    assert "k50/mplp" in out and "even after" in out
     assert listing(ROOT) == before
     assert "pass_timer_parent" not in sys.modules
 
@@ -33,3 +37,12 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
 def test_rejects_fewer_than_two_passes():
     with pytest.raises(SystemExit):
         pass_timer.main([str(ROOT), str(ROOT), "--passes", "1"])
+
+
+def test_break_even_counts_the_passes_that_pay_for_the_build():
+    # (parent, change) medians: passes in ms, then build and compile.
+    assert pass_timer.break_even((10, 8), (5, 6)) == 1
+    assert pass_timer.break_even((10, 8), (5, 9)) == 2
+    assert pass_timer.break_even((10, 8), (5, 4)) == 0
+    assert pass_timer.break_even((10, 12), (5, 4)) is None
+    assert pass_timer.break_even((10, 10), (5, 6)) is None

@@ -115,14 +115,14 @@ def plan_digest(h, model, prog):
     blocks = [g.block for g in model._shape_groups]
     batches, messages, _ = prog._plan
     ints(h, [len(batches), messages])
-    for g, idx, parts, r, keep, end in batches:
+    for g, idx, parts, r, keep, end, *_ in batches:
         h.update(repr((g.kind, g.unit, g.many, g.lab, g.uv, g.vu, idx.shape[1],
                        [(next(i for i, b in enumerate(blocks)
                               if b is p.table),
                          p.lab_v, p.many, p.mine, p.back, p.excess)
                         for p in g.parts])).encode())
         ints(h, op_rows(g, idx))
-        for p, (tables, k) in zip(g.parts, parts):
+        for p, (tables, k, _) in zip(g.parts, parts):
             ints(h, positions(p.table, tables))
             ints(h, [k])
         h.update(np.ascontiguousarray(np.column_stack((r, keep)),

@@ -19,7 +19,8 @@ from dualbca import updates
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, _unique_rows,
                              handshake_update, mplp_update)
-from helpers import (batch_count, check_greedy_classes, dp_update, message,
+from helpers import (batch_count, check_greedy_classes, dp_update, has_edge,
+                     is_zero, marginal, message, pairwise_table,
                      push_min_into, rdp_update)
 
 TOL = 1e-9
@@ -81,7 +82,7 @@ def ref_pairwise(model, phi, u, v):
     phi_ba for a < b.  The order matters: next to a COST_CAP cell one ulp
     is about 1e-4, which later cancellations can leave exposed."""
     a, b = min(u, v), max(u, v)
-    t = model.pairwise_table(a, b) + phi[a, b][:, None] + phi[b, a][None, :]
+    t = pairwise_table(model, a, b) + phi[a, b][:, None] + phi[b, a][None, :]
     return t if u == a else t.T
 
 
@@ -208,7 +209,7 @@ def test_program_rejects_bad_ops():
     phi = Reparametrization(model)
     counter = MessageCounter()
     empty.run(phi, counter)
-    assert phi.is_zero() and counter.total == 0 and empty.waves() == []
+    assert is_zero(phi) and counter.total == 0 and empty.waves() == []
 
 
 # -- one-op adapters -------------------------------------------------------------
@@ -225,7 +226,7 @@ def test_message_is_the_min_marginal():
     for _, model, phi, u, v in adapter_cases(5):
         counter = MessageCounter()
         got = message(model, phi, u, v, counter)
-        want = np.array([min(model.pairwise_table(u, v)[s, t] + phi[u, v][s]
+        want = np.array([min(pairwise_table(model, u, v)[s, t] + phi[u, v][s]
                              + phi[v, u][t] for s in range(model.labels[u]))
                          for t in range(model.labels[v])])
         assert close(got, want) and counter.total == 1
@@ -395,7 +396,7 @@ def test_node_waves_hold_no_adjacent_ops(method, k):
         assert len(waves) == len(ops)
         for (a, wa), (b, wb) in itertools.combinations(zip(ops, waves), 2):
             if wa == wb:
-                assert a[1] != b[1] and not model.has_edge(a[1], b[1])
+                assert a[1] != b[1] and not has_edge(model, a[1], b[1])
         check_packing(model, prog)
 
 
@@ -505,7 +506,7 @@ def test_zero_pass_runs_compile_no_program(method, monkeypatch):
     for tree_mode in ("static", "dynamic"):
         phi, _, trace = run(model, SolverConfig(method, max_passes=0,
                                                 tree_mode=tree_mode))
-        assert phi.is_zero() and len(trace) == 1
+        assert is_zero(phi) and len(trace) == 1
 
 
 BUFFER_CASES = [
@@ -522,6 +523,16 @@ def buffer_models():
     assert all(m._exact_excess for m in models(3))
     assert not any(m._exact_excess for m in models(3, cap=5.0) + [grid])
     return models(3) + models(3, cap=5.0) + [grid]
+
+
+def capped_row_grid():
+    """The 5x6 grid of ``buffer_models`` with one table row at COST_CAP."""
+    grid = generate_instance("sparse_grid", height=5, width=6, labels=3,
+                             seed=4)
+    tables = np.stack(grid.pairwise)
+    tables[7, 1] = COST_CAP
+    return GraphicalModel(grid.labels, grid.edges, grid.unary, tables,
+                          grid_shape=grid.grid_shape)
 
 
 @pytest.mark.parametrize("method,tree_mode", BUFFER_CASES)
@@ -571,13 +582,7 @@ def test_exact_path_derives_theta_phi_before_every_batch(method, tree_mode,
 
     monkeypatch.setattr(updates, "_KERNELS",
                         tuple(map(checked, updates._KERNELS)))
-    grid = generate_instance("sparse_grid", height=5, width=6, labels=3,
-                             seed=4)
-    tables = np.stack(grid.pairwise)
-    tables[7, 1] = COST_CAP
-    grid = GraphicalModel(grid.labels, grid.edges, grid.unary, tables,
-                          grid_shape=grid.grid_shape)
-    for model in models(3) + [grid]:
+    for model in models(3) + [capped_row_grid()]:
         assert model._exact_excess
         state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
         phi, n = state.phi, model._unary_flat.size
@@ -587,6 +592,97 @@ def test_exact_path_derives_theta_phi_before_every_batch(method, tree_mode,
             prog.run(phi, state.counter)
             assert np.array_equal(phi.buffer[:n], node_costs(model, phi))
             assert len(calls) == len(prog._plan[0]) > 0
+
+
+@pytest.mark.parametrize("method,tree_mode", BUFFER_CASES)
+def test_scratch_holds_no_state_between_passes(method, tree_mode):
+    # Kernels work in views of a scratch array bound once per batch shape.
+    # Two runs of one model that share one scratch, started from two
+    # reparametrizations and passed in turn, end byte for byte as each run
+    # alone does.  One program run on phi A, then on B, then on A again
+    # leaves each byte for byte as fresh programs do.
+    rng = np.random.default_rng(41)
+    config = SolverConfig(method, tree_mode=tree_mode)
+    for model in models(3) + [capped_row_grid()]:
+        start = [random_phi(rng, model, scale=s).values.copy()
+                 for s in (1.0, 2.0)]
+
+        def fresh(values):
+            state = _Run(model, config)
+            state.phi.values[:] = values
+            return state
+
+        alone, both = [fresh(v) for v in start], [fresh(v) for v in start]
+        both[1]._scratch = both[0]._scratch
+        for state in alone:
+            for _ in range(3):
+                state.do_pass()
+        for _ in range(3):
+            for state in both:
+                state.do_pass()
+        for a, b in zip(alone, both):
+            assert a.phi.buffer.tobytes() == b.phi.buffer.tobytes()
+
+        def program():                  # the first pass's, built afresh
+            return _Run(model, config).program()
+
+        prog, phi = program(), [fresh(v).phi for v in start]
+        for x in (0, 1, 0):
+            prog.run(phi[x])
+        for x, passes in ((0, 2), (1, 1)):
+            ref = fresh(start[x]).phi
+            for _ in range(passes):
+                program().run(ref)
+            assert phi[x].buffer.tobytes() == ref.buffer.tobytes()
+
+
+def scratch_reach(batch, scratch):
+    """One past the last float of ``scratch`` that a compiled batch's
+    views reach."""
+    base, reach = scratch.__array_interface__["data"][0], 0
+    todo = [batch.shared, batch.end]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif isinstance(x, np.ndarray) and x.size and x.base is scratch:
+            at = (x.__array_interface__["data"][0] - base) // x.itemsize
+            reach = max(reach, at + 1 + sum(
+                (n - 1) * s for n, s in zip(x.shape, x.strides)) // x.itemsize)
+    return reach
+
+
+def batch_need(batch):
+    """Floats that a batch's kernel works in, none of them shared: its
+    gathered values, theta^phi_u times r, and per part its tables, where it
+    gathers them, the sum that its min-marginals reduce, its outputs, and
+    the late pushes that end its wave."""
+    m, lab = batch.idx.shape[1], batch.spec.lab
+    need = batch.idx.size + m * lab
+    for p, (tables, _, _) in zip(batch.spec.parts, batch.tables):
+        n, cell = (p.mine.stop - p.mine.start) // lab * m, p.table[0].size
+        need += (2 if tables.ndim == 1 else 1) * n * cell \
+            + n * max(lab, p.lab_v) + m * lab
+    return need + (0 if batch.end is None else len(batch.end[1]))
+
+
+def test_scratch_holds_the_largest_batch_and_no_more():
+    # The scratch is as large as the farthest any batch's views reach, and
+    # no larger than what the largest batch would work in with nothing
+    # shared.  A run on dynamic trees shares one scratch over its passes.
+    from test_plans import capped_grid
+    model = capped_grid(0)
+    for method, tree_mode in BUFFER_CASES:
+        state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
+        batches = []
+        for _ in range(2 if tree_mode == "dynamic" else 1):
+            prog = state.program()
+            prog.run(state.phi)
+            batches += prog._plan[0]
+        scratch = state._scratch.array
+        assert scratch.size == max(scratch_reach(b, scratch)
+                                   for b in batches)
+        assert scratch.size <= max(map(batch_need, batches))
 
 
 def test_run_honours_phi_written_from_outside():
@@ -642,6 +738,32 @@ def test_program_shape_on_k50_and_the_32x32_grid():
         ("k50", "spam"): (50, 50)}
 
 
+def test_scratch_size_on_k50_and_the_32x32_grid():
+    # Counted, not timed: the floats of each method's scratch, which its
+    # largest batch works in.  An mplp batch of 256 grid edges gathers 32
+    # values each and the 256 8x8 tables it does not hold views of, and
+    # reduces a sum of 256 tables: 8,192 + 16,384 + 16,384 = 40,960.
+    sizes = {}
+    for name, model in (
+            ("grid", generate_instance("sparse_grid", height=32, width=32,
+                                       labels=8, seed=0)),
+            ("k50", generate_instance("complete", n_nodes=50, labels=4,
+                                      seed=0))):
+        for method in METHODS:
+            state = _Run(model, SolverConfig(method))
+            batch_count(state.program())
+            sizes[name, method] = state._scratch.array.size
+    assert sizes == {
+        ("grid", "msd"): 10560, ("grid", "cmp"): 10560,
+        ("grid", "trws"): 10168, ("grid", "mplp"): 40960,
+        ("grid", "mplppp"): 43008, ("grid", "dmm"): 43008,
+        ("grid", "tbca"): 8328, ("grid", "tbcapp"): 8328,
+        ("grid", "spam"): 42880,
+        ("k50", "msd"): 2164, ("k50", "cmp"): 2164, ("k50", "trws"): 2356,
+        ("k50", "mplp"): 1200, ("k50", "mplppp"): 1300, ("k50", "dmm"): 988,
+        ("k50", "tbca"): 2496, ("k50", "tbcapp"): 2496, ("k50", "spam"): 1300}
+
+
 def test_batch_indices_index_at_native_width():
     # take and put cast any other index type on every call.
     for model in (generate_instance("sparse_grid", height=32, width=32,
@@ -668,14 +790,14 @@ def test_mixed_marginal_is_its_two_runs_joined(over_u):
         p_uv, p_vu = rng.normal(0.0, 1e3, (2, m, lab))
         for k in range(1, m):
             ref = np.concatenate((
-                updates._marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u),
-                updates._marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u)))
-            got = updates._marginal(tab, k, p_uv, p_vu, over_u)
+                marginal(tab[:k], k, p_uv[:k], p_vu[:k], over_u),
+                marginal(tab[k:], 0, p_uv[k:], p_vu[k:], over_u)))
+            got = marginal(tab, k, p_uv, p_vu, over_u)
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
             out = np.full((m + 1, lab), np.nan)[1:]
-            assert updates._marginal(tab, k, p_uv, p_vu, over_u,
-                                     out=out) is out
+            assert marginal(tab, k, p_uv, p_vu, over_u,
+                            out=out) is out
             assert out.tobytes() == ref.tobytes()
 
 
@@ -718,7 +840,7 @@ def test_marginal_is_add_then_reduce_bit_for_bit():
             p_uv, p_vu = draw((m, lab_u), 1e3), draw((m, lab_v), 1e3)
             for over_u in (False, True):
                 want = reference(tab, k, p_uv, p_vu, over_u)
-                got = updates._marginal(tab, k, p_uv, p_vu, over_u)
+                got = marginal(tab, k, p_uv, p_vu, over_u)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (lab_a, lab_b, k)
 

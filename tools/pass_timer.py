@@ -14,19 +14,32 @@ rounds, each timed with ``time.process_time``.  The models:
 - ``grid``: the 32x32x8 ``sparse_grid`` of grid_chains (spam, dmm, tbca,
   trws);
 - ``k50``: K_50 with 4 labels, as complete_dense (msd, cmp, trws, mplp,
-  mplppp);
+  mplppp), and tbcapp, whose program runs 4,900 one-operation batches;
 - ``hard``: a 32x32x16 ``sparse_grid`` with 30% of its table entries at
   COST_CAP off a planted labeling, the shape of uai_hard's grids (trws,
   tbcapp, mplppp);
 - ``grid3``: the seed-15 32x32x3 grid, ``tbca`` with static and with
   dynamic trees (``tbca-dynamic``), whose ratio is ROADMAP item 7's.
 
+After the passes, N rounds alternate the same way in building and
+compiling each side's program afresh (``_Run.program`` with the program
+reset, then ``Program._compile``), with the collector off.  A static
+run's program is built from nothing bound, as at its first pass; a
+dynamic run keeps the views it bound for earlier passes (see
+``time_builds``).
+
 Printed per (model, method): the median and quartiles of each side in ms,
 the change's median over the parent's, in how many rounds the change was
 faster, and whether phi is byte for byte the same on both sides after all
-passes; then, per side, the grid spam/dmm pass ratio (ROADMAP item 5)
-and the dynamic/static tbca one (item 7).  ``--json`` also writes these
-rows and ratios to a file.
+passes; then each side's median build and compile, and after how many
+passes the change has made up for what it costs more to build, so that
+from then on its build and passes cost no more than the parent's (0
+where it costs no more to build and no more per pass, "never" where its
+median pass is slower).  A change that moves work from passes into
+compiling shows both halves.  A dynamic run builds and
+compiles every pass, so its pass times include both.  Then, per side, the
+grid spam/dmm pass ratio (ROADMAP item 5) and the dynamic/static tbca one
+(item 7).  ``--json`` also writes these rows and ratios to a file.
 """
 from __future__ import annotations
 
@@ -34,6 +47,7 @@ import argparse
 import gc
 import importlib
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -46,7 +60,7 @@ import numpy as np
 SIDES = ("pass_timer_parent", "pass_timer_change")     # package names
 WORKLOADS = {
     "grid": ("spam", "dmm", "tbca", "trws"),
-    "k50": ("msd", "cmp", "trws", "mplp", "mplppp"),
+    "k50": ("msd", "cmp", "trws", "mplp", "mplppp", "tbcapp"),
     "hard": ("trws", "tbcapp", "mplppp"),
     "grid3": ("tbca", "tbca-dynamic"),
 }
@@ -110,6 +124,45 @@ def time_passes(states, passes):
     return times
 
 
+def time_builds(states, rounds, dynamic):
+    """Per side, the process time of building and compiling the program of
+    its next pass afresh, in ``rounds`` alternated rounds.  A static run
+    builds its program once, so each round starts it with nothing bound
+    (a new ``_scratch``, where the side has one); a dynamic run builds one
+    every pass and keeps what it bound for the earlier ones."""
+    times = [[] for _ in states]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(rounds):
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                state = states[side]
+                t0 = time.process_time()
+                state._program = None
+                if not dynamic and hasattr(state, "_scratch"):
+                    state._scratch = type(state._scratch)()
+                state.program()._compile()
+                times[side].append(time.process_time() - t0)
+    finally:
+        gc.enable()
+    return times
+
+
+def break_even(pass_ms, build_ms):
+    """Passes from which on the change's build and passes cost no more
+    than the parent's, by (parent, change) medians: its extra build time
+    over the time it saves per pass, rounded up; ``None`` (never) where it
+    saves nothing per pass and costs more to build, or is slower per
+    pass."""
+    saved = pass_ms[0] - pass_ms[1]
+    extra = build_ms[1] - build_ms[0]
+    if extra <= 0 and saved >= 0:
+        return 0
+    if extra > 0 and saved > 0:
+        return math.ceil(extra / saved)
+    return None
+
+
 def quartiles(ms):
     q = statistics.quantiles(ms, n=4, method="inclusive")
     return [round(q[0], 3), round(q[2], 3)]
@@ -145,6 +198,8 @@ def run_all(pkgs, args):
             states = [start(p, m, method) for p, m in zip(pkgs, models)]
             times = time_passes(states, args.passes)
             parent, change = ([t * 1e3 for t in side] for side in times)
+            builds = [statistics.median(t) * 1e3 for t in time_builds(
+                states, args.passes, method.endswith("-dynamic"))]
             row = {
                 "case": f"{workload}/{method}",
                 "passes": args.passes,
@@ -158,14 +213,22 @@ def run_all(pkgs, args):
                                         zip(parent, change)),
                 "phi_identical": states[0].phi.values.tobytes()
                 == states[1].phi.values.tobytes(),
+                "parent_build_median_ms": round(builds[0], 3),
+                "change_build_median_ms": round(builds[1], 3),
+                "break_even_passes": break_even(
+                    (statistics.median(parent), statistics.median(change)),
+                    builds),
             }
             rows.append(row)
+            even = row["break_even_passes"]
             print(f"{row['case']:20s} parent {row['parent_median_ms']:8.3f}"
                   f" ms  change {row['change_median_ms']:8.3f} ms  ratio "
                   f"{row['ratio']:.3f}  faster {row['change_faster_in']}"
                   f"/{args.passes}  phi "
-                  f"{'same' if row['phi_identical'] else 'DIFFERS'}",
-                  flush=True)
+                  f"{'same' if row['phi_identical'] else 'DIFFERS'}\n"
+                  f"{'':20s} build parent {builds[0]:8.3f} ms  change "
+                  f"{builds[1]:8.3f} ms  even after "
+                  f"{'never' if even is None else even} passes", flush=True)
             del states
     return rows
 
