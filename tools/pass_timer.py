@@ -36,10 +36,10 @@ passes the change has made up for what it costs more to build, so that
 from then on its build and passes cost no more than the parent's (0
 where it costs no more to build and no more per pass, "never" where its
 median pass is slower).  A change that moves work from passes into
-compiling shows both halves.  A dynamic run builds and
-compiles every pass, so its pass times include both.  Then, per side, the
-grid spam/dmm pass ratio (ROADMAP item 5) and the dynamic/static tbca one
-(item 7).  ``--json`` also writes these rows and ratios to a file.
+compiling shows both halves.  A dynamic run builds and compiles every
+pass, so its pass times include both.  Then, per side, the grid spam/dmm
+pass ratio (ROADMAP item 5) and the dynamic/static tbca one (item 7).
+``--json`` also writes these rows and ratios to a file.
 """
 from __future__ import annotations
 
