@@ -220,21 +220,49 @@ def emit_hm(prog, *blocks):
     the two sides are processed in turn, the lower-position side first.
     Pushes already performed at an enclosing level are not repeated.  The
     operations depend only on positions in ``block.nodes``, so the blocks'
-    operations are worked out once per tree and per chain length, and
-    appended in one call.
+    operations are worked out once per tree and per chain length (a chain's
+    from those of its halves, see :func:`_hm_chain`), and appended in one
+    call.
     """
     memo, ops, at = {}, [], [0]
     for block in blocks:
-        key = block if block.kind == "tree" else len(block.nodes)
-        if key not in memo:
-            memo[key] = _hm(_block_adjacency(block))
-        ops.append(memo[key])
+        if block.kind == "tree":
+            if block not in memo:
+                memo[block] = _hm(_block_adjacency(block))
+            ops.append(memo[block])
+        else:
+            ops.append(_hm_chain(len(block.nodes), memo))
         at.append(at[-1] + len(block.nodes))
     if ops:
         nodes = np.fromiter((u for b in blocks for u in b.nodes), np.int64)
         kind, a, b = np.concatenate(ops).T
         at = np.repeat(at[:-1], list(map(len, ops)))
         prog._append(kind, nodes[a + at], 1, nodes[b + at], kind == RDP)
+
+
+def _hm_chain(n, memo, left=True, right=True):
+    """The operations of :func:`_hm` on a chain of ``n`` nodes, as
+    positions along it, where only the ends marked fresh (``left``, at
+    position 0, and ``right``, at n - 1) push toward the mid edge.  The mid
+    edge is (n // 2 - 1, n // 2), the most even split with ties to the
+    lower position; the left half then pushes from its right end only, the
+    right half from its left end only.  ``memo`` keeps the operations by
+    (n, left, right), for the halves that chains of other lengths share."""
+    key = n, left, right
+    if key not in memo:
+        if n < 3:
+            ops = np.array([(HANDSHAKE, 0, 1)][:n - 1],
+                           dtype=np.int64).reshape(-1, 3)
+        else:
+            mid = n // 2
+            ops = [(RDP, i, i + 1) for i in range(mid) if left]
+            ops += [(RDP, i, i - 1) for i in range(n - 1, mid, -1) if right]
+            ops.append((HANDSHAKE, mid - 1, mid))
+            ops = np.concatenate((ops, _hm_chain(mid, memo, False, True),
+                                  _hm_chain(n - mid, memo, True, False)
+                                  + (0, mid, mid)))
+        memo[key] = ops
+    return memo[key]
 
 
 def _hm(adj):

@@ -1,6 +1,7 @@
 """What compiled batches work in, and the kernels that run them.
 
-A batch of a :class:`dualbca.updates.Program` gathers its values from
+A batch of a :class:`dualbca.updates.Program` is bound by its spec
+(:class:`_Spec`), the layout of what it gathers.  It gathers its values from
 ``Reparametrization.buffer`` into a scratch array, works there with numpy
 ufuncs that write into views of it, and puts the values back.  The views
 depend only on the compiled plan, so :func:`_views` and :func:`_bind` make
@@ -10,10 +11,59 @@ and parts; a pass then runs no reshape, transpose or allocation.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
 RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)   # operation kinds
+
+
+class _Part(NamedTuple):
+    """The targets of a batch whose edges share a shape block, and
+    orientation unless the tables are square."""
+
+    table: np.ndarray       # shape block holding the edges' tables
+    lab_v: int
+    many: bool              # more than one target
+    mine: slice             # their phi_{u,v} among the K values, ...
+    back: slice             # ... their phi_{v,u} ...
+    excess: slice           # ... and their theta^phi_v
+
+
+class _Spec(NamedTuple):
+    """What one batch of operations shares: kind and layout.
+
+    A batch gathers K values per operation from the buffer: theta^phi_u
+    (not for a push), the targets' phi_{u,v}, their phi_{v,u}, then their
+    theta^phi_v (not for a star update).  The slices below are ranges of
+    those K; in the gathered (K, m) array each names the rows of one block.
+    """
+
+    kind: int
+    unit: bool              # r = 1 throughout
+    many: bool              # more than one target
+    lab: int                # L_u
+    uv: int                 # start of the phi_{u,v} among the K values
+    vu: int                 # start of the phi_{v,u}
+    parts: tuple
+
+
+def _spec(model, kind, unit, lab, blocks, lab_vs, lens):
+    """The :class:`_Spec` of the batches of this kind, L_u = ``lab``, whose
+    targets come in runs of ``lens[i]`` targets in shape block ``blocks[i]``
+    with ``lab_vs[i]`` labels."""
+    c = sum(lens)
+    uv = lab * (kind != PUSH)
+    vu = uv + c * lab
+    width = sum(lv * n for lv, n in zip(lab_vs, lens))     # of phi_{v,u}
+    parts, t0, a0 = [], uv, vu
+    for z, lab_v, k in zip(blocks, lab_vs, lens):
+        t1, a1 = t0 + k * lab, a0 + k * lab_v
+        parts.append(_Part(model._shape_groups[z].block, lab_v, k > 1,
+                           slice(t0, t1), slice(a0, a1),
+                           slice(a0 + width, a1 + width)))
+        t0, a0 = t1, a1
+    return _Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts))
 
 
 class _Scratch:
@@ -69,32 +119,35 @@ def _views(g, shape, scratch):
     if kind == STAR or kind in (RDP, TRWS) and not g.unit:
         own = scratch[work:work + m * lab].reshape(m, lab)
     share = e if own is None else own
-    mines, wide, parts = [], None, []
-    for p in g.parts:
-        lab_v = p.lab_v
-        p_uv = scratch[m * p.mine.start:m * p.mine.stop].reshape(-1, lab)
-        p_vu = scratch[m * p.back.start:m * p.back.stop].reshape(-1, lab_v)
+    node, wide = kind in (RDP, TRWS, STAR), None
+    mines, parts = [], []
+    for _, lab_v, _, mine, back, excess in g.parts:
+        p_uv = scratch[m * mine.start:m * mine.stop].reshape(-1, lab)
         n = len(p_uv)
-        if kind in (RDP, TRWS, STAR):   # what adds to phi_{u,v}
+        p_vu = scratch[m * back.start:m * back.stop].reshape(n, lab_v)
+        if node:                        # what adds to phi_{u,v}
             if n == m:
                 mines.append((p_uv, share))
             else:
-                wide = share[:, None] if wide is None else wide
+                if wide is None:
+                    wide = share[:, None]
                 mines.append((p_uv.reshape(m, -1, lab), wide))
         ex = None if kind == STAR else scratch[
-            m * p.excess.start:m * p.excess.stop].reshape(n, lab_v)
+            m * excess.start:m * excess.stop].reshape(n, lab_v)
         if kind == STAR:
+            size = (n + m) * lab
             out = scratch[work:work + n * lab].reshape(n, lab)
             outs = out, out.reshape(m, -1, lab), scratch[
-                work + n * lab:work + (n + m) * lab].reshape(m, lab)
+                work + n * lab:work + size].reshape(m, lab)
         elif kind < HANDSHAKE or kind == TRWS:
-            outs = scratch[work:work + n * lab_v].reshape(n, lab_v),
+            size = n * lab_v
+            outs = scratch[work:work + size].reshape(n, lab_v),
         elif kind == HANDSHAKE:
-            outs = scratch[work:work + m * lab].reshape(m, lab),
+            size = m * lab
+            outs = scratch[work:work + size].reshape(m, lab),
         else:
-            outs = None,
-        parts.append((p_uv, p_vu, ex, outs, work + sum(
-            o.size for o in outs[:1] + outs[2:] if o is not None)))
+            size, outs = 0, (None,)
+        parts.append((p_uv, p_vu, ex, outs, work + size))
     return x, e, own, tuple(mines), parts
 
 
@@ -111,25 +164,29 @@ def _bind(g, views, parts, scratch):
     bound = []
     for p, (tables, k, _), (p_uv, p_vu, ex, outs, top) in zip(
             g.parts, parts, part_views):
-        (la, lb), cell, n = p.table.shape[1:], p.table[0].size, len(p_uv)
-        tab, how, memo = None, _how(kind, k, n), {}
+        _, la, lb = p.table.shape
+        cell, n = la * lb, len(p_uv)
+        how, memo = _how(kind, k, n), {}
         if tables.ndim == 1:
             tab = scratch[top:top + n * cell].reshape(n, la, lb)
             top += n * cell
-        t = scratch[top:top + (max(k, n - k) if 0 < k < n else n) * cell]
-
-        def runs(over_u, out):
-            return _runs(k, t, la, lb, p_uv, p_vu, over_u, out, how, memo)
-
-        if kind == STAR:
-            views = runs(False, outs[0]), p_uv, *outs
-        elif kind < HANDSHAKE or kind == TRWS:
-            views = runs(True, outs[0]), p_vu, ex, outs[0]
+            gathered = _transposed(tab, how)
         else:
-            d = outs[0]                 # a handshake's third min-marginal
-            views = (p_uv, p_vu, ex, runs(False, e), runs(True, ex),
-                     None if d is None else runs(False, d), d)
-        gathered = None if tab is None else _transposed(tab, how)
+            tab = gathered = None
+        t = scratch[top:top + (max(k, n - k) if 0 < k < n else n) * cell]
+        d = outs[0]
+        if kind == STAR:
+            views = _runs(k, t, la, lb, p_uv, p_vu, False, d, how,
+                          memo), p_uv, *outs
+        elif kind < HANDSHAKE or kind == TRWS:
+            views = _runs(k, t, la, lb, p_uv, p_vu, True, d, how,
+                          memo), p_vu, ex, d
+        else:                           # d: a handshake's third min-marginal
+            views = (p_uv, p_vu, ex,
+                     _runs(k, t, la, lb, p_uv, p_vu, False, e, how, memo),
+                     _runs(k, t, la, lb, p_uv, p_vu, True, ex, how, memo),
+                     None if d is None else _runs(k, t, la, lb, p_uv, p_vu,
+                                                  False, d, how, memo), d)
         bound.append((p.table, tab, gathered, *views))
     if kind == STAR:
         return x, e, own, mines, tuple(bound)
@@ -143,26 +200,29 @@ def _runs(k, t, la, lb, p_uv, p_vu, over_u, out, how, memo):
     """The runs of a min-marginal over (m, la, lb) tables, u the first
     endpoint of the first k of them, with its sum in ``t`` (see
     :func:`_marginal`).  Each reads the tables through the view that
-    ``how`` lists as (rows, transposition).  ``memo`` keeps the views of
-    one part that its min-marginals share: of its rows and of its sums."""
+    ``how`` lists as (rows, transposition), those of minima over Y_u last.
+    ``memo`` keeps the views of one part that its min-marginals share: per
+    run and reduced axis, the rows added first, the sum and the rows added
+    last."""
     n = len(out)
+    spans = ((0, k), (k, n)) if 0 < k < n else ((0, n),)
+    at = len(how) - len(spans) if over_u else 0     # see _how
     runs = []
-    for lo, hi in ((0, k), (k, n)) if 0 < k < n else ((0, n),):
-        first, c = lo == 0 < k, hi - lo
-        a = 0 if first else 1                   # p_a: phi_{u,v} or phi_{v,u}
+    for lo, hi in spans:
+        first = lo == 0 < k
         over_a = first == over_u                # minima over Y_a
-        for x, wide in ((a, over_a), (1 - a, not over_a)):
-            if (x, lo, wide) not in memo:
-                rows = (p_uv, p_vu)[x] if c == n else (p_uv, p_vu)[x][lo:hi]
-                memo[x, lo, wide] = rows.T[:, :, None] if wide else rows
-        shape = (la, c, lb) if over_a else (lb, c, la)
-        if ("sum", shape) not in memo:
-            memo["sum", shape] = t[:c * la * lb].reshape(shape)
-        runs.append((how.index((None if c == n else slice(lo, hi),
-                                (1, 0, 2) if over_a else (2, 0, 1))),
-                     memo[a, lo, over_a], memo["sum", shape],
-                     memo[1 - a, lo, not over_a],
-                     out if c == n else out[lo:hi], over_a))
+        if (lo, over_a) not in memo:
+            a, b = (p_uv, p_vu) if first else (p_vu, p_uv)   # p_a, p_b
+            c = hi - lo
+            if c < n:
+                a, b = a[lo:hi], b[lo:hi]
+            memo[lo, over_a] = (
+                a.T[:, :, None] if over_a else a,
+                t[:c * la * lb].reshape((la, c, lb) if over_a else (lb, c, la)),
+                b if over_a else b.T[:, :, None])
+        runs.append((at, *memo[lo, over_a], out if hi - lo == n
+                     else out[lo:hi], over_a))
+        at += 1
     return tuple(runs)
 
 
@@ -172,8 +232,8 @@ def _how(kind, k, n):
     of them, that the min-marginals of a kernel of this kind read: per
     view the rows and their transposition, the reduced axis first.  A
     push's one min-marginal reduces over Y_u, a star update's over Y_v, a
-    handshake's or an MPLP update's over both; on the first k tables Y_u
-    is the first axis."""
+    handshake's or an MPLP update's over both, those over Y_u last, one
+    view per run; on the first k tables Y_u is the first axis."""
     views = []
     for over_u in ((False,) if kind == STAR else (True,) if kind in (
             RDP, PUSH, TRWS) else (False, True)):

@@ -374,14 +374,36 @@ def dual_value(model, phi):
 
     Minima are added in node order, then in edge order.
     """
-    return _dual(model, phi, node_costs(model, phi))
+    return _dual_and_rounding(model, phi)[0]
 
 
-def _dual(model, phi, costs):
-    edge_min = np.zeros(model.n_edges)
-    for ids, t in edge_chunks(model, phi):
-        edge_min[ids] = t.min(axis=(1, 2))
-    return _sum_in_order(node_minima(model, costs), edge_min)
+def _edge_minima(model, phi):
+    """Per edge the minimum of theta^phi, taken as the kernels take
+    min-marginals (:func:`dualbca.kernels._marginal`): per chunk of at most
+    ``_EDGE_CHUNK`` edges of one shape, theta_ab + phi_{a,b} with the tables
+    viewed as (L_a, L_b, m), its minima over Y_a, plus phi_{b,a}, then the
+    minima over Y_b.  Rounding to nearest is monotone, so this is bit for
+    bit the minimum of (theta_ab + phi_{a,b}) + phi_{b,a} as
+    :func:`edge_chunks` sums it, up to the sign of a zero minimum, which
+    no sum of a node minimum and edge minima can show (see
+    :func:`_dual_and_rounding`).  Every reduction runs over a leading axis,
+    as whole-slab elementwise minima."""
+    vals = np.zeros(model.phi_size) if phi is None else phi.values
+    out = np.empty(model.n_edges)
+    for g in model._shape_groups:
+        n, k_a, k_b = g.block.shape
+        tables, c = g.block.transpose(1, 2, 0), min(n, _EDGE_CHUNK)
+        at_a, at_b = np.arange(k_a)[:, None], np.arange(k_b)[:, None]
+        work, low = np.empty((k_a, k_b, c)), np.empty((k_b, c))
+        for s in range(0, n, c):
+            e = min(n, s + c)
+            t, q = work[:, :, :e - s], low[:, :e - s]
+            np.add(tables[:, :, s:e], vals.take(g.off_ab[s:e] + at_a)[:, None],
+                   out=t)
+            np.minimum.reduce(t, axis=0, out=q)
+            q += vals.take(g.off_ba[s:e] + at_b)
+            out[g.edges[s:e]] = np.minimum.reduce(q, axis=0)
+    return out
 
 
 def check_feasible(model, phi, tol=FEAS_TOL):
@@ -401,9 +423,15 @@ def primal_round(model, phi):
 
 def _dual_and_rounding(model, phi):
     """(:func:`dual_value`, :func:`primal_round`) from one evaluation of
-    theta^phi."""
+    theta^phi.  A node's minimum is its cost at the label it rounds to: the
+    costs of a reparametrization are bincount sums from +0.0, which hold
+    no -0.0, so the first minimum that argmin finds is the minimum, bit for
+    bit, and the sum starts from a node minimum that no signed zero of an
+    edge minimum can change."""
     costs = node_costs(model, phi)
-    return _dual(model, phi, costs), _round(model, costs)
+    y = _round(model, costs)
+    return _sum_in_order(costs[model.label_offsets[:-1] + y],
+                         _edge_minima(model, phi)), y
 
 
 def _round(model, costs):

@@ -15,7 +15,6 @@ Spanning trees keep their order: each spans its whole component.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -115,27 +114,24 @@ def _chain_cover(model, config, kind, order):
         if b.nodes[0] > b.nodes[-1]:
             b = blk.Block(b.kind, b.nodes[::-1], b.edges[::-1])
         blocks[b.nodes] = b
-    chains = _colour_classes([p for p in blocks if len(p) > 2],
-                             lambda p: (-len(p), p))
+    chains = [p for p in blocks if len(p) > 2]
+    chains = _colour_classes(chains, sorted(
+        range(len(chains)), key=lambda i: (-len(chains[i]), chains[i])),
+        model.n_nodes)
     order = _edge_order(model, [p for p in blocks if len(p) == 2])
     order += [p for c in chains for p in c]
     return covers.BlockSchedule(schedule.origin, [blocks[p] for p in order])
 
 
-def _colour_classes(paths, visit):
+def _colour_classes(paths, visit, n_nodes):
     """Greedy colour classes of the node tuples ``paths``, each sorted.
 
-    The paths are visited in order of ``visit``, a key function of a path,
-    or the visit order itself as an array of indices into ``paths``.  Each
-    takes the smallest colour that no path sharing a node with it has.  The
-    paths of a class share no node, so their updates run in the same waves.
+    The paths are visited in the order of ``visit``, indices into
+    ``paths``; their nodes are below ``n_nodes``.  Each takes the smallest
+    colour that no path sharing a node with it has.  The paths of a class
+    share no node, so their updates run in the same waves.
     """
-    if callable(visit):
-        visit = sorted(range(len(paths)),
-                       key=list(map(visit, paths)).__getitem__)
-    else:
-        visit = visit.tolist()
-    used = defaultdict(int)         # node -> bit mask of its paths' colours
+    used = [0] * n_nodes            # per node the bit mask of its colours
     classes = []
     for p in map(paths.__getitem__, visit):
         taken = 0
@@ -162,8 +158,8 @@ def _edge_order(model, edges):
     """
     u, v = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
                        count=2 * len(edges)).reshape(-1, 2).T
-    classes = _colour_classes(edges, np.lexsort((v, u, (u + v)
-                                                 % model.n_nodes)))
+    classes = _colour_classes(edges, np.lexsort(
+        (v, u, (u + v) % model.n_nodes)).tolist(), model.n_nodes)
     return [e for c in classes for e in c]
 
 

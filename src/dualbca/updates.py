@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS, _Scratch, _bind,
-                      _how, _run_pair, _run_push, _run_star, _transposed,
-                      _views)
+                      _how, _run_pair, _run_push, _run_star, _spec, _Spec,
+                      _transposed, _views)
 from .model import node_costs
 
 
@@ -80,36 +80,6 @@ _BATCH_TARGETS = 256                 # most targets per batch
 # its incidence, and the wave ends by adding those rows to the node in
 # program order.  Targets are ordered by part (shape block, and orientation
 # unless the tables are square), then by row of u.
-
-
-class _Part(NamedTuple):
-    """The targets of a batch whose edges share a shape block, and
-    orientation unless the tables are square."""
-
-    table: np.ndarray       # shape block holding the edges' tables
-    lab_v: int
-    many: bool              # more than one target
-    mine: slice             # their phi_{u,v} among the K values, ...
-    back: slice             # ... their phi_{v,u} ...
-    excess: slice           # ... and their theta^phi_v
-
-
-class _Spec(NamedTuple):
-    """What one batch of operations shares: kind and layout.
-
-    A batch gathers K values per operation from the buffer: theta^phi_u
-    (not for a push), the targets' phi_{u,v}, their phi_{v,u}, then their
-    theta^phi_v (not for a star update).  The slices below are ranges of
-    those K; in the gathered (K, m) array each names the rows of one block.
-    """
-
-    kind: int
-    unit: bool              # r = 1 throughout
-    many: bool              # more than one target
-    lab: int                # L_u
-    uv: int                 # start of the phi_{u,v} among the K values
-    vu: int                 # start of the phi_{v,u}
-    parts: tuple
 
 
 class _Batch(NamedTuple):
@@ -380,21 +350,26 @@ class Program:
         part = np.where(square, 2, first) * n_blocks + block
         by = np.lexsort((entry - model._inc_ptr[u[op]], part, op))
         entry, part, first, into = entry[by], part[by], first[by], targets[by]
-        # The layout of an operation: its kind, then the part of each target.
-        # Layouts are compared in groups of target counts up to a power of
-        # two, padded with -1.
-        code = np.append(part, -1)
-        layout = np.empty(len(kind), dtype=np.int64)
-        n_layouts = 0
-        group = np.ceil(np.log2(count)).astype(np.int64)
-        for k in np.flatnonzero(np.bincount(group)).tolist():
-            sel, w = np.flatnonzero(group == k), 1 << k
-            at = op_start[sel, None] + np.arange(w)
-            at[np.arange(w) >= count[sel, None]] = len(op)
-            keys, which = _unique_rows(np.column_stack((kind[sel], code[at])))
-            layout[sel] = n_layouts + which
-            n_layouts += len(keys)
-        return op, op_start, entry, part, first, into, layout, n_layouts
+        # The layout of an operation: its kind, then the part of each target,
+        # compared in groups of target counts up to a power of two, padded
+        # with -1, in lexicographic order.  The targets of an operation come
+        # in runs of one part, ascending, and each run is one integer that
+        # sorts as the parts do: by part, then, the last run of its operation
+        # by its length before a run that goes on, by minus its length.  A
+        # run that an operation lacks is c, which sorts first.
+        cut = np.flatnonzero(np.append(True, (part[1:] != part[:-1])
+                                       | (op[1:] != op[:-1])))
+        lens, at = np.diff(np.append(cut, len(op))), op[cut]
+        on = np.append(at[1:] == at[:-1], False)
+        j = np.arange(len(cut))                 # the run of its op
+        j -= np.maximum.accumulate(np.where(np.roll(on, 1), 0, j))
+        c = int(count.max())
+        key = np.full((len(kind), j.max() + 2), c)
+        key[:, 0] = np.ceil(np.log2(count)) * 6 + kind
+        key[at, j + 1] = ((part[cut] + 1) * 2 + on) * (2 * c + 1) + c \
+            + np.where(on, -lens, lens)
+        keys, layout = _unique_rows(key)
+        return op, op_start, entry, part, first, into, cut, layout, len(keys)
 
     def _compile(self):
         model = self.model
@@ -402,7 +377,7 @@ class Program:
         n = len(kind)
         if n == 0:
             return [], 0, np.zeros(0, dtype=np.int64)
-        op, op_start, entry, part, first, into, layout, n_layouts = \
+        op, op_start, entry, part, first, into, cut, layout, n_layouts = \
             self._layouts()
         waves = np.asarray(self._level(layout, n_layouts), dtype=np.int64)
         n_blocks = len(model._shape_groups)
@@ -423,26 +398,33 @@ class Program:
         late = push[1:][node[1:] == node[:-1]]
         late = late[np.lexsort((late, waves[op[late]]))]   # wave, then program
         excess[late] = model._inc_back[entry[late]] + phi_at + model.phi_size
-        # A batch's spec: layout and r = 1 throughout.  A spec's parts are
-        # the runs of equal part codes among the targets of one of its
-        # operations.
+        # A batch's spec: its kind, r = 1 throughout, L_u, and per part (a
+        # run of targets of one part in one of its operations) the shape
+        # block, L_v and the number of targets: batches whose parts differ
+        # in orientation alone share one.
         keys, which = _unique_rows(np.stack(
             (layout[order[starts]],
              np.logical_and.reduceat(r[order] == 1.0, starts)), axis=1,
             dtype=np.int64))
-        new = np.append(True, (part[1:] != part[:-1]) | (op[1:] != op[:-1]))
-        run = np.cumsum(new) - 1                # of each target
-        cut = np.flatnonzero(new)
-        codes, lens = part[cut].tolist(), np.diff(np.append(cut, len(op)))
+        lens = np.diff(np.append(cut, len(op)))
+        run = np.repeat(np.arange(len(cut)), lens)      # of each target
         rep = order[starts[np.unique(which, return_index=True)[1]]]
-        lo, hi = run[op_start[rep]], run[op_start[rep] + count[rep] - 1] + 1
+        lo = run[op_start[rep]]                 # the first run of each spec
+        n_run = run[op_start[rep] + count[rep] - 1] + 1 - lo
+        hi = np.cumsum(n_run)
+        at = np.arange(hi[-1]) + (lo - hi + n_run).repeat(n_run)  # its runs
+        side, z = np.divmod(part[cut[at]], n_blocks)
+        shape = np.array([g.block.shape[1:] for g in model._shape_groups])
+        lab_u, lab_v = shape[z, 1 - side % 2], shape[z, side % 2]
+        z, lv, ln = z.tolist(), lab_v.tolist(), lens[at].tolist()
         spec_ids, specs, known = [], [], self._scratch.specs
-        for k, a, b, (_, unit) in zip(kind[rep].tolist(), lo.tolist(),
-                                      hi.tolist(), keys.tolist()):
-            key = k, unit, *codes[a:b], *lens[a:b].tolist()
+        for k, a, b, lab, (_, unit) in zip(
+                kind[rep].tolist(), (hi - n_run).tolist(), hi.tolist(),
+                lab_u[hi - n_run].tolist(), keys.tolist()):
+            key = k, unit, lab, *z[a:b], *lv[a:b], *ln[a:b]
             if key not in known:
-                known[key] = len(known), _spec(model, k, unit, codes[a:b],
-                                               lens[a:b].tolist())
+                known[key] = len(known), _spec(model, k, unit, lab, z[a:b],
+                                               lv[a:b], ln[a:b])
             spec_ids.append(known[key][0])
             specs.append(known[key][1])
         # One gather index for all operations, in batch order, of np.intp
@@ -535,11 +517,11 @@ class Program:
         g, m = kinds[b], size[b]                # of each part's batch
         t = np.where((0 < u_first) & (u_first < lens),
                      np.maximum(u_first, lens - u_first), lens)
-        need = (t + lens * ~even) * la * lb + np.select(
-            [g == STAR, g == HANDSHAKE, g == MPLP],
-            [(lens + m) * lab_u, m * lab_u, 0], lens * lab_v)
-        own = (kinds == STAR) | np.isin(kinds, (RDP, TRWS)) & (keys[which, 1]
-                                                                == 0)
+        need = (t + lens * ~even) * la * lb + np.where(
+            g == STAR, (lens + m) * lab_u, np.where(g == HANDSHAKE, m * lab_u,
+                                                    lens * lab_v * (g != MPLP)))
+        own = (kinds == STAR) | ((kinds == RDP) | (kinds == TRWS)) \
+            & (keys[which, 1] == 0)
         need = np.diff(rows) + np.maximum(np.maximum.reduceat(need, cut[:-1]),
                                           lab_u[cut[:-1]] * size * own)
         # The wave's last batch adds the late pushes' scratch rows to their
@@ -644,28 +626,6 @@ def _unique_rows(a):
     which = np.empty(len(a), dtype=np.int64)
     which[order] = np.cumsum(new) - 1
     return a[order[new]], which
-
-
-def _spec(model, kind, unit, codes, lens):
-    """The :class:`_Spec` of the batches of this kind whose targets come in
-    runs of ``lens[i]`` targets of part ``codes[i]``."""
-    groups = model._shape_groups
-    n_blocks, c = len(groups), sum(lens)
-    side, block = divmod(codes[0], n_blocks)
-    lab = groups[block].block.shape[2 - side % 2]
-    uv = lab * (kind != PUSH)
-    vu = uv + c * lab
-    lab_vs = [groups[z % n_blocks].block.shape[1 + z // n_blocks % 2]
-              for z in codes]
-    end = vu + sum(lv * k for lv, k in zip(lab_vs, lens))  # of phi_{v,u}
-    parts, t0, a0 = [], 0, vu
-    for z, lab_v, k in zip(codes, lab_vs, lens):
-        t1, a1 = t0 + k, a0 + k * lab_v
-        parts.append(_Part(groups[z % n_blocks].block, lab_v, k > 1,
-                           slice(uv + t0 * lab, uv + t1 * lab), slice(a0, a1),
-                           slice(a0 + end - vu, a1 + end - vu)))
-        t0, a0 = t1, a1
-    return _Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts))
 
 
 _KERNELS = (_run_push, _run_push, _run_pair, _run_pair, _run_push, _run_star)

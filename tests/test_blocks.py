@@ -327,6 +327,12 @@ class TestHmTree:
             m = chain_model(rng, n)
             assert program_ops(m, emit_hm, tree_block(m, m.edges)) == \
                 program_ops(m, emit_hm, chain_block(m, list(range(n))))
+        # Chains of every length in one call, which share their halves.
+        m = chain_model(rng, 70)
+        prog = Program(m)
+        emit_hm(prog, *(chain_block(m, list(range(n))) for n in range(2, 71)))
+        assert prog.ops == [op for n in range(2, 71) for op in program_ops(
+            m, emit_hm, tree_block(m, m.edges[:n - 1]))]
 
     def test_random_trees_optimal_and_maximal(self):
         rng = np.random.default_rng(14)

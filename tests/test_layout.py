@@ -12,6 +12,7 @@ import pytest
 from dualbca.covers import gap_scores
 from dualbca.generate import random_phi
 from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
+                           edge_chunks, node_costs,
                            check_feasible, dual_value, energy, primal_round)
 from dualbca.solve import SolverConfig, run
 from dualbca.updates import MessageCounter
@@ -112,6 +113,60 @@ def test_whole_model_functions_match_loops():
         assert close(node_gap, [t[y[u]] - t.min() for u, t in enumerate(units)])
         assert close(edge_gap, [t[y[u], y[v]] - t.min()
                                 for (u, v), t in zip(model.edges, pairs)])
+
+
+def ref_record(model, phi):
+    """The dual, the rounding and its energy as a per-pass record took them
+    with ``t.min(axis=(1, 2))`` over :func:`edge_chunks` and a minimum and
+    an argmin per node, each sum left to right from its first term."""
+    costs = node_costs(model, phi)
+    at = model.label_offsets
+    nodes = [costs[at[u]:at[u + 1]] for u in range(model.n_nodes)]
+    edge_min = np.zeros(model.n_edges)
+    for ids, t in edge_chunks(model, phi):
+        edge_min[ids] = t.min(axis=(1, 2))
+    y = np.array([int(np.argmin(c)) for c in nodes])
+
+    def total(terms):
+        out = terms[0]
+        for x in terms[1:]:
+            out += x
+        return float(out)
+
+    return (total([c.min() for c in nodes] + list(edge_min)), y,
+            total([model.unary[u][y[u]] for u in range(model.n_nodes)]
+                  + [t[y[u], y[v]] for (u, v), t in zip(model.edges,
+                                                       model.pairwise)]))
+
+
+def signed_zeros(rng, phi, share):
+    """phi with about ``share`` of its entries set to +0.0 or -0.0."""
+    at = rng.random(phi.values.size) < share
+    phi.values[at] = np.where(rng.random(at.sum()) < 0.5, 0.0, -0.0)
+    return phi
+
+
+def test_record_is_bit_for_bit_the_per_edge_minima():
+    # dual_value, primal_round and energy, as solve.run records them,
+    # against edge_chunks minima.  Integer costs make ties and zero minima;
+    # phi holds signed zeros.
+    rng = np.random.default_rng(8)
+    models = [m for _, m, _ in cases(9, count=12)]
+    for _ in range(6):
+        m = hostile_model(rng, n_nodes=int(rng.integers(3, 10)))
+        models.append(GraphicalModel(
+            m.labels, m.edges, [np.floor(t) for t in m.unary],
+            [np.floor(t) for t in m.pairwise]))
+    for model in models:
+        for share in (0.0, 0.4, 1.0):
+            for phi in (signed_zeros(rng, Reparametrization(model), share),
+                        signed_zeros(rng, random_phi(rng, model, 2.0), share),
+                        signed_zeros(rng, run(model, SolverConfig(
+                            "trws", max_passes=2))[0], share)):
+                dual, y, e = ref_record(model, phi)
+                assert dual_value(model, phi).hex() == dual.hex()
+                assert primal_round(model, phi).tobytes() == y.tobytes()
+                assert energy(model, y).hex() == e.hex()
 
 
 def test_node_aggregate_matches_per_edge_sequence():

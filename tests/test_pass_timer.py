@@ -27,9 +27,13 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
     assert rows[0]["phi_identical"] and rows[0]["passes"] == 2
     assert rows[0]["parent_build_median_ms"] > 0
     assert rows[0]["change_build_median_ms"] > 0
+    for side in ("parent", "change"):
+        for part in pass_timer.BUILD_PARTS + ("record",):
+            assert rows[0][f"{side}_{part}_median_ms"] > 0
     assert "break_even_passes" in rows[0]
+    assert json.loads(out.read_text())["build_sums"] == {}
     out = capsys.readouterr().out
-    assert "k50/mplp" in out and "even after" in out
+    assert "k50/mplp" in out and "even after" in out and "record" in out
     assert listing(ROOT) == before
     assert "pass_timer_parent" not in sys.modules
 
@@ -46,3 +50,11 @@ def test_break_even_counts_the_passes_that_pay_for_the_build():
     assert pass_timer.break_even((10, 8), (5, 4)) == 0
     assert pass_timer.break_even((10, 12), (5, 4)) is None
     assert pass_timer.break_even((10, 10), (5, 6)) is None
+
+
+def test_build_sums_add_the_workload_methods_only():
+    rows = [{"case": f"k50/{m}", "parent_build_median_ms": 2.0,
+             "change_build_median_ms": 1.5} for m in pass_timer.WORKLOADS["k50"]]
+    assert pass_timer.build_sums(rows) == {
+        "k50": {"parent": 10.0, "change": 7.5, "ratio": 0.75}}
+    assert pass_timer.build_sums(rows[1:]) == {}

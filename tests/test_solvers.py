@@ -284,7 +284,8 @@ class TestBlockOrder:
                 for paths, visit in (
                         (edges, lambda e: ((e[0] + e[1]) % n, e)),
                         (chains, lambda p: (-len(p), p))):
-                    classes = _colour_classes(paths, visit)
+                    classes = _colour_classes(paths, sorted(
+                        range(len(paths)), key=lambda i: visit(paths[i])), n)
                     assert [p for c in classes for p in c] == paths
                     check_greedy_classes(classes, visit)
 

@@ -873,7 +873,9 @@ def test_edge_sweep_program_shape():
     def check_order(model, prog):
         n = model.n_nodes
         visit = lambda e: ((e[0] + e[1]) % n, e)
-        classes = _colour_classes(model.edges, visit)
+        edges = model.edges
+        classes = _colour_classes(edges, sorted(
+            range(len(edges)), key=lambda i: visit(edges[i])), n)
         assert [(u, v) for _, u, v, _ in prog.ops] == \
             [e for c in classes for e in c]
         check_greedy_classes(classes, visit)

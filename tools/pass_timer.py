@@ -21,12 +21,15 @@ rounds, each timed with ``time.process_time``.  The models:
 - ``grid3``: the seed-15 32x32x3 grid, ``tbca`` with static and with
   dynamic trees (``tbca-dynamic``), whose ratio is ROADMAP item 7's.
 
-After the passes, N rounds alternate the same way in building and
-compiling each side's program afresh (``_Run.program`` with the program
-reset, then ``Program._compile``), with the collector off.  A static
-run's program is built from nothing bound, as at its first pass; a
-dynamic run keeps the views it bound for earlier passes (see
-``time_builds``).
+After each pass, the side's per-pass record is timed as ``solve.run``
+makes it (``model._dual_and_rounding``, then ``model.energy`` of the
+rounding).  After the passes, N rounds alternate the same way in building
+and compiling each side's program afresh (``_Run.program`` with the
+program reset, then ``Program._compile``), with the collector off, timed
+in three parts: emission (``_Run.program``), levelling
+(``Program._level``) and the rest of the compile.  A static run's
+program is built from nothing bound, as at its first pass; a dynamic run
+keeps the views it bound for earlier passes (see ``time_builds``).
 
 Printed per (model, method): the median and quartiles of each side in ms,
 the change's median over the parent's, in how many rounds the change was
@@ -35,11 +38,13 @@ passes; then each side's median build and compile, and after how many
 passes the change has made up for what it costs more to build, so that
 from then on its build and passes cost no more than the parent's (0
 where it costs no more to build and no more per pass, "never" where its
-median pass is slower).  A change that moves work from passes into
-compiling shows both halves.  A dynamic run builds and compiles every
-pass, so its pass times include both.  Then, per side, the grid spam/dmm
-pass ratio (ROADMAP item 5) and the dynamic/static tbca one (item 7).
-``--json`` also writes these rows and ratios to a file.
+median pass is slower), each side's build medians by part and its median
+record.  A change that moves work from passes into compiling shows both
+halves.  A dynamic run builds and compiles every pass, so its pass times
+include both.  Then, per side, the grid spam/dmm pass ratio (ROADMAP item
+5) and the dynamic/static tbca one (item 7), and per workload the summed
+build medians of the methods its benchmark workload runs (``BUILD_SUMS``).
+``--json`` also writes these rows, ratios and sums to a file.
 """
 from __future__ import annotations
 
@@ -64,6 +69,10 @@ WORKLOADS = {
     "hard": ("trws", "tbcapp", "mplppp"),
     "grid3": ("tbca", "tbca-dynamic"),
 }
+# The methods of the benchmark workload that each model stands for.
+BUILD_SUMS = {"grid": WORKLOADS["grid"], "k50": WORKLOADS["k50"][:5],
+              "hard": WORKLOADS["hard"]}
+BUILD_PARTS = ("emit", "level", "compile")
 
 
 def load(checkout, name, tmp):
@@ -72,6 +81,13 @@ def load(checkout, name, tmp):
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {m: importlib.import_module(f"{name}.{m}")
             for m in ("generate", "model", "solve")}
+
+
+def record(pkg, state):
+    """One per-pass record of ``state`` as ``solve.run`` makes it."""
+    model = pkg["model"]
+    _, y = model._dual_and_rounding(state.model, state.phi)
+    model.energy(state.model, y)
 
 
 def build(pkg, workload, seed):
@@ -109,43 +125,62 @@ def start(pkg, model, method):
     return state
 
 
-def time_passes(states, passes):
-    """Per side, the process time of each of ``passes`` alternated passes.
-    The garbage collector stays on, as in a solve: with it off through all
-    the passes of a full run, the dynamic tbca passes, which come last,
-    read about 1.5x what they read alone."""
-    times = [[] for _ in states]
+def time_passes(pkgs, states, passes):
+    """Per side, the process time of each of ``passes`` alternated passes,
+    and of the record after each.  The garbage collector stays on, as in a
+    solve: with it off through all the passes of a full run, the dynamic
+    tbca passes, which come last, read about 1.5x what they read alone."""
+    times, records = [[] for _ in states], [[] for _ in states]
     gc.collect()
     for i in range(passes):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
             t0 = time.process_time()
             states[side].do_pass()
-            times[side].append(time.process_time() - t0)
-    return times
+            t1 = time.process_time()
+            record(pkgs[side], states[side])
+            times[side].append(t1 - t0)
+            records[side].append(time.process_time() - t1)
+    return times, records
 
 
 def time_builds(states, rounds, dynamic):
-    """Per side, the process time of building and compiling the program of
-    its next pass afresh, in ``rounds`` alternated rounds.  A static run
-    builds its program once, so each round starts it with nothing bound
-    (a new ``_scratch``, where the side has one); a dynamic run builds one
-    every pass and keeps what it bound for the earlier ones."""
+    """Per side, the process times of building and compiling the program
+    of its next pass afresh, in ``rounds`` alternated rounds, as (whole,
+    emission, levelling, rest of the compile).  A static run builds its
+    program once, so each round starts it with nothing bound (a new
+    ``_scratch``, where the side has one); a dynamic run builds one every
+    pass and keeps what it bound for the earlier ones."""
     times = [[] for _ in states]
     gc.collect()
     gc.disable()
     try:
         for i in range(rounds):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
-                state = states[side]
+                state, spent = states[side], []
                 t0 = time.process_time()
                 state._program = None
                 if not dynamic and hasattr(state, "_scratch"):
                     state._scratch = type(state._scratch)()
-                state.program()._compile()
-                times[side].append(time.process_time() - t0)
+                prog = state.program()
+                t1 = time.process_time()
+                prog._level = timed(prog._level, spent)
+                prog._compile()
+                t2 = time.process_time()
+                times[side].append((t2 - t0, t1 - t0, spent[0],
+                                    t2 - t1 - spent[0]))
     finally:
         gc.enable()
     return times
+
+
+def timed(fn, spent):
+    """``fn``, appending the process time of each call to ``spent``."""
+    def call(*args):
+        t0 = time.process_time()
+        out = fn(*args)
+        spent.append(time.process_time() - t0)
+        return out
+    return call
 
 
 def break_even(pass_ms, build_ms):
@@ -184,6 +219,21 @@ def pass_ratios(rows):
     return ratios
 
 
+def build_sums(rows):
+    """Per workload of ``BUILD_SUMS`` whose methods were all timed, each
+    side's summed build median and the change's sum over the parent's."""
+    median = {r["case"]: r for r in rows}
+    sums = {}
+    for workload, methods in BUILD_SUMS.items():
+        cases = [median.get(f"{workload}/{m}") for m in methods]
+        if all(cases):
+            total = [round(sum(r[f"{side}_build_median_ms"] for r in cases), 3)
+                     for side in ("parent", "change")]
+            sums[workload] = {"parent": total[0], "change": total[1],
+                              "ratio": round(total[1] / total[0], 3)}
+    return sums
+
+
 def run_all(pkgs, args):
     """One row per timed (model, method)."""
     rows = []
@@ -196,10 +246,11 @@ def run_all(pkgs, args):
             if models is None:
                 models = [build(p, workload, args.seed) for p in pkgs]
             states = [start(p, m, method) for p, m in zip(pkgs, models)]
-            times = time_passes(states, args.passes)
+            times, records = time_passes(pkgs, states, args.passes)
             parent, change = ([t * 1e3 for t in side] for side in times)
-            builds = [statistics.median(t) * 1e3 for t in time_builds(
-                states, args.passes, method.endswith("-dynamic"))]
+            builds = [[statistics.median(part) * 1e3 for part in zip(*t)]
+                      for t in time_builds(states, args.passes,
+                                           method.endswith("-dynamic"))]
             row = {
                 "case": f"{workload}/{method}",
                 "passes": args.passes,
@@ -213,12 +264,17 @@ def run_all(pkgs, args):
                                         zip(parent, change)),
                 "phi_identical": states[0].phi.values.tobytes()
                 == states[1].phi.values.tobytes(),
-                "parent_build_median_ms": round(builds[0], 3),
-                "change_build_median_ms": round(builds[1], 3),
                 "break_even_passes": break_even(
                     (statistics.median(parent), statistics.median(change)),
-                    builds),
+                    [b[0] for b in builds]),
             }
+            for side, parts, rec in zip(("parent", "change"), builds,
+                                        records):
+                row[f"{side}_build_median_ms"] = round(parts[0], 3)
+                for name, ms in zip(BUILD_PARTS, parts[1:]):
+                    row[f"{side}_{name}_median_ms"] = round(ms, 3)
+                row[f"{side}_record_median_ms"] = round(
+                    statistics.median(rec) * 1e3, 3)
             rows.append(row)
             even = row["break_even_passes"]
             print(f"{row['case']:20s} parent {row['parent_median_ms']:8.3f}"
@@ -226,9 +282,13 @@ def run_all(pkgs, args):
                   f"{row['ratio']:.3f}  faster {row['change_faster_in']}"
                   f"/{args.passes}  phi "
                   f"{'same' if row['phi_identical'] else 'DIFFERS'}\n"
-                  f"{'':20s} build parent {builds[0]:8.3f} ms  change "
-                  f"{builds[1]:8.3f} ms  even after "
+                  f"{'':20s} build parent {builds[0][0]:8.3f} ms  change "
+                  f"{builds[1][0]:8.3f} ms  even after "
                   f"{'never' if even is None else even} passes", flush=True)
+            for side, parts in zip(("parent", "change"), builds):
+                print(f"{'':20s} {side:6s} emit {parts[1]:.3f}  level "
+                      f"{parts[2]:.3f}  compile {parts[3]:.3f}  record "
+                      f"{row[side + '_record_median_ms']:.3f} ms", flush=True)
             del states
     return rows
 
@@ -255,13 +315,17 @@ def main(argv=None):
             for name in [m for m in sys.modules
                          if m.split(".")[0] in SIDES]:
                 del sys.modules[name]
-    ratios = pass_ratios(rows)
+    ratios, sums = pass_ratios(rows), build_sums(rows)
     for name, sides in ratios.items():
         print(f"{name}: parent {sides['parent']:.3f}, change "
               f"{sides['change']:.3f}")
+    for workload, total in sums.items():
+        print(f"{workload} build sum: parent {total['parent']:.3f} ms, change "
+              f"{total['change']:.3f} ms, ratio {total['ratio']:.3f}")
     if args.json:
         Path(args.json).write_text(json.dumps(
-            {"rows": rows, "ratios": ratios}, indent=1) + "\n")
+            {"rows": rows, "ratios": ratios, "build_sums": sums},
+            indent=1) + "\n")
     return 0 if all(r["phi_identical"] for r in rows) else 1
 
 
