@@ -166,8 +166,8 @@ def time_builds(states, rounds, dynamic):
                 prog._level = timed(prog._level, spent)
                 prog._compile()
                 t2 = time.process_time()
-                times[side].append((t2 - t0, t1 - t0, spent[0],
-                                    t2 - t1 - spent[0]))
+                times[side].append((t2 - t0, t1 - t0, sum(spent),
+                                    t2 - t1 - sum(spent)))
     finally:
         gc.enable()
     return times
