@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import Block, chain_blocks, minimum_forest
-from .model import edge_chunks, node_costs, node_minima
+from .model import (_edge_minima, _edge_terms, _round, check_labeling,
+                    node_costs)
 
 
 @dataclass(frozen=True)
@@ -196,15 +197,13 @@ def compute_static_trees(model):
 
 
 def gap_scores(model, phi, y):
-    """Local primal-dual gaps: per-node and per-edge excess of y over the minima."""
+    """Local primal-dual gaps: per-node and per-edge excess of y over the
+    minima of theta^phi, taken as a per-pass record takes them."""
+    y = check_labeling(model, y)
     costs = node_costs(model, phi)
-    node_gap = costs[model.label_offsets[:-1] + y] - node_minima(model, costs)
-    edge_gap = np.zeros(model.n_edges)
-    for ids, t in edge_chunks(model, phi):
-        a, b = model.ends[ids].T
-        at_y = t[np.arange(len(ids)), y[a], y[b]]
-        edge_gap[ids] = at_y - t.min(axis=(1, 2))
-    return node_gap, edge_gap
+    at = model.label_offsets[:-1]
+    node_gap = costs[at + y] - costs[at + _round(model, costs)]
+    return node_gap, _edge_terms(model, y, phi) - _edge_minima(model, phi)
 
 
 def compute_dynamic_forest(model, phi, y):

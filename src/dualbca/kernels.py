@@ -24,7 +24,6 @@ class _Part(NamedTuple):
 
     table: np.ndarray       # shape block holding the edges' tables
     lab_v: int
-    many: bool              # more than one target
     mine: slice             # their phi_{u,v} among the K values, ...
     back: slice             # ... their phi_{v,u} ...
     excess: slice           # ... and their theta^phi_v
@@ -41,10 +40,8 @@ class _Spec(NamedTuple):
 
     kind: int
     unit: bool              # r = 1 throughout
-    many: bool              # more than one target
     lab: int                # L_u
     uv: int                 # start of the phi_{u,v} among the K values
-    vu: int                 # start of the phi_{v,u}
     parts: tuple
 
 
@@ -52,18 +49,16 @@ def _spec(model, kind, unit, lab, blocks, lab_vs, lens):
     """The :class:`_Spec` of the batches of this kind, L_u = ``lab``, whose
     targets come in runs of ``lens[i]`` targets in shape block ``blocks[i]``
     with ``lab_vs[i]`` labels."""
-    c = sum(lens)
     uv = lab * (kind != PUSH)
-    vu = uv + c * lab
     width = sum(lv * n for lv, n in zip(lab_vs, lens))     # of phi_{v,u}
-    parts, t0, a0 = [], uv, vu
+    parts, t0, a0 = [], uv, uv + sum(lens) * lab
     for z, lab_v, k in zip(blocks, lab_vs, lens):
         t1, a1 = t0 + k * lab, a0 + k * lab_v
-        parts.append(_Part(model._shape_groups[z].block, lab_v, k > 1,
+        parts.append(_Part(model._shape_groups[z].block, lab_v,
                            slice(t0, t1), slice(a0, a1),
                            slice(a0 + width, a1 + width)))
         t0, a0 = t1, a1
-    return _Spec(kind, bool(unit), c > 1, lab, uv, vu, tuple(parts))
+    return _Spec(kind, bool(unit), lab, uv, tuple(parts))
 
 
 class _Scratch:
@@ -72,19 +67,17 @@ class _Scratch:
     id and size, and by spec id, size and parts.
 
     The programs of one run share one, and run one at a time; a batch
-    leaves nothing in it that the next one reads.  A static run compiles
-    one program, and the views it bound are held by its batches alone.  A
-    run on dynamic trees compiles a program every pass, and keeps the
-    views (``reuse``), since the same batch shapes come back pass after
-    pass; the scratch then holds the largest batch any of them runs.
+    leaves nothing in it that the next one reads, and the run keeps every
+    view bound in it.  A static run compiles one program; a run on dynamic
+    trees compiles one every pass, whose batch shapes come back pass after
+    pass, and the scratch then holds the largest batch any of them runs.
     """
 
-    __slots__ = ("array", "specs", "views", "bound", "reuse")
+    __slots__ = ("array", "specs", "views", "bound")
 
-    def __init__(self, reuse=False):
+    def __init__(self):
         self.array = np.empty(0)
         self.specs, self.views, self.bound = {}, {}, {}
-        self.reuse = reuse      # keep the views for the next program
 
     def fit(self, size):
         """Hold at least ``size`` floats.  A new array starts with no
@@ -121,7 +114,7 @@ def _views(g, shape, scratch):
     share = e if own is None else own
     node, wide = kind in (RDP, TRWS, STAR), None
     mines, parts = [], []
-    for _, lab_v, _, mine, back, excess in g.parts:
+    for _, lab_v, mine, back, excess in g.parts:
         p_uv = scratch[m * mine.start:m * mine.stop].reshape(-1, lab)
         n = len(p_uv)
         p_vu = scratch[m * back.start:m * back.stop].reshape(n, lab_v)

@@ -318,32 +318,6 @@ def node_costs(model, phi):
                        minlength=model._unary_flat.size)
 
 
-def node_minima(model, costs):
-    """Per-node minima of a :func:`node_costs` vector."""
-    if model.n_nodes == 0:
-        return np.zeros(0)
-    return np.minimum.reduceat(costs, model.label_offsets[:-1])
-
-
-def edge_chunks(model, phi):
-    """Yield (edge ids, theta^phi tables) in canonical orientation.
-
-    Tables come as ``(m, L_a, L_b)`` stacks of at most ``_EDGE_CHUNK`` edges
-    of one shape.  With ``phi=None`` they are views of the model's tables:
-    read them, do not write them.
-    """
-    vals = None if phi is None else phi.values
-    for g in model._shape_groups:
-        k_a, k_b = g.block.shape[1:]
-        for s in range(0, len(g.edges), _EDGE_CHUNK):
-            c = slice(s, s + _EDGE_CHUNK)
-            t = g.block[c]
-            if vals is not None:
-                t = t + vals[g.off_ab[c, None] + np.arange(k_a)][:, :, None]
-                t += vals[g.off_ba[c, None] + np.arange(k_b)][:, None, :]
-            yield g.edges[c], t
-
-
 def _sum_in_order(*terms):
     """Left-to-right float sum: the rounding of a Python loop over the terms."""
     values = np.concatenate(terms)
@@ -358,15 +332,22 @@ def energy(model, y, phi=None):
     """
     y = check_labeling(model, y)
     node_terms = node_costs(model, phi)[model.label_offsets[:-1] + y]
-    edge_terms = np.zeros(model.n_edges)
+    return _sum_in_order(node_terms, _edge_terms(model, y, phi))
+
+
+def _edge_terms(model, y, phi):
+    """Per edge theta^phi_ab(y_a, y_b) of a checked labeling ``y``, summed
+    as (theta_ab + phi_{a,b}) + phi_{b,a}; theta_ab(y_a, y_b) with
+    ``phi=None``."""
+    out = np.zeros(model.n_edges)
     for g in model._shape_groups:
         y_a, y_b = y[model.ends[g.edges]].T
         vals = g.block[np.arange(len(g.edges)), y_a, y_b]
         if phi is not None:
             vals = vals + phi.values[g.off_ab + y_a]
             vals += phi.values[g.off_ba + y_b]
-        edge_terms[g.edges] = vals
-    return _sum_in_order(node_terms, edge_terms)
+        out[g.edges] = vals
+    return out
 
 
 def dual_value(model, phi):
@@ -384,7 +365,7 @@ def _edge_minima(model, phi):
     viewed as (L_a, L_b, m), its minima over Y_a, plus phi_{b,a}, then the
     minima over Y_b.  Rounding to nearest is monotone, so this is bit for
     bit the minimum of (theta_ab + phi_{a,b}) + phi_{b,a} as
-    :func:`edge_chunks` sums it, up to the sign of a zero minimum, which
+    :func:`_edge_terms` sums it, up to the sign of a zero minimum, which
     no sum of a node minimum and edge minima can show (see
     :func:`_dual_and_rounding`).  Every reduction runs over a leading axis,
     as whole-slab elementwise minima."""
@@ -410,10 +391,8 @@ def check_feasible(model, phi, tol=FEAS_TOL):
     """True iff every reparametrized cost is >= -tol (constrained dual)."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    costs = node_costs(model, phi)
-    if costs.size and costs.min() < -tol:
-        return False
-    return all(t.min() >= -tol for _, t in edge_chunks(model, phi))
+    return bool(node_costs(model, phi).min(initial=np.inf) >= -tol
+                and _edge_minima(model, phi).min(initial=np.inf) >= -tol)
 
 
 def primal_round(model, phi):

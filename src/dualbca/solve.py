@@ -273,7 +273,7 @@ class _Run:
         blocks, self._update = _TAXONOMY[config.method]
         self._blocks = blocks(self)
         self._program = None
-        self._scratch = _Scratch(reuse=callable(self._blocks))
+        self._scratch = _Scratch()
 
     def program(self):
         """The program of the next pass: compiled at the first pass and

@@ -97,7 +97,6 @@ class _Batch(NamedTuple):
     keep: np.ndarray        # keeps of theta^phi_u
     end: tuple              # (into, at, scratch) of the late pushes that
                             # end the wave, or None
-    kind: int
     shared: tuple
 
 
@@ -575,9 +574,7 @@ class Program:
             if end is not None:
                 end = *end, scratch[:len(end[1])]
             batches.append(_Batch(g, idx, tabs[p:q], r[a:a + m],
-                                  keep[a:a + m], end, g.kind, shared[z]))
-        if not work.reuse:
-            work.views, work.bound = {}, {}
+                                  keep[a:a + m], end, shared[z]))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages, waves
 
@@ -594,8 +591,8 @@ class Program:
         model, buf = self.model, phi.buffer
         nodes, exact = slice(model._unary_flat.size), model._exact_excess
         buf[nodes] = node_costs(model, phi)
-        for _, idx, parts, r, keep, end, kind, shared in batches:
-            _KERNELS[kind](buf, idx, parts, r, keep, *shared)
+        for spec, idx, parts, r, keep, end, shared in batches:
+            _KERNELS[spec.kind](buf, idx, parts, r, keep, *shared)
             if end is not None:         # the late pushes of the wave
                 into, at, late = end
                 np.add.at(buf, into, buf.take(at, out=late, mode="clip"))

@@ -10,14 +10,16 @@ batches a compiled program runs, :func:`marginal` runs the min-marginal
 kernel on arrays of its own, and :func:`check_greedy_classes` checks a
 colour-class block order.  :func:`kruskal_forest` is the plain Kruskal
 spanning forest that the array forest of :mod:`dualbca.covers` is checked
-against.
+against, and :func:`edge_chunks` builds the whole theta^phi tables that
+the whole-model evaluation of :mod:`dualbca.model` is checked against.
 """
 from functools import partial
 
 import numpy as np
 
 from dualbca.blocks import emit_tbca
-from dualbca.model import Reparametrization, pairwise_costs, unary_costs
+from dualbca.model import (_EDGE_CHUNK, Reparametrization, pairwise_costs,
+                           unary_costs)
 from dualbca import kernels
 from dualbca.updates import Program, run_program
 
@@ -176,3 +178,23 @@ def kruskal_forest(n, edges, keys):
     for a, b in picked:
         trees.setdefault(find(a), []).append((a, b))
     return trees
+
+
+def edge_chunks(model, phi):
+    """Yield (edge ids, theta^phi tables) in canonical orientation.
+
+    Tables come as ``(m, L_a, L_b)`` stacks of at most ``_EDGE_CHUNK`` edges
+    of one shape, summed as (theta_ab + phi_{a,b}) + phi_{b,a}.  With
+    ``phi=None`` they are views of the model's tables: read them, do not
+    write them.
+    """
+    vals = None if phi is None else phi.values
+    for g in model._shape_groups:
+        k_a, k_b = g.block.shape[1:]
+        for s in range(0, len(g.edges), _EDGE_CHUNK):
+            c = slice(s, s + _EDGE_CHUNK)
+            t = g.block[c]
+            if vals is not None:
+                t = t + vals[g.off_ab[c, None] + np.arange(k_a)][:, :, None]
+                t += vals[g.off_ba[c, None] + np.arange(k_b)][:, None, :]
+            yield g.edges[c], t

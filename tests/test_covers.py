@@ -459,6 +459,25 @@ class TestDynamicTree:
             [rand_tree] = _forest(m, rng.permutation(m.n_edges))[0]
             assert best_score >= self.gap_score(m, phi, y, rand_tree) - 1e-9
 
+    def test_labelings_are_checked(self):
+        # A label out of range, either way, or a labeling of the wrong
+        # length is an error, as in energy, not a read of another node's
+        # costs or an IndexError from the edge tables.
+        m = generate_instance("sparse_grid", height=3, width=3, labels=3,
+                              seed=1)
+        phi = Reparametrization(m)
+        y = primal_round(m, phi)
+        for u, label in ((4, -1), (4, 3), (0, -1), (8, 3)):
+            bad = y.copy()
+            bad[u] = label
+            for fn in (gap_scores, compute_dynamic_forest):
+                with pytest.raises(ValueError, match="out of range"):
+                    fn(m, phi, bad)
+        for bad in (y[:-1], np.append(y, 0)):
+            for fn in (gap_scores, compute_dynamic_forest):
+                with pytest.raises(ValueError, match="one label per node"):
+                    fn(m, phi, bad)
+
     def test_disconnected_rejected(self):
         # No spanning tree: the dynamic forest has one tree per component.
         m = graph_model(4, [(0, 1), (2, 3)])

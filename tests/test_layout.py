@@ -12,12 +12,12 @@ import pytest
 from dualbca.covers import gap_scores
 from dualbca.generate import random_phi
 from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
-                           edge_chunks, node_costs,
+                           node_costs,
                            check_feasible, dual_value, energy, primal_round)
 from dualbca.solve import SolverConfig, run
 from dualbca.updates import MessageCounter
-from helpers import (is_zero, message, node_aggregate, node_distribute,
-                     pairwise_table, push_min_into)
+from helpers import (edge_chunks, is_zero, message, node_aggregate,
+                     node_distribute, pairwise_table, push_min_into)
 
 TOL = 1e-9
 
@@ -139,6 +139,27 @@ def ref_record(model, phi):
                                                        model.pairwise)]))
 
 
+def ref_gaps(model, phi, y):
+    """The node and edge gaps of ``y`` as :func:`dualbca.covers.gap_scores`
+    took them: a minimum per node, and per edge its :func:`edge_chunks`
+    table at y less ``t.min(axis=(1, 2))``."""
+    costs = node_costs(model, phi)
+    at = model.label_offsets
+    node_gap = np.array([costs[at[u] + y[u]] - costs[at[u]:at[u + 1]].min()
+                         for u in range(model.n_nodes)])
+    edge_gap = np.zeros(model.n_edges)
+    for ids, t in edge_chunks(model, phi):
+        a, b = model.ends[ids].T
+        edge_gap[ids] = t[np.arange(len(ids)), y[a], y[b]] - t.min(axis=(1, 2))
+    return node_gap, edge_gap
+
+
+def forest_order(model, node_gap, edge_gap):
+    """The order in which the dynamic forest visits the edges."""
+    a, b = model.ends.T
+    return np.argsort(-(edge_gap + node_gap[a] + node_gap[b]), kind="stable")
+
+
 def signed_zeros(rng, phi, share):
     """phi with about ``share`` of its entries set to +0.0 or -0.0."""
     at = rng.random(phi.values.size) < share
@@ -147,9 +168,10 @@ def signed_zeros(rng, phi, share):
 
 
 def test_record_is_bit_for_bit_the_per_edge_minima():
-    # dual_value, primal_round and energy, as solve.run records them,
-    # against edge_chunks minima.  Integer costs make ties and zero minima;
-    # phi holds signed zeros.
+    # dual_value, primal_round and energy, as solve.run records them, and
+    # gap_scores and check_feasible, against edge_chunks minima.  Integer
+    # costs make ties and zero minima; phi holds signed zeros.  One model
+    # has no edges.
     rng = np.random.default_rng(8)
     models = [m for _, m, _ in cases(9, count=12)]
     for _ in range(6):
@@ -157,6 +179,8 @@ def test_record_is_bit_for_bit_the_per_edge_minima():
         models.append(GraphicalModel(
             m.labels, m.edges, [np.floor(t) for t in m.unary],
             [np.floor(t) for t in m.pairwise]))
+    models.append(GraphicalModel([3, 1], [], [np.array([1.0, 0.0, 2.0]),
+                                              np.zeros(1)], []))
     for model in models:
         for share in (0.0, 0.4, 1.0):
             for phi in (signed_zeros(rng, Reparametrization(model), share),
@@ -167,6 +191,17 @@ def test_record_is_bit_for_bit_the_per_edge_minima():
                 assert dual_value(model, phi).hex() == dual.hex()
                 assert primal_round(model, phi).tobytes() == y.tobytes()
                 assert energy(model, y).hex() == e.hex()
+                for y in (y, rng.integers(0, model.labels)):
+                    gaps, ref = gap_scores(model, phi, y), ref_gaps(model,
+                                                                     phi, y)
+                    for got, want in zip(gaps, ref):
+                        assert np.array_equal(got, want)
+                    assert np.array_equal(forest_order(model, *gaps),
+                                          forest_order(model, *ref))
+                lowest = min([node_costs(model, phi).min()] + [
+                    t.min() for _, t in edge_chunks(model, phi)])
+                for tol in (0.0, abs(lowest)):
+                    assert check_feasible(model, phi, tol) == (lowest >= -tol)
 
 
 def test_node_aggregate_matches_per_edge_sequence():

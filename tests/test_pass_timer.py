@@ -32,8 +32,18 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
             assert rows[0][f"{side}_{part}_median_ms"] > 0
     assert "break_even_passes" in rows[0]
     assert json.loads(out.read_text())["build_sums"] == {}
+    sizes = json.loads(out.read_text())["source"]
+    chars = {p.name: len(p.read_text()) for p in
+             sorted((ROOT / "src" / "dualbca").glob("*.py"))}
+    largest = max(chars, key=chars.get)
+    assert sizes["parent"] == sizes["change"] == {
+        "lines": sum(p.read_text().count("\n") for p in
+                     (ROOT / "src" / "dualbca").glob("*.py")),
+        "chars": sum(chars.values()), "largest_module": largest,
+        "largest_module_chars": chars[largest]}
     out = capsys.readouterr().out
     assert "k50/mplp" in out and "even after" in out and "record" in out
+    assert f"change src/dualbca: {sizes['change']['lines']} lines" in out
     assert listing(ROOT) == before
     assert "pass_timer_parent" not in sys.modules
 

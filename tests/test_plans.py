@@ -116,11 +116,16 @@ def plan_digest(h, model, prog):
     batches, messages, _ = prog._plan
     ints(h, [len(batches), messages])
     for g, idx, parts, r, keep, end, *_ in batches:
-        h.update(repr((g.kind, g.unit, g.many, g.lab, g.uv, g.vu, idx.shape[1],
+        # The pinned digests hash, per spec and per part, whether it has
+        # more than one target, and the spec's start of the phi_{v,u}:
+        # both follow from the targets per part, read off its phi_{u,v}.
+        lens = [(p.mine.stop - p.mine.start) // g.lab for p in g.parts]
+        h.update(repr((g.kind, g.unit, sum(lens) > 1, g.lab, g.uv,
+                       g.parts[0].back.start, idx.shape[1],
                        [(next(i for i, b in enumerate(blocks)
                               if b is p.table),
-                         p.lab_v, p.many, p.mine, p.back, p.excess)
-                        for p in g.parts])).encode())
+                         p.lab_v, k > 1, p.mine, p.back, p.excess)
+                        for p, k in zip(g.parts, lens)])).encode())
         ints(h, op_rows(g, idx))
         for p, (tables, k, _) in zip(g.parts, parts):
             ints(h, positions(p.table, tables))

@@ -44,7 +44,11 @@ halves.  A dynamic run builds and compiles every pass, so its pass times
 include both.  Then, per side, the grid spam/dmm pass ratio (ROADMAP item
 5) and the dynamic/static tbca one (item 7), and per workload the summed
 build medians of the methods its benchmark workload runs (``BUILD_SUMS``).
-``--json`` also writes these rows, ratios and sums to a file.
+Last, per side, the lines and characters of its ``src/dualbca`` modules
+and the characters of its largest one (ROADMAP aim 2 counts the lines;
+compiling a module from source peaks with its size, which a benchmark's
+``peak_rss_mb`` can read).  ``--json`` also writes these rows, ratios,
+sums and sizes to a file.
 """
 from __future__ import annotations
 
@@ -81,6 +85,18 @@ def load(checkout, name, tmp):
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {m: importlib.import_module(f"{name}.{m}")
             for m in ("generate", "model", "solve")}
+
+
+def source_size(checkout):
+    """Lines and characters of ``checkout``'s ``src/dualbca`` modules, and
+    the name and characters of the largest one."""
+    texts = {p.name: p.read_text() for p in
+             sorted((Path(checkout) / "src" / "dualbca").glob("*.py"))}
+    largest = max(texts, key=lambda name: len(texts[name]))
+    return {"lines": sum(t.count("\n") for t in texts.values()),
+            "chars": sum(map(len, texts.values())),
+            "largest_module": largest,
+            "largest_module_chars": len(texts[largest])}
 
 
 def record(pkg, state):
@@ -316,16 +332,22 @@ def main(argv=None):
                          if m.split(".")[0] in SIDES]:
                 del sys.modules[name]
     ratios, sums = pass_ratios(rows), build_sums(rows)
+    sizes = {side: source_size(checkout) for side, checkout in
+             (("parent", args.parent), ("change", args.change))}
     for name, sides in ratios.items():
         print(f"{name}: parent {sides['parent']:.3f}, change "
               f"{sides['change']:.3f}")
     for workload, total in sums.items():
         print(f"{workload} build sum: parent {total['parent']:.3f} ms, change "
               f"{total['change']:.3f} ms, ratio {total['ratio']:.3f}")
+    for side, size in sizes.items():
+        print(f"{side} src/dualbca: {size['lines']} lines, {size['chars']} "
+              f"chars, largest {size['largest_module']} "
+              f"{size['largest_module_chars']} chars")
     if args.json:
         Path(args.json).write_text(json.dumps(
-            {"rows": rows, "ratios": ratios, "build_sums": sums},
-            indent=1) + "\n")
+            {"rows": rows, "ratios": ratios, "build_sums": sums,
+             "source": sizes}, indent=1) + "\n")
     return 0 if all(r["phi_identical"] for r in rows) else 1
 
 
