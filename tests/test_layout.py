@@ -192,8 +192,8 @@ def test_record_is_bit_for_bit_the_per_edge_minima():
                 assert primal_round(model, phi).tobytes() == y.tobytes()
                 assert energy(model, y).hex() == e.hex()
                 for y in (y, rng.integers(0, model.labels)):
-                    gaps, ref = gap_scores(model, phi, y), ref_gaps(model,
-                                                                     phi, y)
+                    gaps = gap_scores(model, phi, y)
+                    ref = ref_gaps(model, phi, y)
                     for got, want in zip(gaps, ref):
                         assert np.array_equal(got, want)
                     assert np.array_equal(forest_order(model, *gaps),
