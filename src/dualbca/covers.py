@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import Block, chain_blocks, minimum_forest
-from .model import (_edge_minima, _edge_terms, _round, check_labeling,
-                    node_costs)
+from .model import _edge_terms, check_labeling
 
 
 @dataclass(frozen=True)
@@ -196,22 +195,21 @@ def compute_static_trees(model):
     return BlockSchedule("static_trees", trees)
 
 
-def gap_scores(model, phi, y):
+def gap_scores(model, phi, y, evaluation):
     """Local primal-dual gaps: per-node and per-edge excess of y over the
-    minima of theta^phi, taken as a per-pass record takes them."""
+    minima of theta^phi in ``evaluation``, ``model._evaluate`` of phi."""
     y = check_labeling(model, y)
-    costs = node_costs(model, phi)
-    at = model.label_offsets[:-1]
-    node_gap = costs[at + y] - costs[at + _round(model, costs)]
-    return node_gap, _edge_terms(model, y, phi) - _edge_minima(model, phi)
+    costs, at = evaluation.costs, model.label_offsets[:-1]
+    node_gap = costs[at + y] - costs[at + evaluation.y]
+    return node_gap, _edge_terms(model, y, phi) - evaluation.edge_min
 
 
-def compute_dynamic_forest(model, phi, y):
+def compute_dynamic_forest(model, phi, y, evaluation):
     """Maximum-gap spanning trees, one per connected component.
 
     Edge weight = edge gap + both endpoint node gaps; ties by edge index.
     """
-    node_gap, edge_gap = gap_scores(model, phi, y)
+    node_gap, edge_gap = gap_scores(model, phi, y, evaluation)
     a, b = model.ends.T
     keys = -(edge_gap + node_gap[a] + node_gap[b])
     return BlockSchedule("dynamic_trees", _forest(model, keys)[0])

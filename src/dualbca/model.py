@@ -292,13 +292,21 @@ def pairwise_costs(model, phi, u, v):
 
 
 def check_labeling(model, y):
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (model.n_nodes,):
+    """``y`` as int64, once every label is a whole number in range, of
+    whatever dtype.  NaN is out of range."""
+    given = np.asarray(y)
+    if given.shape != (model.n_nodes,):
         raise ValueError("labeling must assign one label per node")
-    bad = np.flatnonzero((y < 0) | (y >= np.diff(model.label_offsets)))
+    labels = np.diff(model.label_offsets)
+    bad = np.flatnonzero(np.logical_not((given >= 0) & (given < labels)))
     if bad.size:
         u = int(bad[0])
-        raise ValueError(f"label {y[u]} out of range for node {u}")
+        raise ValueError(f"label {given[u]} out of range for node {u}")
+    y = given.astype(np.int64)
+    bad = np.flatnonzero(y != given)
+    if bad.size:
+        u = int(bad[0])
+        raise ValueError(f"label {given[u]} of node {u} is not a whole number")
     return y
 
 
@@ -355,7 +363,7 @@ def dual_value(model, phi):
 
     Minima are added in node order, then in edge order.
     """
-    return _dual_and_rounding(model, phi)[0]
+    return _evaluate(model, phi).dual
 
 
 def _edge_minima(model, phi):
@@ -367,7 +375,7 @@ def _edge_minima(model, phi):
     bit the minimum of (theta_ab + phi_{a,b}) + phi_{b,a} as
     :func:`_edge_terms` sums it, up to the sign of a zero minimum, which
     no sum of a node minimum and edge minima can show (see
-    :func:`_dual_and_rounding`).  Every reduction runs over a leading axis,
+    :func:`_evaluate`).  Every reduction runs over a leading axis,
     as whole-slab elementwise minima."""
     vals = np.zeros(model.phi_size) if phi is None else phi.values
     out = np.empty(model.n_edges)
@@ -400,17 +408,26 @@ def primal_round(model, phi):
     return _round(model, node_costs(model, phi))
 
 
-def _dual_and_rounding(model, phi):
-    """(:func:`dual_value`, :func:`primal_round`) from one evaluation of
-    theta^phi.  A node's minimum is its cost at the label it rounds to: the
-    costs of a reparametrization are bincount sums from +0.0, which hold
-    no -0.0, so the first minimum that argmin finds is the minimum, bit for
-    bit, and the sum starts from a node minimum that no signed zero of an
-    edge minimum can change."""
+class _Evaluation(NamedTuple):
+    costs: np.ndarray       # node_costs
+    y: np.ndarray           # the rounding of primal_round
+    edge_min: np.ndarray    # _edge_minima
+    dual: float             # dual_value
+
+
+def _evaluate(model, phi):
+    """The one whole-model evaluation of theta^phi that a per-pass record,
+    :func:`dual_value` and the gaps of dynamic trees read.  A node's
+    minimum is its cost at the label it rounds to: the costs of a
+    reparametrization are bincount sums from +0.0, which hold no -0.0, so
+    the first minimum that argmin finds is the minimum, bit for bit, and
+    the sum starts from a node minimum that no signed zero of an edge
+    minimum can change."""
     costs = node_costs(model, phi)
     y = _round(model, costs)
-    return _sum_in_order(costs[model.label_offsets[:-1] + y],
-                         _edge_minima(model, phi)), y
+    edge_min = _edge_minima(model, phi)
+    return _Evaluation(costs, y, edge_min, _sum_in_order(
+        costs[model.label_offsets[:-1] + y], edge_min))
 
 
 def _round(model, costs):

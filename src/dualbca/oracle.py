@@ -1,5 +1,5 @@
 """Independent ground truth: exhaustive minimization, Viterbi on chains,
-minorant certification, shortest-path counting.
+minorant certification.
 
 Everything here is deliberately written against the definitions, not against
 the solver code paths it is used to check.
@@ -97,13 +97,6 @@ def chain_min(model, nodes, phi=None):
     return float(best.min())
 
 
-def block_dual(model, phi, block):
-    """Dual restricted to a block: node minima plus edge minima."""
-    total = sum(unary_costs(model, phi, u).min() for u in block.nodes)
-    total += sum(pairwise_costs(model, phi, u, v).min() for (u, v) in block.edges)
-    return float(total)
-
-
 def check_minorant(model, block, phi, tol=1e-9):
     """Certify that the node costs form a tight modular lower bound on the block.
 
@@ -143,29 +136,3 @@ def check_maximal_minorant(model, block, phi, tol=1e-9):
         if np.abs(t.min(axis=0)).max() > tol or np.abs(t.min(axis=1)).max() > tol:
             return False
     return True
-
-
-def count_shortest_paths(adjacency, src, dst):
-    """Number of distinct shortest paths src -> dst; 0 when disconnected.
-
-    ``adjacency`` maps node -> iterable of neighbors (or is a sequence
-    indexed by node).
-    """
-    if src == dst:
-        return 1
-    from collections import deque
-    dist = {src: 0}
-    count = {src: 1}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if dst in dist and dist[u] >= dist[dst]:
-            continue
-        for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                count[v] = 0
-                queue.append(v)
-            if dist[v] == dist[u] + 1:
-                count[v] += count[u]
-    return count.get(dst, 0)

@@ -25,10 +25,10 @@ import numpy as np
 from . import blocks as blk
 from . import covers
 from .kernels import _Scratch
-from .model import Reparametrization, _dual_and_rounding, energy, primal_round
+from .model import Reparametrization, _evaluate, energy
 # Not called here; benchmarks/bench_trace.py wraps the evaluation functions
 # of this module by name.
-from .model import dual_value  # noqa: F401
+from .model import dual_value, primal_round  # noqa: F401
 from .updates import (HANDSHAKE, MPLP, STAR, TRWS, MessageCounter,
                       Program)
 
@@ -238,10 +238,12 @@ def _trees(run):
 
 
 def _dynamic_trees(run):
-    """The maximum-gap forest at the run's phi.  It takes the run as an
-    argument, so that the run holds no closure over itself."""
-    return covers.compute_dynamic_forest(
-        run.model, run.phi, primal_round(run.model, run.phi)).blocks
+    """The maximum-gap forest at the run's phi, from the evaluation the
+    record left, if any.  It takes the run as an argument, so that the run
+    holds no closure over itself."""
+    ev = run.evaluation or _evaluate(run.model, run.phi)
+    run.evaluation = None
+    return covers.compute_dynamic_forest(run.model, run.phi, ev.y, ev).blocks
 
 
 # Each method: (block family, update), the update (program, *blocks) -> None
@@ -274,6 +276,7 @@ class _Run:
         self._blocks = blocks(self)
         self._program = None
         self._scratch = _Scratch()
+        self.evaluation = None      # of phi, set by a record
 
     def program(self):
         """The program of the next pass: compiled at the first pass and
@@ -305,10 +308,10 @@ def run(model, config):
 
     def record(k):
         """Append the record of pass ``k``; returns its labeling."""
-        dual, y = _dual_and_rounding(model, state.phi)
-        trace.append(TraceRecord(k, state.counter.total, dual,
-                                 energy(model, y), time.perf_counter() - t0))
-        return y
+        state.evaluation = ev = _evaluate(model, state.phi)
+        trace.append(TraceRecord(k, state.counter.total, ev.dual,
+                                 energy(model, ev.y), time.perf_counter() - t0))
+        return ev.y
 
     trace = []
     y = record(0)

@@ -12,11 +12,16 @@ colour-class block order.  :func:`kruskal_forest` is the plain Kruskal
 spanning forest that the array forest of :mod:`dualbca.covers` is checked
 against, and :func:`edge_chunks` builds the whole theta^phi tables that
 the whole-model evaluation of :mod:`dualbca.model` is checked against.
+:func:`block_dual` sums a block's minima with the oracle's own cost
+functions, and :func:`count_shortest_paths` counts shortest paths by a
+plain BFS.
 """
+from collections import deque
 from functools import partial
 
 import numpy as np
 
+from dualbca import oracle
 from dualbca.blocks import emit_tbca
 from dualbca.model import (_EDGE_CHUNK, Reparametrization, pairwise_costs,
                            unary_costs)
@@ -198,3 +203,36 @@ def edge_chunks(model, phi):
                 t = t + vals[g.off_ab[c, None] + np.arange(k_a)][:, :, None]
                 t += vals[g.off_ba[c, None] + np.arange(k_b)][:, None, :]
             yield g.edges[c], t
+
+
+def block_dual(model, phi, block):
+    """Dual restricted to a block: node minima plus edge minima."""
+    total = sum(oracle.unary_costs(model, phi, u).min() for u in block.nodes)
+    total += sum(oracle.pairwise_costs(model, phi, u, v).min()
+                 for (u, v) in block.edges)
+    return float(total)
+
+
+def count_shortest_paths(adjacency, src, dst):
+    """Number of distinct shortest paths src -> dst; 0 when disconnected.
+
+    ``adjacency`` maps node -> iterable of neighbors (or is a sequence
+    indexed by node).
+    """
+    if src == dst:
+        return 1
+    dist = {src: 0}
+    count = {src: 1}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if dst in dist and dist[u] >= dist[dst]:
+            continue
+        for v in adjacency[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                count[v] = 0
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                count[v] += count[u]
+    return count.get(dst, 0)

@@ -15,9 +15,10 @@ from dualbca.generate import random_model, random_tree_model
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            dual_value, pairwise_costs, unary_costs)
 from dualbca.oracle import (brute_force_min, check_maximal_minorant,
-                            count_shortest_paths, energy_table)
+                            energy_table)
 from dualbca.solve import METHODS, SolverConfig, run
 from dualbca.updates import (MessageCounter, handshake_update, mplp_update)
+from helpers import count_shortest_paths
 
 
 def report(number, name, ok, detail=""):

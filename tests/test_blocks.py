@@ -8,11 +8,11 @@ from dualbca.blocks import (Block, chain_block, emit_hm, emit_tbca, hm_chain,
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            dual_value, unary_costs)
 from dualbca.generate import random_tree_model
-from dualbca.oracle import (block_dual, brute_force_min, chain_min,
+from dualbca.oracle import (brute_force_min, chain_min,
                             check_maximal_minorant, check_minorant)
 from dualbca.updates import (HANDSHAKE, PUSH, RDP, MessageCounter, Program,
                              handshake_update)
-from helpers import is_zero, tbca_tree
+from helpers import block_dual, is_zero, tbca_tree
 
 
 def chain_model(rng, n, labels=3):

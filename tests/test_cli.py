@@ -1,8 +1,10 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ import dualbca
 from dualbca import blocks, verify
 from dualbca.cli import main
 from dualbca.generate import generate_instance
+from dualbca.solve import SolverConfig
 from dualbca.uai import write_uai
 
 TRACE_COLUMNS = ["pass", "messages", "normalized_messages", "dual", "primal",
@@ -311,3 +314,39 @@ def test_bench_normalizes_messages_by_the_mean_edge_count(tmp_path):
         assert normalized != messages
         _, trace_rows = read_trace(out / f"{name}-trws.csv")
         assert trace_rows[-1][:5] == last[2:]
+
+
+def test_benchmark_tracer_wraps_a_dynamic_run_and_restores_all(monkeypatch):
+    # benchmarks/bench_trace.py patches dualbca attributes by name, among
+    # them dual_value, primal_round and energy of dualbca.solve and the
+    # cover builders of dualbca.covers, which a dynamic run reaches through
+    # the module.  A traced run returns what an untraced one does, and
+    # every patched attribute is restored afterwards.
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    bench_trace = importlib.import_module("bench_trace")
+    modules = set(bench_trace.COUNTED_IN) | {dualbca.cli, dualbca.covers,
+                                             dualbca.solve}
+    before = {m: dict(vars(m)) for m in modules}
+    model = generate_instance("sparse_grid", height=4, width=4, labels=3,
+                              seed=0)
+    config = SolverConfig("tbca", tree_mode="dynamic", max_passes=3)
+    tracer = bench_trace.Tracer()
+    with tracer.installed():
+        patched = {name for module in modules
+                   for name, value in before[module].items()
+                   if vars(module)[name] is not value}
+        phi, y, trace = dualbca.cli.run(model, config)
+    assert {"run", "dual_value", "primal_round", "energy",
+            "compute_dynamic_forest"} <= patched
+    for module in modules:
+        assert vars(module).keys() == before[module].keys()
+        for name, value in before[module].items():
+            assert vars(module)[name] is value, (module.__name__, name)
+    [stats] = tracer.runs
+    assert stats.blocks > 0 and stats.cover_s > 0
+    phi_, y_, trace_ = dualbca.cli.run(model, config)
+    assert phi.values.tobytes() == phi_.values.tobytes()
+    assert y.tobytes() == y_.tobytes()
+    assert [(r.messages, r.dual, r.primal_energy) for r in trace] == \
+        [(r.messages, r.dual, r.primal_energy) for r in trace_]

@@ -11,11 +11,11 @@ from dualbca.covers import (BlockSchedule, compute_dynamic_forest,
                             compute_static_trees, gap_scores,
                             rows_columns_cover, _bfs_live_paths,
                             _forest)
-from dualbca.model import GraphicalModel, Reparametrization, primal_round
+from dualbca.model import (GraphicalModel, Reparametrization, _evaluate,
+                           primal_round)
 from dualbca.generate import generate_instance, random_model
-from dualbca.oracle import count_shortest_paths
 from dualbca.solve import SolverConfig, _Run
-from helpers import edge_id, kruskal_forest
+from helpers import count_shortest_paths, edge_id, kruskal_forest
 from test_plans import capped_grid
 
 
@@ -304,7 +304,8 @@ class TestTreesPinned:
         phi = Reparametrization(m)
         phi.values[:] = np.random.default_rng(5).uniform(-1, 1,
                                                          phi.values.size)
-        forest = compute_dynamic_forest(m, phi, primal_round(m, phi)).blocks
+        forest = compute_dynamic_forest(m, phi, primal_round(m, phi),
+                                        _evaluate(m, phi)).blocks
         assert (len(forest), tree_digest(forest)) == self.DYNAMIC[name]
 
 
@@ -421,13 +422,13 @@ class TestForestAgainstKruskal:
 class TestDynamicTree:
     @staticmethod
     def dynamic_tree(m, phi, y):
-        [tree] = compute_dynamic_forest(m, phi, y).blocks
+        [tree] = compute_dynamic_forest(m, phi, y, _evaluate(m, phi)).blocks
         return tree
 
     @staticmethod
     def gap_score(m, phi, y, tree):
         """Total gap of a tree under the dynamic-tree edge weights."""
-        node_gap, edge_gap = gap_scores(m, phi, y)
+        node_gap, edge_gap = gap_scores(m, phi, y, _evaluate(m, phi))
         return float(sum(edge_gap[edge_id(m, u, v)] + node_gap[u] + node_gap[v]
                          for u, v in tree.edges))
 
@@ -460,29 +461,46 @@ class TestDynamicTree:
             assert best_score >= self.gap_score(m, phi, y, rand_tree) - 1e-9
 
     def test_labelings_are_checked(self):
-        # A label out of range, either way, or a labeling of the wrong
-        # length is an error, as in energy, not a read of another node's
-        # costs or an IndexError from the edge tables.
+        # A label out of range, either way, a label that is not a whole
+        # number or a labeling of the wrong length is an error, as in
+        # energy, not a read of another node's costs, a truncated label or
+        # an IndexError from the edge tables.  Whole numbers of any dtype
+        # are labels.
         m = generate_instance("sparse_grid", height=3, width=3, labels=3,
                               seed=1)
         phi = Reparametrization(m)
+        ev = _evaluate(m, phi)
         y = primal_round(m, phi)
         for u, label in ((4, -1), (4, 3), (0, -1), (8, 3)):
             bad = y.copy()
             bad[u] = label
             for fn in (gap_scores, compute_dynamic_forest):
                 with pytest.raises(ValueError, match="out of range"):
-                    fn(m, phi, bad)
+                    fn(m, phi, bad, ev)
+        for u, label, message in ((4, 0.7, "not a whole number"),
+                                  (0, 2.9, "not a whole number"),
+                                  (8, 1.5, "not a whole number"),
+                                  (4, np.nan, "out of range")):
+            bad = y.astype(float)
+            bad[u] = label
+            for fn in (gap_scores, compute_dynamic_forest):
+                with pytest.raises(ValueError, match=message):
+                    fn(m, phi, bad, ev)
         for bad in (y[:-1], np.append(y, 0)):
             for fn in (gap_scores, compute_dynamic_forest):
                 with pytest.raises(ValueError, match="one label per node"):
-                    fn(m, phi, bad)
+                    fn(m, phi, bad, ev)
+        gaps = gap_scores(m, phi, y, ev)
+        for whole in (y.astype(float), y.astype(np.uint8), y.tolist()):
+            for got, want in zip(gap_scores(m, phi, whole, ev), gaps):
+                assert np.array_equal(got, want)
 
     def test_disconnected_rejected(self):
         # No spanning tree: the dynamic forest has one tree per component.
         m = graph_model(4, [(0, 1), (2, 3)])
         phi = Reparametrization(m)
-        forest = compute_dynamic_forest(m, phi, primal_round(m, phi)).blocks
+        forest = compute_dynamic_forest(m, phi, primal_round(m, phi),
+                                        _evaluate(m, phi)).blocks
         assert [b.edges for b in forest] == [((0, 1),), ((2, 3),)]
 
 
@@ -524,7 +542,8 @@ def test_every_builder_returns_a_block_schedule():
              "ssp": compute_ssp_cover(m),
              "static_trees": compute_static_trees(m),
              "dynamic_trees": compute_dynamic_forest(m, phi,
-                                                     primal_round(m, phi))}
+                                                     primal_round(m, phi),
+                                                     _evaluate(m, phi))}
     for origin, schedule in built.items():
         assert isinstance(schedule, BlockSchedule)
         assert schedule.origin == origin

@@ -12,7 +12,7 @@ import pytest
 from dualbca.covers import gap_scores
 from dualbca.generate import random_phi
 from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
-                           node_costs,
+                           _evaluate, node_costs,
                            check_feasible, dual_value, energy, primal_round)
 from dualbca.solve import SolverConfig, run
 from dualbca.updates import MessageCounter
@@ -109,19 +109,20 @@ def test_whole_model_functions_match_loops():
         for tol in (0.0, 0.5 * abs(lowest), 2.0 * abs(lowest)):
             assert check_feasible(model, phi, tol) == (lowest >= -tol)
 
-        node_gap, edge_gap = gap_scores(model, phi, y)
+        node_gap, edge_gap = gap_scores(model, phi, y, _evaluate(model, phi))
         assert close(node_gap, [t[y[u]] - t.min() for u, t in enumerate(units)])
         assert close(edge_gap, [t[y[u], y[v]] - t.min()
                                 for (u, v), t in zip(model.edges, pairs)])
 
 
 def ref_record(model, phi):
-    """The dual, the rounding and its energy as a per-pass record took them
-    with ``t.min(axis=(1, 2))`` over :func:`edge_chunks` and a minimum and
-    an argmin per node, each sum left to right from its first term."""
-    costs = node_costs(model, phi)
-    at = model.label_offsets
-    nodes = [costs[at[u]:at[u + 1]] for u in range(model.n_nodes)]
+    """The node costs, the rounding, the edge minima, the dual and the
+    rounding's energy as a per-pass record took them with
+    ``t.min(axis=(1, 2))`` over :func:`edge_chunks`, and :func:`ref_unary`,
+    a minimum and an argmin per node, each sum left to right from its first
+    term."""
+    nodes = [ref_unary(model, phi, u) for u in range(model.n_nodes)]
+    costs = np.concatenate(nodes)
     edge_min = np.zeros(model.n_edges)
     for ids, t in edge_chunks(model, phi):
         edge_min[ids] = t.min(axis=(1, 2))
@@ -133,7 +134,8 @@ def ref_record(model, phi):
             out += x
         return float(out)
 
-    return (total([c.min() for c in nodes] + list(edge_min)), y,
+    return (costs, y, edge_min, total([c.min() for c in nodes]
+                                      + list(edge_min)),
             total([model.unary[u][y[u]] for u in range(model.n_nodes)]
                   + [t[y[u], y[v]] for (u, v), t in zip(model.edges,
                                                        model.pairwise)]))
@@ -168,10 +170,10 @@ def signed_zeros(rng, phi, share):
 
 
 def test_record_is_bit_for_bit_the_per_edge_minima():
-    # dual_value, primal_round and energy, as solve.run records them, and
-    # gap_scores and check_feasible, against edge_chunks minima.  Integer
-    # costs make ties and zero minima; phi holds signed zeros.  One model
-    # has no edges.
+    # The evaluation that solve.run records and dynamic trees read, field
+    # by field, dual_value, primal_round and energy, and gap_scores and
+    # check_feasible, against edge_chunks minima.  Integer costs make ties
+    # and zero minima; phi holds signed zeros.  One model has no edges.
     rng = np.random.default_rng(8)
     models = [m for _, m, _ in cases(9, count=12)]
     for _ in range(6):
@@ -187,12 +189,16 @@ def test_record_is_bit_for_bit_the_per_edge_minima():
                         signed_zeros(rng, random_phi(rng, model, 2.0), share),
                         signed_zeros(rng, run(model, SolverConfig(
                             "trws", max_passes=2))[0], share)):
-                dual, y, e = ref_record(model, phi)
+                costs, y, edge_min, dual, e = ref_record(model, phi)
+                ev = _evaluate(model, phi)
+                for got, want in zip(ev, (costs, y, edge_min, dual)):
+                    assert np.asarray(got).tobytes() == \
+                        np.asarray(want).tobytes()
                 assert dual_value(model, phi).hex() == dual.hex()
                 assert primal_round(model, phi).tobytes() == y.tobytes()
                 assert energy(model, y).hex() == e.hex()
                 for y in (y, rng.integers(0, model.labels)):
-                    gaps = gap_scores(model, phi, y)
+                    gaps = gap_scores(model, phi, y, ev)
                     ref = ref_gaps(model, phi, y)
                     for got, want in zip(gaps, ref):
                         assert np.array_equal(got, want)

@@ -6,7 +6,7 @@ import pytest
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
                            dual_value, energy, pairwise_costs, primal_round,
                            unary_costs)
-from dualbca.generate import random_model, random_phi
+from dualbca.generate import generate_instance, random_model, random_phi
 from dualbca.oracle import brute_force_min
 from helpers import has_edge
 
@@ -105,7 +105,10 @@ class TestChecks:
     @pytest.mark.parametrize("y,message", [
         ([0], "one label per node"), ([[0, 1]], "one label per node"),
         ([0, 2], "label 2 out of range for node 1"),
-        ([-1, 0], "label -1 out of range for node 0")])
+        ([-1, 0], "label -1 out of range for node 0"),
+        ([0.7, 0], "label 0.7 of node 0 is not a whole number"),
+        ([0, 1.5], "label 1.5 of node 1 is not a whole number"),
+        ([np.nan, 0], "label nan out of range for node 0")])
     def test_bad_labeling_rejected(self, y, message):
         with pytest.raises(ValueError, match=message):
             energy(two_node_model(), y)
@@ -196,6 +199,16 @@ class TestEnergy:
 
     def test_hand_sum(self):
         assert energy(two_node_model(), [0, 0]) == 1.0
+        # Whole numbers of any dtype are labels; a fraction is an error,
+        # not a label truncated towards zero.
+        for y in ([0.0, 0.0], np.zeros(2, np.uint8), [False, False]):
+            assert energy(two_node_model(), y) == 1.0
+        m = generate_instance("sparse_grid", height=2, width=2, labels=3,
+                              seed=0)
+        assert energy(m, np.array([0.0, 1.0, 2.0, 0.0])) == \
+            energy(m, [0, 1, 2, 0])
+        with pytest.raises(ValueError, match="not a whole number"):
+            energy(m, [0.7, 1.2, 2.9, 0.0])
 
     def test_invariance_under_phi(self):
         rng = np.random.default_rng(1)

@@ -10,11 +10,11 @@ from dualbca.model import (GraphicalModel, Reparametrization, dual_value,
 from dualbca.generate import random_model, random_tree_model
 from dualbca import oracle
 from dualbca.oracle import (ENUMERATION_GUARD, MinorantHypothesisError,
-                            StateSpaceTooLarge, block_dual, brute_force_min,
-                            chain_min, check_maximal_minorant, check_minorant,
+                            StateSpaceTooLarge, brute_force_min, chain_min,
+                            check_maximal_minorant, check_minorant,
                             energy_table)
 from dualbca.updates import handshake_update, mplp_update
-from helpers import dp_update
+from helpers import block_dual, dp_update
 
 
 def two_node_model():

@@ -1,4 +1,5 @@
 import gc
+import sys
 import time
 import weakref
 
@@ -12,6 +13,7 @@ from dualbca.generate import (generate_instance, random_model,
 from dualbca.oracle import brute_force_min, chain_min
 from dualbca.solve import (METHODS, SolverConfig, TraceRecord, _chain_cover,
                            _colour_classes, _Run, normalize_messages, run)
+from dualbca.updates import Program
 from helpers import check_greedy_classes
 
 
@@ -351,6 +353,48 @@ def test_dynamic_run_frees_phi_without_the_cycle_collector():
         assert buffer() is None
     finally:
         gc.enable()
+
+
+def test_one_evaluation_per_record(monkeypatch):
+    # A run of P passes makes P + 1 records, and each evaluates theta^phi
+    # once: node costs and edge minima.  A dynamic forest reads the record
+    # just made, so it adds none.  node_costs is patched, and so is
+    # _edge_minima, in every dualbca module that binds it, so that a name
+    # imported into another module is counted too; the node costs that
+    # Program.run derives, and those of theta alone (phi=None), are not
+    # evaluations of phi.
+    calls, running = {"node_costs": 0, "_edge_minima": 0}, [0]
+
+    def counted(name, fn):
+        def wrapper(model, phi):
+            calls[name] += phi is not None and not running[0]
+            return fn(model, phi)
+        return wrapper
+
+    def program_run(self, *args):
+        running[0] += 1
+        try:
+            return run_program(self, *args)
+        finally:
+            running[0] -= 1
+
+    run_program = Program.run
+    monkeypatch.setattr(Program, "run", program_run)
+    modules = [m for name, m in list(sys.modules.items())
+               if name.split(".")[0] == "dualbca"]
+    for module in modules:
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    m = generate_instance("sparse_grid", height=8, width=8, labels=3, seed=0)
+    for mode in ("static", "dynamic"):
+        for name in calls:
+            calls[name] = 0
+        _, _, trace = run(m, SolverConfig("tbca", tree_mode=mode,
+                                          max_passes=10))
+        assert len(trace) == 11
+        assert calls == {"node_costs": 11, "_edge_minima": 11}
 
 
 class TestNormalizeMessages:

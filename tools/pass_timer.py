@@ -22,8 +22,9 @@ rounds, each timed with ``time.process_time``.  The models:
   dynamic trees (``tbca-dynamic``), whose ratio is ROADMAP item 7's.
 
 After each pass, the side's per-pass record is timed as ``solve.run``
-makes it (``model._dual_and_rounding``, then ``model.energy`` of the
-rounding).  After the passes, N rounds alternate the same way in building
+makes it (``model._evaluate``, or ``model._dual_and_rounding`` on a side
+that predates it, then ``model.energy`` of the rounding); a dynamic run
+reads the evaluation at its next pass.  After the passes, N rounds alternate the same way in building
 and compiling each side's program afresh (``_Run.program`` with the
 program reset, then ``Program._compile``), with the collector off, timed
 in three parts: emission (``_Run.program``), levelling
@@ -100,10 +101,17 @@ def source_size(checkout):
 
 
 def record(pkg, state):
-    """One per-pass record of ``state`` as ``solve.run`` makes it."""
+    """One per-pass record of ``state`` as ``solve.run`` makes it.  Its
+    evaluation is left for the next pass's dynamic forest, as there."""
     model = pkg["model"]
-    _, y = model._dual_and_rounding(state.model, state.phi)
-    model.energy(state.model, y)
+    if hasattr(model, "_evaluate"):
+        state.evaluation = ev = model._evaluate(state.model, state.phi)
+        model.energy(state.model, ev.y)
+    else:
+        # A parent at commit f74f6b1 or before records through
+        # _dual_and_rounding, and its forests evaluate phi themselves.
+        _, y = model._dual_and_rounding(state.model, state.phi)
+        model.energy(state.model, y)
 
 
 def build(pkg, workload, seed):
