@@ -22,6 +22,19 @@ class BlockSchedule:
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
 
+def check_order(model, order):
+    """``order`` as a list of ints, once it is a permutation of the node
+    indices given as whole numbers of whatever type; None is input order."""
+    n = model.n_nodes
+    if order is None:
+        return list(range(n))
+    order = list(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError("node order must be a permutation of the node "
+                         "indices")
+    return [int(u) for u in order]
+
+
 def compute_mmc_cover(model, order=None):
     """Edge-disjoint maximal monotonic chains covering all edges.
 
@@ -31,9 +44,7 @@ def compute_mmc_cover(model, order=None):
     edges are covered.
     """
     n = model.n_nodes
-    order = list(range(n)) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the node indices")
+    order = check_order(model, order)
     pos = [0] * n
     for i, u in enumerate(order):
         pos[u] = i

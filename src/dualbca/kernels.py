@@ -249,10 +249,10 @@ def _marginal(runs, tables):
     batch of edges, run by run, each into its rows of one (m, L) output.
 
     The tables are in canonical orientation, (m, L_a, L_b), and theta^phi
-    is summed with the operand order of
-    :func:`dualbca.model.pairwise_costs`, (theta_ab + phi_{a,b}) +
-    phi_{b,a}.  u is the canonical first endpoint of the edges of one run
-    and the second of the other's (both occur only on square tables).
+    is summed in the operand order of :func:`dualbca.model.energy`,
+    (theta_ab + phi_{a,b}) + phi_{b,a}.  u is the canonical first endpoint
+    of the edges of one run and the second of the other's (both occur only
+    on square tables).
     Each run holds which of ``tables`` it reads (its rows, transposed so
     that the reduced axis comes first), the row it adds to them, broadcast
     along the other axis, the sum it reduces, the row it adds last, its

@@ -64,13 +64,17 @@ class GraphicalModel:
     """
 
     def __init__(self, labels, edges, unary, pairwise, grid_shape=None):
-        self.labels = tuple(int(k) for k in labels)
+        given = np.asarray(labels)
+        lab = _whole(given, lambda u: f"label count {given[u]} of node {u}",
+                     copy=False)
+        self.labels = tuple(lab.tolist())
         self.n_nodes = n = len(self.labels)
         if any(k <= 0 for k in self.labels):
             raise ValueError("every node needs at least one label")
-        lab = np.array(self.labels, dtype=np.int64)
 
-        given = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        ends = np.asarray(edges).reshape(len(edges), 2)
+        given = _whole(ends, lambda i: "edge ({},{}) has an endpoint that"
+                       .format(*ends[i // 2].tolist()), copy=False)
         u, v = given.T
         self.ends = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1)
         self.n_edges = m = len(self.ends)
@@ -127,7 +131,6 @@ class GraphicalModel:
         # phi layout: node u owns deg(u) rows of L_u values.
         phi_off = np.append(0, (deg * lab).cumsum())
         self.phi_size = int(phi_off[-1])
-        self._phi_off = phi_off.tolist()
         # Start of phi_{u,v}, then of phi_{v,u}, per CSR entry (u, v).
         self._inc_phi = phi_off[src] + (np.arange(src.size)
                                         - self._inc_ptr[src]) * lab[src]
@@ -222,25 +225,28 @@ class Reparametrization:
     """Dual vector phi: one value per (directed incidence, label) pair.
 
     ``phi[u, v]`` is a writable view of the vector ``phi_{u,v}`` over the
-    labels of ``u``, defined for every edge ``uv`` of the model.  All values
-    live in the flat buffer ``values`` laid out by the model; a
-    reparametrization is owned by exactly one solver run at a time.
-
-    ``buffer`` holds theta^phi of every node (laid out as the unary
-    buffer), then ``values``, then a zero scratch row per directed
-    incidence, so that :class:`dualbca.updates.Program` gathers all it
-    reads by one index.  A program derives theta^phi from theta and phi
-    when it starts to run and keeps it up to date; nothing else reads it.
+    labels of ``u``, defined for every edge ``uv`` of the model.  A
+    reparametrization is one flat ``buffer``, owned by exactly one solver
+    run at a time: theta^phi of every node (laid out as the unary buffer),
+    then phi as the model lays it out, then a zero scratch row per
+    directed incidence, so that :class:`dualbca.updates.Program` gathers
+    all it reads by one index.  ``values`` is a view of its phi.  A program
+    derives theta^phi from theta and phi when it starts to run and keeps
+    it up to date; nothing else reads it.
     """
 
-    __slots__ = ("model", "buffer", "values")
+    __slots__ = ("model", "buffer")
 
     def __init__(self, model: GraphicalModel):
         self.model = model
         at = model._unary_flat.size
         self.buffer = np.zeros(at + 2 * model.phi_size)
         self.buffer[:at] = model._unary_flat
-        self.values = self.buffer[at:at + model.phi_size]
+
+    @property
+    def values(self):
+        at = self.model._unary_flat.size
+        return self.buffer[at:at + self.model.phi_size]
 
     def __getitem__(self, uv):
         start = self.model.incidence(*uv)[1]
@@ -249,51 +255,15 @@ class Reparametrization:
     def __setitem__(self, uv, value):
         self[uv][...] = value
 
-    def rows(self, u):
-        """View of node u's phi rows, shape (deg(u), L_u), in adjacency order."""
-        off = self.model._phi_off
-        return self.values[off[u]:off[u + 1]].reshape(-1, self.model.labels[u])
-
     def copy(self):
         out = Reparametrization.__new__(Reparametrization)
         out.model, out.buffer = self.model, self.buffer.copy()
-        at = self.model._unary_flat.size
-        out.values = out.buffer[at:at + self.model.phi_size]
         return out
 
 
-def unary_costs(model, phi, u):
-    """Reparametrized unary vector theta^phi_u = theta_u - sum_v phi_{u,v}.
-
-    One reduction over theta_u stacked on u's phi rows: the neighbours are
-    subtracted one at a time in adjacency order, the same rounding as
-    :func:`node_costs`.
-    """
-    if phi is None:
-        return model.unary[u].copy()
-    return np.subtract.reduce(
-        np.concatenate((model.unary[u][None], phi.rows(u))), axis=0)
-
-
-def pairwise_costs(model, phi, u, v):
-    """Reparametrized pairwise table theta^phi_uv oriented as (Y_u, Y_v).
-
-    Always evaluated in canonical edge orientation, as
-    (theta_ab + phi_{a,b}) + phi_{b,a}, so the two query directions are
-    transposes of each other bit-exactly.
-    """
-    e, o_uv, o_vu = model.incidence(u, v)
-    a, b, o_ab, o_ba = (u, v, o_uv, o_vu) if u < v else (v, u, o_vu, o_uv)
-    out = model.pairwise[e].copy()
-    if phi is not None:
-        out += phi.values[o_ab:o_ab + model.labels[a]][:, None]
-        out += phi.values[o_ba:o_ba + model.labels[b]]
-    return out if u < v else out.T
-
-
 def check_labeling(model, y):
-    """``y`` as int64, once every label is a whole number in range, of
-    whatever dtype.  NaN is out of range."""
+    """``y`` as a new int64 array, once every label is a whole number in
+    range, of whatever dtype.  NaN is out of range."""
     given = np.asarray(y)
     if given.shape != (model.n_nodes,):
         raise ValueError("labeling must assign one label per node")
@@ -302,12 +272,20 @@ def check_labeling(model, y):
     if bad.size:
         u = int(bad[0])
         raise ValueError(f"label {given[u]} out of range for node {u}")
-    y = given.astype(np.int64)
-    bad = np.flatnonzero(y != given)
+    return _whole(given, lambda u: f"label {given[u]} of node {u}")
+
+
+def _whole(given, name, copy=True):
+    """The array ``given`` as int64 (``copy`` as for ``astype``), once every
+    entry is a whole number (NaN and infinities are not).  Else a
+    ValueError names the first entry that is not, by ``name`` of its flat
+    index."""
+    with np.errstate(invalid="ignore"):
+        out = given.astype(np.int64, copy=copy)
+    bad = np.flatnonzero(out != given)
     if bad.size:
-        u = int(bad[0])
-        raise ValueError(f"label {given[u]} of node {u} is not a whole number")
-    return y
+        raise ValueError(f"{name(int(bad[0]))} is not a whole number")
+    return out
 
 
 def node_costs(model, phi):
@@ -315,9 +293,8 @@ def node_costs(model, phi):
 
     Entry ``label_offsets[u] + s`` is theta^phi_u(s).  bincount adds its
     weights in input order, so each entry is theta_u(s) minus the incident
-    phi one at a time in adjacency order, bit for bit as in
-    :func:`unary_costs`.  With ``phi=None`` this is the model's own unary
-    buffer: read it, do not write it.
+    phi one at a time in adjacency order.  With ``phi=None`` this is the
+    model's own unary buffer: read it, do not write it.
     """
     if phi is None:
         return model._unary_flat

@@ -86,15 +86,6 @@ def normalize_messages(raw, instance_edges, dataset_mean_edges):
     return raw * dataset_mean_edges / instance_edges
 
 
-def _node_order(model, config):
-    if config.node_order is None:
-        return list(range(model.n_nodes))
-    order = list(config.node_order)
-    if sorted(order) != list(range(model.n_nodes)):
-        raise ValueError("node_order must be a permutation of the node indices")
-    return order
-
-
 def _chain_cover(model, config, kind, order):
     """The chain cover of this kind (one of ``COVERS`` but auto), MMC's in
     the node order ``order``, its blocks in the order of a pass."""
@@ -271,7 +262,7 @@ class _Run:
         self.config = config
         self.phi = Reparametrization(model)
         self.counter = MessageCounter()
-        self.order = _node_order(model, config)
+        self.order = covers.check_order(model, config.node_order)
         blocks, self._update = _TAXONOMY[config.method]
         self._blocks = blocks(self)
         self._program = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -103,18 +102,15 @@ class _Batch(NamedTuple):
 class Program:
     """A sequence of elementary operations, run as conflict-free waves.
 
-    Edge operations are appended with :meth:`rdp`, :meth:`push`,
-    :meth:`handshake` and :meth:`mplp`, node operations with :meth:`trws`
-    and :meth:`star`, and whole sweeps as arrays with :meth:`_append`.  The
-    first :meth:`run` or :meth:`waves` levels and batches them, and
-    compiles each batch into what its kernel reads: its spec, the index of
-    its theta^phi and phi in ``Reparametrization.buffer``, its tables (a
-    view of their shape block where their positions step evenly, else the
-    positions), its weights as columns, and the views of ``scratch`` that
-    it works in (see :class:`dualbca.kernels._Scratch`; a program of its
-    own if not given).  The compiled program gathers the buffer, and the
-    tables it holds no view of, on every run, and runs on any
-    reparametrization of the model.
+    Operations are appended as arrays with :meth:`_append`.  The first
+    :meth:`run` levels and batches them, and compiles each batch into what
+    its kernel reads: its spec, the index of its theta^phi and phi in
+    ``Reparametrization.buffer``, its tables (a view of their shape block
+    where their positions step evenly, else the positions), its weights as
+    columns, and the views of ``scratch`` that it works in (see
+    :class:`dualbca.kernels._Scratch`; a program of its own if not given).
+    The compiled program gathers the buffer, and the tables it holds no
+    view of, on every run, and runs on any reparametrization of the model.
     """
 
     def __init__(self, model, scratch=None):
@@ -125,49 +121,6 @@ class Program:
         none = np.zeros(0, dtype=np.int64)
         self._table = (none, none, none, none, np.zeros(0), none)
         self._plan = None
-
-    @property
-    def ops(self):
-        """(kind, u, v, r) of every operation, in program order; v is the
-        tuple of target neighbours for a node operation."""
-        kind, u, count, targets, r, _ = self._table
-        ts, count = targets.tolist(), count.tolist()
-        return [(k, u, tuple(ts[t:t + c]) if k >= TRWS else ts[t], r)
-                for k, u, c, r, t in zip(kind.tolist(), u.tolist(), count,
-                                         r.tolist(),
-                                         accumulate(count, initial=0))]
-
-    def rdp(self, u, v, r=1.0):
-        """Move fraction r of theta^phi_u into edge uv, then push the u -> v
-        min-marginal into v.  r = 1 is the dynamic-programming push; r = 0
-        moves nothing of theta^phi_u and is recorded as :meth:`push`."""
-        self._append(RDP, [u], 1, [v], r)
-
-    def push(self, u, v):
-        """Subtract the u -> v min-marginal from phi_{v,u}."""
-        self._append(PUSH, [u], 1, [v], 0.0)
-
-    def handshake(self, u, v):
-        """The edge block update of MPLP++ (see :func:`handshake_update`)."""
-        self._append(HANDSHAKE, [u], 1, [v], 0.0)
-
-    def mplp(self, u, v):
-        """The edge block update of MPLP (see :func:`mplp_update`)."""
-        self._append(MPLP, [u], 1, [v], 0.0)
-
-    def trws(self, u, later, r):
-        """The TRW-S step at u: add r * theta^phi_u, computed once, to
-        phi_{u,v} of every v in ``later``, then push each u -> v min-marginal
-        into v.  One message per v."""
-        later = list(later)
-        self._append(TRWS, [u], len(later), later, r)
-
-    def star(self, u, r):
-        """The star update of msd and cmp at u: pull the row minima of every
-        incident edge into u, then add r * theta^phi_u to each of u's rows.
-        One message per neighbour."""
-        star = self.model.neighbors(u) if 0 <= u < self.model.n_nodes else ()
-        self._append(STAR, [u], len(star), star, r)
 
     def _append(self, kind, u, count, targets, r):
         """Append operations given as arrays: u, and the kind, number of
@@ -210,12 +163,6 @@ class Program:
             np.where(rdp & (r == 0.0), PUSH, kind), u, count, targets, r,
             entry))))
         self._plan = None
-
-    def waves(self):
-        """Wave index of every operation, in program order."""
-        if self._plan is None:
-            self._plan = self._compile()
-        return self._plan[2].tolist()
 
     def _level(self, layout, n_layouts):
         """Wave of every operation, in program order, by its layout code."""
@@ -375,7 +322,7 @@ class Program:
         kind, u, count, targets, r, entry = self._table
         n = len(kind)
         if n == 0:
-            return [], 0, np.zeros(0, dtype=np.int64)
+            return [], 0
         op, op_start, entry, part, first, into, cut, layout, n_layouts = \
             self._layouts()
         waves = np.asarray(self._level(layout, n_layouts), dtype=np.int64)
@@ -576,7 +523,7 @@ class Program:
             batches.append(_Batch(g, idx, tabs[p:q], r[a:a + m],
                                   keep[a:a + m], end, shared[z]))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
-        return batches, messages, waves
+        return batches, messages
 
     def run(self, phi, counter=None):
         """Apply the program to phi, charging its messages to ``counter``.
@@ -587,7 +534,7 @@ class Program:
         derived again after every batch."""
         if self._plan is None:
             self._plan = self._compile()
-        batches, messages, _ = self._plan
+        batches, messages = self._plan
         model, buf = self.model, phi.buffer
         nodes, exact = slice(model._unary_flat.size), model._exact_excess
         buf[nodes] = node_costs(model, phi)
@@ -641,7 +588,7 @@ def mplp_update(model, phi, u, v, counter=None):
     The second push uses the edge costs as updated by the first one; this
     ordering attains the exact 2-node block optimum.
     """
-    run_program(model, phi, counter, Program.mplp, u, v)
+    run_program(model, phi, counter, Program._append, MPLP, [u], 1, [v], 0.0)
 
 
 def handshake_update(model, phi, u, v, counter=None):
@@ -652,4 +599,5 @@ def handshake_update(model, phi, u, v, counter=None):
     not depend on the incoming phi_{v,u} and satisfies the maximal-minorant
     conditions (zero row and column minima) on the edge.
     """
-    run_program(model, phi, counter, Program.handshake, u, v)
+    run_program(model, phi, counter, Program._append, HANDSHAKE, [u], 1, [v],
+                0.0)

@@ -11,9 +11,9 @@ from .blocks import chain_block, tree_block
 from .covers import compute_mmc_cover, compute_ssp_cover
 from .generate import random_model, random_phi, random_tree_model
 from .model import (GraphicalModel, Reparametrization, check_feasible,
-                    dual_value, unary_costs)
+                    dual_value)
 from .oracle import (brute_force_min, chain_min, check_maximal_minorant,
-                     check_minorant, energy_table)
+                     check_minorant, energy_table, unary_costs)
 from .solve import METHODS, SolverConfig, run
 from .updates import MessageCounter, handshake_update, mplp_update
 

@@ -1,32 +1,132 @@
-"""One-operation updates that only the tests call.
+"""One-operation updates and views that only the tests call.
 
-Each runs a :class:`dualbca.updates.Program` of one operation, or computes
-the same quantity from :mod:`dualbca.model`, so that tests can check the
-elementary updates one at a time.  :func:`has_edge`, :func:`edge_id`,
-:func:`pairwise_table` and :func:`is_zero` read a model or a
-reparametrization through ``GraphicalModel.lookup`` and the flat arrays.
-:func:`batch_count` reads how many
-batches a compiled program runs, :func:`marginal` runs the min-marginal
-kernel on arrays of its own, and :func:`check_greedy_classes` checks a
-colour-class block order.  :func:`kruskal_forest` is the plain Kruskal
-spanning forest that the array forest of :mod:`dualbca.covers` is checked
-against, and :func:`edge_chunks` builds the whole theta^phi tables that
-the whole-model evaluation of :mod:`dualbca.model` is checked against.
-:func:`block_dual` sums a block's minima with the oracle's own cost
-functions, and :func:`count_shortest_paths` counts shortest paths by a
-plain BFS.
+Each update runs a :class:`dualbca.updates.Program` of one operation, or
+computes the same quantity from :mod:`dualbca.model`, so that tests can
+check the elementary updates one at a time.  :func:`rdp`, :func:`push`,
+:func:`handshake`, :func:`mplp`, :func:`trws` and :func:`star` append one
+operation to a program through ``Program._append``; :func:`ops` lists a
+program's operations and :func:`waves` the wave of each, as its compile
+levels them.  :func:`unary_costs` and :func:`pairwise_costs` compute
+theta^phi of one node and of one edge from :func:`rows` of phi, in the
+operand order of the whole-model evaluation.  :func:`has_edge`,
+:func:`edge_id`, :func:`pairwise_table` and :func:`is_zero` read a model
+or a reparametrization through ``GraphicalModel.lookup`` and the flat
+arrays.  :func:`batch_count` reads how many batches a compiled program
+runs, :func:`marginal` runs the min-marginal kernel on arrays of its own,
+and :func:`check_greedy_classes` checks a colour-class block order.
+:func:`kruskal_forest` is the plain Kruskal spanning forest that the array
+forest of :mod:`dualbca.covers` is checked against, and
+:func:`edge_chunks` builds the whole theta^phi tables that the whole-model
+evaluation of :mod:`dualbca.model` is checked against.  :func:`block_dual`
+sums a block's minima with the oracle's own cost functions, and
+:func:`count_shortest_paths` counts shortest paths by a plain BFS.
 """
 from collections import deque
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from dualbca import oracle
 from dualbca.blocks import emit_tbca
-from dualbca.model import (_EDGE_CHUNK, Reparametrization, pairwise_costs,
-                           unary_costs)
+from dualbca.model import _EDGE_CHUNK, Reparametrization
 from dualbca import kernels
-from dualbca.updates import Program, run_program
+from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
+                             run_program)
+
+
+def ops(prog):
+    """(kind, u, v, r) of every operation, in program order; v is the
+    tuple of target neighbours for a node operation."""
+    kind, u, count, targets, r, _ = prog._table
+    ts, count = targets.tolist(), count.tolist()
+    return [(k, u, tuple(ts[t:t + c]) if k >= TRWS else ts[t], r)
+            for k, u, c, r, t in zip(kind.tolist(), u.tolist(), count,
+                                     r.tolist(),
+                                     accumulate(count, initial=0))]
+
+
+def waves(prog):
+    """Wave index of every operation, in program order, as the program's
+    compile levels them."""
+    if len(prog._table[0]) == 0:
+        return []
+    return list(prog._level(*prog._layouts()[-2:]))
+
+
+def rdp(prog, u, v, r=1.0):
+    """Move fraction r of theta^phi_u into edge uv, then push the u -> v
+    min-marginal into v.  r = 1 is the dynamic-programming push; r = 0
+    moves nothing of theta^phi_u and is recorded as a push."""
+    prog._append(RDP, [u], 1, [v], r)
+
+
+def push(prog, u, v):
+    """Subtract the u -> v min-marginal from phi_{v,u}."""
+    prog._append(PUSH, [u], 1, [v], 0.0)
+
+
+def handshake(prog, u, v):
+    """The edge block update of MPLP++ (see ``updates.handshake_update``)."""
+    prog._append(HANDSHAKE, [u], 1, [v], 0.0)
+
+
+def mplp(prog, u, v):
+    """The edge block update of MPLP (see ``updates.mplp_update``)."""
+    prog._append(MPLP, [u], 1, [v], 0.0)
+
+
+def trws(prog, u, later, r):
+    """The TRW-S step at u: add r * theta^phi_u, computed once, to
+    phi_{u,v} of every v in ``later``, then push each u -> v min-marginal
+    into v.  One message per v."""
+    later = list(later)
+    prog._append(TRWS, [u], len(later), later, r)
+
+
+def star(prog, u, r):
+    """The star update of msd and cmp at u: pull the row minima of every
+    incident edge into u, then add r * theta^phi_u to each of u's rows.
+    One message per neighbour."""
+    model = prog.model
+    nbrs = model.neighbors(u) if 0 <= u < model.n_nodes else ()
+    prog._append(STAR, [u], len(nbrs), nbrs, r)
+
+
+def rows(phi, u):
+    """View of node u's phi rows, shape (deg(u), L_u), in adjacency order."""
+    model = phi.model
+    off = np.append(0, (model._degree * np.diff(model.label_offsets)).cumsum())
+    return phi.values[off[u]:off[u + 1]].reshape(-1, model.labels[u])
+
+
+def unary_costs(model, phi, u):
+    """Reparametrized unary vector theta^phi_u = theta_u - sum_v phi_{u,v}.
+
+    One reduction over theta_u stacked on u's phi rows: the neighbours are
+    subtracted one at a time in adjacency order, the same rounding as
+    ``model.node_costs``.
+    """
+    if phi is None:
+        return model.unary[u].copy()
+    return np.subtract.reduce(
+        np.concatenate((model.unary[u][None], rows(phi, u))), axis=0)
+
+
+def pairwise_costs(model, phi, u, v):
+    """Reparametrized pairwise table theta^phi_uv oriented as (Y_u, Y_v).
+
+    Always evaluated in canonical edge orientation, as
+    (theta_ab + phi_{a,b}) + phi_{b,a}, so the two query directions are
+    transposes of each other bit-exactly.
+    """
+    e, o_uv, o_vu = model.incidence(u, v)
+    a, b, o_ab, o_ba = (u, v, o_uv, o_vu) if u < v else (v, u, o_vu, o_uv)
+    out = model.pairwise[e].copy()
+    if phi is not None:
+        out += phi.values[o_ab:o_ab + model.labels[a]][:, None]
+        out += phi.values[o_ba:o_ba + model.labels[b]]
+    return out if u < v else out.T
 
 
 def has_edge(model, u, v):
@@ -63,7 +163,7 @@ def node_aggregate(model, phi, u, counter=None):
 
 def _emit_aggregate(prog, u):
     for v in prog.model.neighbors(u):
-        prog.push(v, u)
+        push(prog, v, u)
 
 
 def node_distribute(model, phi, u, weights, counter=None):
@@ -83,8 +183,7 @@ def node_distribute(model, phi, u, weights, counter=None):
     if total > 1.0 + 1e-12:
         raise ValueError(f"distribution weights sum to {total} > 1")
     excess = unary_costs(model, phi, u)
-    rows = phi.rows(u)
-    rows[k] += w[:, None] * excess
+    rows(phi, u)[k] += w[:, None] * excess
 
 
 def message(model, phi, u, v, counter=None):
@@ -98,7 +197,7 @@ def message(model, phi, u, v, counter=None):
 
 def push_min_into(model, phi, u, v, counter=None):
     """Subtract the u->v min-marginal from phi_{v,u}, moving it into node v."""
-    run_program(model, phi, counter, Program.push, u, v)
+    run_program(model, phi, counter, push, u, v)
 
 
 def dp_update(model, phi, u, v, counter=None):
@@ -107,7 +206,7 @@ def dp_update(model, phi, u, v, counter=None):
     Empties theta^phi_u into the edge, then moves the edge's min-marginal
     into v.  One message.
     """
-    run_program(model, phi, counter, Program.rdp, u, v)
+    run_program(model, phi, counter, rdp, u, v)
 
 
 def rdp_update(model, phi, u, v, r, counter=None):
@@ -115,7 +214,7 @@ def rdp_update(model, phi, u, v, r, counter=None):
 
     r=1 is exactly :func:`dp_update`; r=0 only moves the edge min-marginal.
     """
-    run_program(model, phi, counter, Program.rdp, u, v, r)
+    run_program(model, phi, counter, rdp, u, v, r)
 
 
 def tbca_tree(model, phi, block, counter=None, plus=False):
@@ -128,7 +227,7 @@ def batch_count(prog):
     on a zero reparametrization) if it has not run yet."""
     if prog._plan is None:
         prog.run(Reparametrization(prog.model))
-    batches, _, _ = prog._plan
+    batches, _ = prog._plan
     return len(batches)
 
 

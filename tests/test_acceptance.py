@@ -13,12 +13,12 @@ from dualbca.cli import main
 from dualbca.covers import compute_mmc_cover, compute_ssp_cover
 from dualbca.generate import random_model, random_tree_model
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
-                           dual_value, pairwise_costs, unary_costs)
+                           dual_value)
 from dualbca.oracle import (brute_force_min, check_maximal_minorant,
                             energy_table)
 from dualbca.solve import METHODS, SolverConfig, run
 from dualbca.updates import (MessageCounter, handshake_update, mplp_update)
-from helpers import count_shortest_paths
+from helpers import count_shortest_paths, pairwise_costs, unary_costs
 
 
 def report(number, name, ok, detail=""):

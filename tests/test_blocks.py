@@ -6,13 +6,13 @@ import pytest
 from dualbca.blocks import (Block, chain_block, emit_hm, emit_tbca, hm_chain,
                             hm_tree, tbca_chain, tbca_pp_chain, tree_block)
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
-                           dual_value, unary_costs)
+                           dual_value)
 from dualbca.generate import random_tree_model
 from dualbca.oracle import (brute_force_min, chain_min,
                             check_maximal_minorant, check_minorant)
 from dualbca.updates import (HANDSHAKE, PUSH, RDP, MessageCounter, Program,
                              handshake_update)
-from helpers import block_dual, is_zero, tbca_tree
+from helpers import block_dual, is_zero, ops, tbca_tree, unary_costs
 
 
 def chain_model(rng, n, labels=3):
@@ -224,7 +224,7 @@ class TestHmChain:
 def program_ops(model, emit, block, **kwargs):
     prog = Program(model)
     emit(prog, block, **kwargs)
-    return prog.ops
+    return ops(prog)
 
 
 def ref_hm_chain(nodes, left_fresh=True, right_fresh=True):
@@ -331,7 +331,7 @@ class TestHmTree:
         m = chain_model(rng, 70)
         prog = Program(m)
         emit_hm(prog, *(chain_block(m, list(range(n))) for n in range(2, 71)))
-        assert prog.ops == [op for n in range(2, 71) for op in program_ops(
+        assert ops(prog) == [op for n in range(2, 71) for op in program_ops(
             m, emit_hm, tree_block(m, m.edges[:n - 1]))]
 
     def test_random_trees_optimal_and_maximal(self):

@@ -1,14 +1,16 @@
+import copy
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
-                           dual_value, energy, pairwise_costs, primal_round,
-                           unary_costs)
+                           dual_value, energy, primal_round)
 from dualbca.generate import generate_instance, random_model, random_phi
 from dualbca.oracle import brute_force_min
-from helpers import has_edge
+from dualbca.solve import SolverConfig, _Run
+from helpers import has_edge, pairwise_costs, unary_costs
 
 
 def two_node_model():
@@ -60,7 +62,11 @@ class TestConstruction:
         ([(0, 1), (3, 0), (2, 2), (1, 0)],
          "edge (3,0) has an endpoint out of range"),
         ([(0, 1), (2, 2), (3, 0), (1, 0)], "self-loop at node 2"),
-        ([(0, 1), (1, 2), (1, 0), (2, 1)], "duplicate edge")])
+        ([(0, 1), (1, 2), (1, 0), (2, 1)], "duplicate edge"),
+        ([(0.7, 1.2)],
+         "edge (0.7,1.2) has an endpoint that is not a whole number"),
+        ([(0, 1), (2, 1.5), (0.5, 1)],
+         "edge (2.0,1.5) has an endpoint that is not a whole number")])
     def test_first_bad_edge_decides(self, edges, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             GraphicalModel([2] * 3, edges, [np.zeros(2)] * 3,
@@ -83,6 +89,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(message)):
             GraphicalModel([2, 3, 2], [(0, 2), (2, 1), (0, 1)],
                            [np.zeros(2), np.zeros(3), np.zeros(2)], tables)
+
+    @pytest.mark.parametrize("labels,message", [
+        ([2.7, 2, 2], "label count 2.7 of node 0 is not a whole number"),
+        ([2, 2, 1.5], "label count 1.5 of node 2 is not a whole number")])
+    def test_fractional_label_count_rejected(self, labels, message):
+        # A fraction is an error, not a count truncated towards zero.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GraphicalModel(labels, [(0, 1)], [np.zeros(2)] * 3,
+                           [np.zeros((2, 2))])
+
+    def test_whole_float_input_accepted(self):
+        m = GraphicalModel([2.0, 3.0], np.array([[1.0, 0.0]]),
+                           [np.zeros(2), np.zeros(3)], [np.zeros((2, 3))])
+        assert m.labels == (2, 3) and m.edges == ((0, 1),)
+        assert all(type(k) is int for k in m.labels + m.edges[0])
 
     @pytest.mark.parametrize("labels", [[2, 0, 2], [2, -1, 2]])
     def test_node_without_labels_rejected(self, labels):
@@ -261,6 +282,28 @@ class TestPrimalRound:
     def test_tie_breaks_low(self):
         m = GraphicalModel([2], [], [np.array([2.0, 2.0])], [])
         assert primal_round(m, Reparametrization(m)).tolist() == [0]
+
+
+@pytest.mark.parametrize("clone", [
+    copy.deepcopy, lambda phi: pickle.loads(pickle.dumps(phi))],
+    ids=["deepcopy", "pickle"])
+def test_a_cloned_phi_runs_on_as_its_copy(clone):
+    # phi is one buffer, of which ``values`` is a view.  A deep copy or a
+    # pickle of phi mid-run is one buffer too, so a program run on it
+    # leaves it byte for byte as on ``phi.copy()``, and its dual moves.
+    model = generate_instance("sparse_grid", height=4, width=4, labels=3,
+                              seed=0)
+    state = _Run(model, SolverConfig("trws"))
+    state.do_pass()
+    prog = state.program()
+    copies = [state.phi.copy(), clone(state.phi)]
+    for phi in copies:
+        for _ in range(2):
+            prog.run(phi)
+    assert copies[1].buffer.tobytes() == copies[0].buffer.tobytes()
+    assert np.shares_memory(copies[1].values, copies[1].buffer)
+    assert dual_value(model, copies[1]) == dual_value(model, copies[0]) \
+        > dual_value(model, state.phi)
 
 
 def test_pairwise_costs_oriented_view():

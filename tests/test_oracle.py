@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from dualbca.blocks import chain_block, tree_block, hm_chain, tbca_chain
-from dualbca.model import (GraphicalModel, Reparametrization, dual_value,
-                           pairwise_costs)
+from dualbca.model import GraphicalModel, Reparametrization, dual_value
 from dualbca.generate import random_model, random_tree_model
 from dualbca import oracle
 from dualbca.oracle import (ENUMERATION_GUARD, MinorantHypothesisError,
@@ -14,7 +13,7 @@ from dualbca.oracle import (ENUMERATION_GUARD, MinorantHypothesisError,
                             check_maximal_minorant, check_minorant,
                             energy_table)
 from dualbca.updates import handshake_update, mplp_update
-from helpers import block_dual, dp_update
+from helpers import block_dual, dp_update, pairwise_costs
 
 
 def two_node_model():

@@ -19,6 +19,7 @@ from dualbca.generate import generate_instance
 from dualbca.model import COST_CAP, GraphicalModel
 from dualbca.updates import Program
 from dualbca.solve import METHODS, SolverConfig, _Run
+from helpers import ops, waves
 from test_waves import models as hostile_models
 
 
@@ -111,9 +112,9 @@ def op_rows(g, idx):
 
 def plan_digest(h, model, prog):
     """Add the waves and the compiled batches of ``prog`` to ``h``."""
-    ints(h, prog.waves())
+    ints(h, waves(prog))
     blocks = [g.block for g in model._shape_groups]
-    batches, messages, _ = prog._plan
+    batches, messages = prog._plan
     ints(h, [len(batches), messages])
     for g, idx, parts, r, keep, end, *_ in batches:
         # The pinned digests hash, per spec and per part, whether it has
@@ -174,7 +175,7 @@ def test_building_looks_up_no_incidence(method, monkeypatch):
     state = _Run(model, SolverConfig(method))
     lookups = count_incidence(monkeypatch)
     prog = state.program()
-    assert isinstance(prog, Program) and prog.ops
+    assert isinstance(prog, Program) and ops(prog)
     prog._compile()
     assert lookups == []
 

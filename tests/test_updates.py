@@ -6,16 +6,16 @@ import pytest
 
 from dualbca import blocks as blk
 from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
-                           check_feasible, dual_value, pairwise_costs,
-                           primal_round, unary_costs)
+                           check_feasible, dual_value, primal_round)
 from dualbca.generate import random_model, random_phi
 from dualbca.oracle import brute_force_min
 from dualbca.solve import METHODS, SolverConfig, _Run
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, handshake_update,
                              mplp_update)
-from helpers import (batch_count, dp_update, is_zero, node_aggregate,
-                     node_distribute, rdp_update)
+from helpers import (batch_count, dp_update, handshake, is_zero, mplp,
+                     node_aggregate, node_distribute, ops, pairwise_costs,
+                     push, rdp, rdp_update, star, trws, unary_costs, waves)
 from test_waves import check_packing, models
 
 
@@ -122,7 +122,7 @@ class TestWeightsFor:
     def node_steps(model, method, u):
         """(targets, weight) of every node operation at u, in pass order."""
         prog = _Run(model, SolverConfig(method, max_passes=1)).program()
-        return [(v, r) for _, x, v, r in prog.ops if x == u]
+        return [(v, r) for _, x, v, r in ops(prog) if x == u]
 
     def test_msd(self):
         assert self.node_steps(self.star_model(), "msd", 0) == \
@@ -336,16 +336,16 @@ def test_all_updates_preserve_feasibility():
 
 
 def append_op(prog, kind, u, v, r):
-    """Append an operation as listed by ``Program.ops`` to ``prog``."""
+    """Append an operation as listed by ``helpers.ops`` to ``prog``."""
     if kind == STAR:
-        prog.star(u, r)
+        star(prog, u, r)
     elif kind == TRWS:
-        prog.trws(u, v, r)
+        trws(prog, u, v, r)
     elif kind == RDP:
-        prog.rdp(u, v, r)
+        rdp(prog, u, v, r)
     else:
-        add = {PUSH: prog.push, HANDSHAKE: prog.handshake, MPLP: prog.mplp}
-        add[kind](u, v)
+        add = {PUSH: push, HANDSHAKE: handshake, MPLP: mplp}
+        add[kind](prog, u, v)
 
 
 @pytest.mark.parametrize("method,tree_mode",
@@ -367,9 +367,9 @@ def assert_bit_identical_to_one_at_a_time(prog, model, rng):
     ref = phi.copy()
     prog.run(phi)
     one = Program(model)
-    for op in prog.ops:
+    for op in ops(prog):
         append_op(one, *op)
-    one._level = lambda layout, n_layouts: array("q", range(len(prog.ops)))
+    one._level = lambda layout, n_layouts: array("q", range(len(ops(prog))))
     one.run(ref)
     assert np.array_equal(phi.buffer, ref.buffer)
 
@@ -393,10 +393,10 @@ def test_square_tables_batch_both_orientations_together(kind):
         for i in range(parity, 12, 2):
             u, v = (i, i + 1) if (i // 2) % 2 == 0 else (i + 1, i)
             if kind == RDP:
-                prog.rdp(u, v, 0.25 + 0.75 * (i % 3 == 0))
+                rdp(prog, u, v, 0.25 + 0.75 * (i % 3 == 0))
             else:
-                prog.handshake(u, v)
-    assert max(prog.waves()) + 1 == 2
+                handshake(prog, u, v)
+    assert max(waves(prog)) + 1 == 2
     assert batch_count(prog) == 2
     assert_bit_identical_to_one_at_a_time(prog, model, rng)
 

@@ -19,6 +19,7 @@ from dualbca import updates
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              MessageCounter, Program, _unique_rows,
                              handshake_update, mplp_update)
+import helpers
 from helpers import (batch_count, check_greedy_classes, dp_update, has_edge,
                      is_zero, marginal, message, pairwise_table,
                      push_min_into, rdp_update)
@@ -142,7 +143,7 @@ CASES = [("mplp", "static"), ("mplppp", "static"), ("dmm", "static"),
 def test_no_wave_holds_conflicting_ops(method, tree_mode):
     for model in models(1):
         for prog in solver_programs(model, method, tree_mode):
-            ops, waves = prog.ops, prog.waves()
+            ops, waves = helpers.ops(prog), helpers.waves(prog)
             assert len(waves) == len(ops)
             by_wave = {}
             for op, w in zip(ops, waves):
@@ -161,7 +162,7 @@ def test_waves_match_sequential_reference(method, tree_mode):
         ref = Reparametrization(model)
         ref_messages = 0
         for _ in range(3):
-            for kind, u, v, r in state.program().ops:
+            for kind, u, v, r in helpers.ops(state.program()):
                 ref_messages += ref_op(model, ref, kind, u, v, r)
             state.do_pass()
             assert close(state.phi.values, ref.values)
@@ -184,13 +185,13 @@ def test_program_from_random_phi_and_reuse():
         for b in compute_static_trees(model).blocks:
             blk.emit_tbca(prog, b)
         for u, v in model.edges:
-            prog.mplp(v, u)
+            helpers.mplp(prog, v, u)
         for _ in range(2):
             phi = random_phi(rng, model, scale=2.0)
             ref = phi.copy()
             counter = MessageCounter()
             prog.run(phi, counter)
-            n = sum(ref_op(model, ref, *op) for op in prog.ops)
+            n = sum(ref_op(model, ref, *op) for op in helpers.ops(prog))
             assert close(phi.values, ref.values)
             assert counter.total == n
 
@@ -199,17 +200,17 @@ def test_program_rejects_bad_ops():
     model = models(4)[0]
     prog = Program(model)
     with pytest.raises(ValueError):
-        prog.rdp(model.n_nodes - 1, model.n_nodes - 2)   # isolated nodes
+        helpers.rdp(prog, model.n_nodes - 1, model.n_nodes - 2)  # isolated
     u, v = model.edges[0]
     with pytest.raises(ValueError):
-        prog.rdp(u, v, 1.5)
-    prog.rdp(u, v, 0.0)                 # nothing of theta^phi_u moves
-    assert prog.ops == [(PUSH, u, v, 0.0)]
+        helpers.rdp(prog, u, v, 1.5)
+    helpers.rdp(prog, u, v, 0.0)        # nothing of theta^phi_u moves
+    assert helpers.ops(prog) == [(PUSH, u, v, 0.0)]
     empty = Program(model)
     phi = Reparametrization(model)
     counter = MessageCounter()
     empty.run(phi, counter)
-    assert is_zero(phi) and counter.total == 0 and empty.waves() == []
+    assert is_zero(phi) and counter.total == 0 and helpers.waves(empty) == []
 
 
 # -- one-op adapters -------------------------------------------------------------
@@ -360,7 +361,7 @@ def check_packing(model, prog):
     it conflicts with, the depth is that of the earliest waves, and the
     program runs in fewer batches than in the earliest waves, or in those
     waves.  Returns the two batch counts."""
-    ops, waves = prog.ops, prog.waves()
+    ops, waves = helpers.ops(prog), helpers.waves(prog)
     for i, w in enumerate(waves):
         assert w >= earliest_wave(model, ops, waves, i)
     asap = []
@@ -392,7 +393,7 @@ def test_node_waves_hold_no_adjacent_ops(method, k):
         order = node_orders(model)[k]
         state = _Run(model, SolverConfig(method, node_order=order))
         prog = state.program()
-        ops, waves = prog.ops, prog.waves()
+        ops, waves = helpers.ops(prog), helpers.waves(prog)
         assert len(waves) == len(ops)
         for (a, wa), (b, wb) in itertools.combinations(zip(ops, waves), 2):
             if wa == wb:
@@ -404,19 +405,19 @@ def test_grid_waves_are_anti_diagonals():
     h, w = 5, 7
     model = hostile_grid(np.random.default_rng(8), h, w)
     star = _Run(model, SolverConfig("msd")).program()
-    assert [u for _, u, _, _ in star.ops] == list(range(h * w))
-    assert star.waves() == [u // w + u % w for u in range(h * w)]
-    assert max(star.waves()) + 1 == h + w - 1
+    assert [u for _, u, _, _ in helpers.ops(star)] == list(range(h * w))
+    assert helpers.waves(star) == [u // w + u % w for u in range(h * w)]
+    assert max(helpers.waves(star)) + 1 == h + w - 1
     # A TRW-S sweep visits the same anti-diagonals, but the last node has
     # no later neighbour and takes no step: h + w - 2 waves per sweep.
     trws = _Run(model, SolverConfig("trws")).program()
-    nodes = [u for _, u, _, _ in trws.ops]
+    nodes = [u for _, u, _, _ in helpers.ops(trws)]
     assert nodes == list(range(h * w - 1)) + list(range(h * w - 1, 0, -1))
     forward = [u // w + u % w for u in range(h * w - 1)]
     backward = [2 * (h + w - 2) - 1 - (u // w + u % w - 1)
                 for u in range(h * w - 1, 0, -1)]
-    assert trws.waves() == forward + backward
-    assert max(trws.waves()) + 1 == 2 * (h + w - 2)
+    assert helpers.waves(trws) == forward + backward
+    assert max(helpers.waves(trws)) + 1 == 2 * (h + w - 2)
 
 
 @pytest.mark.parametrize("method,k", NODE_CASES)
@@ -446,16 +447,18 @@ def test_mixed_program_reruns_on_random_phi():
         nodes = [u for u in range(model.n_nodes) if model.neighbors(u)]
         for u in nodes:
             nb = model.neighbors(u)
-            prog.star(u, 1.0 / (len(nb) + 1))
+            helpers.star(prog, u, 1.0 / (len(nb) + 1))
             later = [v for v in nb if rng.random() < 0.6] or [nb[0]]
-            prog.trws(u, later, 1.0 / max(len(nb) - len(later), len(later)))
+            helpers.trws(prog, u, later,
+                         1.0 / max(len(nb) - len(later), len(later)))
         for u, v in model.edges:
-            prog.rdp(v, u, 0.5)
-            prog.handshake(u, v)
+            helpers.rdp(prog, v, u, 0.5)
+            helpers.handshake(prog, u, v)
         for u in nodes[::-1]:
-            prog.trws(u, model.neighbors(u)[::-1], 0.5 / len(model.neighbors(u)))
-            prog.push(model.neighbors(u)[0], u)
-        ops = prog.ops
+            helpers.trws(prog, u, model.neighbors(u)[::-1],
+                         0.5 / len(model.neighbors(u)))
+            helpers.push(prog, model.neighbors(u)[0], u)
+        ops = helpers.ops(prog)
         check_packing(model, prog)
         for _ in range(2):
             phi = random_phi(rng, model, scale=2.0)
@@ -476,23 +479,24 @@ def test_node_ops_reject_bad_targets_and_weights():
     non_neighbour = next(x for x in range(model.n_nodes)
                          if x != u and x not in nb)
     with pytest.raises(ValueError):
-        prog.star(isolated, 0.5)
+        helpers.star(prog, isolated, 0.5)
     with pytest.raises(ValueError):
-        prog.trws(u, [], 0.5)
+        helpers.trws(prog, u, [], 0.5)
     with pytest.raises(ValueError):
-        prog.trws(u, [non_neighbour], 0.5)
+        helpers.trws(prog, u, [non_neighbour], 0.5)
     with pytest.raises(ValueError):
-        prog.trws(u, [nb[0], nb[0]], 0.5)
+        helpers.trws(prog, u, [nb[0], nb[0]], 0.5)
     with pytest.raises(ValueError):
-        prog.trws(u, nb, 1.0 / len(nb) + 1e-6)
+        helpers.trws(prog, u, nb, 1.0 / len(nb) + 1e-6)
     with pytest.raises(ValueError):
-        prog.star(u, -0.1)
+        helpers.star(prog, u, -0.1)
     with pytest.raises(ValueError):
-        prog.star(-1, 0.1)
-    assert prog.ops == []
-    prog.star(u, 1.0 / len(nb))
-    prog.trws(u, nb[:1], 1.0)
-    assert prog.ops == [(STAR, u, nb, 1.0 / len(nb)), (TRWS, u, nb[:1], 1.0)]
+        helpers.star(prog, -1, 0.1)
+    assert helpers.ops(prog) == []
+    helpers.star(prog, u, 1.0 / len(nb))
+    helpers.trws(prog, u, nb[:1], 1.0)
+    assert helpers.ops(prog) == [(STAR, u, nb, 1.0 / len(nb)),
+                                 (TRWS, u, nb[:1], 1.0)]
 
 
 @pytest.mark.parametrize("method", ["msd", "cmp", "trws", "mplp", "mplppp",
@@ -720,9 +724,10 @@ def test_program_shape_on_k50_and_the_32x32_grid():
                                       seed=0))):
         for method in METHODS:
             prog = _Run(model, SolverConfig(method)).program()
-            shape[name, method] = max(prog.waves()) + 1, batch_count(prog)
+            shape[name, method] = (max(helpers.waves(prog)) + 1,
+                                   batch_count(prog))
             if name == "k50" and method in ("mplp", "mplppp"):
-                batches, _, _ = prog._plan     # (K, m) indices
+                batches, _ = prog._plan     # (K, m) indices
                 assert {b[1].shape[0] for b in batches} == {16}
                 assert sum(b[1].size for b in batches) < 25_000
     assert shape == {
@@ -774,7 +779,7 @@ def test_batch_indices_index_at_native_width():
         for method in METHODS:
             prog = _Run(model, SolverConfig(method)).program()
             batch_count(prog)
-            batches, _, _ = prog._plan
+            batches, _ = prog._plan
             assert {b[1].dtype for b in batches} <= {np.dtype(np.intp)}
 
 
@@ -805,7 +810,7 @@ def test_marginal_is_add_then_reduce_bit_for_bit():
     # Minima over Y_a reduce theta_ab + phi_{a,b} first and add phi_{b,a}
     # to the result.  Rounding is monotone, so that is bit for bit the
     # minimum of the whole sum, signed zeros included.  The reference sums
-    # every cell in the operand order of model.pairwise_costs, then takes
+    # every cell in the operand order of helpers.pairwise_costs, then takes
     # the minimum over the reduced index in order, as numpy reduces a
     # leading axis.  Small integers give exact ties and cancellations;
     # UAI tables keep a -0 entry as -0.0.
@@ -856,7 +861,7 @@ def test_chain_cover_program_shape_on_the_32x32_grid():
         state = _Run(model, SolverConfig(method))
         prog = state.program()
         state.do_pass()
-        shape[method] = max(prog.waves()) + 1, batch_count(prog)
+        shape[method] = max(helpers.waves(prog)) + 1, batch_count(prog)
     assert shape["spam"][0] <= 270 and shape["spam"][1] <= 340
     assert shape["dmm"][1] <= 80
 
@@ -868,7 +873,7 @@ def test_edge_sweep_program_shape():
         state = _Run(model, SolverConfig(method))
         prog = state.program()
         state.do_pass()
-        return prog, max(prog.waves()) + 1, batch_count(prog)
+        return prog, max(helpers.waves(prog)) + 1, batch_count(prog)
 
     def check_order(model, prog):
         n = model.n_nodes
@@ -876,7 +881,7 @@ def test_edge_sweep_program_shape():
         edges = model.edges
         classes = _colour_classes(edges, sorted(
             range(len(edges)), key=lambda i: visit(edges[i])), n)
-        assert [(u, v) for _, u, v, _ in prog.ops] == \
+        assert [(u, v) for _, u, v, _ in helpers.ops(prog)] == \
             [e for c in classes for e in c]
         check_greedy_classes(classes, visit)
 

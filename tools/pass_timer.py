@@ -22,15 +22,15 @@ rounds, each timed with ``time.process_time``.  The models:
   dynamic trees (``tbca-dynamic``), whose ratio is ROADMAP item 7's.
 
 After each pass, the side's per-pass record is timed as ``solve.run``
-makes it (``model._evaluate``, or ``model._dual_and_rounding`` on a side
-that predates it, then ``model.energy`` of the rounding); a dynamic run
-reads the evaluation at its next pass.  After the passes, N rounds alternate the same way in building
-and compiling each side's program afresh (``_Run.program`` with the
-program reset, then ``Program._compile``), with the collector off, timed
-in three parts: emission (``_Run.program``), levelling
-(``Program._level``) and the rest of the compile.  A static run's
-program is built from nothing bound, as at its first pass; a dynamic run
-keeps the views it bound for earlier passes (see ``time_builds``).
+makes it (``model._evaluate``, then ``model.energy`` of the rounding); a
+dynamic run reads the evaluation at its next pass.  After the passes, N
+rounds alternate the same way in building and compiling each side's
+program afresh (``_Run.program`` with the program reset, then
+``Program._compile``), with the collector off, timed in three parts:
+emission (``_Run.program``), levelling (``Program._level``) and the rest
+of the compile.  A static run's program is built from nothing bound, as
+at its first pass; a dynamic run keeps the views it bound for earlier
+passes (see ``time_builds``).
 
 Printed per (model, method): the median and quartiles of each side in ms,
 the change's median over the parent's, in how many rounds the change was
@@ -104,14 +104,8 @@ def record(pkg, state):
     """One per-pass record of ``state`` as ``solve.run`` makes it.  Its
     evaluation is left for the next pass's dynamic forest, as there."""
     model = pkg["model"]
-    if hasattr(model, "_evaluate"):
-        state.evaluation = ev = model._evaluate(state.model, state.phi)
-        model.energy(state.model, ev.y)
-    else:
-        # A parent at commit f74f6b1 or before records through
-        # _dual_and_rounding, and its forests evaluate phi themselves.
-        _, y = model._dual_and_rounding(state.model, state.phi)
-        model.energy(state.model, y)
+    state.evaluation = ev = model._evaluate(state.model, state.phi)
+    model.energy(state.model, ev.y)
 
 
 def build(pkg, workload, seed):
@@ -172,8 +166,8 @@ def time_builds(states, rounds, dynamic):
     of its next pass afresh, in ``rounds`` alternated rounds, as (whole,
     emission, levelling, rest of the compile).  A static run builds its
     program once, so each round starts it with nothing bound (a new
-    ``_scratch``, where the side has one); a dynamic run builds one every
-    pass and keeps what it bound for the earlier ones."""
+    ``_scratch``); a dynamic run builds one every pass and keeps what it
+    bound for the earlier ones."""
     times = [[] for _ in states]
     gc.collect()
     gc.disable()
@@ -183,7 +177,7 @@ def time_builds(states, rounds, dynamic):
                 state, spent = states[side], []
                 t0 = time.process_time()
                 state._program = None
-                if not dynamic and hasattr(state, "_scratch"):
+                if not dynamic:
                     state._scratch = type(state._scratch)()
                 prog = state.program()
                 t1 = time.process_time()
