@@ -219,17 +219,15 @@ def emit_hm(prog, *blocks):
     DP pushes every cost toward the mid edge, a handshake resolves it, and
     the two sides are processed in turn, the lower-position side first.
     Pushes already performed at an enclosing level are not repeated.  The
-    operations depend only on positions in ``block.nodes``, so the blocks'
-    operations are worked out once per tree and per chain length (a chain's
-    from those of its halves, see :func:`_hm_chain`), and appended in one
+    operations depend only on positions in ``block.nodes``, so a chain's
+    are worked out once per length (from those of its halves, see
+    :func:`_hm_chain`), and the blocks' operations are appended in one
     call.
     """
     memo, ops, at = {}, [], [0]
     for block in blocks:
         if block.kind == "tree":
-            if block not in memo:
-                memo[block] = _hm(_block_adjacency(block))
-            ops.append(memo[block])
+            ops.append(_hm(_block_adjacency(block)))
         else:
             ops.append(_hm_chain(len(block.nodes), memo))
         at.append(at[-1] + len(block.nodes))

@@ -1,7 +1,8 @@
 """Constructing collections of blocks for the solvers to iterate over.
 
-Three static families (maximal monotonic chains, strictly-shortest-path
-chains, greedily re-weighted spanning trees) plus gap-scored dynamic trees.
+Four static families (maximal monotonic chains, a grid's rows and columns,
+strictly-shortest-path chains, greedily re-weighted spanning trees) plus
+gap-scored dynamic trees.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def compute_mmc_cover(model, order=None):
     ad = [sorted((v for v in model.neighbors(u) if pos[v] > pos[u]),
                  key=lambda v: pos[v]) for u in range(n)]
     chains = []
-    for start in sorted(range(n), key=lambda u: pos[u]):
+    for start in order:
         while ad[start]:
             chain = [start]
             tail = start

@@ -354,7 +354,7 @@ def _edge_minima(model, phi):
     no sum of a node minimum and edge minima can show (see
     :func:`_evaluate`).  Every reduction runs over a leading axis,
     as whole-slab elementwise minima."""
-    vals = np.zeros(model.phi_size) if phi is None else phi.values
+    vals = phi.values
     out = np.empty(model.n_edges)
     for g in model._shape_groups:
         n, k_a, k_b = g.block.shape

@@ -119,11 +119,7 @@ def check_minorant(model, block, phi, tol=1e-9):
     axis = {u: i for i, u in enumerate(nodes)}
     shape = tuple(model.labels[u] for u in nodes)
     full = _add_pairwise(model, phi, nodes, block.edges, axis, shape)
-    g = np.zeros(shape)
-    for u in nodes:
-        view = [None] * len(nodes)
-        view[axis[u]] = slice(None)
-        g = g + unary_costs(model, phi, u)[tuple(view)]
+    g = _add_pairwise(model, phi, nodes, (), axis, shape)
     if np.any(g > full + tol):
         return False
     return abs(g.min() - full.min()) <= tol

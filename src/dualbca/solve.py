@@ -14,11 +14,11 @@ Spanning trees keep their order: each spans its whole component.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,11 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not value >= 0:     # NaN fails too
                 raise ValueError(f"{name} must be non-negative")
+            if name != "max_seconds" and value is not None and value % 1:
+                raise ValueError(f"{name} must be a whole number")
+        # The SSP cover seeds numpy's generator with it.
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.cover not in COVERS:
@@ -208,24 +213,18 @@ def _ops(kind, arrays):
             lambda prog, ops: prog._append(kind, *ops()))
 
 
-class _Cover(NamedTuple):
-    """A chain cover, of kind ``auto(model)`` unless the config names one."""
-    auto: Callable
-
-    def __call__(self, run):
-        model, config = run.model, run.config
-        kind = self.auto(model) if config.cover == "auto" else config.cover
-        return _chain_cover(model, config, kind, run.order).blocks
-
-
-def _trees(run):
-    """Static or dynamic spanning trees, or an explicit cover's chains."""
-    model, config = run.model, run.config
-    if config.cover != "auto":
-        return _chain_cover(model, config, config.cover, run.order).blocks
-    if config.tree_mode == "static":
-        return covers.compute_static_trees(model).blocks
-    return _dynamic_trees
+def _cover(auto):
+    """The blocks of a run: the config's cover if it names one, else those
+    that ``auto(run)`` names, a chain cover or ``static``/``dynamic``
+    trees."""
+    def blocks(run):
+        kind = auto(run) if run.config.cover == "auto" else run.config.cover
+        if kind == "static":
+            return covers.compute_static_trees(run.model).blocks
+        if kind == "dynamic":
+            return _dynamic_trees
+        return _chain_cover(run.model, run.config, kind, run.order).blocks
+    return blocks
 
 
 def _dynamic_trees(run):
@@ -245,11 +244,12 @@ _TAXONOMY = {
     "trws": _ops(TRWS, _emit_trws),
     "mplp": _ops(MPLP, _edges),
     "mplppp": _ops(HANDSHAKE, _edges),
-    "dmm": (_Cover(lambda model: "mmc" if model.grid_shape is None
+    "dmm": (_cover(lambda run: "mmc" if run.model.grid_shape is None
                    else "rows_columns"), blk.emit_hm),
-    "tbca": (_trees, blk.emit_tbca),
-    "tbcapp": (_trees, partial(blk.emit_tbca, plus=True)),
-    "spam": (_Cover(lambda model: "ssp"), blk.emit_hm),
+    "tbca": (_cover(lambda run: run.config.tree_mode), blk.emit_tbca),
+    "tbcapp": (_cover(lambda run: run.config.tree_mode),
+               partial(blk.emit_tbca, plus=True)),
+    "spam": (_cover(lambda run: "ssp"), blk.emit_hm),
 }
 METHODS = tuple(_TAXONOMY)
 

@@ -502,26 +502,20 @@ class Program:
         keyed[b_part, 2 + np.arange(len(b_part)) - np.take(cut, b_part)] = \
             u_first * 2 + even
         keys, key_of = _unique_rows(keyed)
-        views, bound, shared = work.views, work.bound, []
-        for key, b in zip(map(tuple, keys.tolist()),
-                          np.unique(key_of, return_index=True)[1].tolist()):
-            if key not in bound:
-                g, parts = specs[which[b]], tabs[cut[b]:cut[b + 1]]
-                m = key[1]
-                if key[:2] not in views:
-                    views[key[:2]] = _views(g, ((rows[b + 1] - rows[b]) // m,
-                                                m), scratch)
-                bound[key] = _bind(g, views[key[:2]], parts, scratch)
-            shared.append(bound[key])
-        batches = []
+        keys = list(map(tuple, keys.tolist()))
+        views, bound, batches = work.views, work.bound, []
         for k, a, m, end, x, y, p, q, z in zip(
                 which.tolist(), starts.tolist(), size.tolist(), fix, rows,
                 rows[1:], cut, cut[1:], key_of.tolist()):
-            g, idx = specs[k], index[x:y].reshape(-1, m)
+            g, idx, key = specs[k], index[x:y].reshape(-1, m), keys[z]
+            if key not in bound:
+                if key[:2] not in views:
+                    views[key[:2]] = _views(g, idx.shape, scratch)
+                bound[key] = _bind(g, views[key[:2]], tabs[p:q], scratch)
             if end is not None:
                 end = *end, scratch[:len(end[1])]
             batches.append(_Batch(g, idx, tabs[p:q], r[a:a + m],
-                                  keep[a:a + m], end, shared[z]))
+                                  keep[a:a + m], end, bound[key]))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages
 

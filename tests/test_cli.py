@@ -224,6 +224,20 @@ class TestBench:
         assert "'spam'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_1_before_the_first_run(self, tmp_path,
+                                                         capsys):
+        # msd ignores the seed and spam's SSP cover draws with it: the
+        # config check rejects it before either runs.
+        path = str(tmp_path / "g.uai")
+        write_uai(generate_instance("sparse_grid", height=3, width=3),
+                  path)
+        out = tmp_path / "bench"
+        rc = main(["bench", "--models", path, "--seed", "-1", "--methods",
+                   "msd", "spam", "--max-passes", "1", "--out-dir", str(out)])
+        assert rc == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_repeated_models_and_methods_accumulate(self, tmp_path):
         paths = []
         for name in ("a", "b", "c"):

@@ -53,6 +53,14 @@ def test_rejects_fewer_than_two_passes():
         pass_timer.main([str(ROOT), str(ROOT), "--passes", "1"])
 
 
+def test_rejects_an_only_entry_that_names_no_case(capsys):
+    with pytest.raises(SystemExit) as exc:
+        pass_timer.main([str(ROOT), str(ROOT), "--only", "k50/mplp",
+                         "grid/spamm"])
+    assert exc.value.code != 0
+    assert "grid/spamm" in capsys.readouterr().err
+
+
 def test_break_even_counts_the_passes_that_pay_for_the_build():
     # (parent, change) medians: passes in ms, then build and compile.
     assert pass_timer.break_even((10, 8), (5, 6)) == 1

@@ -55,11 +55,22 @@ class TestSolverConfig:
         dict(max_seconds=-1.0),
         dict(max_passes=-1),
         dict(max_messages=-1),
-    ] + [dict(method=m, cover="bogus") for m in METHODS])
+    ] + [dict(method=m, cover="bogus") for m in METHODS] + [
+        dict(seed=-1), dict(seed=1.5), dict(seed="3"),
+        dict(max_passes=2.5), dict(max_messages=10.5),
+        dict(max_passes=float("inf")),
+    ])
     def test_bad_field_rejected(self, kwargs):
         kwargs = {"method": "msd", **kwargs}
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+    def test_whole_float_limits_and_numpy_seeds_accepted(self):
+        m = chain_model(np.random.default_rng(0), 4)
+        trace = run(m, SolverConfig("spam", max_passes=2.0,
+                                    max_messages=1e9, seed=np.int64(3)))[2]
+        assert len(trace) == 3
 
 
 class TestRunBasics:

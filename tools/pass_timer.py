@@ -323,6 +323,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.passes < 2:
         parser.error("--passes must be at least 2")
+    cases = {f"{w}/{m}" for w, methods in WORKLOADS.items() for m in methods}
+    unknown = sorted(set(args.only or ()) - cases)
+    if unknown:
+        parser.error(f"--only names no case: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
