@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -76,18 +77,14 @@ def _instances(args):
                f"{regime}-seed{seed}", 0.0)
 
 
-def _configs(args, methods, model):
-    """One run configuration per method on ``model``; ``--order random``
-    draws one node order for all of them."""
-    order = None
-    if args.order == "random":
-        order = np.random.default_rng(args.seed).permutation(
-            model.n_nodes).tolist()
+def _configs(args, methods):
+    """One run configuration per method, each checked as it is built, so
+    before any instance is drawn or file written."""
     return [SolverConfig(method=method, max_passes=args.max_passes,
                          max_messages=args.max_messages,
                          max_seconds=args.max_seconds, tol=args.tol,
                          seed=args.seed, cover=args.cover,
-                         tree_mode=args.tree_mode, node_order=order)
+                         tree_mode=args.tree_mode)
             for method in methods]
 
 
@@ -104,15 +101,21 @@ def write_trace(path, rows):
         w.writerows(map(_cells, rows))
 
 
-def _run_all(args, instances, methods, trace_path):
-    """Run each method on each instance, every configuration built (and so
-    checked) before the first run, and write each run's trace rows to
-    ``trace_path(name, method)`` unless that is None.  Returns per run its
-    summary and its rows: pass, messages, messages normalised by the
-    instances' mean |E|, dual, primal and wall seconds."""
+def _run_all(args, instances, configs, trace_path):
+    """Run each configuration on each instance, ``--order random`` with one
+    node order per instance for all of them, and write each run's trace
+    rows to ``trace_path(name, method)`` unless that is None.  Returns per
+    run its summary and its rows: pass, messages, messages normalised by
+    the instances' mean |E|, dual, primal and wall seconds."""
     mean = float(np.mean([model.n_edges for model, _, _ in instances]))
-    runs = [(model, name, shift, config) for model, name, shift in instances
-            for config in _configs(args, methods, model)]
+    runs = []
+    for model, name, shift in instances:
+        order = None
+        if args.order == "random":
+            order = np.random.default_rng(args.seed).permutation(
+                model.n_nodes).tolist()
+        runs += [(model, name, shift, replace(config, node_order=order))
+                 for config in configs]
     results = []
     for model, name, shift, config in runs:
         rows = [(r.pass_index, r.messages,
@@ -133,7 +136,8 @@ def _run_all(args, instances, methods, trace_path):
 
 
 def cmd_solve(args):
-    [(summary, _)] = _run_all(args, list(_instances(args)), [args.method],
+    configs = _configs(args, [args.method])
+    [(summary, _)] = _run_all(args, list(_instances(args)), configs,
                               lambda name, method: args.trace)
     if args.summary:
         with open(args.summary, "w") as f:
@@ -151,6 +155,7 @@ def cmd_bench(args):
     if dups:
         print(f"bench: method {dups[0]!r} is given twice", file=sys.stderr)
         return 2
+    configs = _configs(args, methods)
     instances = list(_instances(args))
     if not instances:
         print("bench: no instances given (use --models and/or --generate)",
@@ -163,7 +168,7 @@ def cmd_bench(args):
               "named after instances", file=sys.stderr)
         return 2
     os.makedirs(args.out_dir, exist_ok=True)
-    results = _run_all(args, instances, methods, lambda name, method:
+    results = _run_all(args, instances, configs, lambda name, method:
                        os.path.join(args.out_dir, f"{name}-{method}.csv"))
 
     agg_path = os.path.join(args.out_dir, "aggregate.csv")

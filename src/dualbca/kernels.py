@@ -1,12 +1,12 @@
 """What compiled batches work in, and the kernels that run them.
 
-A batch of a :class:`dualbca.updates.Program` is bound by its spec
-(:class:`_Spec`), the layout of what it gathers.  It gathers its values from
+A batch of a :class:`dualbca.updates.Program` gathers its values from
 ``Reparametrization.buffer`` into a scratch array, works there with numpy
 ufuncs that write into views of it, and puts the values back.  The views
-depend only on the compiled plan, so :func:`_views` and :func:`_bind` make
-them once, as the program is compiled, for all batches of one spec, size
-and parts; a pass then runs no reshape, transpose or allocation.
+depend only on the batch's shape, so :func:`_bind` makes them once, as the
+program is compiled, with its spec (:class:`_Spec`, the layout of what it
+gathers), for all batches of one shape; a pass then runs no reshape,
+transpose or allocation.
 """
 from __future__ import annotations
 
@@ -45,132 +45,109 @@ class _Spec(NamedTuple):
     parts: tuple
 
 
-def _spec(model, kind, unit, lab, blocks, lab_vs, lens):
-    """The :class:`_Spec` of the batches of this kind, L_u = ``lab``, whose
-    targets come in runs of ``lens[i]`` targets in shape block ``blocks[i]``
-    with ``lab_vs[i]`` labels."""
-    uv = lab * (kind != PUSH)
-    width = sum(lv * n for lv, n in zip(lab_vs, lens))     # of phi_{v,u}
-    parts, t0, a0 = [], uv, uv + sum(lens) * lab
-    for z, lab_v, k in zip(blocks, lab_vs, lens):
-        t1, a1 = t0 + k * lab, a0 + k * lab_v
-        parts.append(_Part(model._shape_groups[z].block, lab_v,
-                           slice(t0, t1), slice(a0, a1),
-                           slice(a0 + width, a1 + width)))
-        t0, a0 = t1, a1
-    return _Spec(kind, bool(unit), lab, uv, tuple(parts))
-
-
 class _Scratch:
-    """The array that batch kernels gather into and work in, and the views
-    of it bound so far: spec ids by spec, and the views of batches by spec
-    id and size, and by spec id, size and parts.
+    """The array that batch kernels gather into and work in, and what each
+    batch shape (see :func:`_bind`) is bound to in it.
 
     The programs of one run share one, and run one at a time; a batch
     leaves nothing in it that the next one reads, and the run keeps every
-    view bound in it.  A static run compiles one program; a run on dynamic
+    shape bound in it.  A static run compiles one program; a run on dynamic
     trees compiles one every pass, whose batch shapes come back pass after
     pass, and the scratch then holds the largest batch any of them runs.
     """
 
-    __slots__ = ("array", "specs", "views", "bound")
+    __slots__ = ("array", "bound")
 
     def __init__(self):
         self.array = np.empty(0)
-        self.specs, self.views, self.bound = {}, {}, {}
+        self.bound = {}
 
     def fit(self, size):
-        """Hold at least ``size`` floats.  A new array starts with no
-        views; the programs bound to the old one keep it."""
+        """Hold at least ``size`` floats.  A new array starts with nothing
+        bound; the programs bound to the old one keep it."""
         if size > self.array.size:
             self.array = np.empty(size)
-            self.views, self.bound = {}, {}
+            self.bound = {}
 
 
-def _views(g, shape, scratch):
-    """The views of ``scratch`` that batches of spec ``g`` and index shape
-    (K, m) work in whatever their tables: the gathered (K, m) values and
-    their blocks, r * theta^phi_u, and per part its outputs that are not
-    gathered values, and where its work space starts behind them.
+def _bind(key, blocks, scratch):
+    """The spec of the batches of one shape and the kernel arguments they
+    share: the views of ``scratch`` that they work in whatever their
+    tables.  ``key`` is the shape: kind, r = 1 throughout, L_u and the
+    number m of operations, then per part its shape block (an index into
+    ``blocks``), L_v, targets per operation, how many tables have u first
+    and whether the batch holds a view of them.
 
-    The scratch holds the gathered values, then work space that each part
-    uses in turn: those outputs (a push's min-marginals, a star update's
-    pulled minima and their sum over each operation's targets, a
-    handshake's third min-marginal), then its gathered tables where the
-    batch holds their positions, then the sum that each run of each of
-    its min-marginals reduces in turn.  r * theta^phi_u, which rdp and
-    TRW-S steps use before their parts and a star update after them,
-    shares that space, and so do the late pushes that end a wave, once the
-    batch is written back.
+    The scratch holds the gathered values as (K, m), then work space that
+    each part uses in turn: its outputs that are not gathered values (a
+    push's min-marginals, a star update's pulled minima and their sum over
+    each operation's targets, a handshake's third min-marginal), then its
+    gathered tables where the batch holds their positions, then the sum
+    that each run of each of its min-marginals reduces in turn.
+    r * theta^phi_u, which rdp and TRW-S steps use before their parts and a
+    star update after them, shares that space, and so do the late pushes
+    that end a wave, once the batch is written back.  Where a batch holds a
+    view of a part's tables, it holds the views of them that the runs read
+    itself (see :func:`_how`).
     """
-    n_k, m = shape
-    kind, lab = g.kind, g.lab
+    kind, unit, lab, m, *rest = key
+    parts = [rest[i:i + 5] for i in range(0, len(rest), 5)]
+    uv = lab * (kind != PUSH)
+    width = sum(lab_v * c for _, lab_v, c, _, _ in parts)   # of phi_{v,u}
+    t0, a0 = uv, uv + sum(c for _, _, c, _, _ in parts) * lab
+    n_k = a0 + width * (1 + (kind != STAR))
     work = n_k * m
     x = scratch[:work].reshape(n_k, m)
-    e = scratch[:m * g.uv].reshape(m, lab) if g.uv else None
+    e = scratch[:m * uv].reshape(m, lab) if uv else None
     own = None
-    if kind == STAR or kind in (RDP, TRWS) and not g.unit:
+    if kind == STAR or kind in (RDP, TRWS) and not unit:
         own = scratch[work:work + m * lab].reshape(m, lab)
     share = e if own is None else own
     node, wide = kind in (RDP, TRWS, STAR), None
-    mines, parts = [], []
-    for _, lab_v, mine, back, excess in g.parts:
-        p_uv = scratch[m * mine.start:m * mine.stop].reshape(-1, lab)
-        n = len(p_uv)
-        p_vu = scratch[m * back.start:m * back.stop].reshape(n, lab_v)
+    specs, mines, bound = [], [], []
+    for z, lab_v, c, k, even in parts:
+        t1, a1 = t0 + c * lab, a0 + c * lab_v
+        p = _Part(blocks[z], lab_v, slice(t0, t1), slice(a0, a1),
+                  slice(a0 + width, a1 + width))
+        specs.append(p)
+        t0, a0 = t1, a1
+        n = m * c
+        p_uv = scratch[m * p.mine.start:m * p.mine.stop].reshape(n, lab)
+        p_vu = scratch[m * p.back.start:m * p.back.stop].reshape(n, lab_v)
         if node:                        # what adds to phi_{u,v}
-            if n == m:
+            if c == 1:
                 mines.append((p_uv, share))
             else:
                 if wide is None:
                     wide = share[:, None]
-                mines.append((p_uv.reshape(m, -1, lab), wide))
+                mines.append((p_uv.reshape(m, c, lab), wide))
         ex = None if kind == STAR else scratch[
-            m * excess.start:m * excess.stop].reshape(n, lab_v)
+            m * p.excess.start:m * p.excess.stop].reshape(n, lab_v)
         if kind == STAR:
-            size = (n + m) * lab
-            out = scratch[work:work + n * lab].reshape(n, lab)
-            outs = out, out.reshape(m, -1, lab), scratch[
-                work + n * lab:work + size].reshape(m, lab)
+            top = work + (n + m) * lab
+            d = scratch[work:work + n * lab].reshape(n, lab)
         elif kind < HANDSHAKE or kind == TRWS:
-            size = n * lab_v
-            outs = scratch[work:work + size].reshape(n, lab_v),
+            top = work + n * lab_v
+            d = scratch[work:top].reshape(n, lab_v)
         elif kind == HANDSHAKE:
-            size = m * lab
-            outs = scratch[work:work + size].reshape(m, lab),
+            top = work + m * lab
+            d = scratch[work:top].reshape(m, lab)
         else:
-            size, outs = 0, (None,)
-        parts.append((p_uv, p_vu, ex, outs, work + size))
-    return x, e, own, tuple(mines), parts
-
-
-def _bind(g, views, parts, scratch):
-    """The kernel arguments that batches of spec ``g`` share whose parts
-    are like ``parts`` (tables or their positions, how many have u first,
-    and views, each): ``views`` (see :func:`_views`), and per part the
-    views of its work space and its min-marginal runs.  Where a batch
-    holds the positions of a part's tables, the kernel gathers them into
-    the scratch, and the views of them that the runs read are bound here;
-    else the batch holds those views itself (see :func:`_how`)."""
-    kind = g.kind
-    x, e, own, mines, part_views = views
-    bound = []
-    for p, (tables, k, _), (p_uv, p_vu, ex, outs, top) in zip(
-            g.parts, parts, part_views):
+            top, d = work, None
         _, la, lb = p.table.shape
-        cell, n = la * lb, len(p_uv)
-        how, memo = _how(kind, k, n), {}
-        if tables.ndim == 1:
+        cell, how, memo = la * lb, _how(kind, k, n), {}
+        if even:
+            tab = gathered = None
+        else:
             tab = scratch[top:top + n * cell].reshape(n, la, lb)
             top += n * cell
             gathered = _transposed(tab, how)
-        else:
-            tab = gathered = None
         t = scratch[top:top + (max(k, n - k) if 0 < k < n else n) * cell]
-        d = outs[0]
         if kind == STAR:
-            views = _runs(k, t, la, lb, p_uv, p_vu, False, d, how,
-                          memo), p_uv, *outs
+            views = (_runs(k, t, la, lb, p_uv, p_vu, False, d, how, memo),
+                     p_uv, d, d.reshape(m, c, lab),
+                     scratch[work + n * lab:work + (n + m) * lab].reshape(
+                         m, lab))
         elif kind < HANDSHAKE or kind == TRWS:
             views = _runs(k, t, la, lb, p_uv, p_vu, True, d, how,
                           memo), p_vu, ex, d
@@ -181,12 +158,13 @@ def _bind(g, views, parts, scratch):
                      None if d is None else _runs(k, t, la, lb, p_uv, p_vu,
                                                   False, d, how, memo), d)
         bound.append((p.table, tab, gathered, *views))
+    spec = _Spec(kind, bool(unit), lab, uv, tuple(specs))
     if kind == STAR:
-        return x, e, own, mines, tuple(bound)
+        return spec, (x, e, own, tuple(mines), tuple(bound))
     if kind in (HANDSHAKE, MPLP):
-        return (x, e, *bound[0])
-    node = None if kind == PUSH else (e, own, mines)
-    return x, node, tuple(bound)
+        return spec, (x, e, *bound[0])
+    return spec, (x, None if kind == PUSH else (e, own, tuple(mines)),
+                  tuple(bound))
 
 
 def _runs(k, t, la, lb, p_uv, p_vu, over_u, out, how, memo):

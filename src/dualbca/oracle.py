@@ -30,12 +30,9 @@ def unary_costs(model, phi, u):
 
 def pairwise_costs(model, phi, u, v):
     """theta^phi_uv(s, t) = theta_uv(s, t) + phi_{u,v}(s) + phi_{v,u}(t)."""
-    if (u, v) in model.edges:
-        out = model.pairwise[model.edges.index((u, v))].copy()
-    elif (v, u) in model.edges:
-        out = model.pairwise[model.edges.index((v, u))].T.copy()
-    else:
-        raise ValueError(f"({u},{v}) is not an edge of the model")
+    e = model.incidence(u, v)[0]
+    table = model.pairwise[e]
+    out = (table if model.edges[e][0] == u else table.T).copy()
     if phi is not None:
         out += phi[u, v][:, None]
         out += phi[v, u][None, :]

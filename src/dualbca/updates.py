@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS, _Scratch, _bind,
-                      _how, _run_pair, _run_push, _run_star, _spec, _Spec,
-                      _transposed, _views)
+                      _how, _run_pair, _run_push, _run_star, _Spec,
+                      _transposed)
 from .model import node_costs
 
 
@@ -82,10 +82,10 @@ _BATCH_TARGETS = 256                 # most targets per batch
 
 
 class _Batch(NamedTuple):
-    """A compiled batch: what its kernel reads, and the spec it was bound
-    by.  The kernel is called with the batch's index, tables and weights,
-    then ``shared``, the views of the scratch that batches of its spec,
-    size and parts share (see ``kernels._views`` and ``kernels._bind``)."""
+    """A compiled batch: what its kernel reads, and its spec.  The kernel
+    is called with the batch's index, tables and weights, then ``shared``,
+    the views of the scratch that the batches of its shape share (see
+    ``kernels._bind``)."""
 
     spec: _Spec
     idx: np.ndarray         # (K, m) gather index into the buffer
@@ -344,35 +344,8 @@ class Program:
         late = push[1:][node[1:] == node[:-1]]
         late = late[np.lexsort((late, waves[op[late]]))]   # wave, then program
         excess[late] = model._inc_back[entry[late]] + phi_at + model.phi_size
-        # A batch's spec: its kind, r = 1 throughout, L_u, and per part (a
-        # run of targets of one part in one of its operations) the shape
-        # block, L_v and the number of targets: batches whose parts differ
-        # in orientation alone share one.
-        keys, which = _unique_rows(np.stack(
-            (layout[order[starts]],
-             np.logical_and.reduceat(r[order] == 1.0, starts)), axis=1,
-            dtype=np.int64))
         lens = np.diff(np.append(cut, len(op)))
         run = np.repeat(np.arange(len(cut)), lens)      # of each target
-        rep = order[starts[np.unique(which, return_index=True)[1]]]
-        lo = run[op_start[rep]]                 # the first run of each spec
-        n_run = run[op_start[rep] + count[rep] - 1] + 1 - lo
-        hi = np.cumsum(n_run)
-        at = np.arange(hi[-1]) + (lo - hi + n_run).repeat(n_run)  # its runs
-        side, z = np.divmod(part[cut[at]], n_blocks)
-        shape = np.array([g.block.shape[1:] for g in model._shape_groups])
-        lab_u, lab_v = shape[z, 1 - side % 2], shape[z, side % 2]
-        z, lv, ln = z.tolist(), lab_v.tolist(), lens[at].tolist()
-        spec_ids, specs, known = [], [], self._scratch.specs
-        for k, a, b, lab, (_, unit) in zip(
-                kind[rep].tolist(), (hi - n_run).tolist(), hi.tolist(),
-                lab_u[hi - n_run].tolist(), keys.tolist()):
-            key = k, unit, lab, *z[a:b], *lv[a:b], *ln[a:b]
-            if key not in known:
-                known[key] = len(known), _spec(model, k, unit, lab, z[a:b],
-                                               lv[a:b], ln[a:b])
-            spec_ids.append(known[key][0])
-            specs.append(known[key][1])
         # One gather index for all operations, in batch order, of np.intp
         # (take and put then index with no cast): per operation the segments
         # theta^phi_u, then per target phi_{u,v}, phi_{v,u} and theta^phi_v
@@ -454,7 +427,7 @@ class Program:
             else:
                 tabs.append((pos[a:a + c], k, None))
         cut = np.searchsorted(b, np.arange(len(starts) + 1)).tolist()
-        # The scratch: what each batch works in (see kernels._views), over
+        # The scratch: what each batch works in (see kernels._bind), over
         # whole arrays: its gathered values, then the most that one of its
         # parts needs (outputs, gathered tables, its longest run's sum) or
         # r * theta^phi_u needs.
@@ -466,10 +439,23 @@ class Program:
         need = (t + lens * ~even) * la * lb + np.where(
             g == STAR, (lens + m) * lab_u, np.where(g == HANDSHAKE, m * lab_u,
                                                     lens * lab_v * (g != MPLP)))
-        own = (kinds == STAR) | ((kinds == RDP) | (kinds == TRWS)) \
-            & (keys[which, 1] == 0)
+        unit = np.logical_and.reduceat(r[order] == 1.0, starts)
+        own = (kinds == STAR) | ((kinds == RDP) | (kinds == TRWS)) & ~unit
         need = np.diff(rows) + np.maximum(np.maximum.reduceat(need, cut[:-1]),
                                           lab_u[cut[:-1]] * size * own)
+        # One key per batch, its shape: kind, r = 1 throughout, L_u and
+        # size, then per part its shape block, L_v, targets per operation,
+        # how many tables have u first and whether it holds a view of them.
+        n_parts = np.diff(cut)
+        keyed = np.full((len(starts), 4 + 5 * n_parts.max()), -1)
+        keyed[:, :4] = np.column_stack((kinds, unit, lab_u[cut[:-1]], size))
+        col = 4 + 5 * (np.arange(len(b)) - np.repeat(cut[:-1], n_parts))
+        keyed[b[:, None], col[:, None] + np.arange(5)] = np.column_stack(
+            (code % n_blocks, lab_v, lens // m, u_first, even))
+        keys, key_of = _unique_rows(keyed)
+        length = np.empty(len(keys), dtype=np.int64)    # unpadded
+        length[key_of] = 4 + 5 * n_parts
+        keys = [tuple(k[:n]) for k, n in zip(keys.tolist(), length.tolist())]
         # The wave's last batch adds the late pushes' scratch rows to their
         # nodes, in program order, and clears them.
         wave_of = waves[order[starts]]          # of each batch
@@ -489,33 +475,23 @@ class Program:
         scratch = work.array
         # Each batch: its spec, its rows of the index, per part its edges'
         # tables, how many of them have u first and the views of them its
-        # kernel reads, its weights as columns, what ends its wave (with
-        # the scratch the late pushes are gathered into), and the views of
-        # the scratch that batches of its spec, size and parts share.
-        # Weights: r, and what an operation keeps of theta^phi_u.
+        # kernel reads, its weights as columns (r, and what an operation
+        # keeps of theta^phi_u), what ends its wave (with the scratch the
+        # late pushes are gathered into), and the views of the scratch that
+        # the batches of its shape share, bound once per scratch.
         r, keep = r[order, None], (1.0 - count * r)[order, None]
-        # One key per batch: its spec, size, and per part how many tables
-        # have u first and whether it holds a view of them.
-        b_part = np.repeat(np.arange(len(starts)), np.diff(cut))
-        keyed = np.full((len(starts), 2 + np.diff(cut).max()), -1)
-        keyed[:, 0], keyed[:, 1] = np.take(spec_ids, which), size
-        keyed[b_part, 2 + np.arange(len(b_part)) - np.take(cut, b_part)] = \
-            u_first * 2 + even
-        keys, key_of = _unique_rows(keyed)
-        keys = list(map(tuple, keys.tolist()))
-        views, bound, batches = work.views, work.bound, []
-        for k, a, m, end, x, y, p, q, z in zip(
-                which.tolist(), starts.tolist(), size.tolist(), fix, rows,
-                rows[1:], cut, cut[1:], key_of.tolist()):
-            g, idx, key = specs[k], index[x:y].reshape(-1, m), keys[z]
+        bound, batches = work.bound, []
+        for a, m, end, x, y, p, q, z in zip(
+                starts.tolist(), size.tolist(), fix, rows, rows[1:], cut,
+                cut[1:], key_of.tolist()):
+            key = keys[z]
             if key not in bound:
-                if key[:2] not in views:
-                    views[key[:2]] = _views(g, idx.shape, scratch)
-                bound[key] = _bind(g, views[key[:2]], tabs[p:q], scratch)
+                bound[key] = _bind(key, blocks, scratch)
+            spec, shared = bound[key]
             if end is not None:
                 end = *end, scratch[:len(end[1])]
-            batches.append(_Batch(g, idx, tabs[p:q], r[a:a + m],
-                                  keep[a:a + m], end, bound[key]))
+            batches.append(_Batch(spec, index[x:y].reshape(-1, m), tabs[p:q],
+                                  r[a:a + m], keep[a:a + m], end, shared))
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dualbca
-from dualbca import blocks, verify
+from dualbca import blocks, cli, verify
 from dualbca.cli import main
 from dualbca.generate import generate_instance
 from dualbca.solve import SolverConfig
@@ -23,6 +23,18 @@ def read_trace(path):
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     return rows[0], rows[1:]
+
+
+def draws(monkeypatch):
+    """The arguments of every instance the CLI draws from now on."""
+    drawn, inner = [], cli.generate_instance
+
+    def generate_instance(*args, **kwargs):
+        drawn.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_instance", generate_instance)
+    return drawn
 
 
 class TestSolve:
@@ -113,6 +125,24 @@ class TestSolve:
                   "--max-passes", "3", "--trace", str(path)])
             outs.append(read_trace(path)[1])
         assert [r[:5] for r in outs[0]] == [r[:5] for r in outs[1]]
+
+    @pytest.mark.parametrize("source,order", [
+        ("--generate", "input"), ("--generate", "random"),
+        ("--model", "random")])
+    def test_negative_seed_exits_1_before_an_instance_is_drawn(
+            self, source, order, tmp_path, capsys, monkeypatch):
+        # --generate draws with the seed and --order random shuffles with
+        # it: the config check rejects it first, naming the flag.
+        path = tmp_path / "g.uai"
+        write_uai(generate_instance("sparse_grid", height=3, width=3),
+                  str(path))
+        drawn, trace = draws(monkeypatch), tmp_path / "t.csv"
+        rc = main(["solve", source, "sparse_grid:3,3" if source ==
+                   "--generate" else str(path), "--seed", "-2", "--method",
+                   "msd", "--order", order, "--trace", str(trace)])
+        assert rc == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert drawn == [] and not trace.exists()
 
     @pytest.mark.parametrize("flag", ["--model", "--generate"])
     def test_second_instance_exits_2(self, flag, tmp_path, capsys):
@@ -236,7 +266,17 @@ class TestBench:
                    "msd", "spam", "--max-passes", "1", "--out-dir", str(out)])
         assert rc == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+    def test_negative_seed_exits_1_before_an_instance_is_drawn(
+            self, tmp_path, capsys, monkeypatch):
+        drawn, out = draws(monkeypatch), tmp_path / "bench"
+        rc = main(["bench", "--generate", "sparse_grid:3,3", "--seed", "-1",
+                   "--methods", "msd", "--max-passes", "1", "--out-dir",
+                   str(out)])
+        assert rc == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert drawn == [] and not out.exists()
 
     def test_repeated_models_and_methods_accumulate(self, tmp_path):
         paths = []

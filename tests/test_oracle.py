@@ -6,7 +6,7 @@ import pytest
 
 from dualbca.blocks import chain_block, tree_block, hm_chain, tbca_chain
 from dualbca.model import GraphicalModel, Reparametrization, dual_value
-from dualbca.generate import random_model, random_tree_model
+from dualbca.generate import random_model, random_phi, random_tree_model
 from dualbca import oracle
 from dualbca.oracle import (ENUMERATION_GUARD, MinorantHypothesisError,
                             StateSpaceTooLarge, brute_force_min, chain_min,
@@ -27,6 +27,36 @@ def test_pairwise_costs_of_a_non_edge_rejected(pair):
     with pytest.raises(ValueError, match=re.escape(
             f"({pair[0]},{pair[1]}) is not an edge")):
         oracle.pairwise_costs(two_node_model(), None, *pair)
+
+
+def test_pairwise_costs_reversed_is_the_transposed_table():
+    # (v, u) reads the table of (u, v) transposed, then adds phi_{v,u} and
+    # phi_{u,v}: the transpose of (u, v) bit for bit where the sums are
+    # exact (no phi, or quarters throughout), and to rounding elsewhere,
+    # since each adds phi in the order of its query.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        m = random_model(rng, n_nodes=6, max_labels=4)
+        q = GraphicalModel(m.labels, m.edges, m.unary,
+                           [rng.integers(0, 8, t.shape) / 4
+                            for t in m.pairwise])
+        quarters = Reparametrization(q)
+        quarters.values[:] = rng.integers(-8, 8, q.phi_size) / 4
+        phi = random_phi(rng, m)
+        for e, (u, v) in enumerate(m.edges):
+            for model, p in ((m, None), (q, quarters)):
+                assert oracle.pairwise_costs(model, p, v, u).tobytes() == \
+                    oracle.pairwise_costs(model, p, u, v).T.tobytes()
+            back = oracle.pairwise_costs(m, phi, v, u)
+            assert back.tobytes() == ((m.pairwise[e].T + phi[v, u][:, None])
+                                      + phi[u, v][None, :]).tobytes()
+            assert np.allclose(back, oracle.pairwise_costs(m, phi, u, v).T,
+                               rtol=0.0, atol=1e-12)
+        for u in range(m.n_nodes):
+            for v in set(range(m.n_nodes)) - {u, *m.neighbors(u)}:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"({u},{v}) is not an edge")):
+                    oracle.pairwise_costs(m, phi, u, v)
 
 
 class TestBruteForce:

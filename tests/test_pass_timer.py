@@ -53,6 +53,15 @@ def test_rejects_fewer_than_two_passes():
         pass_timer.main([str(ROOT), str(ROOT), "--passes", "1"])
 
 
+def test_rejects_a_negative_seed_before_loading_a_checkout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        pass_timer.main([str(ROOT), str(ROOT), "--seed", "-1", "--only",
+                         "k50/mplp"])
+    assert exc.value.code != 0
+    assert "--seed" in capsys.readouterr().err
+    assert "pass_timer_parent" not in sys.modules
+
+
 def test_rejects_an_only_entry_that_names_no_case(capsys):
     with pytest.raises(SystemExit) as exc:
         pass_timer.main([str(ROOT), str(ROOT), "--only", "k50/mplp",

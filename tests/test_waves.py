@@ -670,6 +670,41 @@ def batch_need(batch):
     return need + (0 if batch.end is None else len(batch.end[1]))
 
 
+def test_each_batch_shape_binds_once_per_scratch(monkeypatch):
+    # A run's programs share one scratch and bind each batch shape in it
+    # once.  A dynamic tbca run compiles a program every pass, and binds
+    # fewer new shapes pass after pass as the shapes come back; a program
+    # compiled again on its scratch binds nothing and shares every view.
+    keys, inner = [], updates._bind
+
+    def bind(key, blocks, scratch):
+        keys.append(key)
+        return inner(key, blocks, scratch)
+
+    monkeypatch.setattr(updates, "_bind", bind)
+    model = generate_instance("sparse_grid", height=32, width=32, labels=3,
+                              seed=15)
+    state = _Run(model, SolverConfig("tbca", tree_mode="dynamic"))
+    counts = []
+    for _ in range(6):
+        n = len(keys)
+        state.do_pass()
+        counts.append(len(keys) - n)
+        if n == 0:
+            array = state._scratch.array
+    assert counts == [95, 61, 33, 23, 14, 14]
+    assert state._scratch.array is array
+    assert len(set(keys)) == len(keys) == len(state._scratch.bound)
+    for method in ("msd", "mplppp", "spam", "tbcapp"):
+        prog = _Run(model, SolverConfig(method)).program()
+        first, _ = prog._compile()
+        n = len(keys)
+        second, _ = prog._compile()
+        assert len(keys) == n
+        assert all(a.spec is b.spec and a.shared is b.shared
+                   for a, b in zip(first, second))
+
+
 def test_scratch_holds_the_largest_batch_and_no_more():
     # The scratch is as large as the farthest any batch's views reach, and
     # no larger than what the largest batch would work in with nothing

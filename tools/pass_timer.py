@@ -323,6 +323,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.passes < 2:
         parser.error("--passes must be at least 2")
+    if args.seed < 0:
+        parser.error("--seed must be a non-negative integer")
     cases = {f"{w}/{m}" for w, methods in WORKLOADS.items() for m in methods}
     unknown = sorted(set(args.only or ()) - cases)
     if unknown:
