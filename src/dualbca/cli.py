@@ -188,6 +188,9 @@ def cmd_bench(args):
 
 
 def cmd_verify(args):
+    # The checks seed numpy's generator with it, as the SSP cover does.
+    if args.seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     ok = run_all(seed=args.seed)
     return 0 if ok else 1
 

@@ -5,8 +5,9 @@ pairwise costs theta_uv(y_u, y_v).  A reparametrization phi assigns one real
 vector per directed edge incidence (u,v); it shifts costs between nodes and
 edges without changing any labeling's energy.  All solver state lives in phi.
 Evaluation computes reparametrized costs from (theta, phi); the programs of
-:mod:`dualbca.updates` keep each node's theta^phi next to phi, derived from
-(theta, phi) when a program starts to run and updated by its operations.
+:mod:`dualbca.updates` keep each node's theta^phi next to phi, written when
+a program starts to run (from a record's evaluation of phi, or derived from
+(theta, phi)) and updated by its operations.
 
 Layout.  The model fixes where everything lives, once:
 
@@ -37,9 +38,10 @@ FEAS_TOL = 1e-9
 # poisons the min/sum arithmetic of message passing.
 COST_CAP = 1e12
 
-# Whole-model evaluation visits the pairwise tables this many edges at a
-# time, which bounds its temporaries to a few tables' worth of memory.
-_EDGE_CHUNK = 256
+# Whole-model evaluation visits the pairwise tables of one shape this many
+# table cells at a time (at least one table), which bounds its temporaries
+# to a few hundred kilobytes: 1,024 edges of 4x4, 256 of 8x8, 64 of 16x16.
+_CHUNK_CELLS = 16384
 
 
 class _ShapeGroup(NamedTuple):
@@ -47,6 +49,9 @@ class _ShapeGroup(NamedTuple):
     edges: np.ndarray       # edge ids, ascending
     off_ab: np.ndarray      # start of phi_{a,b} in the phi buffer
     off_ba: np.ndarray      # start of phi_{b,a}
+    a: np.ndarray           # first endpoint of each edge
+    b: np.ndarray           # second endpoint
+    cells: np.ndarray       # start of each table in the flat block
 
 
 class GraphicalModel:
@@ -124,6 +129,7 @@ class GraphicalModel:
             raise ValueError(f"pairwise table of edge ({a[e]},{b[e]}) has "
                              f"shape {pairwise[e].shape}")
 
+        self._label_counts = lab
         self.label_offsets = np.append(0, lab.cumsum())
         self._unary_flat = flat = np.concatenate(unary) if n else np.zeros(0)
         self.unary = tuple(np.split(flat, self.label_offsets[1:-1])) if n else ()
@@ -165,7 +171,8 @@ class GraphicalModel:
                      if isinstance(pairwise, np.ndarray)
                      else np.stack([pairwise[e] for e in i.tolist()]))
             self._shape_groups.append(_ShapeGroup(
-                block, i, self._inc_phi[at[i]], self._inc_back[at[i]]))
+                block, i, self._inc_phi[at[i]], self._inc_back[at[i]], a[i],
+                b[i], np.arange(len(i)) * block[0].size))
         blocks = [g.block for g in self._shape_groups]
         for t in (flat, *blocks):
             if not np.all(np.isfinite(t)):
@@ -231,8 +238,9 @@ class Reparametrization:
     then phi as the model lays it out, then a zero scratch row per
     directed incidence, so that :class:`dualbca.updates.Program` gathers
     all it reads by one index.  ``values`` is a view of its phi.  A program
-    derives theta^phi from theta and phi when it starts to run and keeps
-    it up to date; nothing else reads it.
+    writes theta^phi when it starts to run (see
+    :meth:`dualbca.updates.Program.run`) and keeps it up to date; nothing
+    else reads it.
     """
 
     __slots__ = ("model", "buffer")
@@ -267,8 +275,8 @@ def check_labeling(model, y):
     given = np.asarray(y)
     if given.shape != (model.n_nodes,):
         raise ValueError("labeling must assign one label per node")
-    labels = np.diff(model.label_offsets)
-    bad = np.flatnonzero(np.logical_not((given >= 0) & (given < labels)))
+    bad = np.flatnonzero(np.logical_not((given >= 0)
+                                        & (given < model._label_counts)))
     if bad.size:
         u = int(bad[0])
         raise ValueError(f"label {given[u]} out of range for node {u}")
@@ -280,6 +288,8 @@ def _whole(given, name, copy=True):
     entry is a whole number (NaN and infinities are not).  Else a
     ValueError names the first entry that is not, by ``name`` of its flat
     index."""
+    if given.dtype.kind == "i":         # signed integers are whole
+        return given.astype(np.int64, copy=copy)
     with np.errstate(invalid="ignore"):
         out = given.astype(np.int64, copy=copy)
     bad = np.flatnonzero(out != given)
@@ -316,21 +326,21 @@ def energy(model, y, phi=None):
     terms are added in node order, then edge terms in edge order.
     """
     y = check_labeling(model, y)
-    node_terms = node_costs(model, phi)[model.label_offsets[:-1] + y]
+    node_terms = node_costs(model, phi).take(model.label_offsets[:-1] + y)
     return _sum_in_order(node_terms, _edge_terms(model, y, phi))
 
 
 def _edge_terms(model, y, phi):
     """Per edge theta^phi_ab(y_a, y_b) of a checked labeling ``y``, summed
     as (theta_ab + phi_{a,b}) + phi_{b,a}; theta_ab(y_a, y_b) with
-    ``phi=None``."""
-    out = np.zeros(model.n_edges)
+    ``phi=None``.  A group's entries are one flat take from its block."""
+    out = np.empty(model.n_edges)
     for g in model._shape_groups:
-        y_a, y_b = y[model.ends[g.edges]].T
-        vals = g.block[np.arange(len(g.edges)), y_a, y_b]
+        y_a, y_b = y.take(g.a), y.take(g.b)
+        vals = g.block.ravel().take(g.cells + y_a * g.block.shape[2] + y_b)
         if phi is not None:
-            vals = vals + phi.values[g.off_ab + y_a]
-            vals += phi.values[g.off_ba + y_b]
+            vals += phi.values.take(g.off_ab + y_a)
+            vals += phi.values.take(g.off_ba + y_b)
         out[g.edges] = vals
     return out
 
@@ -345,8 +355,9 @@ def dual_value(model, phi):
 
 def _edge_minima(model, phi):
     """Per edge the minimum of theta^phi, taken as the kernels take
-    min-marginals (:func:`dualbca.kernels._marginal`): per chunk of at most
-    ``_EDGE_CHUNK`` edges of one shape, theta_ab + phi_{a,b} with the tables
+    min-marginals (:func:`dualbca.kernels._marginal`): per chunk of the
+    edges of one shape that fill at most ``_CHUNK_CELLS`` table cells (at
+    least one edge), theta_ab + phi_{a,b} with the tables
     viewed as (L_a, L_b, m), its minima over Y_a, plus phi_{b,a}, then the
     minima over Y_b.  Rounding to nearest is monotone, so this is bit for
     bit the minimum of (theta_ab + phi_{a,b}) + phi_{b,a} as
@@ -358,7 +369,8 @@ def _edge_minima(model, phi):
     out = np.empty(model.n_edges)
     for g in model._shape_groups:
         n, k_a, k_b = g.block.shape
-        tables, c = g.block.transpose(1, 2, 0), min(n, _EDGE_CHUNK)
+        tables = g.block.transpose(1, 2, 0)
+        c = min(n, max(1, _CHUNK_CELLS // (k_a * k_b)))
         at_a, at_b = np.arange(k_a)[:, None], np.arange(k_b)[:, None]
         work, low = np.empty((k_a, k_b, c)), np.empty((k_b, c))
         for s in range(0, n, c):
@@ -404,7 +416,7 @@ def _evaluate(model, phi):
     y = _round(model, costs)
     edge_min = _edge_minima(model, phi)
     return _Evaluation(costs, y, edge_min, _sum_in_order(
-        costs[model.label_offsets[:-1] + y], edge_min))
+        costs.take(model.label_offsets[:-1] + y), edge_min))
 
 
 def _round(model, costs):

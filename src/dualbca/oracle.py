@@ -29,14 +29,18 @@ def unary_costs(model, phi, u):
 
 
 def pairwise_costs(model, phi, u, v):
-    """theta^phi_uv(s, t) = theta_uv(s, t) + phi_{u,v}(s) + phi_{v,u}(t)."""
+    """theta^phi_uv(s, t) = theta_uv(s, t) + phi_{u,v}(s) + phi_{v,u}(t).
+
+    Summed for the edge's canonical endpoints (a, b) as (theta_ab +
+    phi_{a,b}) + phi_{b,a}, so that (v, u) is the transpose of (u, v) bit
+    for bit."""
     e = model.incidence(u, v)[0]
-    table = model.pairwise[e]
-    out = (table if model.edges[e][0] == u else table.T).copy()
+    a, b = model.edges[e]
+    out = model.pairwise[e].copy()
     if phi is not None:
-        out += phi[u, v][:, None]
-        out += phi[v, u][None, :]
-    return out
+        out += phi[a, b][:, None]
+        out += phi[b, a][None, :]
+    return out if a == u else out.T.copy()
 
 
 def energy_table(model, phi=None, nodes=None, edges=None):

@@ -267,7 +267,7 @@ class _Run:
         self._blocks = blocks(self)
         self._program = None
         self._scratch = _Scratch()
-        self.evaluation = None      # of phi, set by a record
+        self.evaluation = None      # of the current phi, set by a record
 
     def program(self):
         """The program of the next pass: compiled at the first pass and
@@ -282,7 +282,14 @@ class _Run:
         return prog
 
     def do_pass(self):
-        self.program().run(self.phi, self.counter)
+        """Run one pass.  It starts from the node costs of the record's
+        evaluation of phi, if a record left one, taken before the program
+        is built (a dynamic forest clears it); the pass changes phi, so the
+        evaluation goes with it."""
+        ev = self.evaluation
+        self.program().run(self.phi, self.counter,
+                           None if ev is None else ev.costs)
+        self.evaluation = None
 
 
 def run(model, config):

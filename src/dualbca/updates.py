@@ -495,19 +495,21 @@ class Program:
         messages = int(np.dot(np.take(_MESSAGES, kind), count))
         return batches, messages
 
-    def run(self, phi, counter=None):
+    def run(self, phi, counter=None, costs=None):
         """Apply the program to phi, charging its messages to ``counter``.
 
-        theta^phi of every node is first derived from theta and phi, so phi
-        written from outside a program is honoured.  Where values too large
-        to update by deltas can reach theta^phi (``_exact_excess``), it is
-        derived again after every batch."""
+        theta^phi of every node is first written into the buffer: ``costs``
+        if given, which must be ``node_costs(model, phi)`` of this very phi
+        (a record's evaluation of it), else derived from theta and phi, so
+        phi written from outside a program is honoured.  Where values too
+        large to update by deltas can reach theta^phi (``_exact_excess``),
+        it is derived again after every batch."""
         if self._plan is None:
             self._plan = self._compile()
         batches, messages = self._plan
         model, buf = self.model, phi.buffer
         nodes, exact = slice(model._unary_flat.size), model._exact_excess
-        buf[nodes] = node_costs(model, phi)
+        buf[nodes] = node_costs(model, phi) if costs is None else costs
         for spec, idx, parts, r, keep, end, shared in batches:
             _KERNELS[spec.kind](buf, idx, parts, r, keep, *shared)
             if end is not None:         # the late pushes of the wave

@@ -29,7 +29,7 @@ import numpy as np
 
 from dualbca import oracle
 from dualbca.blocks import emit_tbca
-from dualbca.model import _EDGE_CHUNK, Reparametrization
+from dualbca.model import _CHUNK_CELLS, Reparametrization
 from dualbca import kernels
 from dualbca.updates import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS,
                              run_program)
@@ -287,16 +287,17 @@ def kruskal_forest(n, edges, keys):
 def edge_chunks(model, phi):
     """Yield (edge ids, theta^phi tables) in canonical orientation.
 
-    Tables come as ``(m, L_a, L_b)`` stacks of at most ``_EDGE_CHUNK`` edges
-    of one shape, summed as (theta_ab + phi_{a,b}) + phi_{b,a}.  With
-    ``phi=None`` they are views of the model's tables: read them, do not
-    write them.
+    Tables come as ``(m, L_a, L_b)`` stacks of the edges of one shape that
+    fill at most ``_CHUNK_CELLS`` table cells (at least one edge), summed
+    as (theta_ab + phi_{a,b}) + phi_{b,a}.  With ``phi=None`` they are
+    views of the model's tables: read them, do not write them.
     """
     vals = None if phi is None else phi.values
     for g in model._shape_groups:
         k_a, k_b = g.block.shape[1:]
-        for s in range(0, len(g.edges), _EDGE_CHUNK):
-            c = slice(s, s + _EDGE_CHUNK)
+        size = max(1, _CHUNK_CELLS // (k_a * k_b))
+        for s in range(0, len(g.edges), size):
+            c = slice(s, s + size)
             t = g.block[c]
             if vals is not None:
                 t = t + vals[g.off_ab[c, None] + np.arange(k_a)][:, :, None]

@@ -316,6 +316,12 @@ class TestVerify:
     def test_exit_zero(self):
         assert main(["verify", "--seed", "7"]) == 0
 
+    def test_negative_seed_exits_1_before_any_check_runs(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert "seed must be a non-negative integer" in err
+        assert out == ""
+
     def test_every_trial_checks_a_chain(self, monkeypatch):
         calls = []
 

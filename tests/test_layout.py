@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from dualbca.covers import gap_scores
-from dualbca.generate import random_phi
-from dualbca.model import (COST_CAP, GraphicalModel, Reparametrization,
-                           _evaluate, node_costs,
+from dualbca.generate import generate_instance, random_phi
+from dualbca.model import (_CHUNK_CELLS, COST_CAP, GraphicalModel,
+                           Reparametrization, _evaluate, node_costs,
                            check_feasible, dual_value, energy, primal_round)
 from dualbca.solve import SolverConfig, run
 from dualbca.updates import MessageCounter
@@ -127,18 +127,19 @@ def ref_record(model, phi):
     for ids, t in edge_chunks(model, phi):
         edge_min[ids] = t.min(axis=(1, 2))
     y = np.array([int(np.argmin(c)) for c in nodes])
-
-    def total(terms):
-        out = terms[0]
-        for x in terms[1:]:
-            out += x
-        return float(out)
-
     return (costs, y, edge_min, total([c.min() for c in nodes]
                                       + list(edge_min)),
             total([model.unary[u][y[u]] for u in range(model.n_nodes)]
                   + [t[y[u], y[v]] for (u, v), t in zip(model.edges,
                                                        model.pairwise)]))
+
+
+def total(terms):
+    """The sum of ``terms``, left to right from the first."""
+    out = terms[0]
+    for x in terms[1:]:
+        out += x
+    return float(out)
 
 
 def ref_gaps(model, phi, y):
@@ -208,6 +209,64 @@ def test_record_is_bit_for_bit_the_per_edge_minima():
                     t.min() for _, t in edge_chunks(model, phi)])
                 for tol in (0.0, abs(lowest)):
                     assert check_feasible(model, phi, tol) == (lowest >= -tol)
+
+
+def chunked_models(rng):
+    """Models whose shape groups span several chunks of ``_CHUNK_CELLS``
+    table cells: K_60 with 4 labels (1,770 edges, 1,024 to a chunk), a
+    12x12 grid with 16 labels (264 edges, 64 to a chunk), and a 20x20 grid
+    whose nodes have 8 or 16 labels (760 edges in four shape groups, 64,
+    128 or 256 to a chunk)."""
+    yield generate_instance("complete", n_nodes=60, labels=4, seed=3)
+    yield generate_instance("sparse_grid", height=12, width=12, labels=16,
+                            seed=4)
+    edges = generate_instance("sparse_grid", height=20, width=20).edges
+    labels = rng.choice([8, 16], 400).tolist()
+    yield GraphicalModel(labels, edges,
+                         [rng.uniform(0.0, 5.0, k) for k in labels],
+                         [rng.uniform(0.0, 2.0, (labels[u], labels[v]))
+                          for u, v in edges])
+
+
+def test_record_across_chunks_is_bit_for_bit_per_edge():
+    # The evaluation's edge minima, the dual, energy with and without phi,
+    # gap_scores and check_feasible, against tables built edge by edge,
+    # where one shape's edges take several chunks of the evaluation.
+    rng = np.random.default_rng(13)
+    for model in chunked_models(rng):
+        spans = [len(g.edges) * g.block[0].size / _CHUNK_CELLS
+                 for g in model._shape_groups]
+        assert max(spans) > 1
+        for phi in (Reparametrization(model), random_phi(rng, model, 2.0),
+                    run(model, SolverConfig("trws", max_passes=2))[0]):
+            units = [ref_unary(model, phi, u) for u in range(model.n_nodes)]
+            pairs = [ref_pairwise(model, phi, e) for e in range(model.n_edges)]
+            y = np.array([int(np.argmin(t)) for t in units])
+            edge_min = np.array([t.min() for t in pairs])
+            ev = _evaluate(model, phi)
+            assert ev.costs.tobytes() == np.concatenate(units).tobytes()
+            assert ev.y.tobytes() == y.tobytes()
+            assert ev.edge_min.tobytes() == edge_min.tobytes()
+            assert ev.dual.hex() == total([t.min() for t in units]
+                                          + list(edge_min)).hex()
+            assert dual_value(model, phi).hex() == ev.dual.hex()
+            other = rng.integers(0, model.labels)
+            for z in (y, other):
+                ends = [(z[u], z[v]) for u, v in model.edges]
+                assert energy(model, z).hex() == total(
+                    [model.unary[u][z[u]] for u in range(model.n_nodes)]
+                    + [t[s] for t, s in zip(model.pairwise, ends)]).hex()
+                assert energy(model, z, phi).hex() == total(
+                    [t[z[u]] for u, t in enumerate(units)]
+                    + [t[s] for t, s in zip(pairs, ends)]).hex()
+                node_gap, edge_gap = gap_scores(model, phi, z, ev)
+                assert node_gap.tobytes() == np.array(
+                    [t[z[u]] - t.min() for u, t in enumerate(units)]).tobytes()
+                assert edge_gap.tobytes() == np.array(
+                    [t[s] - t.min() for t, s in zip(pairs, ends)]).tobytes()
+            lowest = min(min(t.min() for t in units), edge_min.min())
+            for tol in (0.0, abs(lowest)):
+                assert check_feasible(model, phi, tol) == (lowest >= -tol)
 
 
 def test_node_aggregate_matches_per_edge_sequence():

@@ -30,10 +30,10 @@ def test_pairwise_costs_of_a_non_edge_rejected(pair):
 
 
 def test_pairwise_costs_reversed_is_the_transposed_table():
-    # (v, u) reads the table of (u, v) transposed, then adds phi_{v,u} and
-    # phi_{u,v}: the transpose of (u, v) bit for bit where the sums are
-    # exact (no phi, or quarters throughout), and to rounding elsewhere,
-    # since each adds phi in the order of its query.
+    # Both orientations add phi of the canonical first endpoint first, so
+    # (v, u) is the transpose of (u, v) bit for bit: with no phi, with
+    # quarters throughout (exact sums), and with random phi, where the
+    # order of the two additions shows in the last bits.
     rng = np.random.default_rng(5)
     for _ in range(10):
         m = random_model(rng, n_nodes=6, max_labels=4)
@@ -44,14 +44,13 @@ def test_pairwise_costs_reversed_is_the_transposed_table():
         quarters.values[:] = rng.integers(-8, 8, q.phi_size) / 4
         phi = random_phi(rng, m)
         for e, (u, v) in enumerate(m.edges):
-            for model, p in ((m, None), (q, quarters)):
+            for model, p in ((m, None), (q, quarters), (m, phi)):
                 assert oracle.pairwise_costs(model, p, v, u).tobytes() == \
                     oracle.pairwise_costs(model, p, u, v).T.tobytes()
-            back = oracle.pairwise_costs(m, phi, v, u)
-            assert back.tobytes() == ((m.pairwise[e].T + phi[v, u][:, None])
-                                      + phi[u, v][None, :]).tobytes()
-            assert np.allclose(back, oracle.pairwise_costs(m, phi, u, v).T,
-                               rtol=0.0, atol=1e-12)
+            forward = oracle.pairwise_costs(m, phi, u, v)
+            assert forward.tobytes() == ((m.pairwise[e] + phi[u, v][:, None])
+                                         + phi[v, u][None, :]).tobytes()
+            assert forward.tobytes() == pairwise_costs(m, phi, u, v).tobytes()
         for u in range(m.n_nodes):
             for v in set(range(m.n_nodes)) - {u, *m.neighbors(u)}:
                 with pytest.raises(ValueError, match=re.escape(

@@ -28,8 +28,12 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
     assert rows[0]["parent_build_median_ms"] > 0
     assert rows[0]["change_build_median_ms"] > 0
     for side in ("parent", "change"):
-        for part in pass_timer.BUILD_PARTS + ("record",):
+        for part in pass_timer.BUILD_PARTS + ("record", "pass_record"):
             assert rows[0][f"{side}_{part}_median_ms"] > 0
+        assert rows[0][f"{side}_pass_record_median_ms"] > \
+            rows[0][f"{side}_record_median_ms"]
+    assert rows[0]["pass_record_ratio"] > 0
+    assert 0 <= rows[0]["pass_record_faster_in"] <= 2
     assert "break_even_passes" in rows[0]
     assert json.loads(out.read_text())["build_sums"] == {}
     sizes = json.loads(out.read_text())["source"]
@@ -43,6 +47,7 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
         "largest_module_chars": chars[largest]}
     out = capsys.readouterr().out
     assert "k50/mplp" in out and "even after" in out and "record" in out
+    assert "pass+record parent" in out
     assert f"change src/dualbca: {sizes['change']['lines']} lines" in out
     assert listing(ROOT) == before
     assert "pass_timer_parent" not in sys.modules

@@ -6,8 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from dualbca import covers
-from dualbca.model import COST_CAP, GraphicalModel, check_feasible, energy
+from dualbca import covers, updates
+from dualbca.model import (COST_CAP, GraphicalModel, _evaluate,
+                           check_feasible, energy, node_costs)
 from dualbca.generate import (generate_instance, random_model,
                               random_tree_model)
 from dualbca.oracle import brute_force_min, chain_min
@@ -384,29 +385,22 @@ def test_dynamic_run_frees_phi_without_the_cycle_collector():
 
 def test_one_evaluation_per_record(monkeypatch):
     # A run of P passes makes P + 1 records, and each evaluates theta^phi
-    # once: node costs and edge minima.  A dynamic forest reads the record
-    # just made, so it adds none.  node_costs is patched, and so is
-    # _edge_minima, in every dualbca module that binds it, so that a name
-    # imported into another module is counted too; the node costs that
-    # Program.run derives, and those of theta alone (phi=None), are not
-    # evaluations of phi.
-    calls, running = {"node_costs": 0, "_edge_minima": 0}, [0]
+    # once: node costs and edge minima.  Each pass starts from the node
+    # costs of the record before it, and a dynamic forest reads that record
+    # too, so neither adds any: P + 1 node costs in all, where deriving
+    # them again at the start of every pass made 2P + 1.  node_costs is
+    # patched, and so is _edge_minima, in every dualbca module that binds
+    # it, so that a name imported into another module is counted too (that
+    # of updates, which Program.run calls); those of theta alone
+    # (phi=None) are not evaluations of phi.
+    calls = {"node_costs": 0, "_edge_minima": 0}
 
     def counted(name, fn):
         def wrapper(model, phi):
-            calls[name] += phi is not None and not running[0]
+            calls[name] += phi is not None
             return fn(model, phi)
         return wrapper
 
-    def program_run(self, *args):
-        running[0] += 1
-        try:
-            return run_program(self, *args)
-        finally:
-            running[0] -= 1
-
-    run_program = Program.run
-    monkeypatch.setattr(Program, "run", program_run)
     modules = [m for name, m in list(sys.modules.items())
                if name.split(".")[0] == "dualbca"]
     for module in modules:
@@ -422,6 +416,35 @@ def test_one_evaluation_per_record(monkeypatch):
                                           max_passes=10))
         assert len(trace) == 11
         assert calls == {"node_costs": 11, "_edge_minima": 11}
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic"])
+def test_a_pass_with_no_record_before_it_derives_its_costs(mode,
+                                                            monkeypatch):
+    # A pass drops the record's evaluation, since it changes phi, so a
+    # second pass with no record between derives theta^phi afresh, and phi
+    # ends byte for byte as in a run whose every pass derives it.
+    m = generate_instance("sparse_grid", height=6, width=6, labels=3, seed=2)
+    config = SolverConfig("tbca", tree_mode=mode, max_passes=3)
+    derived = []
+
+    def counted(model, phi):
+        derived.append(phi)
+        return node_costs(model, phi)
+
+    ref, state = _Run(m, config), _Run(m, config)
+    for _ in range(3):
+        ref.program().run(ref.phi, ref.counter)
+    monkeypatch.setattr(updates, "node_costs", counted)
+    state.evaluation = _evaluate(m, state.phi)
+    state.do_pass()
+    assert derived == [] and state.evaluation is None
+    state.do_pass()
+    assert derived == [state.phi] and state.evaluation is None
+    state.evaluation = _evaluate(m, state.phi)
+    state.do_pass()
+    assert len(derived) == 1
+    assert state.phi.buffer.tobytes() == ref.phi.buffer.tobytes()
 
 
 class TestNormalizeMessages:

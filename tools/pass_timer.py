@@ -22,8 +22,9 @@ rounds, each timed with ``time.process_time``.  The models:
   dynamic trees (``tbca-dynamic``), whose ratio is ROADMAP item 7's.
 
 After each pass, the side's per-pass record is timed as ``solve.run``
-makes it (``model._evaluate``, then ``model.energy`` of the rounding); a
-dynamic run reads the evaluation at its next pass.  After the passes, N
+makes it (``model._evaluate``, then ``model.energy`` of the rounding); the
+next pass starts from the node costs of its evaluation, and a dynamic run
+builds its forest from it, as in ``solve.run``.  After the passes, N
 rounds alternate the same way in building and compiling each side's
 program afresh (``_Run.program`` with the program reset, then
 ``Program._compile``), with the collector off, timed in three parts:
@@ -40,9 +41,12 @@ passes the change has made up for what it costs more to build, so that
 from then on its build and passes cost no more than the parent's (0
 where it costs no more to build and no more per pass, "never" where its
 median pass is slower), each side's build medians by part and its median
-record.  A change that moves work from passes into compiling shows both
-halves.  A dynamic run builds and compiles every pass, so its pass times
-include both.  Then, per side, the grid spam/dmm pass ratio (ROADMAP item
+record, and each side's median of a pass plus the record after it, with
+the change's over the parent's and in how many rounds the change was
+faster.  A run pays for both, and a pass can save what its record
+already did, so the pass alone overstates such a gain.  A change that
+moves work from passes into compiling shows both halves.  A dynamic run
+builds and compiles every pass, so its pass times include both.  Then, per side, the grid spam/dmm pass ratio (ROADMAP item
 5) and the dynamic/static tbca one (item 7), and per workload the summed
 build medians of the methods its benchmark workload runs (``BUILD_SUMS``).
 Last, per side, the lines and characters of its ``src/dualbca`` modules
@@ -266,6 +270,8 @@ def run_all(pkgs, args):
             states = [start(p, m, method) for p, m in zip(pkgs, models)]
             times, records = time_passes(pkgs, states, args.passes)
             parent, change = ([t * 1e3 for t in side] for side in times)
+            whole = [[(t + r) * 1e3 for t, r in zip(*side)]
+                     for side in zip(times, records)]
             builds = [[statistics.median(part) * 1e3 for part in zip(*t)]
                       for t in time_builds(states, args.passes,
                                            method.endswith("-dynamic"))]
@@ -280,19 +286,24 @@ def run_all(pkgs, args):
                                / statistics.median(parent), 3),
                 "change_faster_in": sum(c < p for p, c in
                                         zip(parent, change)),
+                "pass_record_ratio": round(statistics.median(whole[1])
+                                           / statistics.median(whole[0]), 3),
+                "pass_record_faster_in": sum(c < p for p, c in zip(*whole)),
                 "phi_identical": states[0].phi.values.tobytes()
                 == states[1].phi.values.tobytes(),
                 "break_even_passes": break_even(
                     (statistics.median(parent), statistics.median(change)),
                     [b[0] for b in builds]),
             }
-            for side, parts, rec in zip(("parent", "change"), builds,
-                                        records):
+            for side, parts, rec, both in zip(("parent", "change"), builds,
+                                              records, whole):
                 row[f"{side}_build_median_ms"] = round(parts[0], 3)
                 for name, ms in zip(BUILD_PARTS, parts[1:]):
                     row[f"{side}_{name}_median_ms"] = round(ms, 3)
                 row[f"{side}_record_median_ms"] = round(
                     statistics.median(rec) * 1e3, 3)
+                row[f"{side}_pass_record_median_ms"] = round(
+                    statistics.median(both), 3)
             rows.append(row)
             even = row["break_even_passes"]
             print(f"{row['case']:20s} parent {row['parent_median_ms']:8.3f}"
@@ -300,6 +311,11 @@ def run_all(pkgs, args):
                   f"{row['ratio']:.3f}  faster {row['change_faster_in']}"
                   f"/{args.passes}  phi "
                   f"{'same' if row['phi_identical'] else 'DIFFERS'}\n"
+                  f"{'':20s} pass+record parent "
+                  f"{row['parent_pass_record_median_ms']:8.3f} ms  change "
+                  f"{row['change_pass_record_median_ms']:8.3f} ms  ratio "
+                  f"{row['pass_record_ratio']:.3f}  faster "
+                  f"{row['pass_record_faster_in']}/{args.passes}\n"
                   f"{'':20s} build parent {builds[0][0]:8.3f} ms  change "
                   f"{builds[1][0]:8.3f} ms  even after "
                   f"{'never' if even is None else even} passes", flush=True)
