@@ -5,17 +5,22 @@ A batch of a :class:`dualbca.updates.Program` gathers its values from
 ufuncs that write into views of it, and puts the values back.  The views
 depend only on the batch's shape, so :func:`_bind` makes them once, as the
 program is compiled, with its spec (:class:`_Spec`, the layout of what it
-gathers), for all batches of one shape; a pass then runs no reshape,
-transpose or allocation.
+gathers), for all batches of one shape; a kernel then runs no reshape,
+transpose or allocation.  It makes each numpy call as ``call(f, *args)``,
+all arguments bound before the pass: ``_call`` calls it, and a run's kept
+program also records it, to replay on later passes (``Program.run``).
 """
 from __future__ import annotations
 
 import functools
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 RDP, PUSH, HANDSHAKE, MPLP, TRWS, STAR = range(6)   # operation kinds
+_MIN = np.minimum.reduce
+_call = getattr(operator, "call", lambda f, *args: f(*args))    # 3.11: in C
 
 
 class _Part(NamedTuple):
@@ -222,7 +227,7 @@ def _transposed(tables, how):
                   for rows, order in how])
 
 
-def _marginal(runs, tables):
+def _marginal(call, runs, tables):
     """Minima over Y_u (the u -> v messages) or over Y_v of theta^phi of a
     batch of edges, run by run, each into its rows of one (m, L) output.
 
@@ -244,16 +249,16 @@ def _marginal(runs, tables):
     to 16x16.
     """
     for i, add, t, last, out, over_a in runs:
-        np.add(tables[i], add, out=t)
+        call(np.add, tables[i], add, t)
         if over_a:
-            np.minimum.reduce(t, axis=0, out=out)
-            out += last
+            call(_MIN, t, 0, None, out)
+            call(np.add, out, last, out)
         else:
-            t += last
-            np.minimum.reduce(t, axis=0, out=out)
+            call(np.add, t, last, t)
+            call(_MIN, t, 0, None, out)
 
 
-def _run_push(buf, idx, tables, r, keep, x, node, parts):
+def _run_push(call, buf, idx, tables, r, keep, x, node, parts):
     """rdp, push and the TRW-S step at a batch of nodes.
 
     rdp and the TRW-S step move r * theta^phi_u into each target's
@@ -270,71 +275,71 @@ def _run_push(buf, idx, tables, r, keep, x, node, parts):
     batch's own: per part (its tables or their positions, how many have u
     first, and the views of them that its min-marginals read).
     """
-    buf.take(idx, out=x, mode="clip")
+    call(buf.take, idx, None, x, "clip")
     if node is not None:
         e, own, mines = node
         if own is not None:
-            np.multiply(e, r, out=own)
+            call(np.multiply, e, r, own)
         for mine, share in mines:
-            mine += share
-        e *= keep
+            call(np.add, mine, share, mine)
+        call(np.multiply, e, keep, e)
     for (block, tab, gathered, runs, p_vu, ex, d), (at, _, views) in zip(
             parts, tables):
         if tab is not None:
-            block.take(at, axis=0, out=tab, mode="clip")
+            call(block.take, at, 0, tab, "clip")
             views = gathered
-        _marginal(runs, views)
-        p_vu -= d
-        ex += d
-    buf[idx] = x
+        _marginal(call, runs, views)
+        call(np.subtract, p_vu, d, p_vu)
+        call(np.add, ex, d, ex)
+    call(buf.__setitem__, idx, x)
 
 
-def _run_star(buf, idx, tables, r, keep, x, e, own, mines, parts):
+def _run_star(call, buf, idx, tables, r, keep, x, e, own, mines, parts):
     """The star update at a batch of nodes: pull every v -> u min-marginal
     into u, then move r * theta^phi_u into every phi_{u,v}.  Each part
     holds its tables as a push batch's do, its min-marginal runs, its
     phi_{u,v} as (m * c, L_u), the min-marginals' output as (m * c, L_u)
     and as (m, c, L_u), and their sum over each operation's targets."""
-    buf.take(idx, out=x, mode="clip")
+    call(buf.take, idx, None, x, "clip")
     for (block, tab, gathered, runs, p_uv, d, per_op, pulled), (at, _, views) \
             in zip(parts, tables):
         if tab is not None:
-            block.take(at, axis=0, out=tab, mode="clip")
+            call(block.take, at, 0, tab, "clip")
             views = gathered
-        _marginal(runs, views)
-        p_uv -= d
-        np.add.reduce(per_op, axis=1, out=pulled)
-        e += pulled
-    np.multiply(e, r, out=own)
+        _marginal(call, runs, views)
+        call(np.subtract, p_uv, d, p_uv)
+        call(np.add.reduce, per_op, 1, None, pulled)
+        call(np.add, e, pulled, e)
+    call(np.multiply, e, r, own)
     for mine, share in mines:
-        mine += share
-    e *= keep
-    buf[idx] = x
+        call(np.add, mine, share, mine)
+    call(np.multiply, e, keep, e)
+    call(buf.__setitem__, idx, x)
 
 
-def _run_pair(buf, idx, tables, r, keep, x, e_u, block, tab, gathered, p_uv,
-              p_vu, e_v, to_u, to_v, back, d):
+def _run_pair(call, buf, idx, tables, r, keep, x, e_u, block, tab, gathered,
+              p_uv, p_vu, e_v, to_u, to_v, back, d):
     """handshake and mplp: aggregate both nodes, then the edge's pushes.
     The first two min-marginals go straight into theta^phi_u and
     theta^phi_v, a handshake's third (``back``, none for mplp) into
     ``d``."""
     (at, _, views), = tables
-    buf.take(idx, out=x, mode="clip")
-    p_uv += e_u
-    p_vu += e_v
+    call(buf.take, idx, None, x, "clip")
+    call(np.add, p_uv, e_u, p_uv)
+    call(np.add, p_vu, e_v, p_vu)
     if tab is not None:
-        block.take(at, axis=0, out=tab, mode="clip")
+        call(block.take, at, 0, tab, "clip")
         views = gathered
-    _marginal(to_u, views)
-    e_u *= 0.5
-    p_uv -= e_u
-    _marginal(to_v, views)
+    _marginal(call, to_u, views)
+    call(np.multiply, e_u, 0.5, e_u)
+    call(np.subtract, p_uv, e_u, p_uv)
+    _marginal(call, to_v, views)
     if back is None:
-        e_v *= 0.5
-        p_vu -= e_v
+        call(np.multiply, e_v, 0.5, e_v)
+        call(np.subtract, p_vu, e_v, p_vu)
     else:
-        p_vu -= e_v
-        _marginal(back, views)
-        p_uv -= d
-        e_u += d
-    buf[idx] = x
+        call(np.subtract, p_vu, e_v, p_vu)
+        _marginal(call, back, views)
+        call(np.subtract, p_uv, d, p_uv)
+        call(np.add, e_u, d, e_u)
+    call(buf.__setitem__, idx, x)

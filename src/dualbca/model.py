@@ -190,8 +190,24 @@ class GraphicalModel:
             for b in blocks))
 
         # Optional (height, width) hint set by the grid generators; lets
-        # solvers pick row/column chain covers.
-        self.grid_shape = tuple(grid_shape) if grid_shape is not None else None
+        # solvers pick row/column chain covers, so its 4-grid must be
+        # exactly the model's edges.
+        self.grid_shape = shape = None if grid_shape is None \
+            else tuple(grid_shape)
+        if shape is not None:
+            if min(shape) < 1 or shape[0] * shape[1] != n:
+                raise ValueError(f"grid shape {shape} does not hold {n} nodes")
+            w, at = shape[1], np.arange(n).reshape(shape)
+            extra = np.flatnonzero((b - a != w) & ((b - a != 1) | (b % w == 0)))
+            if extra.size:
+                raise ValueError(f"edge ({a[extra[0]]},{b[extra[0]]}) is not "
+                                 f"an edge of grid shape {shape}")
+            u, v = np.append(at[:, :-1], at[:-1]), np.append(at[:, 1:], at[1:])
+            _, found = self.lookup(u, v)
+            if not found.all():
+                i = np.argmin(found)
+                raise ValueError(f"grid shape {shape} needs edge ({u[i]},"
+                                 f"{v[i]}), which the model lacks")
 
     @cached_property
     def edges(self):

@@ -2,8 +2,9 @@
 
 All methods update one shared dual vector phi.  Each is one row of
 ``_TAXONOMY``: the family of blocks it sweeps and the update it applies to
-each block.  Every pass is an :class:`dualbca.updates.Program`, compiled at
-the run's first pass (each pass, for dynamic trees).
+each block.  Every pass is an :class:`dualbca.updates.Program`, compiled and
+recorded at the run's first pass and replayed from its recorded calls
+after; on dynamic trees each pass compiles one and runs it directly.
 
 Node operations at adjacent nodes conflict and at non-adjacent nodes do
 not, so on a row-major grid a ``msd``, ``cmp`` or ``trws`` sweep runs as one
@@ -270,12 +271,13 @@ class _Run:
         self.evaluation = None      # of the current phi, set by a record
 
     def program(self):
-        """The program of the next pass: compiled at the first pass and
-        reused, or for dynamic trees recomputed from the current phi."""
+        """The program of the next pass: compiled and recorded at the first
+        pass and replayed, or for dynamic trees recomputed from the current
+        phi and run directly."""
         if self._program is not None:
             return self._program
         dynamic = callable(self._blocks)
-        prog = Program(self.model, self._scratch)
+        prog = Program(self.model, self._scratch, replay=not dynamic)
         self._update(prog, *(self._blocks(self) if dynamic else self._blocks))
         if not dynamic:
             self._program = prog

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS, _Scratch, _bind,
-                      _how, _run_pair, _run_push, _run_star, _Spec,
+from .kernels import (HANDSHAKE, MPLP, PUSH, RDP, STAR, TRWS, _call, _Scratch,
+                      _bind, _how, _run_pair, _run_push, _run_star, _Spec,
                       _transposed)
 from .model import node_costs
 
@@ -111,9 +111,11 @@ class Program:
     :class:`dualbca.kernels._Scratch`; a program of its own if not given).
     The compiled program gathers the buffer, and the tables it holds no
     view of, on every run, and runs on any reparametrization of the model.
+    With ``replay``, as a run keeps it, the first run on a buffer records
+    its kernels' numpy calls, and later runs on that buffer replay them.
     """
 
-    def __init__(self, model, scratch=None):
+    def __init__(self, model, scratch=None, replay=False):
         self.model = model
         self._scratch = _Scratch() if scratch is None else scratch
         # (kind, u, count, targets, r, CSR entry of each (u, target)) of
@@ -121,6 +123,7 @@ class Program:
         none = np.zeros(0, dtype=np.int64)
         self._table = (none, none, none, none, np.zeros(0), none)
         self._plan = None
+        self._replay = replay
 
     def _append(self, kind, u, count, targets, r):
         """Append operations given as arrays: u, and the kind, number of
@@ -503,23 +506,44 @@ class Program:
         (a record's evaluation of it), else derived from theta and phi, so
         phi written from outside a program is honoured.  Where values too
         large to update by deltas can reach theta^phi (``_exact_excess``),
-        it is derived again after every batch."""
+        it is derived again after every batch.  A run on the buffer that
+        ``_calls`` were recorded on replays them: each is bound to the
+        views it was recorded with, so the pass is the recorded one, bit
+        for bit; with ``replay``, a run on another buffer records anew."""
         if self._plan is None:
-            self._plan = self._compile()
+            self._plan, self._calls = self._compile(), (None, [])
         batches, messages = self._plan
         model, buf = self.model, phi.buffer
         nodes, exact = slice(model._unary_flat.size), model._exact_excess
         buf[nodes] = node_costs(model, phi) if costs is None else costs
-        for spec, idx, parts, r, keep, end, shared in batches:
-            _KERNELS[spec.kind](buf, idx, parts, r, keep, *shared)
-            if end is not None:         # the late pushes of the wave
-                into, at, late = end
-                np.add.at(buf, into, buf.take(at, out=late, mode="clip"))
-                buf.put(at, 0.0)
-            if exact:
-                buf[nodes] = node_costs(model, phi)
+        on, calls = self._calls
+        if on is buf:
+            for f, args in calls:
+                f(*args)
+        else:
+            call, calls = _call, []
+            if self._replay:
+                def call(f, *args):         # record it, then make it
+                    calls.append((f, args))
+                    f(*args)
+            for spec, idx, parts, r, keep, end, shared in batches:
+                _KERNELS[spec.kind](call, buf, idx, parts, r, keep, *shared)
+                if end is not None:         # the late pushes of the wave
+                    into, at, late = end
+                    call(buf.take, at, None, late, "clip")
+                    call(np.add.at, buf, into, late)
+                    call(buf.put, at, 0.0)
+                if exact:
+                    call(_derive, model, phi)
+            if self._replay:                # a whole pass, recorded
+                self._calls = buf, calls
         if counter is not None:
             counter.add(messages)
+
+
+def _derive(model, phi):
+    """Write theta^phi of every node into phi's buffer, from theta and phi."""
+    phi.buffer[:model._unary_flat.size] = node_costs(model, phi)
 
 
 def _batch_starts(key, size):

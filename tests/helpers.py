@@ -241,7 +241,7 @@ def marginal(tab, k, p_uv, p_vu, over_u, out=None):
     how = kernels._how(kernels.PUSH if over_u else kernels.STAR, k, len(tab))
     runs = kernels._runs(k, np.empty(tab.size), *tab.shape[1:], p_uv, p_vu,
                          over_u, out, how, {})
-    kernels._marginal(runs, kernels._transposed(tab, how))
+    kernels._marginal(kernels._call, runs, kernels._transposed(tab, how))
     return out
 
 

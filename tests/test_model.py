@@ -116,6 +116,46 @@ class TestConstruction:
             GraphicalModel([2, 2], [(0, 1)], [np.zeros(2)],
                            [np.zeros((2, 2))])
 
+    @staticmethod
+    def grid_model(edges, grid_shape=(3, 3)):
+        return GraphicalModel([2] * 9, edges, [np.zeros(2)] * 9,
+                              [np.ones((2, 2))] * len(edges),
+                              grid_shape=grid_shape)
+
+    @pytest.mark.parametrize("extra,missing,message", [
+        # The 3x3 grid plus two diagonals: dmm's rows/columns cover
+        # would never update them.
+        ([(0, 4), (4, 8)], [],
+         "edge (0,4) is not an edge of grid shape (3, 3)"),
+        ([(8, 4)], [(0, 1)],
+         "edge (4,8) is not an edge of grid shape (3, 3)"),
+        ([], [(4, 7)],
+         "grid shape (3, 3) needs edge (4,7), which the model lacks"),
+        ([(2, 3)], [(3, 4)], "edge (2,3) is not an edge of grid shape")])
+    def test_grid_hint_must_be_the_model_edges(self, extra, missing,
+                                               message):
+        grid = generate_instance("sparse_grid", height=3, width=3,
+                                 labels=2, seed=0)
+        edges = [e for e in grid.edges if e not in missing] + extra
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.grid_model(edges)
+        assert self.grid_model(list(grid.edges)).grid_shape == (3, 3)
+
+    @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (2, 4), (4, 3),
+                                       (-3, -3), (0, 9)])
+    def test_grid_hint_must_hold_the_nodes(self, shape):
+        grid = generate_instance("sparse_grid", height=3, width=3,
+                                 labels=2, seed=0)
+        with pytest.raises(ValueError, match="grid shape|not an edge"):
+            self.grid_model(list(grid.edges), shape)
+
+    def test_generated_grids_keep_their_hint(self):
+        for h, w in ((1, 1), (1, 6), (5, 1), (3, 3), (4, 7)):
+            m = generate_instance("sparse_grid", height=h, width=w, seed=1)
+            assert m.grid_shape == (h, w)
+        assert generate_instance("denser", height=3, width=3,
+                                 seed=1).grid_shape is None
+
     def test_adjacency_sorted(self):
         m = GraphicalModel([2] * 4, [(2, 3), (0, 3), (1, 3)],
                            [np.zeros(2)] * 4, [np.zeros((2, 2))] * 3)

@@ -47,6 +47,7 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
         "largest_module_chars": chars[largest]}
     out = capsys.readouterr().out
     assert "k50/mplp" in out and "even after" in out and "record" in out
+    assert "first pass" in out
     assert "pass+record parent" in out
     assert f"change src/dualbca: {sizes['change']['lines']} lines" in out
     assert listing(ROOT) == before
@@ -90,3 +91,18 @@ def test_build_sums_add_the_workload_methods_only():
     assert pass_timer.build_sums(rows) == {
         "k50": {"parent": 10.0, "change": 7.5, "ratio": 0.75}}
     assert pass_timer.build_sums(rows[1:]) == {}
+
+
+def test_a_static_build_takes_its_first_pass_beyond_a_pass():
+    # Rounds in seconds: (whole, emission, levelling, rest of the compile,
+    # first pass).  A static run's build also takes what its program's
+    # first pass costs beyond the side's median pass: the median of the
+    # whole plus the first pass, less that pass.  A dynamic run's passes
+    # include their build, so its build is the whole alone.
+    rounds = [(0.004, 0.001, 0.001, 0.002, 0.003),
+              (0.006, 0.002, 0.001, 0.003, 0.005),
+              (0.005, 0.002, 0.002, 0.001, 0.004)]
+    static = pass_timer.build_medians(rounds, 0.002, False)
+    assert static == pytest.approx([7.0, 2.0, 1.0, 2.0, 4.0])
+    dynamic = pass_timer.build_medians(rounds, 0.002, True)
+    assert dynamic == pytest.approx([5.0, 2.0, 1.0, 2.0, 4.0])

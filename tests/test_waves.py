@@ -574,14 +574,19 @@ def test_exact_path_derives_theta_phi_before_every_batch(method, tree_mode,
     # Where theta^phi is derived afresh, the buffer holds node_costs bit
     # for bit before every batch and after every pass.  The capped-row
     # grid's waves push into one node several times.  Every batch of the
-    # compiled plan runs through the wrapped kernels, once per pass.
+    # compiled plan runs the check once per pass: the wrapped kernels make
+    # it through their ``call``, so a kept program's replayed passes, which
+    # call no kernel, make it too.
     calls = []
 
+    def check(buf):
+        assert np.array_equal(buf[:n], node_costs(model, phi))
+        calls.append(1)
+
     def checked(kernel):
-        def run_checked(buf, *args):
-            assert np.array_equal(buf[:n], node_costs(model, phi))
-            calls.append(1)
-            kernel(buf, *args)
+        def run_checked(call, buf, *args):
+            call(check, buf)
+            kernel(call, buf, *args)
         return run_checked
 
     monkeypatch.setattr(updates, "_KERNELS",
@@ -590,12 +595,101 @@ def test_exact_path_derives_theta_phi_before_every_batch(method, tree_mode,
         assert model._exact_excess
         state = _Run(model, SolverConfig(method, tree_mode=tree_mode))
         phi, n = state.phi, model._unary_flat.size
-        for _ in range(2):
+        for _ in range(3):
             prog = state.program()      # what do_pass runs
             calls.clear()
             prog.run(phi, state.counter)
             assert np.array_equal(phi.buffer[:n], node_costs(model, phi))
             assert len(calls) == len(prog._plan[0]) > 0
+
+
+def kernel_calls(monkeypatch):
+    """A list that gains one entry per kernel call from now on."""
+    calls = []
+
+    def counted(kernel):
+        def run_counted(*args):
+            calls.append(1)
+            kernel(*args)
+        return run_counted
+
+    monkeypatch.setattr(updates, "_KERNELS",
+                        tuple(map(counted, updates._KERNELS)))
+    return calls
+
+
+@pytest.mark.parametrize("method,tree_mode", BUFFER_CASES)
+def test_kept_program_replays_its_first_pass_bit_for_bit(method, tree_mode,
+                                                         monkeypatch):
+    # A static run records its program's numpy calls at the first pass and
+    # replays them, calling no kernel; five passes end byte for byte as
+    # five passes that each build and run a fresh program.  A run on
+    # dynamic trees compiles every pass and runs its kernels directly.
+    rng = np.random.default_rng(43)
+    config = SolverConfig(method, tree_mode=tree_mode)
+    calls = kernel_calls(monkeypatch)
+    for model in buffer_models() + [capped_row_grid()]:
+        kept, fresh = _Run(model, config), _Run(model, config)
+        start = random_phi(rng, model, scale=2.0).values
+        kept.phi.values[:] = fresh.phi.values[:] = start
+        for i in range(5):
+            calls.clear()
+            kept.do_pass()
+            if i and tree_mode == "static":
+                assert calls == []
+            else:
+                assert calls
+            fresh._program = None
+            fresh.do_pass()
+        assert kept.phi.buffer.tobytes() == fresh.phi.buffer.tobytes()
+        assert kept.counter.total == fresh.counter.total
+        if tree_mode == "dynamic":
+            assert kept._program is None
+        else:                           # references, no array copies
+            on, recorded = kept._program._calls
+            assert on is kept.phi.buffer and recorded
+            assert all(not isinstance(a, np.ndarray) or a is on
+                       or a.base is not None
+                       for _, args in recorded for a in args)
+
+
+def test_kept_program_replays_only_on_the_buffer_it_recorded_on(
+        monkeypatch):
+    # One kept program run on phi A, A, B, A, A: each run on a buffer it
+    # did not record on runs the kernels and records anew, so every call
+    # it keeps binds no other reparametrization's buffer, and each phi
+    # ends byte for byte as fresh programs leave it.
+    rng = np.random.default_rng(44)
+    calls = kernel_calls(monkeypatch)
+    for model in models(3)[:3] + [capped_row_grid()]:
+        for method in ("msd", "trws", "mplppp", "spam", "tbcapp"):
+            config = SolverConfig(method)
+            start = [random_phi(rng, model, scale=s).values.copy()
+                     for s in (1.0, 2.0)]
+
+            def fresh(x):
+                phi = Reparametrization(model)
+                phi.values[:] = start[x]
+                return phi
+
+            prog, phi = _Run(model, config).program(), [fresh(0), fresh(1)]
+            n = len(prog._compile()[0])
+            for x, ran in ((0, n), (0, 0), (1, n), (0, n), (0, 0)):
+                calls.clear()
+                prog.run(phi[x])
+                assert len(calls) == ran
+                on, recorded = prog._calls
+                assert on is phi[x].buffer
+                other = phi[1 - x]
+                assert not any(getattr(f, "__self__", None) is other.buffer
+                               or any(a is other or a is other.buffer
+                                      for a in args)
+                               for f, args in recorded)
+            for x, passes in ((0, 4), (1, 1)):
+                ref = fresh(x)
+                for _ in range(passes):
+                    _Run(model, config).program().run(ref)
+                assert phi[x].buffer.tobytes() == ref.buffer.tobytes()
 
 
 @pytest.mark.parametrize("method,tree_mode", BUFFER_CASES)
