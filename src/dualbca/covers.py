@@ -148,7 +148,8 @@ def compute_ssp_cover(model, seed=0):
     ends_sum = model.ends.sum(axis=1).tolist()
     chains = []
     while left:
-        start = int(rng.choice((degree > 0).nonzero()[0]))
+        cand = np.flatnonzero(degree)
+        start = int(cand[rng.integers(0, len(cand))])    # as rng.choice(cand)
         dist, count, via = _bfs_live_paths(model, start, alive)
         # The farthest strict end, lowest index on ties: only the start has
         # distance 0, and it has a strict neighbour.

@@ -57,7 +57,7 @@ def generate_instance(regime, *, height=4, width=4, n_nodes=None, labels=3,
     rng = np.random.default_rng(seed)
     if regime == "complete":
         n = int(n_nodes if n_nodes is not None else height * width)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = np.stack(np.triu_indices(n, 1), axis=1)   # lexicographic
         unary = rng.uniform(0.0, 5.0, (n, labels))
         pairwise = rng.uniform(0.0, 1.0, (len(edges), labels, labels))
         return GraphicalModel([labels] * n, edges, unary, pairwise)

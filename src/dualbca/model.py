@@ -11,18 +11,21 @@ a program starts to run (from a record's evaluation of phi, or derived from
 
 Layout.  The model fixes where everything lives, once:
 
-* the unary tables are views into one flat buffer, node after node;
+* the unary tables are one flat buffer, node after node, and ``unary``
+  holds views into it, made when first read;
 * the pairwise tables are views into one ``(m, L_a, L_b)`` block per shape;
 * phi is one flat buffer in which node u owns deg(u)*L_u values, one row of
   L_u per neighbour in ascending order (a directed-incidence CSR, whose
   neighbours, edges and phi starts are also kept as flat arrays).
 
-The model is built from whole arrays.  :meth:`GraphicalModel.lookup` finds
-the CSR entries of an array of pairs (u, v) by one binary search of the
-sorted keys u*n + v; the scalar accessors are calls to it.
+The model is built from whole arrays, each checked in one step.
+:meth:`GraphicalModel.lookup` finds the CSR entries of an array of pairs
+(u, v) by one binary search of the sorted keys u*n + v; the scalar accessors
+are calls to it.
 
 Whole-model evaluation works on these buffers with numpy reductions, and the
-programs of :mod:`dualbca.updates` gather and scatter them in batches.
+programs of :mod:`dualbca.updates` gather and scatter them in batches; the
+edge minima's table views and phi gathers are fixed at first use.
 """
 from __future__ import annotations
 
@@ -63,9 +66,10 @@ class GraphicalModel:
     costs must be finite and non-negative (shift your input if needed; the
     non-negativity is what keeps the constrained dual well defined).
 
-    ``edges`` is given as pairs or an ``(|E|, 2)`` array, ``pairwise`` as a
-    sequence of tables in edge order; an ``(|E|, L, L')`` array of
-    same-shaped tables becomes the model's table block as it is.
+    ``edges`` is given as pairs or an ``(|E|, 2)`` array, ``unary`` as one
+    table per node or an ``(n, L)`` array, ``pairwise`` as a sequence of
+    tables in edge order; an ``(|E|, L, L')`` array of same-shaped tables
+    becomes the model's table block as it is.
     """
 
     def __init__(self, labels, edges, unary, pairwise, grid_shape=None):
@@ -74,7 +78,7 @@ class GraphicalModel:
                      copy=False)
         self.labels = tuple(lab.tolist())
         self.n_nodes = n = len(self.labels)
-        if any(k <= 0 for k in self.labels):
+        if lab.min(initial=1) <= 0:
             raise ValueError("every node needs at least one label")
 
         ends = np.asarray(edges).reshape(len(edges), 2)
@@ -113,10 +117,18 @@ class GraphicalModel:
 
         if len(unary) != n or len(pairwise) != m:
             raise ValueError("cost table count does not match nodes/edges")
-        unary = [np.asarray(t, dtype=np.float64) for t in unary]
-        for u, t in enumerate(unary):
-            if t.shape != (self.labels[u],):
-                raise ValueError(f"unary table of node {u} has shape {t.shape}")
+        if isinstance(unary, np.ndarray) and unary.ndim == 2:
+            size = np.broadcast_to(unary.shape[1], n)
+        else:
+            unary = [np.asarray(t, dtype=np.float64) for t in unary]
+            size = np.array([t.size if t.ndim == 1 else -1 for t in unary],
+                            dtype=np.int64)
+        bad = np.flatnonzero(size != lab)
+        if bad.size:
+            raise ValueError(f"unary table of node {bad[0]} has shape "
+                             f"{np.shape(unary[bad[0]])}")
+        flat = np.concatenate(unary) if isinstance(unary, list) and n \
+            else np.array(unary, dtype=np.float64).reshape(-1)
         if isinstance(pairwise, np.ndarray) and pairwise.ndim == 3:
             shape = np.broadcast_to(pairwise.shape[1:], (m, 2))
         else:
@@ -131,8 +143,7 @@ class GraphicalModel:
 
         self._label_counts = lab
         self.label_offsets = np.append(0, lab.cumsum())
-        self._unary_flat = flat = np.concatenate(unary) if n else np.zeros(0)
-        self.unary = tuple(np.split(flat, self.label_offsets[1:-1])) if n else ()
+        self._unary_flat = flat
 
         # phi layout: node u owns deg(u) rows of L_u values.
         phi_off = np.append(0, (deg * lab).cumsum())
@@ -185,8 +196,8 @@ class GraphicalModel:
         # theta and phi rather than update it by deltas.
         big = FEAS_TOL / np.finfo(np.float64).eps
         self._exact_excess = bool(flat.max(initial=0.0) >= big or any(
-            b.max(initial=0.0) >= big and max(
-                b.min(axis=a).max(initial=0.0) for a in (1, 2)) >= big
+            b.max(initial=0.0) >= big and ((over := b >= big).all(axis=2).any()
+                                           or over.all(axis=1).any())
             for b in blocks))
 
         # Optional (height, width) hint set by the grid generators; lets
@@ -214,11 +225,34 @@ class GraphicalModel:
         return tuple(map(tuple, self.ends.tolist()))
 
     @cached_property
+    def unary(self):
+        """The unary tables in node order, as views into the flat buffer."""
+        return tuple(np.split(self._unary_flat, self.label_offsets[1:-1])) \
+            if self.n_nodes else ()
+
+    @cached_property
     def pairwise(self):
         """The tables in edge order, as views into the shape blocks."""
         blocks = [g.block for g in self._shape_groups]
         return tuple(blocks[g][i] for g, i in zip(self._edge_block.tolist(),
                                                   self._edge_pos.tolist()))
+
+    @cached_property
+    def _edge_chunks(self):
+        """Per shape group, chunks of edges that fill at most
+        ``_CHUNK_CELLS`` table cells (at least one edge): their tables as
+        (L_a, L_b, c), the (L_a, c) and (L_b, c) indices of phi_{a,b} and
+        phi_{b,a} in the phi buffer, and their edge ids."""
+        out = []
+        for g in self._shape_groups:
+            n, k_a, k_b = g.block.shape
+            tables = g.block.transpose(1, 2, 0)
+            c = min(n, max(1, _CHUNK_CELLS // (k_a * k_b)))
+            at_a, at_b = np.arange(k_a)[:, None], np.arange(k_b)[:, None]
+            out.append([(tables[:, :, s:s + c], g.off_ab[s:s + c] + at_a,
+                         g.off_ba[s:s + c] + at_b, g.edges[s:s + c])
+                        for s in range(0, n, c)])
+        return out
 
     def lookup(self, u, v):
         """CSR entries of the pairs (u, v), arrays or scalars, and which are
@@ -371,32 +405,26 @@ def dual_value(model, phi):
 
 def _edge_minima(model, phi):
     """Per edge the minimum of theta^phi, taken as the kernels take
-    min-marginals (:func:`dualbca.kernels._marginal`): per chunk of the
-    edges of one shape that fill at most ``_CHUNK_CELLS`` table cells (at
-    least one edge), theta_ab + phi_{a,b} with the tables
-    viewed as (L_a, L_b, m), its minima over Y_a, plus phi_{b,a}, then the
-    minima over Y_b.  Rounding to nearest is monotone, so this is bit for
-    bit the minimum of (theta_ab + phi_{a,b}) + phi_{b,a} as
-    :func:`_edge_terms` sums it, up to the sign of a zero minimum, which
-    no sum of a node minimum and edge minima can show (see
-    :func:`_evaluate`).  Every reduction runs over a leading axis,
-    as whole-slab elementwise minima."""
+    min-marginals (:func:`dualbca.kernels._marginal`): per chunk of
+    ``model._edge_chunks``, theta_ab + phi_{a,b} with the tables viewed as
+    (L_a, L_b, c), its minima over Y_a, plus phi_{b,a}, then the minima
+    over Y_b.  Rounding to nearest is monotone, so this is bit for bit the
+    minimum of (theta_ab + phi_{a,b}) + phi_{b,a} as :func:`_edge_terms`
+    sums it, up to the sign of a zero minimum, which no sum of a node
+    minimum and edge minima can show (see :func:`_evaluate`).  Every
+    reduction runs over a leading axis, as whole-slab elementwise minima."""
     vals = phi.values
     out = np.empty(model.n_edges)
-    for g in model._shape_groups:
-        n, k_a, k_b = g.block.shape
-        tables = g.block.transpose(1, 2, 0)
-        c = min(n, max(1, _CHUNK_CELLS // (k_a * k_b)))
-        at_a, at_b = np.arange(k_a)[:, None], np.arange(k_b)[:, None]
+    for chunks in model._edge_chunks:
+        k_a, k_b, c = chunks[0][0].shape
         work, low = np.empty((k_a, k_b, c)), np.empty((k_b, c))
-        for s in range(0, n, c):
-            e = min(n, s + c)
-            t, q = work[:, :, :e - s], low[:, :e - s]
-            np.add(tables[:, :, s:e], vals.take(g.off_ab[s:e] + at_a)[:, None],
-                   out=t)
+        for tables, at_ab, at_ba, edges in chunks:
+            c = edges.size
+            t, q = work[:, :, :c], low[:, :c]
+            np.add(tables, vals.take(at_ab)[:, None], out=t)
             np.minimum.reduce(t, axis=0, out=q)
-            q += vals.take(g.off_ba[s:e] + at_b)
-            out[g.edges[s:e]] = np.minimum.reduce(q, axis=0)
+            q += vals.take(at_ba)
+            out[edges] = np.minimum.reduce(q, axis=0)
     return out
 
 

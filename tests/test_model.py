@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from dualbca.model import (GraphicalModel, Reparametrization, check_feasible,
-                           dual_value, energy, primal_round)
+from dualbca.model import (COST_CAP, FEAS_TOL, GraphicalModel,
+                           Reparametrization, check_feasible, dual_value,
+                           energy, primal_round)
 from dualbca.generate import generate_instance, random_model, random_phi
 from dualbca.oracle import brute_force_min
 from dualbca.solve import SolverConfig, _Run
 from helpers import has_edge, pairwise_costs, unary_costs
+from test_waves import capped_row_grid, models
 
 
 def two_node_model():
@@ -77,6 +79,10 @@ class TestConstruction:
                 "unary table of node 1 has shape (2,)")):
             GraphicalModel([2, 3, 2], [],
                            [np.zeros(2), np.zeros(2), np.zeros(3)], [])
+        # As one (n, L) array, the same node and shape.
+        with pytest.raises(ValueError, match=re.escape(
+                "unary table of node 1 has shape (2,)")):
+            GraphicalModel([2, 3, 2], [], np.zeros((3, 2)), [])
 
     @pytest.mark.parametrize("tables,message", [
         ([np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2,))],
@@ -370,3 +376,95 @@ def test_random_phi_draws_as_the_edge_loop():
         assert np.array_equal(random_phi(a, m, scale=2.0).values,
                               edge_loop(b, m, scale=2.0).values)
         assert a.random() == b.random()     # the same number of draws
+
+
+def same_bytes(x, y):
+    """``x`` and ``y`` hold the same arrays, byte for byte, in the same
+    nesting of tuples and lists."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype == y.dtype and x.shape == y.shape
+                and x.tobytes() == y.tobytes())
+    if isinstance(x, (tuple, list)):
+        return type(x) is type(y) and len(x) == len(y) and all(
+            map(same_bytes, x, y))
+    return type(x) is type(y) and x == y
+
+
+def rebuilt(model, unary):
+    return GraphicalModel(model.labels, model.ends, unary,
+                          np.stack(model.pairwise) if model.n_edges
+                          and len(set(model.labels)) == 1 else
+                          list(model.pairwise), grid_shape=model.grid_shape)
+
+
+@pytest.mark.parametrize("model", [
+    generate_instance("sparse_grid", height=4, width=5, labels=3, seed=2),
+    generate_instance("denser", height=4, width=4, labels=2, seed=3),
+    generate_instance("complete", n_nodes=7, labels=4, seed=4),
+    generate_instance("complete", n_nodes=1, labels=1, seed=4),
+    capped_row_grid(),
+    random_model(np.random.default_rng(5), n_nodes=8, max_labels=4)],
+    ids=["sparse_grid", "denser", "complete", "one_node", "capped",
+         "mixed_labels"])
+def test_unary_array_and_rows_build_the_same_model(model):
+    # The (n, L) array and its rows as a list give the same model, byte
+    # for byte; labels that differ between nodes only come as rows, given
+    # once as arrays and once as lists of floats.
+    rows = [np.array(t) for t in model.unary]
+    if len(set(model.labels)) == 1:
+        other = np.stack(rows)
+    else:
+        other = [t.tolist() for t in rows]
+    a, b = rebuilt(model, rows), rebuilt(model, other)
+    for name in ("_unary_flat", "unary", "_cost_slot", "_label_groups",
+                 "_shape_groups", "_exact_excess"):
+        assert same_bytes(getattr(a, name), getattr(b, name)), name
+        assert same_bytes(getattr(a, name), getattr(model, name)), name
+
+
+def test_complete_edges_are_lexicographic():
+    m = generate_instance("complete", n_nodes=6, labels=2, seed=0)
+    assert m.edges == tuple((u, v) for u in range(6) for v in range(u + 1, 6))
+
+
+def test_unary_views_are_made_when_first_read():
+    m = generate_instance("sparse_grid", height=3, width=3, labels=2, seed=0)
+    assert "unary" not in m.__dict__
+    assert all(np.shares_memory(t, m._unary_flat) for t in m.unary)
+    assert "unary" in m.__dict__
+
+
+def min_rule(model):
+    """``_exact_excess`` as strided min reductions decide it: a unary, or
+    the minimum of a table row or column, so large that an ulp of it
+    exceeds FEAS_TOL."""
+    big = FEAS_TOL / np.finfo(np.float64).eps
+    return bool(model._unary_flat.max(initial=0.0) >= big or any(
+        max(g.block.min(axis=a).max() for a in (1, 2)) >= big
+        for g in model._shape_groups))
+
+
+def capped_grid(column=False):
+    """A capped 6x6x16 grid with a finite cell in every table row and
+    column; with ``column``, a 2-node model whose only capped line is the
+    first column of its table."""
+    if column:
+        return GraphicalModel([2, 2], [(0, 1)], np.zeros((2, 2)),
+                              [np.array([[COST_CAP, 0.0], [COST_CAP, 1.0]])])
+    base = generate_instance("sparse_grid", height=6, width=6, labels=16,
+                             seed=7)
+    tables = np.stack(base.pairwise)
+    rng = np.random.default_rng(7)
+    forbid = rng.random(tables.shape) < 0.3
+    forbid[:, np.arange(16), np.arange(16)] = False
+    tables[forbid] = COST_CAP
+    return GraphicalModel(base.labels, base.edges, np.stack(base.unary),
+                          tables)
+
+
+def test_exact_excess_is_the_min_rule():
+    cases = models(3) + [capped_row_grid(), capped_grid(),
+                         capped_grid(column=True)]
+    assert [m._exact_excess for m in cases] == [min_rule(m) for m in cases]
+    assert cases[-1]._exact_excess and not cases[-2]._exact_excess
+    assert cases[-2]._shape_groups[0].block.max() == COST_CAP

@@ -36,6 +36,11 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
     assert 0 <= rows[0]["pass_record_faster_in"] <= 2
     assert "break_even_passes" in rows[0]
     assert json.loads(out.read_text())["build_sums"] == {}
+    loads = json.loads(out.read_text())["load"]
+    names = [*pass_timer.WORKLOADS, "hard_lists"]
+    for side in ("parent", "change"):
+        assert list(loads[side]) == names
+        assert all(ms > 0 for ms in loads[side].values())
     sizes = json.loads(out.read_text())["source"]
     chars = {p.name: len(p.read_text()) for p in
              sorted((ROOT / "src" / "dualbca").glob("*.py"))}
@@ -49,6 +54,8 @@ def test_times_both_sides_and_writes_nothing_into_the_checkout(tmp_path,
     assert "k50/mplp" in out and "even after" in out and "record" in out
     assert "first pass" in out
     assert "pass+record parent" in out
+    for name in names:
+        assert f"load {name}: parent {loads['parent'][name]:.3f} ms" in out
     assert f"change src/dualbca: {sizes['change']['lines']} lines" in out
     assert listing(ROOT) == before
     assert "pass_timer_parent" not in sys.modules

@@ -53,11 +53,15 @@ moves work from passes into compiling shows both halves.  A dynamic run
 builds and compiles every pass, so its pass times include both.  Then, per side, the grid spam/dmm pass ratio (ROADMAP item
 5) and the dynamic/static tbca one (item 7), and per workload the summed
 build medians of the methods its benchmark workload runs (``BUILD_SUMS``).
+Then the load layer: per model, each side's median of N alternated rounds
+of ``generate_instance`` (for ``hard``, of its uncapped grid), and of
+building the ``hard`` model from per-node and per-edge lists, as the UAI
+parser does (``hard_lists``).
 Last, per side, the lines and characters of its ``src/dualbca`` modules
 and the characters of its largest one (ROADMAP aim 2 counts the lines;
 compiling a module from source peaks with its size, which a benchmark's
 ``peak_rss_mb`` can read).  ``--json`` also writes these rows, ratios,
-sums and sizes to a file.
+sums, load medians (``load``) and sizes to a file.
 """
 from __future__ import annotations
 
@@ -71,6 +75,7 @@ import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -116,19 +121,23 @@ def record(pkg, state):
     model.energy(state.model, ev.y)
 
 
-def build(pkg, workload, seed):
+def generated(pkg, workload, seed):
+    """``generate_instance`` of ``workload``'s model; for ``hard``, of the
+    grid that its caps are put on."""
     generate = pkg["generate"].generate_instance
-    if workload == "grid":
-        return generate("sparse_grid", height=32, width=32, labels=8,
-                        seed=seed)
     if workload == "k50":
         return generate("complete", n_nodes=50, labels=4, seed=seed)
-    if workload == "grid3":
-        return generate("sparse_grid", height=32, width=32, labels=3,
-                        seed=15)
-    # As tests/test_plans.capped_grid and benchmarks/run.py's hard grids.
+    labels = {"grid": 8, "grid3": 3, "hard": 16}[workload]
+    return generate("sparse_grid", height=32, width=32, labels=labels,
+                    seed=15 if workload == "grid3" else seed)
+
+
+def hard_lists(pkg, seed):
+    """The arguments of ``GraphicalModel`` for the ``hard`` model, as
+    per-node and per-edge lists, the way the UAI parser gives them.  As
+    tests/test_plans.capped_grid and benchmarks/run.py's hard grids."""
     rng = np.random.default_rng(seed)
-    base = generate("sparse_grid", height=32, width=32, labels=16, seed=seed)
+    base = generated(pkg, "hard", seed)
     planted = rng.integers(0, 16, base.n_nodes)
     pairwise = []
     for (u, v), table in zip(base.edges, base.pairwise):
@@ -137,8 +146,34 @@ def build(pkg, workload, seed):
         forbid[planted[u], planted[v]] = False
         table[forbid] = pkg["model"].COST_CAP
         pairwise.append(table)
-    return pkg["model"].GraphicalModel(base.labels, base.edges, base.unary,
-                                       pairwise)
+    return list(base.labels), list(base.edges), list(base.unary), pairwise
+
+
+def build(pkg, workload, seed):
+    if workload == "hard":
+        return pkg["model"].GraphicalModel(*hard_lists(pkg, seed))
+    return generated(pkg, workload, seed)
+
+
+def time_loads(pkgs, seed, rounds):
+    """Per side, the medians in ms of ``rounds`` alternated rounds of
+    ``generate_instance`` for each model (``generated``) and of building
+    the ``hard`` model from its lists (``hard_lists``), the UAI path."""
+    lists = [hard_lists(p, seed) for p in pkgs]
+    calls = [{**{w: partial(generated, p, w, seed) for w in WORKLOADS},
+              "hard_lists": partial(p["model"].GraphicalModel, *a)}
+             for p, a in zip(pkgs, lists)]
+    times = [{name: [] for name in side} for side in calls]
+    gc.collect()
+    for i in range(rounds):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            for name, call in calls[side].items():
+                t0 = time.process_time()
+                call()
+                times[side][name].append(time.process_time() - t0)
+    return {side: {name: round(statistics.median(t) * 1e3, 3)
+                   for name, t in times[i].items()}
+            for i, side in enumerate(("parent", "change"))}
 
 
 def start(pkg, model, method):
@@ -379,8 +414,10 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
-            rows = run_all([load(checkout, name, tmp) for checkout, name in
-                            zip((args.parent, args.change), SIDES)], args)
+            pkgs = [load(checkout, name, tmp) for checkout, name in
+                    zip((args.parent, args.change), SIDES)]
+            rows = run_all(pkgs, args)
+            loads = time_loads(pkgs, args.seed, args.passes)
         finally:
             sys.path.remove(tmp)
             for name in [m for m in sys.modules
@@ -395,6 +432,10 @@ def main(argv=None):
     for workload, total in sums.items():
         print(f"{workload} build sum: parent {total['parent']:.3f} ms, change "
               f"{total['change']:.3f} ms, ratio {total['ratio']:.3f}")
+    for name, parent in loads["parent"].items():
+        change = loads["change"][name]
+        print(f"load {name}: parent {parent:.3f} ms, change {change:.3f} ms, "
+              f"ratio {change / parent:.3f}")
     for side, size in sizes.items():
         print(f"{side} src/dualbca: {size['lines']} lines, {size['chars']} "
               f"chars, largest {size['largest_module']} "
@@ -402,7 +443,7 @@ def main(argv=None):
     if args.json:
         Path(args.json).write_text(json.dumps(
             {"rows": rows, "ratios": ratios, "build_sums": sums,
-             "source": sizes}, indent=1) + "\n")
+             "load": loads, "source": sizes}, indent=1) + "\n")
     return 0 if all(r["phi_identical"] for r in rows) else 1
 
 
