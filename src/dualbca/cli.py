@@ -118,10 +118,11 @@ def _run_all(args, instances, configs, trace_path):
                  for config in configs]
     results = []
     for model, name, shift, config in runs:
+        result = run(model, config)
         rows = [(r.pass_index, r.messages,
                  normalize_messages(r.messages, model.n_edges, mean),
                  r.dual, r.primal_energy, r.wall_seconds)
-                for r in run(model, config)[2]]
+                for r in result[2]]
         path = trace_path(name, config.method)
         if path:
             write_trace(path, rows)
@@ -130,7 +131,7 @@ def _run_all(args, instances, configs, trace_path):
                    "dual": dual + shift, "primal": primal + shift,
                    "gap": primal - dual, "messages": messages,
                    "normalized_messages": normalized, "wall_seconds": wall,
-                   "passes": passes}
+                   "passes": passes, "stop": result.stop}
         results.append((summary, rows))
     return results
 
@@ -145,7 +146,7 @@ def cmd_solve(args):
             f.write("\n")
     print(f"{summary['instance']} {args.method}: dual={summary['dual']:.9g} "
           f"primal={summary['primal']:.9g} messages={summary['messages']} "
-          f"passes={summary['passes']}")
+          f"passes={summary['passes']} stop={summary['stop']}")
     return 0
 
 
@@ -182,7 +183,8 @@ def cmd_bench(args):
                             *_cells(row)[:5]])
     for summary, _ in results:
         print(f"{summary['instance']} {summary['method']}: "
-              f"dual={summary['dual']:.9g} messages={summary['messages']}")
+              f"dual={summary['dual']:.9g} messages={summary['messages']} "
+              f"stop={summary['stop']}")
     print(f"wrote {len(results)} traces and {agg_path}")
     return 0
 
@@ -196,14 +198,14 @@ def cmd_verify(args):
 
 
 def _add_run_flags(p):
-    p.add_argument("--max-passes", type=int, default=1000)
+    p.add_argument("--max-passes", type=int, default=SolverConfig.max_passes)
     p.add_argument("--max-messages", type=int, default=None)
     p.add_argument("--max-seconds", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
     p.add_argument("--order", choices=("input", "random"), default="input")
-    p.add_argument("--cover", default="auto", choices=COVERS)
-    p.add_argument("--tree-mode", default="static",
+    p.add_argument("--cover", default=SolverConfig.cover, choices=COVERS)
+    p.add_argument("--tree-mode", default=SolverConfig.tree_mode,
                    choices=("static", "dynamic"))
     p.add_argument("--probabilities", action="store_true",
                    help="interpret UAI table entries as probabilities "

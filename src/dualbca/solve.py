@@ -34,13 +34,24 @@ from .updates import (HANDSHAKE, MPLP, STAR, TRWS, MessageCounter,
                       Program)
 
 COVERS = ("auto", "mmc", "rows_columns", "ssp")
-# A run stops once its dual rose by less than ``tol`` (relative) over this
-# many passes.
 _CONVERGENCE_WINDOW = 5
+# SolverConfig's stop rules in order: (field, test of a run against it).
+_STOPS = (
+    ("max_passes", lambda run, n: run.trace[-1].pass_index >= n),
+    ("max_messages", lambda run, n: run.counter.total >= n),
+    ("max_seconds", lambda run, s: time.perf_counter() - run.t0 >= s),
+    ("tol", lambda run, tol: len(run.trace) > _CONVERGENCE_WINDOW and (
+        run.trace[-1].dual - run.trace[-_CONVERGENCE_WINDOW - 1].dual)
+        / max(1.0, abs(run.trace[-1].dual)) < tol),
+)
 
 
 @dataclass
 class SolverConfig:
+    """A run of ``method``, stopped before a pass by the first rule that
+    holds, in order: ``max_passes``, ``max_messages``, ``max_seconds`` (a
+    None limit never fires; one must be set), then ``tol``: the dual rose
+    by less than ``tol`` (relative) over ``_CONVERGENCE_WINDOW`` passes."""
     method: str
     max_passes: int = 1000
     max_messages: int = None
@@ -54,7 +65,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        for name in ("max_passes", "max_messages", "max_seconds"):
+        for name, _ in _STOPS[:-1]:                 # the limits
             value = getattr(self, name)
             if value is not None and not value >= 0:     # NaN fails too
                 raise ValueError(f"{name} must be non-negative")
@@ -71,8 +82,7 @@ class SolverConfig:
             raise ValueError(f"unknown tree_mode {self.tree_mode!r}")
         if self.tree_mode == "dynamic" and self.cover != "auto":
             raise ValueError("dynamic trees exclude an explicit cover")
-        if self.max_passes is None and self.max_messages is None \
-                and self.max_seconds is None:
+        if all(getattr(self, name) is None for name, _ in _STOPS[:-1]):
             raise ValueError("at least one stopping criterion must be set")
 
 
@@ -256,9 +266,10 @@ METHODS = tuple(_TAXONOMY)
 
 
 class _Run:
-    """One solver run: owns phi, the counter and the method's blocks."""
+    """One solver run: its clock, phi, counter, blocks, trace and ``y``."""
 
     def __init__(self, model, config):
+        self.t0 = time.perf_counter()      # building the blocks counts
         self.model = model
         self.config = config
         self.phi = Reparametrization(model)
@@ -269,6 +280,7 @@ class _Run:
         self._program = None
         self._scratch = _Scratch()
         self.evaluation = None      # of the current phi, set by a record
+        self.trace, self.y = [], None       # y: the last record's labeling
 
     def program(self):
         """The program of the next pass: compiled and recorded at the first
@@ -293,9 +305,21 @@ class _Run:
                            None if ev is None else ev.costs)
         self.evaluation = None
 
+    def record(self):
+        """Append the trace record of phi; its labeling becomes ``y``."""
+        self.evaluation = ev = _evaluate(self.model, self.phi)
+        self.y = ev.y
+        self.trace.append(TraceRecord(
+            len(self.trace), self.counter.total, ev.dual,
+            energy(self.model, ev.y), time.perf_counter() - self.t0))
+
+
+class RunResult(tuple):
+    """A run's (phi, labeling, trace); ``.stop`` names its stop rule."""
+
 
 def run(model, config):
-    """Run a solver; returns (phi, labeling, trace records).
+    """Run a solver; returns a :class:`RunResult`.
 
     The trace starts with a pass-0 record of the initial state and gains one
     record per completed pass.  Runs are deterministic given the seed; the
@@ -303,34 +327,14 @@ def run(model, config):
     """
     if model.n_nodes == 0:
         raise ValueError("model has no nodes")
-    t0 = time.perf_counter()
     state = _Run(model, config)
-
-    def record(k):
-        """Append the record of pass ``k``; returns its labeling."""
-        state.evaluation = ev = _evaluate(model, state.phi)
-        trace.append(TraceRecord(k, state.counter.total, ev.dual,
-                                 energy(model, ev.y), time.perf_counter() - t0))
-        return ev.y
-
-    trace = []
-    y = record(0)
-    k = 0
+    state.record()
     while True:
-        if config.max_passes is not None and k >= config.max_passes:
-            break
-        if config.max_messages is not None and \
-                state.counter.total >= config.max_messages:
-            break
-        if config.max_seconds is not None and \
-                time.perf_counter() - t0 >= config.max_seconds:
-            break
-        if len(trace) > _CONVERGENCE_WINDOW:
-            recent = [r.dual for r in trace[-(_CONVERGENCE_WINDOW + 1):]]
-            scale = max(1.0, abs(recent[-1]))
-            if (recent[-1] - recent[0]) / scale < config.tol:
-                break
-        k += 1
+        for name, holds in _STOPS:
+            value = getattr(config, name)
+            if value is not None and holds(state, value):
+                result = RunResult((state.phi, state.y, state.trace))
+                result.stop = name
+                return result
         state.do_pass()
-        y = record(k)
-    return state.phi, y, trace
+        state.record()

@@ -55,6 +55,16 @@ class TestSolve:
         assert s["gap"] >= -1e-9
         assert s["messages"] == int(rows[-1][1])
 
+    @pytest.mark.parametrize("flag,stop", [("--max-passes", "max_passes"),
+                                           ("--max-seconds", "max_seconds")])
+    def test_summary_names_the_stop(self, flag, stop, tmp_path, capsys):
+        summary = tmp_path / "s.json"
+        assert main(["solve", "--generate", "sparse_grid:3,3", "--method",
+                     "trws", flag, "0", "--summary", str(summary)]) == 0
+        s = json.loads(summary.read_text())
+        assert s["stop"] == stop and s["passes"] == 0
+        assert capsys.readouterr().out.endswith(f" stop={stop}\n")
+
     def test_model_file_input(self, tmp_path):
         m = generate_instance("sparse_grid", height=3, width=3, seed=0)
         path = tmp_path / "grid.uai"

@@ -2,6 +2,7 @@ import gc
 import sys
 import time
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from dualbca.model import (COST_CAP, GraphicalModel, _evaluate,
 from dualbca.generate import (generate_instance, random_model,
                               random_tree_model)
 from dualbca.oracle import brute_force_min, chain_min
-from dualbca.solve import (METHODS, SolverConfig, TraceRecord, _chain_cover,
-                           _colour_classes, _Run, normalize_messages, run)
+from dualbca.solve import (_CONVERGENCE_WINDOW, METHODS, SolverConfig,
+                           TraceRecord, _chain_cover, _colour_classes, _Run,
+                           normalize_messages, run)
 from dualbca.updates import Program
 from helpers import check_greedy_classes, ops
+from test_waves import models as hostile_models
 
 
 def chain_model(rng, n, labels=3):
@@ -445,6 +448,97 @@ def test_a_pass_with_no_record_before_it_derives_its_costs(mode,
     state.do_pass()
     assert len(derived) == 1
     assert state.phi.buffer.tobytes() == ref.phi.buffer.tobytes()
+
+
+class TestStops:
+    # Each rule names its stop, and the first in table order that holds
+    # wins a tie.
+    def test_max_passes(self):
+        m = generate_instance("sparse_grid", height=4, width=4, seed=0)
+        result = run(m, SolverConfig("trws", max_passes=3, tol=1e-300))
+        assert result.stop == "max_passes" and len(result[2]) == 4
+
+    def test_max_messages(self):
+        m = generate_instance("sparse_grid", height=4, width=4, seed=1)
+        result = run(m, SolverConfig("trws", max_passes=10**9,
+                                     max_messages=10 * m.n_edges))
+        assert result.stop == "max_messages"
+        assert result[2][-1].messages >= 10 * m.n_edges
+
+    def test_max_seconds(self):
+        m = generate_instance("sparse_grid", height=4, width=4, seed=2)
+        result = run(m, SolverConfig("mplppp", max_seconds=0))
+        assert result.stop == "max_seconds" and len(result[2]) == 1
+
+    def test_tol(self):
+        m = random_tree_model(np.random.default_rng(6), n_nodes=6)
+        result = run(m, SolverConfig("tbca", max_passes=1000, tol=1e-9))
+        assert result.stop == "tol" and result[2][-1].pass_index < 1000
+
+    def test_table_order_breaks_ties(self):
+        m = generate_instance("sparse_grid", height=4, width=4, seed=3)
+        result = run(m, SolverConfig("msd", max_passes=0, max_messages=0))
+        assert result.stop == "max_passes" and len(result[2]) == 1
+
+    def test_result_unpacks_as_a_triple(self):
+        m = generate_instance("sparse_grid", height=4, width=4, seed=4)
+        result = run(m, SolverConfig("spam", max_passes=2))
+        phi, y, trace = result
+        assert len(result) == 3 and result[2] is trace
+        assert energy(m, y) == trace[-1].primal_energy
+
+
+def reference_run(model, config):
+    """The run loop with its four stop tests inline, from the run's parts."""
+    t0 = time.perf_counter()
+    state, trace = _Run(model, config), []
+
+    def record(k):
+        state.evaluation = ev = _evaluate(model, state.phi)
+        trace.append(TraceRecord(k, state.counter.total, ev.dual,
+                                 energy(model, ev.y), time.perf_counter() - t0))
+        return ev.y
+
+    y = record(0)
+    k = 0
+    while True:
+        if config.max_passes is not None and k >= config.max_passes:
+            break
+        if config.max_messages is not None and \
+                state.counter.total >= config.max_messages:
+            break
+        if config.max_seconds is not None and \
+                time.perf_counter() - t0 >= config.max_seconds:
+            break
+        if len(trace) > _CONVERGENCE_WINDOW:
+            recent = [r.dual for r in trace[-(_CONVERGENCE_WINDOW + 1):]]
+            scale = max(1.0, abs(recent[-1]))
+            if (recent[-1] - recent[0]) / scale < config.tol:
+                break
+        k += 1
+        state.do_pass()
+        y = record(k)
+    return state.phi, y, trace
+
+
+@pytest.mark.parametrize("method", METHODS + ("tbca-dynamic",
+                                              "tbcapp-dynamic"))
+def test_run_stops_where_the_inline_loop_did(method):
+    # The stop table ends every run at the pass where four inline tests
+    # ended it, with the same phi, labeling and trace but wall seconds.
+    name, _, mode = method.partition("-")
+    grid = generate_instance("sparse_grid", height=6, width=6, labels=3,
+                             seed=0)
+    for model in hostile_models(0) + [grid]:
+        for limits in (dict(max_passes=7),
+                       dict(max_passes=None, max_messages=5 * model.n_edges),
+                       dict(tol=1e-3)):
+            config = SolverConfig(name, tree_mode=mode or "static", **limits)
+            got, want = run(model, config), reference_run(model, config)
+            assert got[0].buffer.tobytes() == want[0].buffer.tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert [r[:4] for r in map(astuple, got[2])] == \
+                [r[:4] for r in map(astuple, want[2])]
 
 
 class TestNormalizeMessages:
